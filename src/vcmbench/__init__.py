@@ -14,7 +14,6 @@ from .model import (  # noqa: E402,F401
     Detection,
     FeatureTensor,
     GroundTruthBox,
-    HybridRdoConfig,
     ImagePair,
     MultiScaleFeatureSet,
     PackedFrameSet,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputError, VcmError
+from .errors import DimMismatch, InputError, VcmError
 from .featurecodec import (
     denormalize,
     dequantize_2bit,
@@ -31,24 +31,26 @@ from .featurecodec import (
     reorder_channels,
     unpack_frames,
 )
+from .featurecodec.packing import split_frames
 from .featurecodec.stream import read_stream, write_stream
 from .metrics import mean_average_precision, mota
-from .model import PackedFrameSet, QuantParams, RDCurve, RDPoint
+from .model import PackedFrameSet, QuantParams
 from .pipeline.experiment import load_manifest, run_experiment
 from .rdcurves import (
     apply_cutoff,
     bd_metrics,
-    build_curve,
     pareto_front,
     read_curves_csv,
     write_curves_csv,
 )
-from .report import build_report, render_svg, write_report_files
+from .report import build_report, render_svg, report_to_json_bytes, write_report_files
 from .tensorio import (
     load_detections,
     load_ground_truth,
     load_tracks,
     read_feature_tensor,
+    read_json,
+    read_text,
     write_feature_tensor,
 )
 
@@ -56,7 +58,7 @@ from .tensorio import (
 def _load_config(path) -> dict[str, str]:
     """TOML-like key=value file; '#' starts a comment."""
     config = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -201,15 +203,18 @@ def _params_to_json(params: QuantParams) -> dict:
     }
 
 
-def _params_from_json(doc: dict) -> QuantParams:
-    return QuantParams(
-        mean=np.array(doc["mean"], dtype=np.float32),
-        std=np.array(doc["std"], dtype=np.float32),
-        z_min=doc["z_min"],
-        z_max=doc["z_max"],
-        z_th=doc["z_th"],
-        bit_depth=doc["bit_depth"],
-    )
+def _params_from_json(doc, origin) -> QuantParams:
+    try:
+        return QuantParams(
+            mean=np.array(doc["mean"], dtype=np.float32),
+            std=np.array(doc["std"], dtype=np.float32),
+            z_min=doc["z_min"],
+            z_max=doc["z_max"],
+            z_th=doc["z_th"],
+            bit_depth=doc["bit_depth"],
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{origin}: bad quantization params: {e!r}") from e
 
 
 def _quantize_tensor(tensor, bits: int, z_th: float):
@@ -227,6 +232,33 @@ def _reconstruct_tensor(samples, params: QuantParams):
     else:
         z = dequantize_2bit(samples, params)
     return denormalize(z, params)
+
+
+def _pack_tensor(args, bits: int, z_th: float, layout: str) -> PackedFrameSet:
+    """Read, quantize, optionally reorder channels, and pack by layout."""
+    if layout not in ("spatial", "temporal"):
+        raise InputError(
+            f"--layout must be spatial or temporal for {args.op}: {layout!r}"
+        )
+    tensor = read_feature_tensor(args.input)
+    samples, params = _quantize_tensor(tensor, bits, z_th)
+    perm = reorder_channels(samples)[0] if args.reorder else None
+    pack = pack_spatial_tiled if layout == "spatial" else pack_temporal
+    return pack(samples, permutation=perm, quant=params)
+
+
+def _report_error(tensor, ref_path, params: QuantParams) -> None:
+    """Print the max reconstruction error against a reference tensor."""
+    ref = read_feature_tensor(ref_path)
+    if ref.dims != tensor.dims:
+        raise DimMismatch(f"reference dims {ref.dims} differ from {tensor.dims}")
+    err = float(np.abs(tensor.values.astype(np.float64) - ref.values).max())
+    bound = ""
+    if params.bit_depth == 8:
+        step = (params.z_max - params.z_min) / 510.0
+        worst = float((params.std.astype(np.float64) * step).max())
+        bound = f" (per-channel bound sigma*(z_max-z_min)/510, max {worst!r})"
+    sys.stdout.write(f"max reconstruction error: {err!r}{bound}\n")
 
 
 def _cmd_feature(args, config) -> int:
@@ -254,9 +286,7 @@ def _cmd_feature(args, config) -> int:
     if op == "dequant":
         if not args.params or not args.dims:
             raise InputError("dequant needs --params and --dims")
-        params = _params_from_json(
-            json.loads(Path(args.params).read_text(encoding="utf-8"))
-        )
+        params = _params_from_json(read_json(args.params), args.params)
         c, h, w = _parse_dims(args.dims)
         raw = np.frombuffer(Path(args.input).read_bytes(), dtype=np.uint8)
         if raw.size != c * h * w:
@@ -266,38 +296,22 @@ def _cmd_feature(args, config) -> int:
         tensor = _reconstruct_tensor(raw.reshape(c, h, w), params)
         write_feature_tensor(tensor, args.output)
         if args.ref:
-            ref = read_feature_tensor(args.ref)
-            err = float(np.abs(tensor.values.astype(np.float64) - ref.values).max())
-            bound = ""
-            if params.bit_depth == 8:
-                step = (params.z_max - params.z_min) / 510.0
-                worst = float((params.std.astype(np.float64) * step).max())
-                bound = f" (per-channel bound sigma*(z_max-z_min)/510, max {worst!r})"
-            sys.stdout.write(f"max reconstruction error: {err!r}{bound}\n")
+            _report_error(tensor, args.ref, params)
         return 0
 
     if op == "pack":
-        tensor = read_feature_tensor(args.input)
-        samples, params = _quantize_tensor(tensor, bits, z_th)
-        perm = reorder_channels(samples)[0] if args.reorder else None
-        if layout == "spatial":
-            fs = pack_spatial_tiled(samples, permutation=perm, quant=params)
-        elif layout == "temporal":
-            fs = pack_temporal(samples, permutation=perm, quant=params)
-        else:
-            raise InputError(
-                f"--layout must be spatial or temporal for pack: {layout!r}"
-            )
+        fs = _pack_tensor(args, bits, z_th, layout)
         with open(args.output, "wb") as fh:
             for frame in fs.frames:
                 fh.write(np.asarray(frame).tobytes(order="C"))
+        perm = fs.channel_permutation
         meta = {
             "layout": fs.layout,
             "dims": list(fs.original_dims),
             "frames": len(fs.frames),
             "frame_dims": [list(np.asarray(f).shape) for f in fs.frames],
             "permutation": list(perm) if perm is not None else None,
-            "params": _params_to_json(params),
+            "params": _params_to_json(fs.quant),
         }
         meta_path = args.meta or (str(args.output) + ".meta.json")
         Path(meta_path).write_text(
@@ -311,24 +325,18 @@ def _cmd_feature(args, config) -> int:
     if op == "unpack":
         if not args.meta:
             raise InputError("unpack needs --meta from the pack step")
-        meta = json.loads(Path(args.meta).read_text(encoding="utf-8"))
-        raw = Path(args.input).read_bytes()
-        frames = []
-        offset = 0
-        for fh_, fw_ in meta["frame_dims"]:
-            size = fh_ * fw_
-            frames.append(
-                np.frombuffer(raw, dtype=np.uint8, count=size, offset=offset).reshape(
-                    fh_, fw_
-                )
-            )
-            offset += size
-        params = _params_from_json(meta["params"])
+        meta = read_json(args.meta)
+        try:
+            shapes = [(int(fh_), int(fw_)) for fh_, fw_ in meta["frame_dims"]]
+            layout, dims, perm = meta["layout"], tuple(meta["dims"]), meta["permutation"]
+            params = _params_from_json(meta["params"], args.meta)
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"{args.meta}: bad packing metadata: {e!r}") from e
         fs = PackedFrameSet(
-            frames=tuple(frames),
-            layout=meta["layout"],
-            original_dims=tuple(meta["dims"]),
-            channel_permutation=tuple(meta["permutation"]) if meta["permutation"] else None,
+            frames=split_frames(Path(args.input).read_bytes(), shapes),
+            layout=layout,
+            original_dims=dims,
+            channel_permutation=tuple(perm) if perm else None,
             quant=params,
         )
         samples = unpack_frames(fs)
@@ -337,17 +345,7 @@ def _cmd_feature(args, config) -> int:
         return 0
 
     if op == "encode":
-        tensor = read_feature_tensor(args.input)
-        samples, params = _quantize_tensor(tensor, bits, z_th)
-        perm = reorder_channels(samples)[0] if args.reorder else None
-        if layout == "spatial":
-            fs = pack_spatial_tiled(samples, permutation=perm, quant=params)
-        elif layout == "temporal":
-            fs = pack_temporal(samples, permutation=perm, quant=params)
-        else:
-            raise InputError(
-                f"--layout must be spatial or temporal for encode: {layout!r}"
-            )
+        fs = _pack_tensor(args, bits, z_th, layout)
         stream = entropy_encode(fs)
         write_stream(stream, args.output)
         raw_bits = fs.sample_count * 8
@@ -367,9 +365,7 @@ def _cmd_feature(args, config) -> int:
         write_feature_tensor(tensor, args.output)
         sys.stdout.write("checksum OK\n")
         if args.ref:
-            ref = read_feature_tensor(args.ref)
-            err = float(np.abs(tensor.values.astype(np.float64) - ref.values).max())
-            sys.stdout.write(f"max reconstruction error: {err!r}\n")
+            _report_error(tensor, args.ref, stream.quant)
         return 0
 
     raise InputError(f"unknown feature op {op!r}")
@@ -404,37 +400,20 @@ def _cmd_run(args, config) -> int:
             )
         raise
     report = build_report(manifest_path, manifest, result)
-    written = write_report_files(report, result, out_dir)
-    for p in written:
+    report_path = out_dir / "report.json"
+    report_path.write_bytes(report_to_json_bytes(report))
+    for p in [report_path, *write_report_files(report, out_dir)]:
         sys.stdout.write(f"wrote {p}\n")
     return 0
 
 
 def _cmd_report(args, config) -> int:
-    doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    if doc.get("schema_version") != 1:
-        raise InputError(f"unsupported report schema: {doc.get('schema_version')}")
+    doc = read_json(args.report)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != 1:
+        raise InputError(f"unsupported report schema: {version}")
     out_dir = Path(args.output_dir or "vcmbench-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curves = []
-    for scale_str, rows in sorted(doc["rd_tables"].items(), key=lambda kv: -int(kv[0])):
-        pts = [RDPoint(r["rate"], r["quality"]) for r in rows]
-        curves.append(
-            build_curve(
-                pts, label=f"scale{scale_str}", scale_percent=int(scale_str),
-                quality_unit=doc["config"]["quality_unit"],
-            )
-        )
-    front_pts = [RDPoint(r["rate"], r["quality"]) for r in doc["pareto"]]
-    front = RDCurve(
-        label="pareto", points=tuple(front_pts),
-        quality_unit=doc["config"]["quality_unit"],
-    )
-    write_curves_csv(curves, out_dir / "rd_curves.csv")
-    write_curves_csv([front], out_dir / "pareto.csv")
-    (out_dir / "plot.svg").write_text(
-        render_svg(curves, front, title="rate vs task metric"), encoding="utf-8"
-    )
+    write_report_files(doc, out_dir)
     sys.stdout.write(f"rendered report tables into {out_dir}\n")
     return 0
 
@@ -508,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args.config) if args.config else {}
     try:
+        config = _load_config(args.config) if args.config else {}
         return args.func(args, config)
     except VcmError as e:
         sys.stderr.write(f"error: {e}\n")

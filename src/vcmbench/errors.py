@@ -69,10 +69,6 @@ class DimMismatch(InputError):
     pass
 
 
-class DomainError(InputError):
-    pass
-
-
 # --- rate-distortion analysis ---
 
 class ZeroPixels(InputError):

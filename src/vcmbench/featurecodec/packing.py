@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimMismatch, InputError, WrongChannelCount
+from ..errors import DimMismatch, InputError, TruncatedFile, WrongChannelCount
 from ..model import (
     LAYOUT_MULTISCALE,
     LAYOUT_SPATIAL_TILED,
@@ -134,6 +134,27 @@ def pack_temporal(samples, permutation=None, quant: QuantParams | None = None) -
     )
 
 
+def split_frames(raw: bytes, shapes) -> tuple[np.ndarray, ...]:
+    """Cut concatenated row-major 8-bit frames into (h, w) arrays, in order.
+
+    Raises TruncatedFile unless the bytes hold exactly the given frames.
+    """
+    sizes = [fh * fw for fh, fw in shapes]
+    if len(raw) != sum(sizes):
+        raise TruncatedFile(
+            f"{len(raw)} bytes do not match {len(sizes)} frame(s) of "
+            f"{sum(sizes)} samples in total"
+        )
+    frames = []
+    offset = 0
+    for (fh, fw), size in zip(shapes, sizes):
+        frames.append(
+            np.frombuffer(raw, dtype=np.uint8, count=size, offset=offset).reshape(fh, fw)
+        )
+        offset += size
+    return tuple(frames)
+
+
 def unpack_frames(fs: PackedFrameSet) -> np.ndarray | list[np.ndarray]:
     """Invert any packing layout back to the original sample array(s).
 
@@ -199,7 +220,3 @@ def invert_permutation(perm) -> tuple[int, ...]:
     for i, p in enumerate(perm):
         inverse[p] = i
     return tuple(inverse)
-
-
-def apply_permutation(data: np.ndarray, perm) -> np.ndarray:
-    return np.asarray(data)[list(perm)]

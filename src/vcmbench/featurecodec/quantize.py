@@ -25,18 +25,13 @@ from ..model import FeatureTensor, QuantParams
 
 
 def normalize(
-    t: FeatureTensor,
-    z_th: float = 1.5,
-    bit_depth: int = 8,
-    per_channel_range: bool = False,
+    t: FeatureTensor, z_th: float = 1.5, bit_depth: int = 8
 ) -> tuple[FeatureTensor, QuantParams]:
     """Standardize each channel; returns the z tensor and its stats.
 
     Channels with zero variance map to z = 0 and record std = 0, which
     denormalize inverts back to the channel mean exactly. z_min/z_max
-    are global over the tensor; per_channel_range=True keeps them per
-    channel (in-memory analysis only: the stream container serializes a
-    single global range).
+    are global over the tensor.
     """
     x = t.values.astype(np.float64)
     mean = np.float32(x.mean(axis=(1, 2)))
@@ -45,32 +40,11 @@ def normalize(
     z = (x - mean.astype(np.float64)[:, None, None]) / safe[:, None, None]
     z[std == 0] = 0.0
     z32 = z.astype(np.float32)
-    channel_range = None
-    if per_channel_range:
-        channel_range = np.stack(
-            [z32.min(axis=(1, 2)), z32.max(axis=(1, 2))], axis=1
-        )
     params = QuantParams(
         mean=mean, std=std, z_min=float(z32.min()), z_max=float(z32.max()),
-        z_th=z_th, bit_depth=bit_depth, channel_range=channel_range,
+        z_th=z_th, bit_depth=bit_depth,
     )
     return FeatureTensor(z32), params
-
-
-def _ranges(params: QuantParams, channels: int):
-    """Broadcastable (lo, hi) arrays, per channel when configured."""
-    if params.channel_range is not None:
-        if params.channel_range.shape[0] != channels:
-            raise BadParams(
-                f"channel_range covers {params.channel_range.shape[0]} channels, "
-                f"tensor has {channels}"
-            )
-        lo = params.channel_range[:, 0].astype(np.float64)[:, None, None]
-        hi = params.channel_range[:, 1].astype(np.float64)[:, None, None]
-    else:
-        lo = np.float64(params.z_min)
-        hi = np.float64(params.z_max)
-    return lo, hi
 
 
 def quantize_8bit(z: FeatureTensor, params: QuantParams) -> np.ndarray:
@@ -80,9 +54,8 @@ def quantize_8bit(z: FeatureTensor, params: QuantParams) -> np.ndarray:
             f"z_max must exceed z_min (got [{params.z_min}, {params.z_max}]); "
             "a degenerate range would map every sample to 0"
         )
-    lo, hi = _ranges(params, z.channels)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    scaled = 255.0 * (np.clip(z.values.astype(np.float64), lo, hi) - lo) / span
+    lo, hi = np.float64(params.z_min), np.float64(params.z_max)
+    scaled = 255.0 * (np.clip(z.values.astype(np.float64), lo, hi) - lo) / (hi - lo)
     # scaled >= 0, so floor(x + 0.5) is round-half-away-from-zero
     codes = np.floor(scaled + 0.5)
     return np.clip(codes, 0, 255).astype(np.uint8)
@@ -97,7 +70,7 @@ def dequantize_8bit(samples: np.ndarray, params: QuantParams) -> FeatureTensor:
         raise BadParams(f"samples must be 3-D (C,h,w), got shape {s.shape}")
     if s.dtype != np.uint8 and (s.min() < 0 or s.max() > 255):
         raise BadParams("8-bit samples must be in [0, 255]")
-    lo, hi = _ranges(params, s.shape[0])
+    lo, hi = np.float64(params.z_min), np.float64(params.z_max)
     z = lo + s.astype(np.float64) * (hi - lo) / 255.0
     return FeatureTensor(z, dtype=np.float64)
 

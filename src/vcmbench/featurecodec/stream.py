@@ -32,7 +32,7 @@ from ..model import (
     QuantParams,
 )
 from .entropy import decode_bytes, encode_bytes
-from .packing import multiscale_frame_dims
+from .packing import multiscale_frame_dims, split_frames
 
 STREAM_MAGIC = b"VCMS"
 STREAM_VERSION = 1
@@ -87,11 +87,6 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
     """Arithmetic-code a frame set into a self-describing stream."""
     if fs.quant is None:
         raise BadParams("frame set carries no quant params; the stream needs them")
-    if fs.quant.channel_range is not None:
-        raise BadParams(
-            "per-channel ranges are not serializable; the container stores a "
-            "single global z_min/z_max"
-        )
     if fs.quant.channels != fs.original_dims[0]:
         raise BadParams(
             f"quant params cover {fs.quant.channels} channels, "
@@ -126,16 +121,8 @@ def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
     raw = decode_bytes(stream.payload, n)
     if zlib.crc32(raw) != stream.crc32:
         raise CorruptStream("decoded samples fail the checksum")
-    frames = []
-    offset = 0
-    for fh, fw in shapes:
-        size = fh * fw
-        frames.append(
-            np.frombuffer(raw, dtype=np.uint8, count=size, offset=offset).reshape(fh, fw)
-        )
-        offset += size
     return PackedFrameSet(
-        frames=tuple(frames),
+        frames=split_frames(raw, shapes),
         layout=stream.layout,
         original_dims=stream.dims,
         channel_permutation=stream.channel_permutation,

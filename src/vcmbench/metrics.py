@@ -1,4 +1,4 @@
-"""Machine-task quality metrics and the multi-task distortion blends.
+"""Machine-task quality metrics and the multi-task distortion blend.
 
 Detection quality is mean average precision: detections are greedily
 matched to ground truth in descending score order (ties keep input
@@ -17,18 +17,16 @@ over Y/Cb/Cr, and the combined machine/human score is
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, EmptyGroundTruth, InputError
+from .errors import DimMismatch, EmptyGroundTruth, InputError
 from .model import (
     BoundingBox,
     Detection,
     GroundTruthBox,
-    HybridRdoConfig,
     ImagePair,
     TrackedBox,
     WeightConfig,
@@ -263,23 +261,3 @@ def weighted_score(machine_metric: float, human, wc: WeightConfig) -> WeightedSc
     d_m = 1.0 - machine_metric
     d = (1.0 - wc.w) * d_m + wc.w * d_h
     return WeightedScore(d_machine=d_m, d_human=d_h, d=d, wmap=1.0 - d)
-
-
-def semantic_distortion(miou: float) -> float:
-    """-10 * ln(miou); unbounded as miou -> 0, so miou <= 0 is an error."""
-    if miou <= 0.0:
-        raise DomainError(f"miou must be in (0,1]: {miou}")
-    if miou > 1.0:
-        raise DomainError(f"miou must be in (0,1]: {miou}")
-    return -10.0 * math.log(miou)
-
-
-def hybrid_rdo_blend(
-    sse: float, d_miou: float, cfg: HybridRdoConfig
-) -> tuple[float, float]:
-    """Blend pixel-fidelity and semantic distortion and their multipliers."""
-    if sse < 0 or d_miou < 0:
-        raise InputError("sse and d_miou must be >= 0")
-    d = cfg.theta * sse + (1.0 - cfg.theta) * d_miou
-    lam = cfg.theta * cfg.lambda_sse + (1.0 - cfg.theta) * cfg.lambda_dmiou
-    return d, lam

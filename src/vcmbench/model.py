@@ -148,9 +148,6 @@ class QuantParams:
     z_max: float
     z_th: float = 1.5
     bit_depth: int = 8
-    # optional (C, 2) per-channel [min, max]; the stream container only
-    # serializes the global scalars, so this mode is in-memory only
-    channel_range: np.ndarray | None = None
 
     def __post_init__(self):
         mean = _freeze(np.asarray(self.mean, dtype=np.float32))
@@ -170,15 +167,6 @@ class QuantParams:
             raise InvariantViolation(f"z_th must be > 0: {self.z_th}")
         if self.bit_depth not in (2, 8):
             raise InvariantViolation(f"bit_depth must be 2 or 8: {self.bit_depth}")
-        if self.channel_range is not None:
-            cr = _freeze(np.asarray(self.channel_range, dtype=np.float32))
-            if cr.shape != (mean.shape[0], 2):
-                raise InvariantViolation(
-                    f"channel_range must have shape (C, 2), got {cr.shape}"
-                )
-            if (cr[:, 1] < cr[:, 0]).any():
-                raise InvariantViolation("channel_range rows must satisfy max >= min")
-            object.__setattr__(self, "channel_range", cr)
 
     @property
     def channels(self) -> int:
@@ -338,21 +326,6 @@ class ImagePair:
                 )
             if getattr(self, f"max_{ch}") <= 0:
                 raise InvariantViolation(f"max_{ch} must be > 0")
-
-
-@dataclass(frozen=True)
-class HybridRdoConfig:
-    """Blend weight and the two Lagrange multipliers for hybrid RDO."""
-
-    theta: float
-    lambda_sse: float
-    lambda_dmiou: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= 1.0):
-            raise InvariantViolation(f"theta must be in [0,1]: {self.theta}")
-        if self.lambda_sse <= 0 or self.lambda_dmiou <= 0:
-            raise InvariantViolation("lambda values must be > 0")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ harness hermetic:
 
 from __future__ import annotations
 
+import re
 import shlex
 import shutil
 import subprocess
@@ -58,13 +59,22 @@ class CodecSpec:
         object.__setattr__(self, "qp_list", tuple(int(q) for q in self.qp_list))
 
 
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+
 def expand_template(template: str, substitutions: dict[str, str]) -> list[str]:
-    """Split a template into argv tokens and substitute placeholders."""
-    argv = []
-    for token in shlex.split(template):
-        for key, value in substitutions.items():
-            token = token.replace("{" + key + "}", str(value))
-        argv.append(token)
+    """Split a template into argv tokens and substitute placeholders.
+
+    Each token is expanded in one pass, so a substituted value that itself
+    contains "{name}" (a path, say) stays literal. Unknown placeholders
+    are left as they are.
+    """
+
+    def value(m):
+        key = m.group(1)
+        return str(substitutions[key]) if key in substitutions else m.group(0)
+
+    argv = [_PLACEHOLDER.sub(value, token) for token in shlex.split(template)]
     if not argv:
         raise InputError(f"empty command template: {template!r}")
     return argv

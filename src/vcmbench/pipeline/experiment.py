@@ -20,7 +20,6 @@ count.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ from ..errors import InputError, StageError, VcmError
 from ..metrics import mean_average_precision, mota
 from ..model import RDCurve, RDPoint
 from ..rdcurves import bitrate, bpp, build_curve, pareto_front
-from ..tensorio import load_detections, load_ground_truth, load_tracks
+from ..tensorio import load_detections, load_ground_truth, load_tracks, read_json
 from .codec import CodecSpec, expand_template, run_codec, run_command
 from .yuv import crop_pad, pad_to_even, read_yuv420, resize, scale_image, write_yuv420
 
@@ -58,9 +57,6 @@ class ExperimentManifest:
     scales: tuple[int, ...] = (100, 75, 50, 25)
     iou_thresholds: tuple[float, ...] = (0.5,)
     quality_unit: str = "fraction"
-    # multi-task blend weights are configuration with no endorsed
-    # defaults; they are echoed into reports for traceability
-    weights: dict[str, float] | None = None
 
     def __post_init__(self):
         if self.task not in (TASK_DETECTION, TASK_TRACKING):
@@ -105,10 +101,7 @@ class ExperimentResult:
 
 def load_manifest(path) -> ExperimentManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: invalid JSON: {e}") from e
+    doc = read_json(path)
     base = path.parent
 
     def resolve(p):
@@ -144,9 +137,6 @@ def load_manifest(path) -> ExperimentManifest:
                     prediction_command=it.get("prediction_command"),
                 )
             )
-        weights = None
-        if "weights" in doc:
-            weights = {k: float(v) for k, v in doc["weights"].items()}
         return ExperimentManifest(
             task=doc["task"],
             codec=codec,
@@ -156,7 +146,6 @@ def load_manifest(path) -> ExperimentManifest:
                 float(t) for t in doc.get("iou_thresholds", (0.5,))
             ),
             quality_unit="mota" if doc["task"] == TASK_TRACKING else "fraction",
-            weights=weights,
         )
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: bad manifest: {e!r}") from e

@@ -60,6 +60,14 @@ def bitrate(total_bits: int, frame_count: int, fps: float) -> float:
     return total_bits * fps / frame_count
 
 
+def _best_quality_by_rate(points) -> dict[float, float]:
+    """Rate -> best quality; points sharing a rate collapse to the maximum."""
+    by_rate: dict[float, float] = {}
+    for p in points:
+        by_rate[p.rate] = max(by_rate.get(p.rate, p.quality), p.quality)
+    return by_rate
+
+
 def build_curve(
     points, label: str, scale_percent: int | None = None, quality_unit: str = "fraction"
 ) -> RDCurve:
@@ -67,13 +75,7 @@ def build_curve(
     pts = list(points)
     if not pts:
         raise EmptyCurve(f"curve {label!r} has no points")
-    by_rate: dict[float, float] = {}
-    for p in pts:
-        if p.rate in by_rate:
-            by_rate[p.rate] = max(by_rate[p.rate], p.quality)
-        else:
-            by_rate[p.rate] = p.quality
-    merged = [RDPoint(r, q) for r, q in sorted(by_rate.items())]
+    merged = [RDPoint(r, q) for r, q in sorted(_best_quality_by_rate(pts).items())]
     return RDCurve(
         label=label, points=tuple(merged), scale_percent=scale_percent,
         quality_unit=quality_unit,
@@ -94,13 +96,7 @@ def pareto_front(curves, label: str = "pareto") -> RDCurve:
     units = {c.quality_unit for c in curves}
     if len(units) > 1:
         raise UnitMismatch(f"curves mix quality units: {sorted(units)}")
-    by_rate: dict[float, float] = {}
-    for c in curves:
-        for p in c.points:
-            if p.rate in by_rate:
-                by_rate[p.rate] = max(by_rate[p.rate], p.quality)
-            else:
-                by_rate[p.rate] = p.quality
+    by_rate = _best_quality_by_rate(p for c in curves for p in c.points)
     survivors = []
     best = -np.inf
     for rate in sorted(by_rate):

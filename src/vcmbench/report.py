@@ -14,9 +14,9 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import VcmError
-from .model import RDCurve
-from .rdcurves import bd_metrics, pareto_front, write_curves_csv
+from .errors import InputError, VcmError
+from .model import RDCurve, RDPoint
+from .rdcurves import bd_metrics, build_curve, pareto_front, write_curves_csv
 
 SCHEMA_VERSION = 1
 
@@ -92,11 +92,6 @@ def build_report(manifest_path, manifest, result) -> dict:
     if manifest.codec.kind != "EXTERNAL":
         codec_info["note"] = "built-in test codec, not a standardized algorithm"
 
-    weights = dict(manifest.weights) if manifest.weights else {
-        "w": 0.5, "w_y": 0.8, "w_cb": 0.1, "w_cr": 0.1,
-        "note": "harness defaults, not normative",
-    }
-
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "vcmbench",
@@ -107,7 +102,6 @@ def build_report(manifest_path, manifest, result) -> dict:
             "scales": list(manifest.scales),
             "qp_list": list(manifest.codec.qp_list),
             "iou_thresholds": list(manifest.iou_thresholds),
-            "weights": weights,
             "quality_unit": manifest.quality_unit,
             "codec": codec_info,
             "aggregation": (
@@ -196,38 +190,58 @@ def render_svg(curves, front: RDCurve | None = None, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_files(report: dict, result, out_dir) -> list[Path]:
-    """Write report.json plus CSV tables and the SVG plot; returns paths."""
+def _points(rows) -> list[RDPoint]:
+    return [RDPoint(r["rate"], r["quality"]) for r in rows]
+
+
+def _report_curves(report: dict) -> tuple[list[RDCurve], RDCurve]:
+    """Per-scale RD curves, in the manifest's scale order, and the front."""
+    config = report["config"]
+    unit = config["quality_unit"]
+    curves = [
+        build_curve(
+            _points(report["rd_tables"][str(scale)]), label=f"scale{scale}",
+            scale_percent=scale, quality_unit=unit,
+        )
+        for scale in config["scales"]
+    ]
+    front = RDCurve(
+        label="pareto", points=tuple(_points(report["pareto"])), quality_unit=unit
+    )
+    return curves, front
+
+
+def _bd_csv(rows) -> str:
+    lines = ["anchor,test,bd_rate_percent,bd_quality,error\n"]
+    for row in rows:
+        bd_r = "" if row["bd_rate_percent"] is None else repr(row["bd_rate_percent"])
+        bd_q = "" if row["bd_quality"] is None else repr(row["bd_quality"])
+        err = (row["error"] or "").replace(",", ";").replace("\n", " ")
+        lines.append(f"{row['anchor']},{row['test']},{bd_r},{bd_q},{err}\n")
+    return "".join(lines)
+
+
+def write_report_files(report: dict, out_dir) -> list[Path]:
+    """Write the CSV tables and the SVG plot of a report; returns their paths.
+
+    Everything is derived from the report document alone, so the files
+    `run` writes and a later re-render of its report.json are the same
+    bytes. A malformed document raises InputError before any file is
+    written; report.json itself is never written here.
+    """
+    try:
+        curves, front = _report_curves(report)
+        bd_csv = _bd_csv(report["bd_table"])
+        svg = render_svg(curves, front, title="rate vs task metric")
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"malformed report document: {e!r}") from e
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    p = out_dir / "report.json"
-    p.write_bytes(report_to_json_bytes(report))
-    written.append(p)
-
-    p = out_dir / "rd_curves.csv"
-    write_curves_csv(result.curves, p)
-    written.append(p)
-
-    p = out_dir / "pareto.csv"
-    write_curves_csv([result.pareto], p)
-    written.append(p)
-
-    p = out_dir / "bd_table.csv"
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        fh.write("anchor,test,bd_rate_percent,bd_quality,error\n")
-        for row in report["bd_table"]:
-            bd_r = "" if row["bd_rate_percent"] is None else repr(row["bd_rate_percent"])
-            bd_q = "" if row["bd_quality"] is None else repr(row["bd_quality"])
-            err = (row["error"] or "").replace(",", ";").replace("\n", " ")
-            fh.write(f"{row['anchor']},{row['test']},{bd_r},{bd_q},{err}\n")
-    written.append(p)
-
-    p = out_dir / "plot.svg"
-    p.write_text(
-        render_svg(result.curves, result.pareto, title="rate vs task metric"),
-        encoding="utf-8",
-    )
-    written.append(p)
-    return written
+    paths = rd, pareto, bd, plot = [
+        out_dir / name for name in ("rd_curves.csv", "pareto.csv", "bd_table.csv", "plot.svg")
+    ]
+    write_curves_csv(curves, rd)
+    write_curves_csv([front], pareto)
+    bd.write_text(bd_csv, encoding="utf-8", newline="")
+    plot.write_text(svg, encoding="utf-8")
+    return paths

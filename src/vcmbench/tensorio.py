@@ -1,4 +1,4 @@
-"""Feature-tensor file format and JSON-lines manifest loaders.
+"""Feature-tensor file format, JSON-lines manifest loaders and JSON readers.
 
 Tensor files ("VCMF") are little-endian and self-describing: 4 magic
 bytes, then a 20-byte header of five u32 fields (version=1, dtype,
@@ -85,11 +85,27 @@ def read_feature_tensor(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> Fea
     return FeatureTensor(values.reshape(c, h, w))
 
 
-def _read_jsonl(path):
+def read_text(path) -> str:
+    """A whole UTF-8 file; IoFailure if unreadable, ParseError if not UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
+
+
+def read_json(path):
+    """One JSON document from a file; ParseError if it is not valid JSON."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON: {e}", line=e.lineno) from e
+
+
+def _read_jsonl(path):
+    text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -168,34 +184,3 @@ def load_tracks(path) -> list[TrackedBox]:
         )
 
     return _load_records(path, build)
-
-
-def write_detections(dets, path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "image_id": d.image_id,
-                "class_id": d.class_id,
-                "bbox": [d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max],
-                "score": d.score,
-            },
-            sort_keys=True,
-        )
-        for d in dets
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def write_ground_truth(gts, path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "image_id": g.image_id,
-                "class_id": g.class_id,
-                "bbox": [g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max],
-            },
-            sort_keys=True,
-        )
-        for g in gts
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -238,6 +238,90 @@ def test_feature_pack_unpack_roundtrip(tmp_path):
     assert np.abs(rec.values - t.values).max() < 0.1
 
 
+def test_feature_unpack_truncated_file_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    t = FeatureTensor(rng.normal(0, 1, (4, 3, 3)).astype(np.float32))
+    write_feature_tensor(t, tmp_path / "t.vcmf")
+    packed = tmp_path / "packed.yuv"
+    rc = main([
+        "feature", "pack", str(tmp_path / "t.vcmf"), str(packed),
+        "--meta", str(tmp_path / "meta.json"),
+    ])
+    assert rc == 0
+    packed.write_bytes(packed.read_bytes()[:-1])
+    rc = main([
+        "feature", "unpack", str(packed), str(tmp_path / "rec.vcmf"),
+        "--meta", str(tmp_path / "meta.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _file(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+_NOT_JSON = b"{not json"
+_NOT_UTF8 = b'{"task": "\xff"}'
+_PARAMS = {"mean": [0.0], "std": [1.0], "z_min": -1.0, "z_max": 1.0, "z_th": 1.5,
+           "bit_depth": 8}
+
+
+def _dequant(d, params: bytes) -> list[str]:
+    return [
+        "feature", "dequant", _file(d / "s.samp", bytes(4)), str(d / "rec.vcmf"),
+        "--params", _file(d / "p.json", params), "--dims", "1,2,2",
+    ]
+
+
+def _unpack(d, meta: bytes) -> list[str]:
+    return [
+        "feature", "unpack", _file(d / "p.yuv", bytes(4)), str(d / "rec.vcmf"),
+        "--meta", _file(d / "m.json", meta),
+    ]
+
+
+def _report_without_rd_tables(d) -> list[str]:
+    doc = {"schema_version": 1, "config": {"scales": [100], "quality_unit": "fraction"},
+           "pareto": [{"rate": 1.0, "quality": 0.5}], "bd_table": []}
+    return ["report", _file(d / "r.json", json.dumps(doc).encode())]
+
+
+BAD_INPUTS = {
+    "report-not-json": lambda d: ["report", _file(d / "r.json", _NOT_JSON)],
+    "report-missing": lambda d: ["report", str(d / "absent.json")],
+    "report-without-rd-tables": _report_without_rd_tables,
+    "dequant-params-not-json": lambda d: _dequant(d, _NOT_JSON),
+    "dequant-params-not-utf8": lambda d: _dequant(d, _NOT_UTF8),
+    "dequant-params-without-z-min": lambda d: _dequant(
+        d, json.dumps({k: v for k, v in _PARAMS.items() if k != "z_min"}).encode()
+    ),
+    "unpack-meta-not-json": lambda d: _unpack(d, _NOT_JSON),
+    "unpack-meta-without-frame-dims": lambda d: _unpack(
+        d, json.dumps({"layout": "TEMPORAL", "dims": [1, 2, 2], "permutation": None,
+                       "params": _PARAMS}).encode()
+    ),
+    "run-manifest-missing": lambda d: ["run", str(d / "absent.json"),
+                                       "--output-dir", str(d / "out")],
+    "run-manifest-not-utf8": lambda d: ["run", _file(d / "m.json", _NOT_UTF8),
+                                        "--output-dir", str(d / "out")],
+    "config-missing": lambda d: ["--config", str(d / "absent.cfg"), "report", "r.json"],
+    "config-line-without-equals": lambda d: [
+        "--config", _file(d / "c.cfg", b"jobs 2\n"), "report", "r.json"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_files_exit_2(case, tmp_path, capsys):
+    rc = main(BAD_INPUTS[case](tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_run_missing_external_binary_exits_3(tmp_path, blob_manifest, capsys):
     path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(100,),
                          predictions="files")
@@ -316,18 +400,24 @@ def test_run_persists_partial_results_on_failure(tmp_path, blob_manifest, capsys
 
 
 def test_run_and_report_rerender(tmp_path, blob_manifest, capsys):
-    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
-                         predictions="files")
-    out = tmp_path / "out"
-    rc = main(["run", str(path), "--output-dir", str(out)])
-    assert rc == 0
-    for name in ("report.json", "rd_curves.csv", "pareto.csv", "bd_table.csv", "plot.svg"):
-        assert (out / name).exists()
-    rere = tmp_path / "rerendered"
-    rc = main(["report", str(out / "report.json"), "--output-dir", str(rere)])
-    assert rc == 0
-    assert (rere / "plot.svg").exists()
-    assert (rere / "rd_curves.csv").read_text() == (out / "rd_curves.csv").read_text()
+    # ascending scales catch a re-render that reorders curves
+    for scales in ((25, 100), (100, 75, 50, 25)):
+        path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=scales,
+                             predictions="files")
+        out = tmp_path / f"out{len(scales)}"
+        rc = main(["run", str(path), "--output-dir", str(out)])
+        assert rc == 0
+        report = (out / "report.json").read_bytes()
+        rere = tmp_path / f"rerendered{len(scales)}"
+        rc = main(["report", str(out / "report.json"), "--output-dir", str(rere)])
+        assert rc == 0
+        for name in ("rd_curves.csv", "pareto.csv", "bd_table.csv", "plot.svg"):
+            assert (rere / name).read_bytes() == (out / name).read_bytes(), (scales, name)
+        assert not (rere / "report.json").exists()
+        # re-rendering in place leaves the input report untouched
+        rc = main(["report", str(out / "report.json"), "--output-dir", str(out)])
+        assert rc == 0
+        assert (out / "report.json").read_bytes() == report
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -27,6 +27,13 @@ def test_expand_template_substitution():
     assert argv == ["enc", "--qp", "32", "-i", "/a/in.yuv", "-o", "/a/out.bin"]
 
 
+def test_expand_template_leaves_substituted_values_literal():
+    argv = expand_template(
+        "enc -i {input} --qp {qp}", {"input": "/data/clip_{qp}.yuv", "qp": 22}
+    )
+    assert argv == ["enc", "-i", "/data/clip_{qp}.yuv", "--qp", "22"]
+
+
 def test_null_codec_copies_and_charges_raw_size(tmp_path):
     data = bytes(range(256)) * 4
     src = tmp_path / "in.yuv"

@@ -1,26 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 
 from oracles import ap_bruteforce, map_bruteforce
-from vcmbench.errors import DimMismatch, DomainError, EmptyGroundTruth
+from vcmbench.errors import DimMismatch, EmptyGroundTruth
 from vcmbench.metrics import (
     average_precision,
     human_distortion,
-    hybrid_rdo_blend,
     iou,
     mean_average_precision,
     mota,
     nme_channel,
-    semantic_distortion,
     weighted_score,
 )
 from vcmbench.model import (
     BoundingBox,
     Detection,
     GroundTruthBox,
-    HybridRdoConfig,
     ImagePair,
     TrackedBox,
     WeightConfig,
@@ -381,30 +376,3 @@ def test_weighted_score_affine_in_w():
     interp = d0 + (d2 - d0) * (w1 - w0) / (w2 - w0)
     assert d1 == pytest.approx(interp, abs=1e-15)
     assert d0 == pytest.approx(d_m) and d2 == pytest.approx(d_h)
-
-
-# --- semantic distortion / hybrid RDO ---
-
-def test_semantic_distortion_values():
-    assert semantic_distortion(1.0) == 0.0
-    assert semantic_distortion(math.exp(-0.1)) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        semantic_distortion(0.0)
-    with pytest.raises(DomainError):
-        semantic_distortion(-0.5)
-    with pytest.raises(DomainError):
-        semantic_distortion(1.5)
-
-
-def test_hybrid_rdo_endpoints():
-    cfg = HybridRdoConfig(theta=1.0, lambda_sse=2.0, lambda_dmiou=10.0)
-    assert hybrid_rdo_blend(100.0, 4.0, cfg) == (100.0, 2.0)
-    cfg = HybridRdoConfig(theta=0.0, lambda_sse=2.0, lambda_dmiou=10.0)
-    assert hybrid_rdo_blend(100.0, 4.0, cfg) == (4.0, 10.0)
-
-
-def test_hybrid_rdo_three_quarters():
-    cfg = HybridRdoConfig(theta=0.75, lambda_sse=2.0, lambda_dmiou=10.0)
-    d, lam = hybrid_rdo_blend(100.0, 4.0, cfg)
-    assert d == pytest.approx(76.0)
-    assert lam == pytest.approx(4.0)

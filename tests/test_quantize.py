@@ -45,17 +45,6 @@ def test_normalize_random_tensor_statistics():
     assert params.z_max == pytest.approx(z.values.max())
 
 
-def test_normalize_per_channel_range_flag():
-    rng = np.random.default_rng(9)
-    t = _tensor(rng.normal(0, 1, size=(3, 8, 8)))
-    z, params = normalize(t, per_channel_range=True)
-    assert params.channel_range is not None
-    assert params.channel_range.shape == (3, 2)
-    for c in range(3):
-        assert params.channel_range[c, 0] == pytest.approx(z.values[c].min())
-        assert params.channel_range[c, 1] == pytest.approx(z.values[c].max())
-
-
 def _params(z_min, z_max, channels=1, **kw):
     return QuantParams(
         mean=np.zeros(channels), std=np.ones(channels),
@@ -149,18 +138,6 @@ def test_full_chain_8bit_error_bound():
     bound = params.std.astype(np.float64)[:, None, None] * step + 1e-6
     err = np.abs(rec.values.astype(np.float64) - t.values.astype(np.float64))
     assert np.all(err <= bound)
-
-
-def test_per_channel_range_roundtrip():
-    rng = np.random.default_rng(16)
-    t = _tensor(rng.normal(0, 1, (4, 8, 8)) * np.arange(1, 5)[:, None, None])
-    z, params = normalize(t, per_channel_range=True)
-    rec = dequantize_8bit(quantize_8bit(z, params), params)
-    for c in range(4):
-        lo, hi = params.channel_range[c]
-        step = (float(hi) - float(lo)) / 510
-        err = np.abs(rec.values[c].astype(np.float64) - z.values[c]).max()
-        assert err <= step + 1e-9
 
 
 def test_dequantize_rejects_bad_dims():

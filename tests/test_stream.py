@@ -15,7 +15,7 @@ from vcmbench.featurecodec.stream import (
     stream_from_bytes,
     write_stream,
 )
-from vcmbench.model import FeatureTensor, PackedFrameSet, QuantParams
+from vcmbench.model import FeatureTensor, PackedFrameSet
 
 
 def _frameset(rng, layout="TEMPORAL", c=6, h=5, w=4, perm=False):
@@ -104,21 +104,6 @@ def test_encode_requires_quant_params():
         frames=(np.zeros((2, 2), dtype=np.uint8),) * 3,
         layout="TEMPORAL",
         original_dims=(3, 2, 2),
-    )
-    with pytest.raises(BadParams):
-        entropy_encode(fs)
-
-
-def test_encode_rejects_per_channel_ranges():
-    params = QuantParams(
-        mean=np.zeros(3), std=np.ones(3), z_min=-1, z_max=1,
-        channel_range=np.array([[-1, 1], [-2, 2], [-3, 3]], dtype=np.float32),
-    )
-    fs = PackedFrameSet(
-        frames=(np.zeros((2, 2), dtype=np.uint8),) * 3,
-        layout="TEMPORAL",
-        original_dims=(3, 2, 2),
-        quant=params,
     )
     with pytest.raises(BadParams):
         entropy_encode(fs)
