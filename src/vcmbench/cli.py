@@ -49,8 +49,10 @@ from .tensorio import (
     load_ground_truth,
     load_tracks,
     read_feature_tensor,
+    read_bytes,
     read_json,
     read_text,
+    write_bytes,
     write_feature_tensor,
 )
 
@@ -75,12 +77,22 @@ def _resolve(args, config, name, cast=str, default=None):
     if value is not None:
         return value
     if name in config:
-        return cast(config[name])
+        try:
+            return cast(config[name])
+        except ValueError as e:
+            raise InputError(f"config {name}={config[name]!r}: {e}") from e
     return default
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError as e:
+        raise InputError(f"thresholds must be comma-separated numbers: {text!r}") from e
+
+
+def _write_json(path, doc) -> None:
+    write_bytes(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _print_json(obj) -> None:
@@ -106,18 +118,17 @@ def _cmd_eval_det(args, config) -> int:
     }
     _print_json(payload)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("class_id,ap\n")
-            for c in sorted(result.per_class_ap):
-                fh.write(f"{c},{result.per_class_ap[c]!r}\n")
-            fh.write(f"mAP,{result.map_value!r}\n")
+        lines = ["class_id,ap"]
+        lines += [f"{c},{result.per_class_ap[c]!r}" for c in sorted(result.per_class_ap)]
+        lines.append(f"mAP,{result.map_value!r}")
+        write_bytes(args.csv, ("\n".join(lines) + "\n").encode())
     return 0
 
 
 def _cmd_eval_track(args, config) -> int:
     pred = load_tracks(args.predictions)
     gt = load_tracks(args.ground_truth)
-    iou_threshold = float(_resolve(args, config, "iou", str, "0.5"))
+    iou_threshold = _resolve(args, config, "iou", float, 0.5)
     r = mota(pred, gt, iou_threshold)
     _print_json(
         {"MOTA": r.mota, "FN": r.fn, "FP": r.fp, "IDSW": r.idsw, "GT": r.gt}
@@ -155,14 +166,14 @@ def _cmd_bdrate(args, config) -> int:
         )
     _print_json(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("anchor,test,scale,bd_rate_percent,bd_quality\n")
-            for r in rows:
-                scale = "" if r["scale"] is None else r["scale"]
-                fh.write(
-                    f"{r['anchor']},{r['test']},{scale},"
-                    f"{r['bd_rate_percent']!r},{r['bd_quality']!r}\n"
-                )
+        lines = ["anchor,test,scale,bd_rate_percent,bd_quality"]
+        for r in rows:
+            scale = "" if r["scale"] is None else r["scale"]
+            lines.append(
+                f"{r['anchor']},{r['test']},{scale},"
+                f"{r['bd_rate_percent']!r},{r['bd_quality']!r}"
+            )
+        write_bytes(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -178,9 +189,7 @@ def _cmd_pareto(args, config) -> int:
     write_curves_csv([front], out)
     sys.stdout.write(f"front: {len(front.points)} points -> {out}\n")
     if args.svg:
-        Path(args.svg).write_text(
-            render_svg(curves, front, title="Pareto front"), encoding="utf-8"
-        )
+        write_bytes(args.svg, render_svg(curves, front, title="Pareto front").encode())
     return 0
 
 
@@ -188,7 +197,10 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"--dims expects C,H,W: {text!r}")
-    c, h, w = (int(p) for p in parts)
+    try:
+        c, h, w = (int(p) for p in parts)
+    except ValueError as e:
+        raise InputError(f"--dims expects integers C,H,W: {text!r}") from e
     return c, h, w
 
 
@@ -272,12 +284,9 @@ def _cmd_feature(args, config) -> int:
     if op == "quant":
         tensor = read_feature_tensor(args.input)
         samples, params = _quantize_tensor(tensor, bits, z_th)
-        Path(args.output).write_bytes(samples.tobytes(order="C"))
+        write_bytes(args.output, samples.tobytes(order="C"))
         params_path = args.params or (str(args.output) + ".params.json")
-        Path(params_path).write_text(
-            json.dumps(_params_to_json(params), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(params_path, _params_to_json(params))
         sys.stdout.write(
             f"quantized {tensor.dims} to {bits}-bit samples; params -> {params_path}\n"
         )
@@ -288,7 +297,7 @@ def _cmd_feature(args, config) -> int:
             raise InputError("dequant needs --params and --dims")
         params = _params_from_json(read_json(args.params), args.params)
         c, h, w = _parse_dims(args.dims)
-        raw = np.frombuffer(Path(args.input).read_bytes(), dtype=np.uint8)
+        raw = np.frombuffer(read_bytes(args.input), dtype=np.uint8)
         if raw.size != c * h * w:
             raise InputError(
                 f"sample file holds {raw.size} bytes, dims need {c * h * w}"
@@ -301,9 +310,9 @@ def _cmd_feature(args, config) -> int:
 
     if op == "pack":
         fs = _pack_tensor(args, bits, z_th, layout)
-        with open(args.output, "wb") as fh:
-            for frame in fs.frames:
-                fh.write(np.asarray(frame).tobytes(order="C"))
+        write_bytes(
+            args.output, b"".join(np.asarray(f).tobytes(order="C") for f in fs.frames)
+        )
         perm = fs.channel_permutation
         meta = {
             "layout": fs.layout,
@@ -314,9 +323,7 @@ def _cmd_feature(args, config) -> int:
             "params": _params_to_json(fs.quant),
         }
         meta_path = args.meta or (str(args.output) + ".meta.json")
-        Path(meta_path).write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(meta_path, meta)
         sys.stdout.write(
             f"packed {fs.layout}: {len(fs.frames)} frame(s), meta -> {meta_path}\n"
         )
@@ -333,7 +340,7 @@ def _cmd_feature(args, config) -> int:
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"{args.meta}: bad packing metadata: {e!r}") from e
         fs = PackedFrameSet(
-            frames=split_frames(Path(args.input).read_bytes(), shapes),
+            frames=split_frames(read_bytes(args.input), shapes),
             layout=layout,
             original_dims=dims,
             channel_permutation=tuple(perm) if perm else None,

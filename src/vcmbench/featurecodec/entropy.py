@@ -1,206 +1,57 @@
-"""Order-0 adaptive arithmetic coding over the byte alphabet.
+"""Lossless byte coding with LZMA2 from the standard library.
 
-The carrier is a 32-bit range coder with byte-wise renormalization and
-LZMA-style carry propagation (a cached byte plus a run of pending 0xFF
-bytes). The decoder keeps its code register relative to low, so only the
-encoder ever sees carries.
+The payload is a raw LZMA2 stream (no container, no header). Literals are
+coded with lc=0, lp=0, pb=0, i.e. an adaptive order-0 model over the
+byte alphabet, which is the closest fit to the paper's order-0 adaptive
+baseline; LZ matches come on top. Preset 6 is the normal mode: faster
+presets code the skewed feature streams several percent larger.
 
-The probability model is order-0 and adaptive, rebuilt from scratch for
-every stream. Symbol counts feed a Fenwick tree so cumulative
-frequencies cost O(log 256) per symbol. A concentration gate decides,
-deterministically from the already-coded history, whether to code the
-next symbol from the empirical counts or from a flat distribution:
+The dictionary size is a function of the symbol count n alone -- the
+smallest power of two >= n, clamped to [4 KiB, 1 MiB] -- which bounds
+encoder memory and lets the decoder rebuild the same filter chain from n,
+so nothing but the LZMA2 chunks is stored. Incompressible input falls
+back to LZMA2's stored chunks at 3 header bytes per chunk of at most
+64 KiB (1 MiB of uniform random bytes codes to its size plus 55 bytes).
 
-    skewed  <=>  256 * sum(n_s^2) / k^2  >  1.4 + 2000 / k_total
-
-The gate keeps incompressible (near-uniform) data within a few bytes of
-its raw size -- a freely adapting model would pay for chasing sampling
-noise in 255 free parameters -- while skewed histograms still get the
-fast-adapting counts (increment 32, halved when the window reaches 2040)
-and compress to roughly their empirical entropy. Encoder and decoder
-update identical state after every symbol, so the gate never desyncs.
+Payload bytes are a function of the input and of the local liblzma
+encoder: two machines with different liblzma builds may code the same
+bytes differently (any payload still decodes everywhere). Reports and
+streams are therefore byte-identical across runs on one machine.
 """
 
 from __future__ import annotations
 
-_TOP = 1 << 24
-_MASK32 = 0xFFFFFFFF
-_INC = 32
-_RESCALE_AT = 2040
-_FLAT_TOTAL = 256
+import lzma
+
+from ..errors import CorruptStream
 
 
-class _AdaptiveByteModel:
-    """Shared encoder/decoder state: counts, Fenwick tree, and the gate."""
-
-    __slots__ = ("counts", "tree", "window", "seen", "sumsq")
-
-    def __init__(self):
-        self.counts = [0] * 256
-        self.tree = [0] * 257  # Fenwick tree over counts, 1-based
-        self.window = 0  # sum of counts (rescaled)
-        self.seen = 0  # total symbols coded (never rescaled)
-        self.sumsq = 0  # sum of squared counts
-
-    def skewed(self) -> bool:
-        k = self.window
-        if k == 0:
-            return False
-        kt = self.seen
-        # 256*sumsq/k^2 > 7/5 + 2000/kt, cleared of divisions
-        return 1280 * self.sumsq * kt > 7 * k * k * kt + 10000 * k * k
-
-    def prefix(self, sym: int) -> int:
-        """Sum of counts below sym."""
-        s = 0
-        t = self.tree
-        i = sym
-        while i > 0:
-            s += t[i]
-            i -= i & -i
-        return s
-
-    def update(self, sym: int) -> None:
-        c = self.counts
-        old = c[sym]
-        c[sym] = old + 1
-        self.sumsq += 2 * old + 1
-        self.window += 1
-        self.seen += 1
-        t = self.tree
-        i = sym + 1
-        while i <= 256:
-            t[i] += 1
-            i += i & -i
-        if self.window >= _RESCALE_AT:
-            self._rescale()
-
-    def _rescale(self) -> None:
-        c = self.counts
-        t = self.tree
-        window = 0
-        sumsq = 0
-        for i in range(257):
-            t[i] = 0
-        for s in range(256):
-            v = c[s] >> 1
-            c[s] = v
-            if v:
-                window += v
-                sumsq += v * v
-                i = s + 1
-                while i <= 256:
-                    t[i] += v
-                    i += i & -i
-        self.window = window
-        self.sumsq = sumsq
+def _filters(n: int) -> list[dict]:
+    dict_size = min(max(1 << max(n - 1, 0).bit_length(), 1 << 12), 1 << 20)
+    return [
+        {"id": lzma.FILTER_LZMA2, "preset": 6, "lc": 0, "lp": 0, "pb": 0,
+         "dict_size": dict_size}
+    ]
 
 
 def encode_bytes(data: bytes) -> bytes:
-    """Compress a byte string; decode_bytes inverts it exactly."""
-    model = _AdaptiveByteModel()
-    counts = model.counts
-    out = bytearray()
-    append = out.append
-    low = 0
-    rng = _MASK32
-    cache = 0
-    cache_size = 1
-
-    for sym in data:
-        if model.skewed():
-            total = _FLAT_TOTAL + _INC * model.window
-            cum_lo = sym + _INC * model.prefix(sym)
-            cum_hi = cum_lo + 1 + _INC * counts[sym]
-        else:
-            total = _FLAT_TOTAL
-            cum_lo = sym
-            cum_hi = sym + 1
-        r = rng // total
-        if cum_hi < total:
-            rng = r * (cum_hi - cum_lo)
-        else:
-            rng -= r * cum_lo  # top symbol absorbs the division remainder
-        low += r * cum_lo
-        while rng < _TOP:
-            if low < 0xFF000000 or low > _MASK32:
-                carry = low >> 32
-                append((cache + carry) & 0xFF)
-                for _ in range(cache_size - 1):
-                    append((0xFF + carry) & 0xFF)
-                cache_size = 0
-                cache = (low >> 24) & 0xFF
-            cache_size += 1
-            low = (low << 8) & _MASK32
-            rng = (rng << 8) & _MASK32
-        model.update(sym)
-
-    for _ in range(5):  # flush the 32-bit low plus the cached byte
-        if low < 0xFF000000 or low > _MASK32:
-            carry = low >> 32
-            append((cache + carry) & 0xFF)
-            for _ in range(cache_size - 1):
-                append((0xFF + carry) & 0xFF)
-            cache_size = 0
-            cache = (low >> 24) & 0xFF
-        cache_size += 1
-        low = (low << 8) & _MASK32
-    return bytes(out)
+    """Compress a byte string; decode_bytes(payload, len(data)) inverts it."""
+    return lzma.compress(data, format=lzma.FORMAT_RAW, filters=_filters(len(data)))
 
 
 def decode_bytes(payload: bytes, n_symbols: int) -> bytes:
-    """Decompress exactly n_symbols bytes from an encode_bytes payload."""
-    model = _AdaptiveByteModel()
-    counts = model.counts
-    out = bytearray()
-    append = out.append
-    rng = _MASK32
-    code = 0
-    pos = 0
-    m = len(payload)
-    for _ in range(5):  # first byte is the encoder's deferred zero cache
-        code = (code << 8) | (payload[pos] if pos < m else 0)
-        pos += 1
-    code &= 0xFFFFFFFFFF
-
-    for _ in range(n_symbols):
-        if model.skewed():
-            total = _FLAT_TOTAL + _INC * model.window
-            r = rng // total
-            v = code // r
-            if v >= total:
-                v = total - 1
-            # Fenwick descent over cum(s) = s + INC * prefix(s)
-            sym = 0
-            acc = 0
-            step = 256
-            tree = model.tree
-            while step:
-                nxt = sym + step
-                if nxt <= 256 and nxt + _INC * (acc + tree[nxt]) <= v:
-                    sym = nxt
-                    acc += tree[nxt]
-                step >>= 1
-            cum_lo = sym + _INC * acc
-            cum_hi = cum_lo + 1 + _INC * counts[sym]
-        else:
-            total = _FLAT_TOTAL
-            r = rng // total
-            v = code // r
-            if v >= total:
-                v = total - 1
-            sym = v
-            cum_lo = sym
-            cum_hi = sym + 1
-        if cum_hi < total:
-            rng = r * (cum_hi - cum_lo)
-        else:
-            rng -= r * cum_lo
-        code -= r * cum_lo
-        while rng < _TOP:
-            code = (code << 8) | (payload[pos] if pos < m else 0)
-            pos += 1
-            rng = (rng << 8) & _MASK32
-        append(sym)
-        model.update(sym)
-    return bytes(out)
+    """Decompress exactly n_symbols bytes; CorruptStream on any mismatch."""
+    dec = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=_filters(n_symbols))
+    try:
+        out = dec.decompress(payload, max_length=n_symbols)
+        # drive the decoder past the end marker; any further byte is surplus
+        extra = b"" if dec.eof else dec.decompress(b"", max_length=1)
+    except lzma.LZMAError as e:
+        raise CorruptStream(f"payload does not decode: {e}") from e
+    if len(out) != n_symbols or extra:
+        raise CorruptStream(f"payload decodes to a length other than {n_symbols}")
+    if not dec.eof:
+        raise CorruptStream("payload ends before its end marker")
+    if dec.unused_data:
+        raise CorruptStream(f"{len(dec.unused_data)} bytes follow the end marker")
+    return out

@@ -192,9 +192,15 @@ def reorder_channels(data) -> tuple[tuple[int, ...], np.ndarray]:
     """Greedy similarity chain over channels.
 
     Starts at channel 0 and repeatedly appends the unvisited channel with
-    the smallest mean squared difference to the last appended one (ties
-    break toward the lower channel index). Returns the permutation and
-    the reordered (C, h, w) array; apply invert_permutation to undo.
+    the smallest squared difference to the last appended one (ties break
+    toward the lower channel index). Returns the permutation and the
+    reordered (C, h, w) array; apply invert_permutation to undo.
+
+    All pairwise distances come from one Gram matrix, |a|^2 + |b|^2 -
+    2 a.b, in float64. For integer samples (the quantizer's output) every
+    term is an integer below 2^53, so the distances and hence the chain
+    are exact; for real-valued input, near-ties may resolve differently
+    from a per-pair difference.
     """
     if isinstance(data, FeatureTensor):
         arr = data.values
@@ -204,13 +210,14 @@ def reorder_channels(data) -> tuple[tuple[int, ...], np.ndarray]:
         raise InputError(f"expected (C,h,w) data, got shape {arr.shape}")
     c = arr.shape[0]
     flat = arr.reshape(c, -1).astype(np.float64)
-    remaining = list(range(1, c))
+    sq = np.einsum("ij,ij->i", flat, flat)
+    dist = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
+    visited = np.zeros(c, dtype=bool)
     order = [0]
-    while remaining:
-        last = flat[order[-1]]
-        costs = [float(np.mean((flat[i] - last) ** 2)) for i in remaining]
-        best = min(range(len(remaining)), key=lambda i: (costs[i], remaining[i]))
-        order.append(remaining.pop(best))
+    for _ in range(c - 1):
+        visited[order[-1]] = True
+        # argmin returns the first minimum: ties go to the lower index
+        order.append(int(np.argmin(np.where(visited, np.inf, dist[order[-1]]))))
     perm = tuple(order)
     return perm, arr[list(perm)]
 

@@ -7,10 +7,17 @@ Little-endian layout:
     | perm_flag u8 [| permutation u16*C]
     | payload_bits u64 | crc32 u32 | payload bytes
 
-The payload is the arithmetic-coded concatenation of the frame samples
-in frame order, row-major. crc32 covers the decoded sample bytes, so a
-corrupt or truncated payload is detected at decode time. payload_bits
-is the figure rate accounting uses.
+The payload is the concatenation of the frame samples in frame order,
+row-major, coded as one raw LZMA2 stream by entropy.encode_bytes; the
+decoder rebuilds the coder settings from the sample count the header
+implies. crc32 covers the decoded sample bytes, so a corrupt or
+truncated payload is detected at decode time. payload_bits is the
+figure rate accounting uses.
+
+Version 2 is the LZMA2 payload. Version 1 streams (the earlier adaptive
+range coder) are rejected as unsupported. Payload bytes depend on the
+local liblzma encoder, so the same tensor may code to other (equally
+decodable) bytes on another machine.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,11 +37,12 @@ from ..model import (
     PackedFrameSet,
     QuantParams,
 )
+from ..tensorio import read_bytes, write_bytes
 from .entropy import decode_bytes, encode_bytes
 from .packing import multiscale_frame_dims, split_frames
 
 STREAM_MAGIC = b"VCMS"
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 _LAYOUT_TAGS = {LAYOUT_SPATIAL_TILED: 0, LAYOUT_MULTISCALE: 1, LAYOUT_TEMPORAL: 2}
 _TAG_LAYOUTS = {v: k for k, v in _LAYOUT_TAGS.items()}
@@ -84,7 +91,7 @@ def _frame_shapes(layout: str, dims: tuple[int, int, int]) -> list[tuple[int, in
 
 
 def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
-    """Arithmetic-code a frame set into a self-describing stream."""
+    """Entropy-code a frame set into a self-describing stream."""
     if fs.quant is None:
         raise BadParams("frame set carries no quant params; the stream needs them")
     if fs.quant.channels != fs.original_dims[0]:
@@ -108,7 +115,7 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
 
 def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
     """Decode a stream back to the exact frame set it was built from."""
-    # cheap consistency checks before paying for arithmetic decoding
+    # cheap consistency checks before paying for decoding
     if stream.payload_bits != 8 * len(stream.payload):
         raise CorruptStream(
             f"payload holds {8 * len(stream.payload)} bits, "
@@ -131,12 +138,11 @@ def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
 
 
 def read_stream(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> CodedFeatureStream:
-    raw = Path(path).read_bytes()
-    return stream_from_bytes(raw, origin=str(path), element_limit=element_limit)
+    return stream_from_bytes(read_bytes(path), origin=str(path), element_limit=element_limit)
 
 
 def write_stream(stream: CodedFeatureStream, path) -> None:
-    Path(path).write_bytes(stream.to_bytes())
+    write_bytes(path, stream.to_bytes())
 
 
 def stream_from_bytes(

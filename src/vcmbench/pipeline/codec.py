@@ -7,11 +7,16 @@ harness hermetic:
 
   NULL       copies the input; rate is the raw file size. Useful for
              determinism fixtures and perfect-task endpoints.
-  TRUNCATE   zeroes the low (qp mod 8) bits of every sample and charges
-             the arithmetic-coded size of the result. It models no real
-             codec -- it exists so RD curves with genuine rate/quality
-             trade-offs are producible without external binaries, and is
-             labeled a test codec in every report.
+  TRUNCATE   zeroes the low (qp mod 8) bits of every sample. Rate is
+             charged per bit-plane, as in embedded bit-plane coding: each
+             kept plane k >= qp mod 8 is packed one bit per sample and
+             coded on its own, and the bits are the sum of the coded
+             plane sizes. A higher qp drops whole terms of that sum and
+             leaves the kept planes as they are, so rate never rises
+             with qp. It models no real codec -- it exists so RD curves
+             with genuine rate/quality trade-offs are producible without
+             external binaries, and is labeled a test codec in every
+             report.
 """
 
 from __future__ import annotations
@@ -113,15 +118,13 @@ def run_codec(
         return decoded, bits
 
     if spec.kind == KIND_TRUNCATE:
-        raw = input_path.read_bytes()
+        src = np.fromfile(input_path, dtype=np.uint8)
         drop = qp % 8
-        if drop:
-            mask = 0xFF & ~((1 << drop) - 1)
-            truncated = (np.frombuffer(raw, dtype=np.uint8) & mask).tobytes()
-        else:
-            truncated = raw
-        decoded.write_bytes(truncated)
-        bits = 8 * len(encode_bytes(truncated))
+        decoded.write_bytes((src & ((0xFF << drop) & 0xFF)).tobytes())
+        bits = 8 * sum(
+            len(encode_bytes(np.packbits((src >> k) & 1).tobytes()))
+            for k in range(drop, 8)
+        )
         return decoded, bits
 
     bitstream = work_dir / f"bitstream_q{qp}.bin"

@@ -1,9 +1,12 @@
-"""Feature-tensor file format, JSON-lines manifest loaders and JSON readers.
+"""Feature-tensor file format, JSON-lines manifest loaders and file readers.
 
 Tensor files ("VCMF") are little-endian and self-describing: 4 magic
 bytes, then a 20-byte header of five u32 fields (version=1, dtype,
 C, h, w), then the payload as row-major float32. dtype 0 is float32;
 other codes are reserved.
+
+read_bytes, write_bytes and read_text turn an OSError into IoFailure, so
+a missing file or directory exits 2 like any other bad input.
 
 Manifests are JSON-lines, one record per line:
     detection    {"image_id", "class_id", "bbox": [x0,y0,x1,y1], "score"}
@@ -49,19 +52,12 @@ def write_feature_tensor(tensor: FeatureTensor, path) -> None:
         raise InvariantViolation("tensor values must all be finite")
     c, h, w = values.shape
     header = TENSOR_MAGIC + _HEADER.pack(TENSOR_VERSION, DTYPE_FLOAT32, c, h, w)
-    payload = values.astype("<f4", copy=False).tobytes(order="C")
-    try:
-        Path(path).write_bytes(header + payload)
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    write_bytes(path, header + values.astype("<f4", copy=False).tobytes(order="C"))
 
 
 def read_feature_tensor(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> FeatureTensor:
     """Read a tensor file, validating magic, dims, and payload size."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+    raw = read_bytes(path)
     if len(raw) < 4 or raw[:4] != TENSOR_MAGIC:
         raise BadMagic(f"{path}: not a feature-tensor file (bad magic)")
     if len(raw) < 4 + _HEADER.size:
@@ -83,6 +79,22 @@ def read_feature_tensor(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> Fea
         raise TruncatedFile(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw, dtype="<f4", count=n, offset=4 + _HEADER.size)
     return FeatureTensor(values.reshape(c, h, w))
+
+
+def read_bytes(path) -> bytes:
+    """A whole file; IoFailure if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise IoFailure(f"cannot read {path}: {e}") from e
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Write a whole file; IoFailure if it cannot be written."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
 
 
 def read_text(path) -> str:

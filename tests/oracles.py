@@ -117,6 +117,24 @@ def bd_rate_oracle_loglinear(a1, b1, a2, b2, q_lo, q_hi, samples=10_000) -> floa
     return (10.0 ** mean - 1.0) * 100.0
 
 
+def greedy_chain_pairwise(channels: np.ndarray) -> tuple[int, ...]:
+    """Greedy similarity chain from channel 0, one per-pair MSE at a time.
+
+    Each step appends the unvisited channel with the smallest mean squared
+    difference to the last appended one; ties go to the lower index.
+    """
+    c = channels.shape[0]
+    flat = channels.reshape(c, -1).astype(np.float64)
+    remaining = list(range(1, c))
+    order = [0]
+    while remaining:
+        last = flat[order[-1]]
+        costs = [float(np.mean((flat[i] - last) ** 2)) for i in remaining]
+        best = min(range(len(remaining)), key=lambda i: (costs[i], remaining[i]))
+        order.append(remaining.pop(best))
+    return tuple(order)
+
+
 def best_chain_bruteforce(channels: np.ndarray) -> tuple[int, ...]:
     """Cheapest adjacent-MSE chain over all orders starting at channel 0."""
     c = channels.shape[0]

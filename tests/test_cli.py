@@ -282,6 +282,35 @@ def _unpack(d, meta: bytes) -> list[str]:
     ]
 
 
+def _tensor(d) -> str:
+    values = np.random.default_rng(3).normal(0, 1, (4, 3, 5)).astype(np.float32)
+    write_feature_tensor(FeatureTensor(values), d / "t.vcmf")
+    return str(d / "t.vcmf")
+
+
+def _version_1_stream(d) -> list[str]:
+    assert main(["feature", "encode", _tensor(d), str(d / "t.vcms")]) == 0
+    raw = bytearray((d / "t.vcms").read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    return ["feature", "decode", _file(d / "v1.vcms", bytes(raw)), str(d / "o.vcmf")]
+
+
+def _bdrate_out_dir_missing(d) -> list[str]:
+    _write_curve_csv(d / "a.csv", [0.1, 0.2, 0.4], [0.2, 0.4, 0.6])
+    return ["bdrate", str(d / "a.csv"), str(d / "a.csv"), "--out", str(d / "nodir" / "bd.csv")]
+
+
+def _eval_det_csv_dir_missing(d) -> list[str]:
+    write_jsonl(gt_records(_gts()), d / "gt.jsonl")
+    write_jsonl(det_records(_gts()), d / "det.jsonl")
+    return ["eval-det", str(d / "det.jsonl"), str(d / "gt.jsonl"),
+            "--csv", str(d / "nodir" / "ap.csv")]
+
+
+_META = {"layout": "TEMPORAL", "dims": [1, 2, 2], "frame_dims": [[2, 2]],
+         "permutation": None, "params": _PARAMS}
+
+
 def _report_without_rd_tables(d) -> list[str]:
     doc = {"schema_version": 1, "config": {"scales": [100], "quality_unit": "fraction"},
            "pareto": [{"rate": 1.0, "quality": 0.5}], "bd_table": []}
@@ -306,6 +335,36 @@ BAD_INPUTS = {
                                        "--output-dir", str(d / "out")],
     "run-manifest-not-utf8": lambda d: ["run", _file(d / "m.json", _NOT_UTF8),
                                         "--output-dir", str(d / "out")],
+    "dequant-samples-missing": lambda d: [
+        "feature", "dequant", str(d / "absent.samp"), str(d / "rec.vcmf"),
+        "--params", _file(d / "p.json", json.dumps(_PARAMS).encode()), "--dims", "1,2,2",
+    ],
+    "dequant-dims-not-integers": lambda d: (
+        _dequant(d, json.dumps(_PARAMS).encode())[:-1] + ["a,b,c"]
+    ),
+    "unpack-input-missing": lambda d: [
+        "feature", "unpack", str(d / "absent.yuv"), str(d / "rec.vcmf"),
+        "--meta", _file(d / "m.json", json.dumps(_META).encode()),
+    ],
+    "quant-output-dir-missing": lambda d: [
+        "feature", "quant", _tensor(d), str(d / "nodir" / "s.samp")
+    ],
+    "pack-output-dir-missing": lambda d: [
+        "feature", "pack", _tensor(d), str(d / "nodir" / "p.bin")
+    ],
+    "encode-output-dir-missing": lambda d: [
+        "feature", "encode", _tensor(d), str(d / "nodir" / "o.vcms")
+    ],
+    "decode-stream-missing": lambda d: [
+        "feature", "decode", str(d / "absent.vcms"), str(d / "o.vcmf")
+    ],
+    "decode-version-1-stream": _version_1_stream,
+    "config-bits-not-integer": lambda d: [
+        "--config", _file(d / "c.cfg", b"bits=x\n"),
+        "feature", "encode", _tensor(d), str(d / "o.vcms"),
+    ],
+    "bdrate-out-dir-missing": _bdrate_out_dir_missing,
+    "eval-det-csv-dir-missing": _eval_det_csv_dir_missing,
     "config-missing": lambda d: ["--config", str(d / "absent.cfg"), "report", "r.json"],
     "config-line-without-equals": lambda d: [
         "--config", _file(d / "c.cfg", b"jobs 2\n"), "report", "r.json"

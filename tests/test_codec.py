@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcmbench.errors import CommandFailed, InvariantViolation, OutputMissing
 from vcmbench.featurecodec.entropy import encode_bytes
@@ -50,7 +52,9 @@ def test_truncate_qp0_is_lossless(tmp_path):
     src.write_bytes(data)
     out, bits = run_codec(CodecSpec(kind="TRUNCATE", qp_list=(0,)), src, 0, tmp_path / "w")
     assert out.read_bytes() == data
-    assert bits == 8 * len(encode_bytes(data))
+    samples = np.frombuffer(data, dtype=np.uint8)
+    planes = [np.packbits((samples >> k) & 1).tobytes() for k in range(8)]
+    assert bits == 8 * sum(len(encode_bytes(p)) for p in planes)
 
 
 def test_truncate_monotone_bits_on_natural_statistics(tmp_path):
@@ -68,6 +72,17 @@ def test_truncate_monotone_bits_on_natural_statistics(tmp_path):
         sizes.append(bits)
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] > sizes[-1]  # the extremes genuinely differ
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=0, max_size=3000))
+def test_truncate_bits_never_rise_with_qp(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("trunc")
+    src = tmp_path / "in.yuv"
+    src.write_bytes(data)
+    spec = CodecSpec(kind="TRUNCATE", qp_list=tuple(range(8)))
+    bits = [run_codec(spec, src, qp, tmp_path / "w")[1] for qp in range(8)]
+    assert all(a >= b for a, b in zip(bits, bits[1:])), bits
 
 
 def test_truncate_zeroes_low_bits(tmp_path):

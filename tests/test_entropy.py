@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcmbench.errors import CorruptStream
 from vcmbench.featurecodec.entropy import decode_bytes, encode_bytes
 
 
@@ -84,8 +86,8 @@ def test_mode_switch_mid_stream():
     assert len(payload) < len(uniform) + 0.2 * len(zeros)
 
 
-def test_rescaling_path_is_lossless():
-    # long skewed stream crosses the count-rescale threshold many times
+def test_long_skewed_stream_is_lossless():
+    # long skewed stream: many literals and many repeated matches
     rng = np.random.default_rng(19)
     data = rng.choice([0, 1, 2], size=100_000, p=[0.8, 0.15, 0.05]).astype(np.uint8).tobytes()
     assert roundtrip(data) == data
@@ -108,8 +110,8 @@ def test_roundtrip_small_alphabets(alphabet, size, rnd):
     assert roundtrip(data) == data
 
 
-def test_adversarial_renormalization_patterns():
-    # long 0xFF runs and alternations exercise the carry-counting path
+def test_adversarial_patterns():
+    # long runs, alternations and many tiny inputs
     rng = np.random.default_rng(99)
     patterns = [
         b"\xff" * 10000,
@@ -132,3 +134,38 @@ def test_decoder_is_deterministic():
     p1 = encode_bytes(data)
     p2 = encode_bytes(data)
     assert p1 == p2
+
+
+def _payload():
+    rng = np.random.default_rng(29)
+    data = rng.integers(0, 16, 20_000, dtype=np.uint8).tobytes()
+    return data, encode_bytes(data)
+
+
+def test_truncated_or_extended_payload_raises():
+    data, payload = _payload()
+    for bad in (payload[:-1], payload[: len(payload) // 2], b"", payload + b"\x00"):
+        with pytest.raises(CorruptStream):
+            decode_bytes(bad, len(data))
+
+
+def test_wrong_length_raises():
+    data, payload = _payload()
+    for n in (0, 1, len(data) - 1, len(data) + 1, 2 * len(data)):
+        with pytest.raises(CorruptStream):
+            decode_bytes(payload, n)
+
+
+def test_flipped_payload_byte_never_passes_silently():
+    # raw LZMA2 has no checksum: a flip either fails to decode or decodes
+    # to other bytes (the stream container's crc32 catches the latter)
+    data, payload = _payload()
+    with pytest.raises(CorruptStream):
+        decode_bytes(bytes([payload[0] ^ 0x80]) + payload[1:], len(data))
+    for pos in range(0, len(payload), max(1, len(payload) // 64)):
+        bad = bytearray(payload)
+        bad[pos] ^= 0x01
+        try:
+            assert decode_bytes(bytes(bad), len(data)) != data
+        except CorruptStream:
+            pass

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import best_chain_bruteforce
+from oracles import best_chain_bruteforce, greedy_chain_pairwise
 from vcmbench.errors import DimMismatch, WrongChannelCount
 from vcmbench.featurecodec import (
     invert_permutation,
+    normalize,
     pack_multiscale,
     pack_spatial_tiled,
     pack_temporal,
+    quantize_2bit,
+    quantize_8bit,
     reorder_channels,
     unpack_frames,
 )
@@ -189,6 +192,32 @@ def test_reorder_matches_bruteforce_on_random_small_sets():
             costs = {c: float(np.mean((flat[perm[i]] - flat[c]) ** 2)) for c in rest}
             best = min(costs.values())
             assert costs[perm[i + 1]] == pytest.approx(best)
+
+
+@pytest.mark.parametrize("bits", [8, 2])
+def test_reorder_matches_pairwise_chain_on_quantized_tensors(bits):
+    rng = np.random.default_rng(13 + bits)
+    means = rng.choice([0.0, 0.5, 2.0], size=(256, 1, 1))
+    spreads = rng.choice([0.5, 1.0, 3.0], size=(256, 1, 1))
+    values = np.maximum(means + spreads * rng.normal(size=(256, 64, 64)), 0.0)
+    z, params = normalize(FeatureTensor(values.astype(np.float32)), bit_depth=bits)
+    s = quantize_8bit(z, params) if bits == 8 else quantize_2bit(z, params.z_th)
+    perm, reordered = reorder_channels(s)
+    assert perm == greedy_chain_pairwise(s)
+    assert np.array_equal(reordered, s[list(perm)])
+
+
+def test_reorder_matches_pairwise_chain_on_ties():
+    rng = np.random.default_rng(14)
+    for c, levels in ((40, 2), (64, 3), (17, 1)):
+        # few distinct channels, each repeated, plus exact-distance ties
+        base = rng.integers(0, levels + 1, (max(1, c // 8), 4, 4)).astype(np.uint8)
+        s = base[rng.integers(0, len(base), c)]
+        assert reorder_channels(s)[0] == greedy_chain_pairwise(s)
+    s = np.zeros((6, 1, 2), dtype=np.uint8)
+    s[1:, 0, 0] = [1, 0, 1, 0, 1]
+    s[1:, 0, 1] = [0, 1, 0, 1, 1]
+    assert reorder_channels(s)[0] == greedy_chain_pairwise(s)
 
 
 def test_inverse_permutation_roundtrip():

@@ -81,8 +81,29 @@ def test_corrupt_payload_detected(tmp_path):
     header_len = len(raw) - len(stream.payload)
     raw[header_len + len(stream.payload) // 2] ^= 0xFF  # flip a mid-payload byte
     corrupted = stream_from_bytes(bytes(raw))
-    with pytest.raises((CorruptStream, Exception)):
+    with pytest.raises(CorruptStream):
         entropy_decode(corrupted)
+
+
+def test_every_single_bit_payload_flip_detected():
+    rng = np.random.default_rng(6)
+    stream = entropy_encode(_frameset(rng, c=4, h=6, w=6))
+    raw = stream.to_bytes()
+    header_len = len(raw) - len(stream.payload)
+    for pos in range(header_len, len(raw)):
+        for bit in (0x01, 0x80):
+            bad = bytearray(raw)
+            bad[pos] ^= bit
+            with pytest.raises(CorruptStream):
+                entropy_decode(stream_from_bytes(bytes(bad)))
+
+
+def test_version_1_stream_unsupported():
+    rng = np.random.default_rng(9)
+    raw = bytearray(entropy_encode(_frameset(rng)).to_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    with pytest.raises(BadMagic, match="unsupported version 1"):
+        stream_from_bytes(bytes(raw))
 
 
 def test_truncated_payload_detected():
