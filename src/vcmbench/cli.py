@@ -3,7 +3,8 @@
 Subcommands: eval-det, eval-track, bdrate, pareto, feature, run, report.
 Every subcommand is a pure function of its input files and flags; the
 --jobs flag changes wall-clock time, never output bytes. Exit codes:
-0 success, 2 input/contract error, 3 external-command failure.
+0 success, 2 input/contract error (a file that cannot be read or written
+included), 3 external-command failure.
 """
 
 from __future__ import annotations
@@ -48,11 +49,9 @@ from .tensorio import (
     load_detections,
     load_ground_truth,
     load_tracks,
+    parsing,
     read_feature_tensor,
-    read_bytes,
     read_json,
-    read_text,
-    write_bytes,
     write_feature_tensor,
 )
 
@@ -60,7 +59,9 @@ from .tensorio import (
 def _load_config(path) -> dict[str, str]:
     """TOML-like key=value file; '#' starts a comment."""
     config = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    with parsing(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -77,22 +78,18 @@ def _resolve(args, config, name, cast=str, default=None):
     if value is not None:
         return value
     if name in config:
-        try:
+        with parsing(f"config {name}={config[name]!r}"):
             return cast(config[name])
-        except ValueError as e:
-            raise InputError(f"config {name}={config[name]!r}: {e}") from e
     return default
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
-    try:
+    with parsing(f"thresholds {text!r}"):
         return tuple(float(t) for t in text.split(","))
-    except ValueError as e:
-        raise InputError(f"thresholds must be comma-separated numbers: {text!r}") from e
 
 
 def _write_json(path, doc) -> None:
-    write_bytes(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+    Path(path).write_bytes((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _print_json(obj) -> None:
@@ -121,7 +118,7 @@ def _cmd_eval_det(args, config) -> int:
         lines = ["class_id,ap"]
         lines += [f"{c},{result.per_class_ap[c]!r}" for c in sorted(result.per_class_ap)]
         lines.append(f"mAP,{result.map_value!r}")
-        write_bytes(args.csv, ("\n".join(lines) + "\n").encode())
+        Path(args.csv).write_bytes(("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -173,7 +170,7 @@ def _cmd_bdrate(args, config) -> int:
                 f"{r['anchor']},{r['test']},{scale},"
                 f"{r['bd_rate_percent']!r},{r['bd_quality']!r}"
             )
-        write_bytes(args.out, ("\n".join(lines) + "\n").encode())
+        Path(args.out).write_bytes(("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -189,18 +186,13 @@ def _cmd_pareto(args, config) -> int:
     write_curves_csv([front], out)
     sys.stdout.write(f"front: {len(front.points)} points -> {out}\n")
     if args.svg:
-        write_bytes(args.svg, render_svg(curves, front, title="Pareto front").encode())
+        Path(args.svg).write_bytes(render_svg(curves, front, title="Pareto front").encode())
     return 0
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"--dims expects C,H,W: {text!r}")
-    try:
-        c, h, w = (int(p) for p in parts)
-    except ValueError as e:
-        raise InputError(f"--dims expects integers C,H,W: {text!r}") from e
+    with parsing(f"--dims expects integers C,H,W: {text!r}"):
+        c, h, w = (int(p) for p in text.split(","))
     return c, h, w
 
 
@@ -216,7 +208,7 @@ def _params_to_json(params: QuantParams) -> dict:
 
 
 def _params_from_json(doc, origin) -> QuantParams:
-    try:
+    with parsing(f"{origin}: quantization params"):
         return QuantParams(
             mean=np.array(doc["mean"], dtype=np.float32),
             std=np.array(doc["std"], dtype=np.float32),
@@ -225,8 +217,6 @@ def _params_from_json(doc, origin) -> QuantParams:
             z_th=doc["z_th"],
             bit_depth=doc["bit_depth"],
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{origin}: bad quantization params: {e!r}") from e
 
 
 def _quantize_tensor(tensor, bits: int, z_th: float):
@@ -284,7 +274,7 @@ def _cmd_feature(args, config) -> int:
     if op == "quant":
         tensor = read_feature_tensor(args.input)
         samples, params = _quantize_tensor(tensor, bits, z_th)
-        write_bytes(args.output, samples.tobytes(order="C"))
+        Path(args.output).write_bytes(samples.tobytes(order="C"))
         params_path = args.params or (str(args.output) + ".params.json")
         _write_json(params_path, _params_to_json(params))
         sys.stdout.write(
@@ -297,7 +287,7 @@ def _cmd_feature(args, config) -> int:
             raise InputError("dequant needs --params and --dims")
         params = _params_from_json(read_json(args.params), args.params)
         c, h, w = _parse_dims(args.dims)
-        raw = np.frombuffer(read_bytes(args.input), dtype=np.uint8)
+        raw = np.frombuffer(Path(args.input).read_bytes(), dtype=np.uint8)
         if raw.size != c * h * w:
             raise InputError(
                 f"sample file holds {raw.size} bytes, dims need {c * h * w}"
@@ -310,8 +300,8 @@ def _cmd_feature(args, config) -> int:
 
     if op == "pack":
         fs = _pack_tensor(args, bits, z_th, layout)
-        write_bytes(
-            args.output, b"".join(np.asarray(f).tobytes(order="C") for f in fs.frames)
+        Path(args.output).write_bytes(
+            b"".join(np.asarray(f).tobytes(order="C") for f in fs.frames)
         )
         perm = fs.channel_permutation
         meta = {
@@ -333,20 +323,18 @@ def _cmd_feature(args, config) -> int:
         if not args.meta:
             raise InputError("unpack needs --meta from the pack step")
         meta = read_json(args.meta)
-        try:
+        raw = Path(args.input).read_bytes()
+        with parsing(f"{args.meta}: packing metadata"):
             shapes = [(int(fh_), int(fw_)) for fh_, fw_ in meta["frame_dims"]]
-            layout, dims, perm = meta["layout"], tuple(meta["dims"]), meta["permutation"]
             params = _params_from_json(meta["params"], args.meta)
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"{args.meta}: bad packing metadata: {e!r}") from e
-        fs = PackedFrameSet(
-            frames=split_frames(read_bytes(args.input), shapes),
-            layout=layout,
-            original_dims=dims,
-            channel_permutation=tuple(perm) if perm else None,
-            quant=params,
-        )
-        samples = unpack_frames(fs)
+            perm = meta["permutation"]
+            samples = unpack_frames(PackedFrameSet(
+                frames=split_frames(raw, shapes),
+                layout=meta["layout"],
+                original_dims=tuple(meta["dims"]),
+                channel_permutation=tuple(perm) if perm else None,
+                quant=params,
+            ))
         tensor = _reconstruct_tensor(np.asarray(samples), params)
         write_feature_tensor(tensor, args.output)
         return 0
@@ -381,9 +369,7 @@ def _cmd_feature(args, config) -> int:
 def _cmd_run(args, config) -> int:
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
-    out_dir = Path(
-        args.output_dir or _resolve(args, config, "output-dir", str, "vcmbench-out")
-    )
+    out_dir = Path(_resolve(args, config, "output-dir", str, "vcmbench-out"))
     jobs = int(_resolve(args, config, "jobs", int, 1))
     work_dir = out_dir / "work"
     try:
@@ -419,8 +405,9 @@ def _cmd_report(args, config) -> int:
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != 1:
         raise InputError(f"unsupported report schema: {version}")
-    out_dir = Path(args.output_dir or "vcmbench-out")
-    write_report_files(doc, out_dir)
+    out_dir = Path(_resolve(args, config, "output-dir", str, "vcmbench-out"))
+    with parsing(f"{args.report}: report document"):
+        write_report_files(doc, out_dir)
     sys.stdout.write(f"rendered report tables into {out_dir}\n")
     return 0
 
@@ -497,9 +484,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         return args.func(args, config)
-    except VcmError as e:
+    except (VcmError, OSError) as e:  # an OSError names a file the user gave
         sys.stderr.write(f"error: {e}\n")
-        return e.exit_code
+        return getattr(e, "exit_code", 2)
 
 
 if __name__ == "__main__":

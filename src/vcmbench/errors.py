@@ -3,7 +3,9 @@
 Every error raised by the harness derives from VcmError. InputError covers
 bad files, bad arguments, and contract violations (CLI exit code 2);
 ExternalToolError covers failures of user-supplied codec/prediction
-commands (CLI exit code 3).
+commands (CLI exit code 3). A file or directory that cannot be read or
+written raises the plain OSError from the call that touched it; the CLI
+maps every OSError to exit code 2.
 """
 
 
@@ -36,10 +38,6 @@ class TruncatedFile(InputError):
 
 
 class DimOverflow(InputError):
-    pass
-
-
-class IoFailure(InputError):
     pass
 
 

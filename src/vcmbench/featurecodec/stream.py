@@ -25,6 +25,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from ..model import (
     PackedFrameSet,
     QuantParams,
 )
-from ..tensorio import read_bytes, write_bytes
 from .entropy import decode_bytes, encode_bytes
 from .packing import multiscale_frame_dims, split_frames
 
@@ -138,11 +138,12 @@ def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
 
 
 def read_stream(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> CodedFeatureStream:
-    return stream_from_bytes(read_bytes(path), origin=str(path), element_limit=element_limit)
+    raw = Path(path).read_bytes()
+    return stream_from_bytes(raw, origin=str(path), element_limit=element_limit)
 
 
 def write_stream(stream: CodedFeatureStream, path) -> None:
-    write_bytes(path, stream.to_bytes())
+    Path(path).write_bytes(stream.to_bytes())
 
 
 def stream_from_bytes(

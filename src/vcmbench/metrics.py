@@ -155,6 +155,8 @@ def mean_average_precision(
     mAP@[0.5:0.95]. The (TP, FP, FN) counts are taken at the last
     threshold with every detection included.
     """
+    if interpolation not in ("all_points", "101pt"):
+        raise InputError(f"interpolation must be all_points or 101pt: {interpolation!r}")
     thresholds = tuple(thresholds)
     if not thresholds:
         raise InputError("thresholds must be non-empty")

@@ -55,9 +55,8 @@ class CodecSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvariantViolation(f"unknown codec kind {self.kind!r}")
-        if self.kind == KIND_EXTERNAL and not (
-            self.encode_template and self.decode_template
-        ):
+        templates = (self.encode_template, self.decode_template)
+        if self.kind == KIND_EXTERNAL and not all(isinstance(t, str) and t for t in templates):
             raise InvariantViolation("EXTERNAL codec needs encode and decode templates")
         if not self.qp_list:
             raise InvariantViolation("qp list must be non-empty")
@@ -88,8 +87,8 @@ def expand_template(template: str, substitutions: dict[str, str]) -> list[str]:
 def run_command(argv: list[str], what: str) -> None:
     try:
         proc = subprocess.run(argv, capture_output=True, text=True)
-    except FileNotFoundError as e:
-        raise CommandFailed(f"{what}: command not found: {argv}", argv=argv) from e
+    except OSError as e:
+        raise CommandFailed(f"{what}: cannot start {argv}: {e}", argv=argv) from e
     if proc.returncode != 0:
         raise CommandFailed(
             f"{what}: exit {proc.returncode}: {argv}\n{proc.stderr.strip()}",

@@ -26,9 +26,15 @@ from pathlib import Path
 
 from ..errors import InputError, StageError, VcmError
 from ..metrics import mean_average_precision, mota
-from ..model import RDCurve, RDPoint
+from ..model import VALID_SCALES, RDCurve, RDPoint
 from ..rdcurves import bitrate, bpp, build_curve, pareto_front
-from ..tensorio import load_detections, load_ground_truth, load_tracks, read_json
+from ..tensorio import (
+    load_detections,
+    load_ground_truth,
+    load_tracks,
+    parsing,
+    read_json,
+)
 from .codec import CodecSpec, expand_template, run_codec, run_command
 from .yuv import crop_pad, pad_to_even, read_yuv420, resize, scale_image, write_yuv420
 
@@ -48,6 +54,15 @@ class ExperimentItem:
     predictions: dict[tuple[int, int], Path] | None = None
     prediction_command: str | None = None
 
+    def __post_init__(self):
+        if min(self.width, self.height, self.frames) < 1 or not self.fps > 0:
+            raise InputError(
+                f"item {self.item_id!r}: width, height and frames must be >= 1 "
+                f"and fps > 0"
+            )
+        if not isinstance(self.prediction_command, (str, type(None))):
+            raise InputError(f"item {self.item_id!r}: prediction_command must be a string")
+
 
 @dataclass(frozen=True)
 class ExperimentManifest:
@@ -56,7 +71,6 @@ class ExperimentManifest:
     items: tuple[ExperimentItem, ...]
     scales: tuple[int, ...] = (100, 75, 50, 25)
     iou_thresholds: tuple[float, ...] = (0.5,)
-    quality_unit: str = "fraction"
 
     def __post_init__(self):
         if self.task not in (TASK_DETECTION, TASK_TRACKING):
@@ -68,6 +82,11 @@ class ExperimentManifest:
             raise InputError("item ids must be unique")
         if not self.scales:
             raise InputError("manifest has no scales")
+        if not self.iou_thresholds:
+            raise InputError("manifest has no iou_thresholds")
+        bad = [s for s in self.scales if s not in VALID_SCALES]
+        if bad:
+            raise InputError(f"manifest scales must be among {VALID_SCALES}: {bad}")
         for item in self.items:
             for qp in self.codec.qp_list:
                 for scale in self.scales:
@@ -79,6 +98,10 @@ class ExperimentManifest:
                             f"item {item.item_id!r}: no prediction source for "
                             f"qp={qp} scale={scale}"
                         )
+
+    @property
+    def quality_unit(self) -> str:
+        return "mota" if self.task == TASK_TRACKING else "fraction"
 
 
 @dataclass(frozen=True)
@@ -108,7 +131,7 @@ def load_manifest(path) -> ExperimentManifest:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    try:
+    with parsing(f"{path}: manifest"):
         codec_doc = doc["codec"]
         codec = CodecSpec(
             kind=codec_doc["kind"],
@@ -145,10 +168,7 @@ def load_manifest(path) -> ExperimentManifest:
             iou_thresholds=tuple(
                 float(t) for t in doc.get("iou_thresholds", (0.5,))
             ),
-            quality_unit="mota" if doc["task"] == TASK_TRACKING else "fraction",
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: bad manifest: {e!r}") from e
 
 
 def _process_item(manifest, item, qp, scale, scratch: Path) -> ItemRecord:

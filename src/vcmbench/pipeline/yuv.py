@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import InputError, InvariantViolation, IoFailure, TruncatedFile
+from ..errors import InputError, InvariantViolation, TruncatedFile
 from ..model import VALID_SCALES
 
 
@@ -70,10 +70,7 @@ def frame_size_bytes(width: int, height: int) -> int:
 
 def read_yuv420(path, width: int, height: int) -> list[RawImage]:
     """Read all frames of a headerless planar 4:2:0 file."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+    raw = Path(path).read_bytes()
     fsize = frame_size_bytes(width, height)
     if len(raw) == 0 or len(raw) % fsize != 0:
         raise TruncatedFile(

@@ -31,6 +31,7 @@ from .errors import (
     ZeroPixels,
 )
 from .model import RDCurve, RDPoint
+from .tensorio import parsing
 
 
 @dataclass(frozen=True)
@@ -206,27 +207,22 @@ def write_curves_csv(curves, path) -> None:
                 writer.writerow([repr(p.rate), repr(p.quality), c.label, scale])
 
 
-def read_curves_csv(path, quality_unit: str = "fraction") -> list[RDCurve]:
+def read_curves_csv(path) -> list[RDCurve]:
     """Read curves grouped by (label, scale), in first-appearance order."""
     groups: dict[tuple[str, int | None], list[RDPoint]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, parsing(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(CSV_FIELDS) <= set(reader.fieldnames):
             raise InputError(
                 f"{path}: expected CSV columns {','.join(CSV_FIELDS)}"
             )
         for row in reader:
-            try:
-                rate = float(row["rate"])
-                quality = float(row["quality"])
-            except (TypeError, ValueError) as e:
-                raise InputError(f"{path}: bad numeric value in row {row}") from e
             scale = int(row["scale"]) if row["scale"] else None
-            key = (row["label"], scale)
-            groups.setdefault(key, []).append(RDPoint(rate, quality))
+            point = RDPoint(float(row["rate"]), float(row["quality"]))
+            groups.setdefault((row["label"], scale), []).append(point)
     if not groups:
         raise EmptyCurve(f"{path}: no curve rows")
     return [
-        build_curve(pts, label=label, scale_percent=scale, quality_unit=quality_unit)
+        build_curve(pts, label=label, scale_percent=scale)
         for (label, scale), pts in groups.items()
     ]

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import InputError, VcmError
+from .errors import VcmError
 from .model import RDCurve, RDPoint
 from .rdcurves import bd_metrics, build_curve, pareto_front, write_curves_csv
 
@@ -226,15 +226,13 @@ def write_report_files(report: dict, out_dir) -> list[Path]:
 
     Everything is derived from the report document alone, so the files
     `run` writes and a later re-render of its report.json are the same
-    bytes. A malformed document raises InputError before any file is
-    written; report.json itself is never written here.
+    bytes. A malformed document raises one of tensorio.MALFORMED (or an
+    InputError) before any file is written; report.json itself is never
+    written here.
     """
-    try:
-        curves, front = _report_curves(report)
-        bd_csv = _bd_csv(report["bd_table"])
-        svg = render_svg(curves, front, title="rate vs task metric")
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed report document: {e!r}") from e
+    curves, front = _report_curves(report)
+    bd_csv = _bd_csv(report["bd_table"])
+    svg = render_svg(curves, front, title="rate vs task metric")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = rd, pareto, bd, plot = [

@@ -12,6 +12,7 @@ from vcmbench.model import BoundingBox, GroundTruthBox, RDPoint
 from vcmbench.rdcurves import build_curve, write_curves_csv
 from vcmbench.tensorio import read_feature_tensor, write_feature_tensor
 from vcmbench.model import FeatureTensor
+from vcmbench.pipeline.yuv import RawImage, write_yuv420
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -317,6 +318,55 @@ def _report_without_rd_tables(d) -> list[str]:
     return ["report", _file(d / "r.json", json.dumps(doc).encode())]
 
 
+def _manifest(d, det=None, **item) -> str:
+    """One 8x8 DETECTION item over the NULL codec with a prediction file.
+
+    det overrides fields of the one detection record; item overrides or
+    adds fields of the manifest item.
+    """
+    write_yuv420(RawImage.flat(8, 8), d / "img.yuv")
+    box = {"image_id": "img", "class_id": 0, "bbox": [1, 1, 6, 6]}
+    write_jsonl([box], d / "gt.jsonl")
+    write_jsonl([dict(box, score=0.9, **(det or {}))], d / "det.jsonl")
+    doc = {
+        "task": "DETECTION", "scales": [100],
+        "codec": {"kind": "NULL", "qp_list": [22]},
+        "items": [dict({"id": "img", "path": "img.yuv", "width": 8, "height": 8,
+                        "ground_truth": "gt.jsonl",
+                        "predictions": {"22:100": "det.jsonl"}}, **item)],
+    }
+    return _file(d / "m.json", json.dumps(doc).encode())
+
+
+def _eval_det(d, **det) -> list[str]:
+    write_jsonl(gt_records(_gts()), d / "gt.jsonl")
+    write_jsonl([dict(r, **det) for r in det_records(_gts())], d / "det.jsonl")
+    return ["eval-det", str(d / "det.jsonl"), str(d / "gt.jsonl")]
+
+
+def _eval_track(d, **pred) -> list[str]:
+    row = {"frame": 0, "track_id": 1, "class_id": 0, "bbox": [0, 0, 5, 5], "score": 1.0}
+    write_jsonl([row], d / "gt.jsonl")
+    write_jsonl([dict(row, **pred)], d / "pred.jsonl")
+    return ["eval-track", str(d / "pred.jsonl"), str(d / "gt.jsonl")]
+
+
+def _curves(d) -> str:
+    _write_curve_csv(d / "ok.csv", [0.1, 0.2, 0.4], [0.2, 0.4, 0.6])
+    return str(d / "ok.csv")
+
+
+def _report_doc(d, **changes) -> str:
+    doc = {"schema_version": 1,
+           "config": {"scales": [100], "quality_unit": "fraction"},
+           "rd_tables": {"100": [{"qp": 22, "rate": 1.0, "quality": 0.5}]},
+           "pareto": [{"rate": 1.0, "quality": 0.5}],
+           "bd_table": [{"anchor": "pareto", "test": "scale100", "bd_rate_percent": None,
+                         "bd_quality": None, "error": "NoOverlap"}]}
+    doc.update(changes)
+    return _file(d / "r.json", json.dumps(doc).encode())
+
+
 BAD_INPUTS = {
     "report-not-json": lambda d: ["report", _file(d / "r.json", _NOT_JSON)],
     "report-missing": lambda d: ["report", str(d / "absent.json")],
@@ -369,6 +419,52 @@ BAD_INPUTS = {
     "config-line-without-equals": lambda d: [
         "--config", _file(d / "c.cfg", b"jobs 2\n"), "report", "r.json"
     ],
+    "eval-det-class-id-null": lambda d: _eval_det(d, class_id=None),
+    "eval-det-class-id-not-numeric": lambda d: _eval_det(d, class_id="person"),
+    "eval-det-class-id-infinite": lambda d: _eval_det(d, class_id=float("inf")),
+    "eval-det-score-null": lambda d: _eval_det(d, score=None),
+    "eval-det-score-not-numeric": lambda d: _eval_det(d, score="high"),
+    "eval-track-frame-null": lambda d: _eval_track(d, frame=None),
+    "eval-track-track-id-not-numeric": lambda d: _eval_track(d, track_id="t1"),
+    "run-predictions-class-id-null": lambda d: [
+        "run", _manifest(d, det={"class_id": None}), "--output-dir", str(d / "out")
+    ],
+    "bdrate-curve-csv-missing": lambda d: ["bdrate", str(d / "absent.csv"), _curves(d)],
+    "bdrate-curve-csv-not-utf8": lambda d: [
+        "bdrate", _file(d / "bad.csv", b"rate,quality,label,scale\n0.1,0.2,\xff,\n"),
+        _curves(d),
+    ],
+    "pareto-scale-not-integer": lambda d: [
+        "pareto", _file(d / "c.csv", b"rate,quality,label,scale\n0.1,0.2,c,half\n"),
+        "--out", str(d / "p.csv"),
+    ],
+    "pareto-out-dir-missing": lambda d: [
+        "pareto", _curves(d), "--out", str(d / "nodir" / "p.csv")
+    ],
+    "report-output-dir-is-a-file": lambda d: [
+        "report", _report_doc(d), "--output-dir", _file(d / "f", b"")
+    ],
+    "run-output-dir-is-a-file": lambda d: [
+        "run", _manifest(d), "--output-dir", _file(d / "f", b"")
+    ],
+    "run-manifest-predictions-list": lambda d: [
+        "run", _manifest(d, predictions=[]), "--output-dir", str(d / "out")
+    ],
+    "report-bd-error-not-a-string": lambda d: [
+        "report", _report_doc(d, bd_table=[{"anchor": "pareto", "test": "scale100",
+                                            "bd_rate_percent": None, "bd_quality": None,
+                                            "error": 7}]),
+        "--output-dir", str(d / "out"),
+    ],
+    "unpack-meta-dims-not-three": lambda d: _unpack(
+        d, json.dumps(dict(_META, dims=[1, 2])).encode()
+    ),
+    "config-interpolation-unknown": lambda d: [
+        "--config", _file(d / "c.cfg", b"interpolation=101PT\n"), *_eval_det(d)
+    ],
+    "run-item-width-zero": lambda d: [
+        "run", _manifest(d, width=0), "--output-dir", str(d / "out")
+    ],
 }
 
 
@@ -396,6 +492,28 @@ def test_run_missing_external_binary_exits_3(tmp_path, blob_manifest, capsys):
     rc = main(["run", str(bad), "--output-dir", str(tmp_path / "out")])
     assert rc == 3
     assert "no-such-encoder" in capsys.readouterr().err
+
+
+def test_run_command_not_executable_exits_3(tmp_path, capsys):
+    script = tmp_path / "detector.sh"
+    script.write_text("#!/bin/sh\nexit 0\n")
+    script.chmod(0o644)
+    manifest = Path(_manifest(tmp_path))
+    doc = json.loads(manifest.read_text())
+    del doc["items"][0]["predictions"]
+    doc["items"][0]["prediction_command"] = f"{script} {{input}} {{output}}"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["run", str(manifest), "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "detector.sh" in err
+
+
+def test_report_takes_output_dir_from_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = _file(tmp_path / "c.cfg", f"output-dir={tmp_path / 'tables'}\n".encode())
+    assert main(["--config", cfg, "report", _report_doc(tmp_path)]) == 0
+    assert (tmp_path / "tables" / "rd_curves.csv").is_file()
 
 
 def test_run_with_extra_qp_gives_superset_rd_tables(tmp_path, blob_manifest):

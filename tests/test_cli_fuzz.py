@@ -1,0 +1,164 @@
+"""Every subcommand on empty, truncated and byte-flipped copies of its inputs.
+
+The CLI contract holds for any input file: `main` returns 0, 2 or 3, and
+every non-zero exit prints one `error:` line instead of raising.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import det_records, gt_records, write_jsonl
+from vcmbench.cli import main
+from vcmbench.model import BoundingBox, FeatureTensor, GroundTruthBox, RDPoint
+from vcmbench.pipeline.yuv import RawImage, write_yuv420
+from vcmbench.rdcurves import build_curve, write_curves_csv
+from vcmbench.tensorio import write_feature_tensor
+
+# command -> (argv in a directory d, the input files of that argv)
+CASES = {
+    "eval-det": (
+        lambda d: ["eval-det", f"{d}/det.jsonl", f"{d}/gt.jsonl", "--csv", f"{d}/ap.csv"],
+        ["det.jsonl", "gt.jsonl"],
+    ),
+    "eval-det-config": (
+        lambda d: ["--config", f"{d}/c.cfg", "eval-det", f"{d}/det.jsonl", f"{d}/gt.jsonl"],
+        ["c.cfg"],
+    ),
+    "eval-track": (
+        lambda d: ["eval-track", f"{d}/pred.jsonl", f"{d}/tracks.jsonl"],
+        ["pred.jsonl", "tracks.jsonl"],
+    ),
+    "bdrate": (
+        lambda d: ["bdrate", f"{d}/a.csv", f"{d}/b.csv", "--out", f"{d}/bd.csv"],
+        ["a.csv", "b.csv"],
+    ),
+    "pareto": (
+        lambda d: ["pareto", f"{d}/a.csv", f"{d}/b.csv", "--out", f"{d}/p.csv",
+                   "--svg", f"{d}/p.svg"],
+        ["a.csv", "b.csv"],
+    ),
+    "feature-quant": (
+        lambda d: ["feature", "quant", f"{d}/t.vcmf", f"{d}/q.samp"],
+        ["t.vcmf"],
+    ),
+    "feature-dequant": (
+        lambda d: ["feature", "dequant", f"{d}/s.samp", f"{d}/o.vcmf",
+                   "--params", f"{d}/p.json", "--dims", "4,3,5", "--ref", f"{d}/t.vcmf"],
+        ["s.samp", "p.json", "t.vcmf"],
+    ),
+    "feature-pack": (
+        lambda d: ["feature", "pack", f"{d}/t.vcmf", f"{d}/o.bin", "--reorder"],
+        ["t.vcmf"],
+    ),
+    "feature-unpack": (
+        lambda d: ["feature", "unpack", f"{d}/packed.bin", f"{d}/o.vcmf",
+                   "--meta", f"{d}/meta.json"],
+        ["packed.bin", "meta.json"],
+    ),
+    "feature-encode": (
+        lambda d: ["feature", "encode", f"{d}/t.vcmf", f"{d}/o.vcms", "--reorder"],
+        ["t.vcmf"],
+    ),
+    "feature-decode": (
+        lambda d: ["feature", "decode", f"{d}/t.vcms", f"{d}/o.vcmf", "--ref", f"{d}/t.vcmf"],
+        ["t.vcms", "t.vcmf"],
+    ),
+    "run": (
+        lambda d: ["run", f"{d}/m.json", "--output-dir", f"{d}/out"],
+        ["m.json", "img.yuv", "img.gt.jsonl", "img.det.jsonl"],
+    ),
+    "report": (
+        lambda d: ["report", f"{d}/r.json", "--output-dir", f"{d}/tables"],
+        ["r.json"],
+    ),
+}
+
+
+def _write_inputs(d: Path) -> None:
+    gts = [GroundTruthBox("img", 0, BoundingBox(0, 0, 10, 10)),
+           GroundTruthBox("img", 1, BoundingBox(20, 20, 40, 40))]
+    write_jsonl(gt_records(gts), d / "gt.jsonl")
+    write_jsonl(det_records(gts), d / "det.jsonl")
+    (d / "c.cfg").write_text("thresholds=0.5,0.75\ninterpolation=101pt  # COCO\n")
+    track = {"frame": 0, "track_id": 1, "class_id": 0, "bbox": [0, 0, 5, 5], "score": 1.0}
+    write_jsonl([track, dict(track, frame=1)], d / "tracks.jsonl")
+    write_jsonl([track, dict(track, frame=1, track_id=2)], d / "pred.jsonl")
+    for name, shift in (("a.csv", 1.0), ("b.csv", 0.9)):
+        pts = [RDPoint(shift * r, q) for r, q in ((0.1, 0.2), (0.2, 0.4), (0.4, 0.6), (0.8, 0.7))]
+        write_curves_csv([build_curve(pts, "c", scale_percent=100)], d / name)
+
+    values = np.random.default_rng(0).normal(0, 1, (4, 3, 5)).astype(np.float32)
+    write_feature_tensor(FeatureTensor(values), d / "t.vcmf")
+    t = str(d / "t.vcmf")
+    for argv in (
+        ["feature", "quant", t, f"{d}/s.samp", "--params", f"{d}/p.json"],
+        ["feature", "pack", t, f"{d}/packed.bin", "--meta", f"{d}/meta.json"],
+        ["feature", "encode", t, f"{d}/t.vcms"],
+    ):
+        assert main(argv) == 0
+
+    write_yuv420(RawImage.flat(8, 8, y=90), d / "img.yuv")
+    box = {"image_id": "img", "class_id": 0, "bbox": [1, 1, 6, 6]}
+    write_jsonl([box], d / "img.gt.jsonl")
+    write_jsonl([dict(box, score=0.9)], d / "img.det.jsonl")
+    manifest = {
+        "task": "DETECTION", "scales": [100, 50],
+        "codec": {"kind": "TRUNCATE", "qp_list": [0, 4]},
+        "items": [{"id": "img", "path": "img.yuv", "width": 8, "height": 8,
+                   "ground_truth": "img.gt.jsonl",
+                   "predictions": {f"{qp}:{s}": "img.det.jsonl"
+                                   for qp in (0, 4) for s in (100, 50)}}],
+    }
+    (d / "m.json").write_text(json.dumps(manifest))
+    assert main(["run", f"{d}/m.json", "--output-dir", f"{d}/run"]) == 0
+    (d / "r.json").write_bytes((d / "run" / "report.json").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("inputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        _write_inputs(d)
+    return d
+
+
+def _mutate(data: bytes, kind: str, at: float, mask: int) -> bytes:
+    cut = int(at * len(data))
+    if kind == "empty":
+        return b""
+    if kind == "truncate":
+        return data[:cut]
+    return data[:cut] + bytes([data[cut] ^ mask]) + data[cut + 1:]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    pick=st.integers(0, 3),
+    kind=st.sampled_from(["empty", "truncate", "flip", "flip", "flip"]),
+    at=st.floats(0, 1, exclude_max=True),
+    mask=st.integers(1, 255),
+)
+def test_mutated_inputs_never_raise(case, valid_inputs, tmp_path_factory, pick, kind, at, mask):
+    argv, files = CASES[case]
+    target = files[pick % len(files)]
+    d = tmp_path_factory.mktemp(case)
+    for source in valid_inputs.iterdir():
+        if source.is_file():
+            data = source.read_bytes()
+            if source.name == target:
+                data = _mutate(data, kind, at, mask)
+            (d / source.name).write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv(d))
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err.getvalue().startswith("error: ")

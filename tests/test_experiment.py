@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -164,3 +165,44 @@ def test_stage_error_carries_context(tmp_path, blob_manifest):
     assert err.value.scale == 100
     # the first item completed and is preserved for persistence
     assert len(err.value.partial_records) == 1
+
+
+def test_manifest_unknown_scale_rejected_at_load(tmp_path, blob_manifest):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(100,),
+                         predictions="files")
+    doc = json.loads(path.read_text())
+    doc["scales"] = [100, 30]
+    for item in doc["items"]:
+        item["predictions"]["22:30"] = item["predictions"]["22:100"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="30"):
+        load_manifest(bad)
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.update(iou_thresholds=[]),
+    lambda doc: doc["items"][0].update(width=0),
+    lambda doc: doc["items"][0].update(fps=float("nan")),
+    lambda doc: doc["items"][0].update(prediction_command=5),
+    lambda doc: doc.update(codec={"kind": "EXTERNAL", "encode_template": 5,
+                                  "decode_template": "dec {input} {output}",
+                                  "qp_list": [22]}),
+], ids=["no-iou-thresholds", "width-zero", "fps-nan", "command-not-a-string",
+        "template-not-a-string"])
+def test_manifest_bad_field_rejected_at_load(tmp_path, blob_manifest, change):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
+    doc = json.loads(path.read_text())
+    change(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        load_manifest(bad)
+
+
+def test_quality_unit_follows_task(tmp_path, blob_manifest):
+    manifest = load_manifest(blob_manifest(codec_kind="NULL", qp_list=(22,),
+                                           predictions="files"))
+    assert manifest.quality_unit == "fraction"
+    tracking = dataclasses.replace(manifest, task="TRACKING")
+    assert tracking.quality_unit == "mota"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import ap_bruteforce, map_bruteforce
-from vcmbench.errors import DimMismatch, EmptyGroundTruth
+from vcmbench.errors import DimMismatch, EmptyGroundTruth, InputError
 from vcmbench.metrics import (
     average_precision,
     human_distortion,
@@ -169,6 +169,13 @@ def test_ap_101pt_interpolation():
     ap = average_precision(dets, gts2, 0, 0.5, interpolation="101pt")
     assert ap == pytest.approx(51 / 101)
     assert average_precision(dets, gts2, 0, 0.5) == pytest.approx(0.5)
+
+
+def test_map_rejects_unknown_interpolation():
+    dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]
+    gts = [gt("i", 0, B(0, 0, 10, 10))]
+    with pytest.raises(InputError, match="101PT"):
+        mean_average_precision(dets, gts, interpolation="101PT")
 
 
 # --- mAP ---
