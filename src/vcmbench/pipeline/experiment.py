@@ -1,26 +1,28 @@
 """End-to-end anchor-generation runs.
 
-For every (item, scale, qp) the pipeline scales the source image to the
-target scale (border-padding to even dims instead of scaling at 100%),
-encodes and decodes it, inverts the padding, upscales the reconstruction
+The unit of work is one (item, scale). A unit reads the item once, scales
+it to the target scale (border-padding to even dims instead of scaling
+at 100%) and writes the codec input once. Then, for each qp, it encodes
+and decodes that input, inverts the padding, upscales the reconstruction
 back to the source resolution, obtains task predictions for it, and
-evaluates the task metric against the untouched ground truth at source
-resolution. Ground-truth files are read-only inputs: boxes are never
-rescaled, because predictions are produced at source resolution.
+rates it. Ground-truth files are read-only inputs, parsed once per item
+per run: boxes are never rescaled, because predictions are produced at
+source resolution.
 
 Aggregation per (scale, qp): the rate is the mean bits-per-source-pixel
 over items (bits per second for tracking); the metric is computed over
 the pooled detection set (summed CLEAR-MOT counts for tracking). One RD
 curve per scale comes out, plus the Pareto front over all scales.
 
-Jobs are independent and may run in a bounded thread pool; records are
+Units are independent and may run in a bounded thread pool; records are
 reduced in a fixed order, so reports are byte-identical at any job
-count.
+count. After the first failure, units still queued are cancelled, and
+the error carries every record that completed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -171,7 +173,18 @@ def load_manifest(path) -> ExperimentManifest:
         )
 
 
-def _process_item(manifest, item, qp, scale, scratch: Path) -> ItemRecord:
+@dataclass(frozen=True)
+class PreparedInput:
+    """The codec input of one (item, scale), written once for every qp."""
+
+    path: Path
+    width: int
+    height: int
+    pad_record: tuple[int, int]
+
+
+def _prepare(manifest, item, scale, scratch: Path) -> PreparedInput:
+    """Read, scale and pad an item's frames, and write them as the codec input."""
     stage = "load"
     try:
         frames = read_yuv420(item.path, item.width, item.height)
@@ -189,18 +202,30 @@ def _process_item(manifest, item, qp, scale, scratch: Path) -> ItemRecord:
                 pf, pad_record = pad_to_even(f)
                 padded.append(pf)
             scaled = padded
-        enc_w, enc_h = scaled[0].width, scaled[0].height
         coded_input = scratch / "input.yuv"
         write_yuv420(scaled, coded_input)
+        return PreparedInput(
+            coded_input, scaled[0].width, scaled[0].height, pad_record
+        )
+    except (VcmError, OSError) as e:
+        # the item's first qp is the job that needs this input first
+        raise StageError(stage, item.item_id, manifest.codec.qp_list[0], scale, e) from e
 
-        stage = "codec"
+
+def _process_item(
+    manifest, item, qp, scale, scratch: Path, prepared: PreparedInput
+) -> ItemRecord:
+    """Code one prepared input at one qp, then upscale, predict and rate it."""
+    enc_w, enc_h = prepared.width, prepared.height
+    stage = "codec"
+    try:
         decoded_path, bits = run_codec(
-            manifest.codec, coded_input, qp, scratch, width=enc_w, height=enc_h
+            manifest.codec, prepared.path, qp, scratch, width=enc_w, height=enc_h
         )
         decoded = read_yuv420(decoded_path, enc_w, enc_h)
         if scale == 100:
             stage = "crop"
-            decoded = [crop_pad(f, pad_record) for f in decoded]
+            decoded = [crop_pad(f, prepared.pad_record) for f in decoded]
         stage = "upscale"
         recon = [resize(f, item.width, item.height) for f in decoded]
         recon_path = scratch / "recon.yuv"
@@ -236,21 +261,19 @@ def _process_item(manifest, item, qp, scale, scratch: Path) -> ItemRecord:
             item_id=item.item_id, qp=qp, scale=scale, bits=bits,
             rate=rate, predictions_path=pred_path,
         )
-    except StageError:
-        raise
     except (VcmError, OSError) as e:
         raise StageError(stage, item.item_id, qp, scale, e) from e
 
 
-def _evaluate(manifest: ExperimentManifest, records: list[ItemRecord]) -> float:
-    """Pooled task metric over one (scale, qp) cell's items."""
+def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list) -> float:
+    """Pooled task metric over one (scale, qp) cell.
+
+    cell[i] is item i's record and truths[i] its parsed ground truth.
+    """
     if manifest.task == TASK_TRACKING:
         fn = fp = idsw = gt_total = 0
-        for rec in records:
-            item = next(i for i in manifest.items if i.item_id == rec.item_id)
-            pred = load_tracks(rec.predictions_path)
-            gt = load_tracks(item.ground_truth)
-            r = mota(pred, gt, manifest.iou_thresholds[0])
+        for rec, gt in zip(cell, truths):
+            r = mota(load_tracks(rec.predictions_path), gt, manifest.iou_thresholds[0])
             fn += r.fn
             fp += r.fp
             idsw += r.idsw
@@ -258,47 +281,59 @@ def _evaluate(manifest: ExperimentManifest, records: list[ItemRecord]) -> float:
         return 1.0 - (fn + fp + idsw) / gt_total
     dets = []
     gts = []
-    for rec in records:
-        item = next(i for i in manifest.items if i.item_id == rec.item_id)
+    for rec, gt in zip(cell, truths):
         dets.extend(load_detections(rec.predictions_path))
-        gts.extend(load_ground_truth(item.ground_truth))
+        gts.extend(gt)
     return mean_average_precision(dets, gts, manifest.iou_thresholds).map_value
 
 
 def run_experiment(
     manifest: ExperimentManifest, work_dir, jobs: int = 1
 ) -> ExperimentResult:
-    """Run every (item, qp, scale) job and aggregate RD curves per scale."""
+    """Run every (item, scale) unit and aggregate RD curves per scale."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (i, item, qp, scale)
+    units = [
+        (i, item, scale)
         for i, item in enumerate(manifest.items)
-        for qp in manifest.codec.qp_list
         for scale in manifest.scales
     ]
-
-    def run_one(entry):
-        i, item, qp, scale = entry
-        scratch = work_dir / f"item{i}_q{qp}_s{scale}"
-        scratch.mkdir(parents=True, exist_ok=True)
-        return _process_item(manifest, item, qp, scale, scratch)
-
     records: dict[tuple[int, int, int], ItemRecord] = {}
+
+    def run_unit(unit):
+        i, item, scale = unit
+        unit_dir = work_dir / f"item{i}_s{scale}"
+        unit_dir.mkdir(parents=True, exist_ok=True)
+        prepared = _prepare(manifest, item, scale, unit_dir)
+        for qp in manifest.codec.qp_list:
+            scratch = work_dir / f"item{i}_q{qp}_s{scale}"
+            scratch.mkdir(parents=True, exist_ok=True)
+            records[(i, qp, scale)] = _process_item(
+                manifest, item, qp, scale, scratch, prepared
+            )
+
     try:
-        if jobs <= 1:
-            for entry in tasks:
-                rec = run_one(entry)
-                records[(entry[0], entry[2], entry[3])] = rec
+        if jobs == 1:
+            for unit in units:
+                run_unit(unit)
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for entry, rec in zip(tasks, pool.map(run_one, tasks)):
-                    records[(entry[0], entry[2], entry[3])] = rec
+                futures = [pool.submit(run_unit, unit) for unit in units]
+                wait(futures, return_when=FIRST_EXCEPTION)
+                pool.shutdown(cancel_futures=True)
+            # of the units that failed, the first in unit order is reported
+            for fut in futures:
+                if not fut.cancelled() and fut.exception() is not None:
+                    raise fut.exception()
     except StageError as e:
         # completed work survives so callers can persist partial results
         e.partial_records = [records[k] for k in sorted(records)]
         raise
 
+    load_truth = load_tracks if manifest.task == TASK_TRACKING else load_ground_truth
+    truths = [load_truth(item.ground_truth) for item in manifest.items]
     rd_points: dict[tuple[int, int], tuple[float, float]] = {}
     curves = []
     for scale in manifest.scales:
@@ -308,7 +343,7 @@ def run_experiment(
                 records[(i, qp, scale)] for i in range(len(manifest.items))
             ]
             rate = sum(r.rate for r in cell) / len(cell)
-            quality = _evaluate(manifest, cell)
+            quality = _evaluate(manifest, cell, truths)
             rd_points[(scale, qp)] = (rate, quality)
             points.append(RDPoint(rate, quality))
         curves.append(

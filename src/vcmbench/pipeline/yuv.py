@@ -97,25 +97,66 @@ def write_yuv420(frames, path) -> None:
             fh.write(f.cr.tobytes())
 
 
+# output rows per step of the vertical pass: its float64 buffers stay small
+_BLOCK_ROWS = 32
+
+
 def _resample_plane(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample: a horizontal pass, then a vertical one in row blocks.
+
+    The horizontal pass runs over the source rows when upscaling in y, and
+    over each block's gathered y0/y1 rows when downscaling. Every output
+    sample gets the same float64 operations in the same order as a
+    four-tap gather at output size, so the bytes are the same; the blocks
+    reuse three small buffers instead of allocating whole-plane ones.
+    """
     h, w = plane.shape
     if (out_h, out_w) == (h, w):
         return plane.copy()
-    src = plane.astype(np.float64)
     x = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     x0 = np.floor(x).astype(np.intp)
     y0 = np.floor(y).astype(np.intp)
     fx = x - x0
-    fy = y - y0
+    fy = (y - y0)[:, None]
     x0c = np.clip(x0, 0, w - 1)
     x1c = np.clip(x0 + 1, 0, w - 1)
     y0c = np.clip(y0, 0, h - 1)
     y1c = np.clip(y0 + 1, 0, h - 1)
-    top = src[y0c][:, x0c] * (1 - fx) + src[y0c][:, x1c] * fx
-    bottom = src[y1c][:, x0c] * (1 - fx) + src[y1c][:, x1c] * fx
-    out = top * (1 - fy)[:, None] + bottom * fy[:, None]
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    wx, wy = 1 - fx, 1 - fy
+    n = min(_BLOCK_ROWS, out_h)
+    top, bottom, spare = (np.empty((n, out_w)) for _ in range(3))
+
+    def horizontal(rows, out):
+        np.multiply(rows[:, x0c], wx, out=out)
+        right = spare[: len(out)]
+        np.multiply(rows[:, x1c], fx, out=right)
+        out += right
+
+    upscale = out_h >= h
+    if upscale:
+        src = np.empty((h, out_w))
+        for r in range(0, h, n):
+            horizontal(plane[r : r + n], src[r : r + n])
+    out = np.empty((out_h, out_w), dtype=np.uint8)
+    for r in range(0, out_h, n):
+        rs = slice(r, r + n)
+        k = min(n, out_h - r)
+        a, b = top[:k], bottom[:k]
+        if upscale:
+            np.take(src, y0c[rs], axis=0, out=a)
+            np.take(src, y1c[rs], axis=0, out=b)
+        else:
+            horizontal(plane[y0c[rs]], a)
+            horizontal(plane[y1c[rs]], b)
+        a *= wy[rs]
+        b *= fy[rs]
+        a += b
+        a += 0.5
+        np.floor(a, out=a)
+        np.clip(a, 0, 255, out=a)
+        out[rs] = a
+    return out
 
 
 def resize(img: RawImage, width: int, height: int) -> RawImage:

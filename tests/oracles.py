@@ -151,3 +151,25 @@ def best_chain_bruteforce(channels: np.ndarray) -> tuple[int, ...]:
         key=cost,
     )
     return best
+
+
+def resample_plane_gather(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample by four float64 gathers at output size."""
+    h, w = plane.shape
+    if (out_h, out_w) == (h, w):
+        return plane.copy()
+    src = plane.astype(np.float64)
+    x = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    x0 = np.floor(x).astype(np.intp)
+    y0 = np.floor(y).astype(np.intp)
+    fx = x - x0
+    fy = y - y0
+    x0c = np.clip(x0, 0, w - 1)
+    x1c = np.clip(x0 + 1, 0, w - 1)
+    y0c = np.clip(y0, 0, h - 1)
+    y1c = np.clip(y0 + 1, 0, h - 1)
+    top = src[y0c][:, x0c] * (1 - fx) + src[y0c][:, x1c] * fx
+    bottom = src[y1c][:, x0c] * (1 - fx) + src[y1c][:, x1c] * fx
+    out = top * (1 - fy)[:, None] + bottom * fy[:, None]
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)

@@ -465,6 +465,16 @@ BAD_INPUTS = {
     "run-item-width-zero": lambda d: [
         "run", _manifest(d, width=0), "--output-dir", str(d / "out")
     ],
+    "run-jobs-zero": lambda d: [
+        "--jobs", "0", "run", _manifest(d), "--output-dir", str(d / "out")
+    ],
+    "run-jobs-negative": lambda d: [
+        "--jobs", "-3", "run", _manifest(d), "--output-dir", str(d / "out")
+    ],
+    "config-jobs-zero": lambda d: [
+        "--config", _file(d / "c.cfg", b"jobs=0\n"),
+        "run", _manifest(d), "--output-dir", str(d / "out"),
+    ],
 }
 
 

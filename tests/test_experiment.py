@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_H, FIXTURE_W
+from conftest import FIXTURE_H, FIXTURE_W, make_blob_image
 from vcmbench.errors import InputError, StageError
+from vcmbench.pipeline import experiment
 from vcmbench.pipeline.experiment import load_manifest, run_experiment
+from vcmbench.pipeline.yuv import write_yuv420
 from vcmbench.rdcurves import bpp
 
 
@@ -46,6 +50,22 @@ def test_jobs_do_not_change_results(blob_manifest, tmp_path):
     r1 = run_experiment(manifest, work_dir=tmp_path / "w1", jobs=1)
     r4 = run_experiment(manifest, work_dir=tmp_path / "w4", jobs=4)
     assert r1.rd_points == r4.rd_points
+
+
+def test_units_share_records_under_thread_switching(blob_manifest, tmp_path):
+    # more workers than units and cores, switching threads as often as possible
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27, 32), predictions="files")
+    manifest = load_manifest(path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r8 = run_experiment(manifest, work_dir=tmp_path / "w8", jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    r1 = run_experiment(manifest, work_dir=tmp_path / "w1", jobs=1)
+    assert len(r8.records) == 2 * 4 * 3
+    assert r8.records == r1.records
+    assert r8.rd_points == r1.rd_points
 
 
 def test_prediction_command_end_to_end(blob_manifest, tmp_path):
@@ -165,6 +185,73 @@ def test_stage_error_carries_context(tmp_path, blob_manifest):
     assert err.value.scale == 100
     # the first item completed and is preserved for persistence
     assert len(err.value.partial_records) == 1
+
+
+def test_jobs_2_failure_keeps_every_completed_record(tmp_path, blob_manifest):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), predictions="files")
+    doc = json.loads(path.read_text())
+    doc["items"][1]["path"] = "missing.yuv"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=2)
+    assert (err.value.stage, err.value.item_id, err.value.qp) == ("load", "img_b", 22)
+    # item a's units are queued first, so all of them complete
+    assert [(r.item_id, r.qp, r.scale) for r in err.value.partial_records] == [
+        ("img_a", qp, scale) for qp in (22, 27) for scale in (25, 50, 75, 100)
+    ]
+
+
+def test_jobs_2_failure_cancels_queued_units(tmp_path, blob_manifest, monkeypatch):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(100,),
+                         predictions="files")
+    doc = json.loads(path.read_text())
+    doc["items"][1]["path"] = "missing.yuv"
+    doc["items"] += [dict(doc["items"][0], id=f"img_{c}") for c in "cdef"]
+    path.write_text(json.dumps(doc))
+    completed = []
+    process_item = experiment._process_item
+
+    def slow(*args):
+        time.sleep(0.2)
+        rec = process_item(*args)
+        completed.append(rec)
+        return rec
+
+    monkeypatch.setattr(experiment, "_process_item", slow)
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=2)
+    assert (err.value.item_id, err.value.qp) == ("img_b", 22)
+    # img_b fails at once while img_a is still running; the worker that ran
+    # img_b may start img_c, and the units behind it are cancelled
+    done = sorted(r.item_id for r in completed)
+    assert done in (["img_a"], ["img_a", "img_c"])
+    # every completed record is kept, in key order, not just those ahead of img_b
+    assert [r.item_id for r in err.value.partial_records] == done
+
+
+def test_pixel_work_once_per_item_scale(tmp_path, blob_manifest, monkeypatch):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27, 32), predictions="files")
+    doc = json.loads(path.read_text())
+    frames = 3
+    for item in doc["items"]:
+        item["frames"] = frames
+        write_yuv420([make_blob_image()] * frames, tmp_path / item["path"])
+    path.write_text(json.dumps(doc))
+    calls = {"scale_image": 0, "load_ground_truth": 0}
+
+    def counted(name):
+        fn = getattr(experiment, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counted(name))
+    run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=2)
+    assert calls == {"scale_image": 2 * 4 * frames, "load_ground_truth": 2}
 
 
 def test_manifest_unknown_scale_rejected_at_load(tmp_path, blob_manifest):

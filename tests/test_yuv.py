@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import resample_plane_gather
 from vcmbench.errors import InputError, TruncatedFile
 from vcmbench.pipeline.yuv import (
     RawImage,
+    _resample_plane,
     crop_pad,
     frame_size_bytes,
     pad_to_even,
@@ -126,3 +130,27 @@ def test_pad_crop_roundtrip_all_parities():
         assert np.array_equal(back.y, img.y)
         assert np.array_equal(back.cb, img.cb)
         assert np.array_equal(back.cr, img.cr)
+
+
+# up to 80 rows spans several row blocks of the vertical pass
+_DIM = st.integers(min_value=1, max_value=80)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(h=_DIM, w=_DIM, out_h=_DIM, out_w=_DIM, binary=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=1, out_h=7, out_w=5, binary=False, seed=0)
+@example(h=9, w=7, out_h=1, out_w=1, binary=False, seed=1)
+@example(h=31, w=5, out_h=12, out_w=17, binary=False, seed=2)  # up in x, down in y
+@example(h=5, w=31, out_h=17, out_w=12, binary=False, seed=3)  # down in x, up in y
+@example(h=11, w=13, out_h=11, out_w=26, binary=True, seed=4)
+@example(h=3, w=2, out_h=77, out_w=3, binary=False, seed=5)
+@example(h=79, w=9, out_h=33, out_w=4, binary=True, seed=6)
+def test_resample_plane_matches_gather_oracle(h, w, out_h, out_w, binary, seed):
+    rng = np.random.default_rng(seed)
+    plane = rng.integers(0, 256, (h, w)).astype(np.uint8)
+    if binary:
+        plane = np.where(plane < 128, 0, 255).astype(np.uint8)
+    out = _resample_plane(plane, out_h, out_w)
+    assert out.dtype == np.uint8
+    assert out.tobytes() == resample_plane_gather(plane, out_h, out_w).tobytes()
