@@ -385,12 +385,12 @@ def _cmd_run(args, config) -> int:
                 }
                 for r in partial
             ]
-            (out_dir / "partial_results.json").write_text(
+            partial_path = out_dir / "partial_results.json"
+            partial_path.write_text(
                 json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
-            sys.stderr.write(
-                f"persisted {len(rows)} completed records to partial_results.json\n"
-            )
+            # stderr carries only the error line that main writes
+            sys.stdout.write(f"wrote {partial_path} ({len(rows)} completed records)\n")
         raise
     report = build_report(manifest_path, manifest, result)
     report_path = out_dir / "report.json"

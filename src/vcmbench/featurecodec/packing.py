@@ -26,7 +26,6 @@ from ..model import (
     LAYOUT_SPATIAL_TILED,
     LAYOUT_TEMPORAL,
     FeatureTensor,
-    MultiScaleFeatureSet,
     PackedFrameSet,
     QuantParams,
 )
@@ -83,26 +82,29 @@ def multiscale_frame_dims(h2: int, w2: int) -> tuple[int, int]:
     return 8 * h2, 8 * w2 + 4 * w2
 
 
-def pack_multiscale(ms: MultiScaleFeatureSet, samples_per_level, quant: QuantParams | None = None) -> PackedFrameSet:
-    """Pack five tiled pyramid levels into one zero-filled frame.
+def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> PackedFrameSet:
+    """Pack the five tiled levels of a P2..P6 pyramid into one zero-filled frame.
 
     `samples_per_level` holds the quantized (64, h, w) sample arrays in
-    P2..P6 order with dims matching `ms`. The finest block sits at the
-    left (width 8*w2); the right column of width 4*w2 stacks the coarser
-    blocks top-to-bottom.
+    P2..P6 order; each level's (h, w) is the floor-half of the previous
+    level's, and no level may fall below 1 px. The finest block sits at
+    the left (width 8*w2); the right column of width 4*w2 stacks the
+    coarser blocks top-to-bottom.
     """
     arrays = [_as_samples(s) for s in samples_per_level]
     if len(arrays) != 5:
-        raise DimMismatch(f"expected 5 levels, got {len(arrays)}")
-    for arr, lvl in zip(arrays, ms.levels):
-        if arr.shape != lvl.dims:
-            raise DimMismatch(
-                f"sample dims {arr.shape} do not match level dims {lvl.dims}"
-            )
+        raise DimMismatch(f"expected 5 levels (P2..P6), got {len(arrays)}")
+    _, h, w = arrays[0].shape
+    for k, arr in enumerate(arrays):
         if arr.shape[0] != 64:
             raise WrongChannelCount(
-                f"tiled multiscale packing requires 64 channels, got {arr.shape[0]}"
+                f"tiled multiscale packing requires 64 channels, P{k + 2} has {arr.shape[0]}"
             )
+        if min(h, w) < 1:
+            raise DimMismatch(f"P{k + 2} dims fall below 1 px after halving")
+        if arr.shape[1:] != (h, w):
+            raise DimMismatch(f"P{k + 2} dims {arr.shape[1:]} != expected ({h}, {w})")
+        h, w = h // 2, w // 2
     c, h2, w2 = arrays[0].shape
     frame_h, frame_w = multiscale_frame_dims(h2, w2)
     frame = np.zeros((frame_h, frame_w), dtype=np.uint8)

@@ -137,18 +137,15 @@ def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
     )
 
 
-def read_stream(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> CodedFeatureStream:
-    raw = Path(path).read_bytes()
-    return stream_from_bytes(raw, origin=str(path), element_limit=element_limit)
+def read_stream(path) -> CodedFeatureStream:
+    return stream_from_bytes(Path(path).read_bytes(), origin=str(path))
 
 
 def write_stream(stream: CodedFeatureStream, path) -> None:
     Path(path).write_bytes(stream.to_bytes())
 
 
-def stream_from_bytes(
-    raw: bytes, origin: str = "<bytes>", element_limit: int = DEFAULT_ELEMENT_LIMIT
-) -> CodedFeatureStream:
+def stream_from_bytes(raw: bytes, origin: str = "<bytes>") -> CodedFeatureStream:
     if len(raw) < 4 or raw[:4] != STREAM_MAGIC:
         raise BadMagic(f"{origin}: not a coded-feature stream (bad magic)")
     off = 4
@@ -171,9 +168,9 @@ def stream_from_bytes(
     c, h, w = take("<3I")
     if min(c, h, w) < 1:
         raise TruncatedFile(f"{origin}: invalid dims ({c},{h},{w})")
-    if c * h * w > element_limit:
+    if c * h * w > DEFAULT_ELEMENT_LIMIT:
         raise DimOverflow(
-            f"{origin}: {c * h * w} elements exceeds limit {element_limit}"
+            f"{origin}: {c * h * w} elements exceeds limit {DEFAULT_ELEMENT_LIMIT}"
         )
     mean = np.array(take(f"<{c}f"), dtype=np.float32)
     std = np.array(take(f"<{c}f"), dtype=np.float32)

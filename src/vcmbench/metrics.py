@@ -1,4 +1,4 @@
-"""Machine-task quality metrics and the multi-task distortion blend.
+"""Machine-task quality metrics.
 
 Detection quality is mean average precision: detections are greedily
 matched to ground truth in descending score order (ties keep input
@@ -8,11 +8,6 @@ for parity with COCO-style tooling.
 
 Tracking quality is CLEAR-MOT accounting with per-frame greedy IoU
 matching:  MOTA = 1 - (FN + FP + IDSW) / GT.
-
-The human-vision distortion is a channel-weighted normalized mean error
-over Y/Cb/Cr, and the combined machine/human score is
-
-    D = (1 - w) * D_m + w * D_h,   D_m = 1 - metric,   wmAP = 1 - D.
 """
 
 from __future__ import annotations
@@ -22,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyGroundTruth, InputError
-from .model import (
-    BoundingBox,
-    Detection,
-    GroundTruthBox,
-    ImagePair,
-    TrackedBox,
-    WeightConfig,
-)
+from .errors import EmptyGroundTruth, InputError
+from .model import BoundingBox, Detection, GroundTruthBox, TrackedBox
 
 
 @dataclass(frozen=True)
@@ -50,14 +38,6 @@ class MotaResult:
     @property
     def mota(self) -> float:
         return 1.0 - (self.fn + self.fp + self.idsw) / self.gt
-
-
-@dataclass(frozen=True)
-class WeightedScore:
-    d_machine: float
-    d_human: float
-    d: float
-    wmap: float
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -231,35 +211,3 @@ def mota(
         fn += len(g_boxes) - matched
         fp += len(p_boxes) - matched
     return MotaResult(fn=fn, fp=fp, idsw=idsw, gt=len(gt))
-
-
-def nme_channel(ref_plane, rec_plane, max_value: float) -> float:
-    """Mean squared error normalized by the squared channel maximum."""
-    ref = np.asarray(ref_plane, dtype=np.float64)
-    rec = np.asarray(rec_plane, dtype=np.float64)
-    if ref.shape != rec.shape:
-        raise DimMismatch(f"plane shapes differ: {ref.shape} vs {rec.shape}")
-    if max_value <= 0:
-        raise InputError(f"max_value must be > 0: {max_value}")
-    diff = rec - ref
-    return float(np.mean(diff * diff) / (max_value * max_value))
-
-
-def human_distortion(pair: ImagePair, wc: WeightConfig) -> float:
-    """Channel-weighted NME over the Y, Cb, Cr planes."""
-    return (
-        wc.w_y * nme_channel(pair.ref_y, pair.rec_y, pair.max_y)
-        + wc.w_cb * nme_channel(pair.ref_cb, pair.rec_cb, pair.max_cb)
-        + wc.w_cr * nme_channel(pair.ref_cr, pair.rec_cr, pair.max_cr)
-    )
-
-
-def weighted_score(machine_metric: float, human, wc: WeightConfig) -> WeightedScore:
-    """Blend machine and human distortion; `human` is an ImagePair or a
-    precomputed human-distortion value."""
-    if not (0.0 <= machine_metric <= 1.0):
-        raise InputError(f"machine metric must be in [0,1]: {machine_metric}")
-    d_h = human_distortion(human, wc) if isinstance(human, ImagePair) else float(human)
-    d_m = 1.0 - machine_metric
-    d = (1.0 - wc.w) * d_m + wc.w * d_h
-    return WeightedScore(d_machine=d_m, d_human=d_h, d=d, wmap=1.0 - d)

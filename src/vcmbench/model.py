@@ -8,7 +8,7 @@ Array-valued fields are numpy arrays with the writeable flag cleared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,81 +275,3 @@ class RDCurve:
     @property
     def qualities(self) -> np.ndarray:
         return np.array([p.quality for p in self.points], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    """Machine/human blend weight plus the Y/Cb/Cr channel weights."""
-
-    w: float = 0.5
-    w_y: float = 0.8
-    w_cb: float = 0.1
-    w_cr: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 <= self.w <= 1.0):
-            raise InvariantViolation(f"w must be in [0,1]: {self.w}")
-        if min(self.w_y, self.w_cb, self.w_cr) < 0:
-            raise InvariantViolation("channel weights must be >= 0")
-        s = self.w_y + self.w_cb + self.w_cr
-        if abs(s - 1.0) > 1e-9:
-            raise InvariantViolation(f"channel weights must sum to 1, got {s}")
-
-
-@dataclass(frozen=True)
-class ImagePair:
-    """Reference and reconstructed YCbCr planes, with per-channel maxima.
-
-    Chroma planes may be subsampled relative to luma; each channel's
-    reference and reconstruction must agree in shape.
-    """
-
-    ref_y: np.ndarray
-    ref_cb: np.ndarray
-    ref_cr: np.ndarray
-    rec_y: np.ndarray
-    rec_cb: np.ndarray
-    rec_cr: np.ndarray
-    max_y: float = 255.0
-    max_cb: float = 255.0
-    max_cr: float = 255.0
-
-    def __post_init__(self):
-        for name in ("ref_y", "ref_cb", "ref_cr", "rec_y", "rec_cb", "rec_cr"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name))))
-        for ch in ("y", "cb", "cr"):
-            ref = getattr(self, f"ref_{ch}")
-            rec = getattr(self, f"rec_{ch}")
-            if ref.shape != rec.shape:
-                raise InvariantViolation(
-                    f"{ch} planes differ in shape: {ref.shape} vs {rec.shape}"
-                )
-            if getattr(self, f"max_{ch}") <= 0:
-                raise InvariantViolation(f"max_{ch} must be > 0")
-
-
-@dataclass(frozen=True)
-class MultiScaleFeatureSet:
-    """Feature pyramid levels p2..p6 with successively halved spatial dims."""
-
-    levels: tuple[FeatureTensor, ...] = field(default=())
-
-    def __post_init__(self):
-        if len(self.levels) != 5:
-            raise InvariantViolation("expected 5 levels (P2..P6)")
-        c = self.levels[0].channels
-        h, w = self.levels[0].height, self.levels[0].width
-        for i, lvl in enumerate(self.levels[1:], start=1):
-            h, w = h // 2, w // 2
-            if h < 1 or w < 1:
-                raise InvariantViolation("level dims fell below 1 after halving")
-            if lvl.channels != c:
-                raise InvariantViolation("all levels must share the channel count")
-            if (lvl.height, lvl.width) != (h, w):
-                raise InvariantViolation(
-                    f"level P{i + 2} dims {lvl.dims} != expected ({c},{h},{w})"
-                )
-
-    @property
-    def p2(self) -> FeatureTensor:
-        return self.levels[0]

@@ -61,6 +61,8 @@ class CodecSpec:
         if not self.qp_list:
             raise InvariantViolation("qp list must be non-empty")
         object.__setattr__(self, "qp_list", tuple(int(q) for q in self.qp_list))
+        if len(set(self.qp_list)) != len(self.qp_list):
+            raise InvariantViolation(f"qp list has duplicates: {list(self.qp_list)}")
 
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")

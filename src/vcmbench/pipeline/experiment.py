@@ -6,8 +6,8 @@ at 100%) and writes the codec input once. Then, for each qp, it encodes
 and decodes that input, inverts the padding, upscales the reconstruction
 back to the source resolution, obtains task predictions for it, and
 rates it. Ground-truth files are read-only inputs, parsed once per item
-per run: boxes are never rescaled, because predictions are produced at
-source resolution.
+per run and before any unit starts: boxes are never rescaled, because
+predictions are produced at source resolution.
 
 Aggregation per (scale, qp): the rate is the mean bits-per-source-pixel
 over items (bits per second for tracking); the metric is computed over
@@ -17,7 +17,8 @@ curve per scale comes out, plus the Pareto front over all scales.
 Units are independent and may run in a bounded thread pool; records are
 reduced in a fixed order, so reports are byte-identical at any job
 count. After the first failure, units still queued are cancelled, and
-the error carries every record that completed.
+the error carries every record that completed; so does a failure to
+evaluate a (scale, qp) cell.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import InputError, StageError, VcmError
-from ..metrics import mean_average_precision, mota
+from ..errors import EmptyGroundTruth, InputError, StageError, VcmError
+from ..metrics import MotaResult, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint
 from ..rdcurves import bitrate, bpp, build_curve, pareto_front
 from ..tensorio import (
@@ -89,6 +90,13 @@ class ExperimentManifest:
         bad = [s for s in self.scales if s not in VALID_SCALES]
         if bad:
             raise InputError(f"manifest scales must be among {VALID_SCALES}: {bad}")
+        if len(set(self.scales)) != len(self.scales):
+            raise InputError(f"manifest scales have duplicates: {list(self.scales)}")
+        bad = [t for t in self.iou_thresholds if not 0.0 < t <= 1.0]
+        if bad:
+            raise InputError(f"iou_thresholds must be in (0, 1]: {bad}")
+        if self.task == TASK_TRACKING and len(self.iou_thresholds) != 1:
+            raise InputError("a TRACKING manifest takes exactly one iou_threshold")
         for item in self.items:
             for qp in self.codec.qp_list:
                 for scale in self.scales:
@@ -268,22 +276,27 @@ def _process_item(
 def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list) -> float:
     """Pooled task metric over one (scale, qp) cell.
 
-    cell[i] is item i's record and truths[i] its parsed ground truth.
+    cell[i] is item i's record and truths[i] its parsed ground truth. A
+    failure raises StageError naming the item whose predictions failed.
     """
-    if manifest.task == TASK_TRACKING:
-        fn = fp = idsw = gt_total = 0
-        for rec, gt in zip(cell, truths):
-            r = mota(load_tracks(rec.predictions_path), gt, manifest.iou_thresholds[0])
-            fn += r.fn
-            fp += r.fp
-            idsw += r.idsw
-            gt_total += r.gt
-        return 1.0 - (fn + fp + idsw) / gt_total
-    dets = []
-    gts = []
+    tracking = manifest.task == TASK_TRACKING
+    counts, dets = [], []
     for rec, gt in zip(cell, truths):
-        dets.extend(load_detections(rec.predictions_path))
-        gts.extend(gt)
+        try:
+            if tracking:
+                counts.append(
+                    mota(load_tracks(rec.predictions_path), gt, manifest.iou_thresholds[0])
+                )
+            else:
+                dets.extend(load_detections(rec.predictions_path))
+        except (VcmError, OSError) as e:
+            raise StageError("evaluate", rec.item_id, rec.qp, rec.scale, e) from e
+    if tracking:
+        return MotaResult(
+            fn=sum(r.fn for r in counts), fp=sum(r.fp for r in counts),
+            idsw=sum(r.idsw for r in counts), gt=sum(r.gt for r in counts),
+        ).mota
+    gts = [g for gt in truths for g in gt]
     return mean_average_precision(dets, gts, manifest.iou_thresholds).map_value
 
 
@@ -293,6 +306,11 @@ def run_experiment(
     """Run every (item, scale) unit and aggregate RD curves per scale."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
+    # ground truth is parsed before any unit runs, so a bad file costs no codec call
+    load_truth = load_tracks if manifest.task == TASK_TRACKING else load_ground_truth
+    truths = [load_truth(item.ground_truth) for item in manifest.items]
+    if not any(truths):
+        raise EmptyGroundTruth("no item has any ground-truth box")
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     units = [
@@ -314,6 +332,8 @@ def run_experiment(
                 manifest, item, qp, scale, scratch, prepared
             )
 
+    rd_points: dict[tuple[int, int], tuple[float, float]] = {}
+    curves = []
     try:
         if jobs == 1:
             for unit in units:
@@ -327,31 +347,26 @@ def run_experiment(
             for fut in futures:
                 if not fut.cancelled() and fut.exception() is not None:
                     raise fut.exception()
+        for scale in manifest.scales:
+            points = []
+            for qp in manifest.codec.qp_list:
+                cell = [
+                    records[(i, qp, scale)] for i in range(len(manifest.items))
+                ]
+                rate = sum(r.rate for r in cell) / len(cell)
+                quality = _evaluate(manifest, cell, truths)
+                rd_points[(scale, qp)] = (rate, quality)
+                points.append(RDPoint(rate, quality))
+            curves.append(
+                build_curve(
+                    points, label=f"scale{scale}", scale_percent=scale,
+                    quality_unit=manifest.quality_unit,
+                )
+            )
     except StageError as e:
         # completed work survives so callers can persist partial results
         e.partial_records = [records[k] for k in sorted(records)]
         raise
-
-    load_truth = load_tracks if manifest.task == TASK_TRACKING else load_ground_truth
-    truths = [load_truth(item.ground_truth) for item in manifest.items]
-    rd_points: dict[tuple[int, int], tuple[float, float]] = {}
-    curves = []
-    for scale in manifest.scales:
-        points = []
-        for qp in manifest.codec.qp_list:
-            cell = [
-                records[(i, qp, scale)] for i in range(len(manifest.items))
-            ]
-            rate = sum(r.rate for r in cell) / len(cell)
-            quality = _evaluate(manifest, cell, truths)
-            rd_points[(scale, qp)] = (rate, quality)
-            points.append(RDPoint(rate, quality))
-        curves.append(
-            build_curve(
-                points, label=f"scale{scale}", scale_percent=scale,
-                quality_unit=manifest.quality_unit,
-            )
-        )
     front = pareto_front(curves, label="pareto")
     ordered = [records[k] for k in sorted(records)]
     return ExperimentResult(

@@ -77,7 +77,7 @@ def write_feature_tensor(tensor: FeatureTensor, path) -> None:
     Path(path).write_bytes(header + values.astype("<f4", copy=False).tobytes(order="C"))
 
 
-def read_feature_tensor(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> FeatureTensor:
+def read_feature_tensor(path) -> FeatureTensor:
     """Read a tensor file, validating magic, dims, and payload size."""
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != TENSOR_MAGIC:
@@ -92,8 +92,8 @@ def read_feature_tensor(path, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> Fea
     if min(c, h, w) < 1:
         raise TruncatedFile(f"{path}: invalid dims ({c},{h},{w})")
     n = c * h * w
-    if n > element_limit:
-        raise DimOverflow(f"{path}: {n} elements exceeds limit {element_limit}")
+    if n > DEFAULT_ELEMENT_LIMIT:
+        raise DimOverflow(f"{path}: {n} elements exceeds limit {DEFAULT_ELEMENT_LIMIT}")
     expected = 4 + _HEADER.size + 4 * n
     if len(raw) < expected:
         raise TruncatedFile(f"{path}: expected {expected} bytes, found {len(raw)}")

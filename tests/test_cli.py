@@ -586,6 +586,21 @@ def test_run_persists_partial_results_on_failure(tmp_path, blob_manifest, capsys
     assert partial[0]["item"] == "img_a"
 
 
+def test_run_persists_every_record_when_evaluation_fails(tmp_path, blob_manifest, capsys):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
+                         predictions="files")
+    (tmp_path / "img_b.pred.jsonl").write_text("{not json\n")
+    out = tmp_path / "out"
+    rc = main(["--jobs", "2", "run", str(path), "--output-dir", str(out)])
+    assert rc == 2
+    assert "evaluate failed for item='img_b'" in capsys.readouterr().err
+    partial = json.loads((out / "partial_results.json").read_text())
+    assert sorted((r["item"], r["scale"], r["qp"]) for r in partial) == [
+        (item, scale, qp)
+        for item in ("img_a", "img_b") for scale in (50, 100) for qp in (22, 27)
+    ]
+
+
 def test_run_and_report_rerender(tmp_path, blob_manifest, capsys):
     # ascending scales catch a re-render that reorders curves
     for scales in ((25, 100), (100, 75, 50, 25)):

@@ -201,6 +201,36 @@ def test_jobs_2_failure_keeps_every_completed_record(tmp_path, blob_manifest):
     ]
 
 
+def test_evaluate_failure_keeps_every_record(tmp_path, blob_manifest):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
+                         predictions="files")
+    (tmp_path / "img_b.pred.jsonl").write_text("{not json\n")
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=2)
+    # the first cell evaluated is (scale 100, qp 22); item a parses, item b does not
+    assert (err.value.stage, err.value.item_id, err.value.qp, err.value.scale) == (
+        "evaluate", "img_b", 22, 100
+    )
+    assert len(err.value.partial_records) == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("contents, match", [
+    ({"img_b": "{not json\n"}, "img_b.gt.jsonl"),
+    ({"img_a": "", "img_b": ""}, "no item has any ground-truth box"),
+], ids=["malformed", "all-empty"])
+def test_bad_ground_truth_fails_before_any_codec_call(
+    tmp_path, blob_manifest, monkeypatch, contents, match
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
+    for item, text in contents.items():
+        (tmp_path / f"{item}.gt.jsonl").write_text(text)
+    calls = []
+    monkeypatch.setattr(experiment, "run_codec", lambda *a, **k: calls.append(a))
+    with pytest.raises(InputError, match=match):
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert calls == []
+
+
 def test_jobs_2_failure_cancels_queued_units(tmp_path, blob_manifest, monkeypatch):
     path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(100,),
                          predictions="files")
@@ -275,8 +305,14 @@ def test_manifest_unknown_scale_rejected_at_load(tmp_path, blob_manifest):
     lambda doc: doc.update(codec={"kind": "EXTERNAL", "encode_template": 5,
                                   "decode_template": "dec {input} {output}",
                                   "qp_list": [22]}),
+    lambda doc: doc.update(scales=[50, 50]),
+    lambda doc: doc["codec"].update(qp_list=[22, 22]),
+    lambda doc: doc.update(iou_thresholds=[1.5]),
+    lambda doc: doc.update(iou_thresholds=[0.0]),
+    lambda doc: doc.update(task="TRACKING", iou_thresholds=[0.5, 0.75]),
 ], ids=["no-iou-thresholds", "width-zero", "fps-nan", "command-not-a-string",
-        "template-not-a-string"])
+        "template-not-a-string", "duplicate-scales", "duplicate-qps",
+        "iou-above-1", "iou-zero", "tracking-two-thresholds"])
 def test_manifest_bad_field_rejected_at_load(tmp_path, blob_manifest, change):
     path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
     doc = json.loads(path.read_text())

@@ -2,23 +2,18 @@ import numpy as np
 import pytest
 
 from oracles import ap_bruteforce, map_bruteforce
-from vcmbench.errors import DimMismatch, EmptyGroundTruth, InputError
+from vcmbench.errors import EmptyGroundTruth, InputError
 from vcmbench.metrics import (
     average_precision,
-    human_distortion,
     iou,
     mean_average_precision,
     mota,
-    nme_channel,
-    weighted_score,
 )
 from vcmbench.model import (
     BoundingBox,
     Detection,
     GroundTruthBox,
-    ImagePair,
     TrackedBox,
-    WeightConfig,
 )
 
 
@@ -302,84 +297,3 @@ def test_mota_can_be_negative():
     pred = [tb(0, 1, B(50, 50, 55, 55)), tb(0, 2, B(60, 60, 65, 65))]
     r = mota(pred, gt_tracks, 0.5)
     assert r.mota == pytest.approx(1.0 - 3 / 1)
-
-
-# --- NME / weighted scores ---
-
-def test_nme_identical_planes():
-    p = np.full((4, 4), 100, dtype=np.uint8)
-    assert nme_channel(p, p, 255.0) == 0.0
-
-
-def test_nme_single_pixel_saturated():
-    assert nme_channel(np.array([[0]]), np.array([[255]]), 255.0) == 1.0
-
-
-def test_nme_two_pixels():
-    ref = np.array([[0, 0]], dtype=np.float64)
-    rec = np.array([[255, 0]], dtype=np.float64)
-    assert nme_channel(ref, rec, 255.0) == pytest.approx(0.5)
-
-
-def test_nme_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        nme_channel(np.zeros((2, 2)), np.zeros((2, 3)), 255.0)
-
-
-def _pair(ref_y, rec_y):
-    chroma = np.full((1, 1), 128, dtype=np.uint8)
-    return ImagePair(
-        ref_y=ref_y, ref_cb=chroma, ref_cr=chroma,
-        rec_y=rec_y, rec_cb=chroma, rec_cr=chroma,
-    )
-
-
-def test_human_distortion_identical_images():
-    p = _pair(np.full((2, 2), 7, np.uint8), np.full((2, 2), 7, np.uint8))
-    assert human_distortion(p, WeightConfig()) == 0.0
-
-
-def test_human_distortion_luma_only_weights():
-    p = _pair(np.zeros((1, 1), np.uint8), np.full((1, 1), 255, np.uint8))
-    wc = WeightConfig(w=0.5, w_y=1.0, w_cb=0.0, w_cr=0.0)
-    assert human_distortion(p, wc) == pytest.approx(
-        nme_channel(p.ref_y, p.rec_y, 255.0)
-    )
-
-
-def test_human_distortion_weighted_sum():
-    # channel NMEs (0.1, 0.2, 0.4) with weights (0.8, 0.1, 0.1) -> 0.14
-    assert 0.8 * 0.1 + 0.1 * 0.2 + 0.1 * 0.4 == pytest.approx(0.14)
-
-
-def test_weighted_score_machine_only():
-    ws = weighted_score(0.8, 0.3, WeightConfig(w=0.0))
-    assert ws.d == pytest.approx(ws.d_machine)
-    assert ws.wmap == pytest.approx(0.8)
-
-
-def test_weighted_score_human_only():
-    ws = weighted_score(0.8, 0.3, WeightConfig(w=1.0))
-    assert ws.d == pytest.approx(0.3)
-
-
-def test_weighted_score_midpoint():
-    ws = weighted_score(0.8, 0.1, WeightConfig(w=0.5))
-    assert ws.d == pytest.approx(0.15)
-    assert ws.wmap == pytest.approx(0.85)
-
-
-def test_weighted_score_accepts_image_pair():
-    p = _pair(np.full((2, 2), 7, np.uint8), np.full((2, 2), 7, np.uint8))
-    ws = weighted_score(0.6, p, WeightConfig(w=0.5))
-    assert ws.d_human == 0.0
-    assert ws.wmap == pytest.approx(0.8)
-
-
-def test_weighted_score_affine_in_w():
-    d_m, d_h = 1.0 - 0.7, 0.2
-    pts = [(w, weighted_score(0.7, d_h, WeightConfig(w=w)).d) for w in (0.0, 0.5, 1.0)]
-    (w0, d0), (w1, d1), (w2, d2) = pts
-    interp = d0 + (d2 - d0) * (w1 - w0) / (w2 - w0)
-    assert d1 == pytest.approx(interp, abs=1e-15)
-    assert d0 == pytest.approx(d_m) and d2 == pytest.approx(d_h)

@@ -6,13 +6,11 @@ from vcmbench.model import (
     BoundingBox,
     Detection,
     FeatureTensor,
-    MultiScaleFeatureSet,
     PackedFrameSet,
     QuantParams,
     RDCurve,
     RDPoint,
     TrackedBox,
-    WeightConfig,
 )
 
 
@@ -107,28 +105,3 @@ def test_rd_curve_requires_increasing_rates():
         RDCurve(label="c", points=())
     with pytest.raises(InvariantViolation):
         RDPoint(0.0, 0.5)
-
-
-def test_weight_config_sums_to_one():
-    WeightConfig(w=0.5, w_y=0.8, w_cb=0.1, w_cr=0.1)
-    with pytest.raises(InvariantViolation):
-        WeightConfig(w=0.5, w_y=0.9, w_cb=0.2, w_cr=0.1)
-    with pytest.raises(InvariantViolation):
-        WeightConfig(w=1.5)
-
-
-def test_multiscale_set_halving():
-    def tensor(c, h, w):
-        return FeatureTensor(np.zeros((c, h, w), dtype=np.float32))
-
-    MultiScaleFeatureSet(
-        levels=(tensor(4, 16, 16), tensor(4, 8, 8), tensor(4, 4, 4),
-                tensor(4, 2, 2), tensor(4, 1, 1))
-    )
-    with pytest.raises(InvariantViolation):
-        MultiScaleFeatureSet(
-            levels=(tensor(4, 16, 16), tensor(4, 8, 8), tensor(4, 4, 4),
-                    tensor(4, 2, 2), tensor(2, 1, 1))
-        )
-    with pytest.raises(InvariantViolation):
-        MultiScaleFeatureSet(levels=(tensor(4, 16, 16),) * 4)

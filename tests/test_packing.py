@@ -14,7 +14,7 @@ from vcmbench.featurecodec import (
     reorder_channels,
     unpack_frames,
 )
-from vcmbench.model import FeatureTensor, MultiScaleFeatureSet
+from vcmbench.model import FeatureTensor
 
 
 def _samples(rng, c, h, w):
@@ -92,15 +92,8 @@ def test_temporal_roundtrip_with_and_without_permutation():
 # --- multiscale packing ---
 
 def _pyramid(rng, c, h2, w2):
-    levels = []
-    samples = []
-    h, w = h2, w2
-    for _ in range(5):
-        arr = _samples(rng, c, h, w)
-        samples.append(arr)
-        levels.append(FeatureTensor(arr.astype(np.float32)))
-        h, w = h // 2, w // 2
-    return MultiScaleFeatureSet(levels=tuple(levels)), samples
+    """P2..P6 sample arrays, each level the floor-half of the one before."""
+    return [_samples(rng, c, h2 >> k, w2 >> k) for k in range(5)]
 
 
 def test_multiscale_frame_dims_formula():
@@ -113,8 +106,8 @@ def test_multiscale_frame_dims_formula():
 
 def test_multiscale_block_placement():
     rng = np.random.default_rng(6)
-    ms, samples = _pyramid(rng, 64, 16, 16)
-    fs = pack_multiscale(ms, samples)
+    samples = _pyramid(rng, 64, 16, 16)
+    fs = pack_multiscale(samples)
     frame = fs.frames[0]
     from vcmbench.featurecodec.packing import _tile64
 
@@ -129,8 +122,8 @@ def test_multiscale_block_placement():
 
 def test_multiscale_roundtrip_and_conservation():
     rng = np.random.default_rng(7)
-    ms, samples = _pyramid(rng, 64, 16, 16)
-    fs = pack_multiscale(ms, samples)
+    samples = _pyramid(rng, 64, 16, 16)
+    fs = pack_multiscale(samples)
     out = unpack_frames(fs)
     assert len(out) == 5
     for got, want in zip(out, samples):
@@ -142,16 +135,28 @@ def test_multiscale_roundtrip_and_conservation():
 
 def test_multiscale_rejects_mismatched_samples():
     rng = np.random.default_rng(8)
-    ms, samples = _pyramid(rng, 64, 16, 16)
+    samples = _pyramid(rng, 64, 16, 16)
     samples[2] = samples[2][:, :1, :]
     with pytest.raises(DimMismatch):
-        pack_multiscale(ms, samples)
+        pack_multiscale(samples)
+
+
+@pytest.mark.parametrize("h2, w2, change, error", [
+    (16, 16, lambda levels: levels[:4], DimMismatch),
+    (16, 16, lambda levels: levels[:4] + [levels[4][:2]], WrongChannelCount),
+    # 16x8 halves to 8x4, 4x2, 2x1 and then 1x0: P6 has no room
+    (16, 8, lambda levels: levels[:4] + [np.zeros((64, 1, 1), np.uint8)], DimMismatch),
+], ids=["four-levels", "p6-two-channels", "p6-below-1px"])
+def test_multiscale_rejects_bad_pyramid(h2, w2, change, error):
+    levels = _pyramid(np.random.default_rng(10), 64, h2, w2)
+    with pytest.raises(error):
+        pack_multiscale(change(levels))
 
 
 def test_multiscale_odd_dims_fit():
     rng = np.random.default_rng(9)
-    ms, samples = _pyramid(rng, 64, 17, 23)  # 17->8->4->2->1, 23->11->5->2->1
-    fs = pack_multiscale(ms, samples)
+    samples = _pyramid(rng, 64, 17, 23)  # 17->8->4->2->1, 23->11->5->2->1
+    fs = pack_multiscale(samples)
     out = unpack_frames(fs)
     for got, want in zip(out, samples):
         assert np.array_equal(got, want)

@@ -139,7 +139,7 @@ def test_overflowing_dims_rejected_before_decode():
     from vcmbench.errors import DimOverflow
 
     with pytest.raises(DimOverflow):
-        stream_from_bytes(bytes(raw), element_limit=1 << 20)
+        stream_from_bytes(bytes(raw))
 
 
 def test_header_fuzz_raises_only_harness_errors():
@@ -154,7 +154,7 @@ def test_header_fuzz_raises_only_harness_errors():
             mutated[rng.integers(0, len(mutated))] = int(rng.integers(0, 256))
         cut = int(rng.integers(0, len(mutated) + 1)) if rng.random() < 0.3 else len(mutated)
         try:
-            entropy_decode(stream_from_bytes(bytes(mutated[:cut]), element_limit=1 << 20))
+            entropy_decode(stream_from_bytes(bytes(mutated[:cut])))
         except VcmError:
             pass  # any harness error is acceptable; crashes are not
 

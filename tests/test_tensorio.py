@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -93,11 +94,11 @@ def test_bad_magic(tmp_path):
 
 
 def test_dim_overflow_guard(tmp_path):
-    t = FeatureTensor(np.zeros((1, 8, 8), dtype=np.float32))
+    # a header claiming 2^32 elements is rejected before the payload is sized
     p = tmp_path / "t.vcmf"
-    write_feature_tensor(t, p)
+    p.write_bytes(b"VCMF" + struct.pack("<5I", 1, 0, 1 << 11, 1 << 11, 1 << 10))
     with pytest.raises(DimOverflow):
-        read_feature_tensor(p, element_limit=63)
+        read_feature_tensor(p)
 
 
 def test_trailing_bytes_rejected(tmp_path):
