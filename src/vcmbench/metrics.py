@@ -1,8 +1,11 @@
-"""Machine-task quality metrics.
+"""Machine-task quality metrics, both matched through one IoU kernel.
 
-Detection quality is mean average precision: detections are greedily
-matched to ground truth in descending score order (ties keep input
-order), and AP integrates the precision envelope over recall with
+Detection quality is mean average precision over pooled detections,
+each matched only to ground truth of its class and image id (`run`
+prefixes image ids with the item, so no match crosses items). Each
+(class, image) IoU matrix is computed once; at every threshold,
+detections are greedily matched in descending score order (ties keep
+input order). AP integrates the precision envelope over recall with
 all-point interpolation. A 101-point interpolation mode is available
 for parity with COCO-style tooling.
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGroundTruth, InputError
-from .model import BoundingBox, Detection, GroundTruthBox, TrackedBox
+from .model import Detection, GroundTruthBox, TrackedBox
 
 
 @dataclass(frozen=True)
@@ -40,54 +43,44 @@ class MotaResult:
         return 1.0 - (self.fn + self.fp + self.idsw) / self.gt
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of a[i] and b[j] at (i, j) for n x 4 and m x 4 xyxy boxes; 0 when disjoint."""
+    a = a[:, None, :]
+    ix = np.minimum(a[..., 2], b[:, 2]) - np.maximum(a[..., 0], b[:, 0])
+    iy = np.minimum(a[..., 3], b[:, 3]) - np.maximum(a[..., 1], b[:, 1])
+    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a + area_b - inter)
 
 
-def _match_class(dets, gts, class_id, iou_threshold):
-    """Greedy score-ordered matching for one class.
+def _xyxy(records) -> np.ndarray:
+    boxes = [(r.box.x_min, r.box.y_min, r.box.x_max, r.box.y_max) for r in records]
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
-    Returns (flags, n_gt): flags[i] is True if the i-th detection (in
-    descending score order, input order on ties) matched a ground-truth
-    box of the same class and image with IoU >= threshold.
-    """
-    cls_dets = [d for d in dets if d.class_id == class_id]
-    order = sorted(range(len(cls_dets)), key=lambda i: -cls_dets[i].score)
-    gt_by_image = defaultdict(list)
-    for g in gts:
-        if g.class_id == class_id:
-            gt_by_image[g.image_id].append(g)
-    n_gt = sum(len(v) for v in gt_by_image.values())
-    used = {img: [False] * len(v) for img, v in gt_by_image.items()}
-    flags = []
-    for i in order:
-        d = cls_dets[i]
-        candidates = gt_by_image.get(d.image_id, ())
-        best, best_iou = -1, 0.0
-        for j, g in enumerate(candidates):
-            if used[d.image_id][j]:
-                continue
-            v = iou(d.box, g.box)
-            if v >= iou_threshold and v > best_iou:
-                best, best_iou = j, v
-        if best >= 0:
-            used[d.image_id][best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, n_gt
+
+def _group(items, key) -> dict:
+    groups = defaultdict(list)
+    for x in items:
+        groups[key(x)].append(x)
+    return groups
+
+
+def _greedy_match(ious: np.ndarray, threshold: float) -> np.ndarray:
+    """Greedy matches of rank-ordered rows: each takes its best free column >= threshold."""
+    matched = np.zeros(len(ious), dtype=bool)
+    free = np.ones(ious.shape[1], dtype=bool)
+    for r in np.flatnonzero((ious >= threshold).any(axis=1)):
+        v = np.where(free, ious[r], -1.0)
+        j = v.argmax()  # the first column on ties
+        if v[j] >= threshold:
+            free[j] = False
+            matched[r] = True
+    return matched
 
 
 def _ap_from_flags(flags, n_gt, interpolation="all_points"):
-    if n_gt == 0:
-        return 0.0
-    if not flags:
+    if len(flags) == 0:
         return 0.0
     tp = np.cumsum(np.asarray(flags, dtype=np.float64))
     ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
@@ -107,20 +100,6 @@ def _ap_from_flags(flags, n_gt, interpolation="all_points"):
             ap += (r - prev_r) * p
             prev_r = r
     return float(ap)
-
-
-def average_precision(
-    dets: list[Detection],
-    gts: list[GroundTruthBox],
-    class_id: int,
-    iou_threshold: float,
-    interpolation: str = "all_points",
-) -> float:
-    """AP for one class at one IoU threshold; 0 when the class has no GT."""
-    if not (0.0 < iou_threshold <= 1.0):
-        raise InputError(f"iou_threshold must be in (0,1]: {iou_threshold}")
-    flags, n_gt = _match_class(dets, gts, class_id, iou_threshold)
-    return _ap_from_flags(flags, n_gt, interpolation)
 
 
 def mean_average_precision(
@@ -143,19 +122,31 @@ def mean_average_precision(
     for t in thresholds:
         if not (0.0 < t <= 1.0):
             raise InputError(f"threshold must be in (0,1]: {t}")
-    classes = sorted({g.class_id for g in gts})
+    gt_groups = _group(gts, lambda g: (g.class_id, g.image_id))
+    classes = sorted({c for c, _ in gt_groups})
     if not classes:
         raise EmptyGroundTruth("no class has any ground-truth box")
+    class_dets = _group(dets, lambda d: d.class_id)
     per_class: dict[int, float] = {}
     counts: dict[int, tuple[int, int, int]] = {}
     for c in classes:
+        n_gt = sum(g.class_id == c for g in gts)
+        order = np.argsort([-d.score for d in class_dets[c]], kind="stable")
+        ranked = [class_dets[c][i] for i in order]
+        by_image = _group(range(len(ranked)), lambda r: ranked[r].image_id)
+        groups = [
+            (ranks, iou_matrix(_xyxy(ranked[r] for r in ranks), _xyxy(gt_groups[c, image])))
+            for image, ranks in by_image.items()
+            if (c, image) in gt_groups
+        ]
         aps = []
         for t in thresholds:
-            flags, n_gt = _match_class(dets, gts, c, t)
+            flags = np.zeros(len(ranked), dtype=bool)
+            for ranks, ious in groups:
+                flags[ranks] = _greedy_match(ious, t)
             aps.append(_ap_from_flags(flags, n_gt, interpolation))
-            if t == thresholds[-1]:
-                tp = sum(flags)
-                counts[c] = (tp, len(flags) - tp, n_gt - tp)
+        tp = int(flags.sum())
+        counts[c] = (tp, len(flags) - tp, n_gt - tp)
         per_class[c] = float(np.mean(aps))
     map_value = float(np.mean([per_class[c] for c in classes]))
     return APResult(per_class_ap=per_class, map_value=map_value, counts=counts)
@@ -166,37 +157,30 @@ def mota(
 ) -> MotaResult:
     """CLEAR-MOT accounting with per-frame greedy IoU matching.
 
-    Pairs are taken in descending IoU order (each box used once); a
-    matched ground-truth track whose assigned prediction track differs
-    from its previous assignment counts one identity switch.
+    Pairs are taken in descending IoU order (each box used once; ties go
+    to the lower ground-truth, then prediction, index); a matched
+    ground-truth track whose assigned prediction track differs from its
+    previous assignment counts one identity switch.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise InputError(f"iou_threshold must be in (0,1]: {iou_threshold}")
     if not gt:
         raise EmptyGroundTruth("ground truth has no tracked boxes")
-    gt_frames = defaultdict(list)
-    for g in gt:
-        gt_frames[g.frame_index].append(g)
-    pred_frames = defaultdict(list)
-    for p in pred:
-        pred_frames[p.frame_index].append(p)
+    gt_frames = _group(gt, lambda g: g.frame_index)
+    pred_frames = _group(pred, lambda p: p.frame_index)
 
     fn = fp = idsw = 0
     last_assignment: dict[int, int] = {}  # gt track -> pred track
     for frame in sorted(set(gt_frames) | set(pred_frames)):
         g_boxes = gt_frames.get(frame, [])
         p_boxes = pred_frames.get(frame, [])
-        pairs = []
-        for gi, g in enumerate(g_boxes):
-            for pi, p in enumerate(p_boxes):
-                v = iou(g.box, p.box)
-                if v >= iou_threshold:
-                    pairs.append((-v, gi, pi))
-        pairs.sort()
+        ious = iou_matrix(_xyxy(g_boxes), _xyxy(p_boxes))
+        rows, cols = np.nonzero(ious >= iou_threshold)
+        order = np.argsort(-ious[rows, cols], kind="stable")
         g_used = [False] * len(g_boxes)
         p_used = [False] * len(p_boxes)
         matched = 0
-        for _, gi, pi in pairs:
+        for gi, pi in zip(rows[order].tolist(), cols[order].tolist()):
             if g_used[gi] or p_used[pi]:
                 continue
             g_used[gi] = True

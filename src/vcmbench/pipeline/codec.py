@@ -88,14 +88,16 @@ def expand_template(template: str, substitutions: dict[str, str]) -> list[str]:
 
 def run_command(argv: list[str], what: str) -> None:
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True)
     except OSError as e:
         raise CommandFailed(f"{what}: cannot start {argv}: {e}", argv=argv) from e
     if proc.returncode != 0:
+        # a tool may write any bytes to stderr
+        stderr = proc.stderr.decode("utf-8", errors="replace")
         raise CommandFailed(
-            f"{what}: exit {proc.returncode}: {argv}\n{proc.stderr.strip()}",
+            f"{what}: exit {proc.returncode}: {argv}\n{stderr.strip()}",
             argv=argv,
-            stderr=proc.stderr,
+            stderr=stderr,
         )
 
 

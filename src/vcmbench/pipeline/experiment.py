@@ -11,10 +11,11 @@ predictions are produced at source resolution.
 
 Aggregation per (scale, qp): the rate is the mean bits-per-source-pixel
 over items (bits per second for tracking); the metric is computed over
-the pooled detection set (summed CLEAR-MOT counts for tracking). One RD
-curve per scale comes out, plus the Pareto front over all scales.
+the pooled detection set, but a detection only matches ground truth of
+its own item (summed CLEAR-MOT counts for tracking). One RD curve per
+scale comes out, plus the Pareto front over all scales.
 
-Units are independent and may run in a bounded thread pool; records are
+Units are independent and run in a pool of `jobs` threads; records are
 reduced in a fixed order, so reports are byte-identical at any job
 count. After the first failure, units still queued are cancelled, and
 the error carries every record that completed; so does a failure to
@@ -24,7 +25,7 @@ evaluate a (scale, qp) cell.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..errors import EmptyGroundTruth, InputError, StageError, VcmError
@@ -273,22 +274,28 @@ def _process_item(
         raise StageError(stage, item.item_id, qp, scale, e) from e
 
 
+def _scoped(i: int, boxes: list) -> list:
+    """Prefix each image id with the item index, so items never match each other."""
+    return [replace(b, image_id=f"{i}/{b.image_id}") for b in boxes]
+
+
 def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list) -> float:
     """Pooled task metric over one (scale, qp) cell.
 
-    cell[i] is item i's record and truths[i] its parsed ground truth. A
-    failure raises StageError naming the item whose predictions failed.
+    cell[i] is item i's record and truths[i] its parsed ground truth
+    (image ids `_scoped` for detection). A failure raises StageError
+    naming the item whose predictions failed.
     """
     tracking = manifest.task == TASK_TRACKING
     counts, dets = [], []
-    for rec, gt in zip(cell, truths):
+    for i, (rec, gt) in enumerate(zip(cell, truths)):
         try:
             if tracking:
                 counts.append(
                     mota(load_tracks(rec.predictions_path), gt, manifest.iou_thresholds[0])
                 )
             else:
-                dets.extend(load_detections(rec.predictions_path))
+                dets.extend(_scoped(i, load_detections(rec.predictions_path)))
         except (VcmError, OSError) as e:
             raise StageError("evaluate", rec.item_id, rec.qp, rec.scale, e) from e
     if tracking:
@@ -311,6 +318,8 @@ def run_experiment(
     truths = [load_truth(item.ground_truth) for item in manifest.items]
     if not any(truths):
         raise EmptyGroundTruth("no item has any ground-truth box")
+    if manifest.task == TASK_DETECTION:
+        truths = [_scoped(i, gt) for i, gt in enumerate(truths)]
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     units = [
@@ -335,18 +344,14 @@ def run_experiment(
     rd_points: dict[tuple[int, int], tuple[float, float]] = {}
     curves = []
     try:
-        if jobs == 1:
-            for unit in units:
-                run_unit(unit)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run_unit, unit) for unit in units]
-                wait(futures, return_when=FIRST_EXCEPTION)
-                pool.shutdown(cancel_futures=True)
-            # of the units that failed, the first in unit order is reported
-            for fut in futures:
-                if not fut.cancelled() and fut.exception() is not None:
-                    raise fut.exception()
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run_unit, unit) for unit in units]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
+        # of the units that failed, the first in unit order is reported
+        for fut in futures:
+            if not fut.cancelled() and fut.exception() is not None:
+                raise fut.exception()
         for scale in manifest.scales:
             points = []
             for qp in manifest.codec.qp_list:

@@ -6,8 +6,7 @@ ceil(dim/2) in each direction.
 
 Scaling is plain bilinear with half-pixel-centre sampling and
 half-away-from-zero rounding; 100% is an exact identity and constant
-images stay constant at any factor. An external scaler command can be
-used instead when bit-parity with specific tooling matters.
+images stay constant at any factor.
 """
 
 from __future__ import annotations

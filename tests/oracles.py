@@ -8,6 +8,7 @@ avoids the code paths under test.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 
@@ -21,6 +22,53 @@ def iou_xyxy(a, b) -> float:
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
+
+
+def mota_pairwise(pred, gt, iou_threshold):
+    """CLEAR-MOT (fn, fp, idsw, gt) with per-frame greedy matching, one pair at a time.
+
+    Pairs are taken in (-IoU, gt index, pred index) order, each box used once.
+    """
+    gt_frames = defaultdict(list)
+    for g in gt:
+        gt_frames[g.frame_index].append(g)
+    pred_frames = defaultdict(list)
+    for p in pred:
+        pred_frames[p.frame_index].append(p)
+
+    fn = fp = idsw = 0
+    last_assignment = {}  # gt track -> pred track
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        g_boxes = gt_frames.get(frame, [])
+        p_boxes = pred_frames.get(frame, [])
+        pairs = []
+        for gi, g in enumerate(g_boxes):
+            for pi, p in enumerate(p_boxes):
+                v = iou_xyxy(
+                    (g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max),
+                    (p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max),
+                )
+                if v >= iou_threshold:
+                    pairs.append((-v, gi, pi))
+        pairs.sort()
+        g_used = [False] * len(g_boxes)
+        p_used = [False] * len(p_boxes)
+        matched = 0
+        for _, gi, pi in pairs:
+            if g_used[gi] or p_used[pi]:
+                continue
+            g_used[gi] = True
+            p_used[pi] = True
+            matched += 1
+            gt_track = g_boxes[gi].track_id
+            pred_track = p_boxes[pi].track_id
+            prev = last_assignment.get(gt_track)
+            if prev is not None and prev != pred_track:
+                idsw += 1
+            last_assignment[gt_track] = pred_track
+        fn += len(g_boxes) - matched
+        fp += len(p_boxes) - matched
+    return fn, fp, idsw, len(gt)
 
 
 def _match_prefix(dets, gts, threshold):

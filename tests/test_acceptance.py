@@ -27,7 +27,7 @@ from vcmbench.featurecodec import (
 )
 from vcmbench.featurecodec.entropy import decode_bytes, encode_bytes
 from vcmbench.featurecodec.quantize import dequantize_8bit, quantize_8bit
-from vcmbench.metrics import average_precision, mota
+from vcmbench.metrics import mean_average_precision, mota
 from vcmbench.model import (
     BoundingBox,
     Detection,
@@ -249,7 +249,7 @@ def test_criterion_08_map_oracle_equivalence_500_instances():
     for _ in range(500):
         dets, gts = _random_map_instance(rng)
         for c in sorted({g.class_id for g in gts}):
-            ours = average_precision(dets, gts, c, 0.5)
+            ours = mean_average_precision(dets, gts, (0.5,)).per_class_ap[c]
             ref = ap_bruteforce(dets, gts, c, 0.5)
             assert ours == ref or abs(ours - ref) < 1e-12
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vcmbench"
 
 # Library calls that the acceptance criteria exercise and no command makes.
 ENTRY_POINTS = {
-    "average_precision",  # criterion 8: one class's AP against the cutoff oracle
     "raw_size_bits",  # criterion 4: 32/8/2-bit size ratios
     "pack_multiscale",  # criterion 6: multiscale packing is a bijection
 }

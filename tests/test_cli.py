@@ -519,6 +519,18 @@ def test_run_command_not_executable_exits_3(tmp_path, capsys):
     assert err.startswith("error: ") and "detector.sh" in err
 
 
+def test_run_command_with_undecodable_stderr_exits_3(tmp_path, capsys):
+    noisy = (
+        f'{sys.executable} -c "import sys; '
+        'sys.stderr.buffer.write(bytes([255, 254, 10])); sys.exit(1)"'
+    )
+    rc = main(["run", _manifest(tmp_path, prediction_command=noisy),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_report_takes_output_dir_from_config(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = _file(tmp_path / "c.cfg", f"output-dir={tmp_path / 'tables'}\n".encode())

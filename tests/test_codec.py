@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vcmbench.errors import CommandFailed, InvariantViolation, OutputMissing
 from vcmbench.featurecodec.entropy import encode_bytes
-from vcmbench.pipeline.codec import CodecSpec, expand_template, run_codec
+from vcmbench.pipeline.codec import CodecSpec, expand_template, run_codec, run_command
 
 
 def test_codec_spec_validation():
@@ -120,6 +120,13 @@ def test_external_codec_nonzero_exit(tmp_path):
     src.write_bytes(b"x")
     with pytest.raises(CommandFailed):
         run_codec(spec, src, 22, tmp_path / "w")
+
+
+def test_command_with_undecodable_stderr_succeeds():
+    run_command(
+        [sys.executable, "-c", "import sys; sys.stderr.buffer.write(bytes([255, 254, 10]))"],
+        "prediction",
+    )
 
 
 def test_external_codec_missing_binary(tmp_path):

@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_H, FIXTURE_W, make_blob_image
+from conftest import FIXTURE_H, FIXTURE_W, make_blob_image, write_jsonl
 from vcmbench.errors import InputError, StageError
 from vcmbench.pipeline import experiment
 from vcmbench.pipeline.experiment import load_manifest, run_experiment
-from vcmbench.pipeline.yuv import write_yuv420
+from vcmbench.pipeline.yuv import RawImage, write_yuv420
 from vcmbench.rdcurves import bpp
 
 
@@ -192,13 +192,14 @@ def test_jobs_2_failure_keeps_every_completed_record(tmp_path, blob_manifest):
     doc = json.loads(path.read_text())
     doc["items"][1]["path"] = "missing.yuv"
     path.write_text(json.dumps(doc))
-    with pytest.raises(StageError) as err:
-        run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=2)
-    assert (err.value.stage, err.value.item_id, err.value.qp) == ("load", "img_b", 22)
-    # item a's units are queued first, so all of them complete
-    assert [(r.item_id, r.qp, r.scale) for r in err.value.partial_records] == [
-        ("img_a", qp, scale) for qp in (22, 27) for scale in (25, 50, 75, 100)
-    ]
+    for jobs in (1, 2):
+        with pytest.raises(StageError) as err:
+            run_experiment(load_manifest(path), work_dir=tmp_path / f"work{jobs}", jobs=jobs)
+        assert (err.value.stage, err.value.item_id, err.value.qp) == ("load", "img_b", 22)
+        # item a's units are queued first, so all of them complete
+        assert [(r.item_id, r.qp, r.scale) for r in err.value.partial_records] == [
+            ("img_a", qp, scale) for qp in (22, 27) for scale in (25, 50, 75, 100)
+        ]
 
 
 def test_evaluate_failure_keeps_every_record(tmp_path, blob_manifest):
@@ -248,15 +249,41 @@ def test_jobs_2_failure_cancels_queued_units(tmp_path, blob_manifest, monkeypatc
         return rec
 
     monkeypatch.setattr(experiment, "_process_item", slow)
-    with pytest.raises(StageError) as err:
-        run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=2)
-    assert (err.value.item_id, err.value.qp) == ("img_b", 22)
-    # img_b fails at once while img_a is still running; the worker that ran
-    # img_b may start img_c, and the units behind it are cancelled
-    done = sorted(r.item_id for r in completed)
-    assert done in (["img_a"], ["img_a", "img_c"])
-    # every completed record is kept, in key order, not just those ahead of img_b
-    assert [r.item_id for r in err.value.partial_records] == done
+    for jobs in (1, 2):
+        completed.clear()
+        with pytest.raises(StageError) as err:
+            run_experiment(load_manifest(path), work_dir=tmp_path / f"work{jobs}", jobs=jobs)
+        assert (err.value.item_id, err.value.qp) == ("img_b", 22)
+        # img_b fails while img_a runs (jobs 2) or right after it (jobs 1); the
+        # worker that ran img_b may start img_c, and the units behind it are
+        # cancelled
+        done = sorted(r.item_id for r in completed)
+        assert done in (["img_a"], ["img_a", "img_c"])
+        # every completed record is kept, in key order, not just those ahead of img_b
+        assert [r.item_id for r in err.value.partial_records] == done
+
+
+def test_items_sharing_an_image_id_match_only_within_each_item(tmp_path):
+    # item b's detection sits on item a's GT box; pooled by image id alone
+    # it would be a true positive
+    boxes = {"a": ([0, 0, 10, 10], []), "b": ([30, 30, 40, 40], [[0, 0, 10, 10]])}
+    items = []
+    for name, (gt_box, det_boxes) in boxes.items():
+        write_yuv420(RawImage.flat(64, 64), tmp_path / f"{name}.yuv")
+        write_jsonl([{"image_id": "0", "class_id": 0, "bbox": gt_box}], tmp_path / f"{name}.gt")
+        write_jsonl(
+            [{"image_id": "0", "class_id": 0, "bbox": b, "score": 0.9} for b in det_boxes],
+            tmp_path / f"{name}.det",
+        )
+        items.append({"id": name, "path": f"{name}.yuv", "width": 64, "height": 64,
+                      "ground_truth": f"{name}.gt", "predictions": {"22:100": f"{name}.det"}})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "task": "DETECTION", "scales": [100],
+        "codec": {"kind": "NULL", "qp_list": [22]}, "items": items,
+    }))
+    result = run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert result.rd_points[(100, 22)][1] == 0.0
 
 
 def test_pixel_work_once_per_item_scale(tmp_path, blob_manifest, monkeypatch):

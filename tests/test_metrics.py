@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import ap_bruteforce, map_bruteforce
+from oracles import ap_bruteforce, iou_xyxy, map_bruteforce, mota_pairwise
 from vcmbench.errors import EmptyGroundTruth, InputError
-from vcmbench.metrics import (
-    average_precision,
-    iou,
-    mean_average_precision,
-    mota,
-)
+from vcmbench.metrics import iou_matrix, mean_average_precision, mota
 from vcmbench.model import (
     BoundingBox,
     Detection,
@@ -29,32 +26,45 @@ def gt(img, cls, box):
     return GroundTruthBox(img, cls, box)
 
 
+def class_ap(dets, gts, class_id, threshold, interpolation="all_points"):
+    return mean_average_precision(dets, gts, (threshold,), interpolation).per_class_ap[class_id]
+
+
 # --- IoU ---
 
-def test_iou_identical():
-    assert iou(B(1, 2, 5, 9), B(1, 2, 5, 9)) == 1.0
+# a coarse grid makes identical, edge-touching and equal-IoU boxes common
+grid_box = st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 3), st.integers(1, 3)
+).map(lambda t: (float(t[0]), float(t[1]), float(t[0] + t[2]), float(t[1] + t[3])))
+float_box = st.lists(
+    st.floats(0, 100, allow_nan=False, allow_subnormal=False), min_size=4, max_size=4
+).filter(lambda c: c[0] < c[2] and c[1] < c[3])
 
 
-def test_iou_disjoint():
-    assert iou(B(0, 0, 1, 1), B(5, 5, 6, 6)) == 0.0
-
-
-def test_iou_half_shifted_unit_squares():
-    # intersection 0.5, union 1.5
-    assert iou(B(0, 0, 1, 1), B(0.5, 0, 1.5, 1)) == pytest.approx(1 / 3)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(grid_box | float_box, max_size=5), st.lists(grid_box | float_box, max_size=5))
+@example([(1, 2, 5, 9)], [(1, 2, 5, 9)])  # identical: 1
+@example([(0, 0, 1, 1)], [(5, 5, 6, 6)])  # disjoint: 0
+@example([(0, 0, 1, 1)], [(0.5, 0, 1.5, 1)])  # half-shifted unit squares: 1/3
+@example([(0, 0, 1, 1)], [(1, 0, 2, 1), (0, 1, 1, 2)])  # edge-touching: ix or iy is 0
+def test_iou_matrix_matches_scalar_oracle(a, b):
+    got = iou_matrix(
+        np.array(a, dtype=np.float64).reshape(-1, 4),
+        np.array(b, dtype=np.float64).reshape(-1, 4),
+    )
+    assert got.shape == (len(a), len(b))
+    for i, j in np.ndindex(got.shape):
+        assert got[i, j] == iou_xyxy(a[i], b[j])
 
 
 def test_iou_scale_invariance():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        x0, y0 = rng.uniform(0, 10, 2)
-        a = B(x0, y0, x0 + rng.uniform(0.1, 5), y0 + rng.uniform(0.1, 5))
-        x0, y0 = rng.uniform(0, 10, 2)
-        b = B(x0, y0, x0 + rng.uniform(0.1, 5), y0 + rng.uniform(0.1, 5))
-        s = rng.uniform(0.1, 20)
-        a2 = B(a.x_min * s, a.y_min * s, a.x_max * s, a.y_max * s)
-        b2 = B(b.x_min * s, b.y_min * s, b.x_max * s, b.y_max * s)
-        assert iou(a, b) == pytest.approx(iou(a2, b2), abs=1e-12)
+    x0 = rng.uniform(0, 10, (2, 50, 2))
+    a, b = np.concatenate([x0, x0 + rng.uniform(0.1, 5, (2, 50, 2))], axis=2)
+    s = rng.uniform(0.1, 20, (50, 1))
+    np.testing.assert_allclose(
+        np.diag(iou_matrix(a * s, b * s)), np.diag(iou_matrix(a, b)), rtol=0, atol=1e-12
+    )
 
 
 # --- AP ---
@@ -62,7 +72,7 @@ def test_iou_scale_invariance():
 def test_ap_perfect_single_match():
     dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]
     gts = [gt("i", 0, B(0, 0, 10, 8))]  # IoU 0.8 >= 0.5
-    assert average_precision(dets, gts, 0, 0.5) == 1.0
+    assert class_ap(dets, gts, 0, 0.5) == 1.0
 
 
 def test_ap_high_scored_fp_then_tp():
@@ -73,17 +83,20 @@ def test_ap_high_scored_fp_then_tp():
         det("i", 0, B(50, 50, 60, 60), 0.9),
         det("i", 0, B(0, 0, 10, 10), 0.5),
     ]
-    assert average_precision(dets, gts, 0, 0.5) == pytest.approx(0.5)
+    assert class_ap(dets, gts, 0, 0.5) == pytest.approx(0.5)
 
 
 def test_ap_no_detections():
     gts = [gt("i", 0, B(0, 0, 10, 10))]
-    assert average_precision([], gts, 0, 0.5) == 0.0
+    assert class_ap([], gts, 0, 0.5) == 0.0
 
 
 def test_ap_no_ground_truth_is_zero():
+    # class 0 has no GT, so it gets no AP and its detection counts nowhere
     dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]
-    assert average_precision(dets, [], 0, 0.5) == 0.0
+    r = mean_average_precision(dets, [gt("i", 1, B(0, 0, 10, 10))], (0.5,))
+    assert r.per_class_ap == {1: 0.0}
+    assert r.counts == {1: (0, 0, 1)}
 
 
 def test_ap_score_tie_breaks_by_input_order():
@@ -92,18 +105,18 @@ def test_ap_score_tie_breaks_by_input_order():
     gts = [gt("i", 0, B(0, 0, 10, 10))]
     hit = det("i", 0, B(0, 0, 10, 10), 0.5)
     miss = det("i", 0, B(50, 50, 60, 60), 0.5)
-    assert average_precision([hit, miss], gts, 0, 0.5) == pytest.approx(1.0)
-    assert average_precision([miss, hit], gts, 0, 0.5) == pytest.approx(0.5)
+    assert class_ap([hit, miss], gts, 0, 0.5) == pytest.approx(1.0)
+    assert class_ap([miss, hit], gts, 0, 0.5) == pytest.approx(0.5)
 
 
 def test_ap_invariant_under_monotone_score_transform():
     rng = np.random.default_rng(11)
     dets, gts = _random_instance(rng, n_images=4, n_boxes=15, n_classes=2)
-    base = average_precision(dets, gts, 0, 0.5)
+    base = class_ap(dets, gts, 0, 0.5)
     squashed = [
         Detection(d.image_id, d.class_id, d.box, d.score ** 3) for d in dets
     ]
-    assert average_precision(squashed, gts, 0, 0.5) == pytest.approx(base, abs=1e-12)
+    assert class_ap(squashed, gts, 0, 0.5) == pytest.approx(base, abs=1e-12)
 
 
 def _random_instance(rng, n_images=5, n_boxes=20, n_classes=3):
@@ -147,7 +160,7 @@ def test_ap_matches_cutoff_enumeration_oracle():
         dets, gts = _random_instance(rng)
         classes = {g.class_id for g in gts}
         for c in classes:
-            ours = average_precision(dets, gts, c, 0.5)
+            ours = class_ap(dets, gts, c, 0.5)
             ref = ap_bruteforce(dets, gts, c, 0.5)
             assert ours == pytest.approx(ref, abs=1e-12)
             assert 0.0 <= ours <= 1.0
@@ -157,13 +170,13 @@ def test_ap_101pt_interpolation():
     # perfect single match: flat envelope, both modes agree
     dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]
     gts = [gt("i", 0, B(0, 0, 10, 10))]
-    assert average_precision(dets, gts, 0, 0.5, interpolation="101pt") == 1.0
+    assert class_ap(dets, gts, 0, 0.5, interpolation="101pt") == 1.0
     # one TP out of two GT: envelope is 1.0 up to recall 0.5, then 0;
     # 51 of the 101 sample points sit at or below recall 0.5
     gts2 = [gt("i", 0, B(0, 0, 10, 10)), gt("i", 0, B(30, 30, 40, 40))]
-    ap = average_precision(dets, gts2, 0, 0.5, interpolation="101pt")
+    ap = class_ap(dets, gts2, 0, 0.5, interpolation="101pt")
     assert ap == pytest.approx(51 / 101)
-    assert average_precision(dets, gts2, 0, 0.5) == pytest.approx(0.5)
+    assert class_ap(dets, gts2, 0, 0.5) == pytest.approx(0.5)
 
 
 def test_map_rejects_unknown_interpolation():
@@ -179,7 +192,7 @@ def test_map_single_class_single_threshold_reduces_to_ap():
     rng = np.random.default_rng(5)
     dets, gts = _random_instance(rng, n_classes=1)
     r = mean_average_precision(dets, gts, (0.5,))
-    assert r.map_value == pytest.approx(average_precision(dets, gts, gts[0].class_id, 0.5))
+    assert r.map_value == pytest.approx(class_ap(dets, gts, gts[0].class_id, 0.5))
 
 
 def test_map_two_classes_mean():
@@ -216,6 +229,25 @@ def test_map_multi_threshold_matches_oracle():
         assert r.map_value == pytest.approx(
             map_bruteforce(dets, gts, thresholds), abs=1e-12
         )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1), grid_box), max_size=8),
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1), grid_box), min_size=1,
+             max_size=6),
+)
+# the later, higher-scored detection ties on both GT boxes and must take
+# the first, which leaves the other detection below 0.5
+@example([("a", 0, (0, 0, 2, 2)), ("a", 0, (0, 0, 3, 2))],
+         [("a", 0, (0, 0, 2, 2)), ("a", 0, (1, 0, 3, 2))])
+def test_map_matches_oracle_on_tied_ious(det_rows, gt_rows):
+    # grid boxes tie often; the cutoff oracle needs distinct scores
+    dets = [det(img, c, B(*box), (k + 1) / 16) for k, (img, c, box) in enumerate(det_rows)]
+    gts = [gt(img, c, B(*box)) for img, c, box in gt_rows]
+    thresholds = (0.1, 0.25, 0.5, 1.0)
+    r = mean_average_precision(dets, gts, thresholds)
+    assert r.map_value == pytest.approx(map_bruteforce(dets, gts, thresholds), abs=1e-12)
 
 
 def test_map_box_scale_invariance():
@@ -285,6 +317,24 @@ def test_mota_accounting_identity_per_frame():
         matched = len(gt_tracks) - r.fn
         assert matched + r.fp == len(pred)
         assert r.gt == len(gt_tracks)
+
+
+tracked = st.builds(
+    lambda frame, track, box: tb(frame, track, B(*box)),
+    st.integers(0, 3), st.integers(0, 3), grid_box,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(tracked, max_size=12),
+    st.lists(tracked, min_size=1, max_size=12),
+    st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+)
+def test_mota_matches_pairwise_oracle(pred, gt_tracks, threshold):
+    # grid boxes tie often, so this pins the (-IoU, gt, pred) pair order
+    r = mota(pred, gt_tracks, threshold)
+    assert (r.fn, r.fp, r.idsw, r.gt) == mota_pairwise(pred, gt_tracks, threshold)
 
 
 def test_mota_empty_gt_raises():
