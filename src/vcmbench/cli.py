@@ -10,7 +10,7 @@ included), 3 external-command failure.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import sys
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .featurecodec import (
 from .featurecodec.packing import split_frames
 from .featurecodec.stream import read_stream, write_stream
 from .metrics import mean_average_precision, mota
-from .model import PackedFrameSet, QuantParams
+from .model import PackedFrameSet, QuantParams, frame_shapes
 from .pipeline.experiment import load_manifest, run_experiment
 from .rdcurves import (
     apply_cutoff,
@@ -89,11 +89,11 @@ def _thresholds(text: str) -> tuple[float, ...]:
 
 
 def _write_json(path, doc) -> None:
-    Path(path).write_bytes((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+    Path(path).write_bytes(report_to_json_bytes(doc))
 
 
 def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(report_to_json_bytes(obj).decode("utf-8"))
 
 
 def _cmd_eval_det(args, config) -> int:
@@ -163,14 +163,12 @@ def _cmd_bdrate(args, config) -> int:
         )
     _print_json(rows)
     if args.out:
-        lines = ["anchor,test,scale,bd_rate_percent,bd_quality"]
-        for r in rows:
-            scale = "" if r["scale"] is None else r["scale"]
-            lines.append(
-                f"{r['anchor']},{r['test']},{scale},"
-                f"{r['bd_rate_percent']!r},{r['bd_quality']!r}"
-            )
-        Path(args.out).write_bytes(("\n".join(lines) + "\n").encode())
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["anchor", "test", "scale", "bd_rate_percent", "bd_quality"])
+            for r in rows:
+                writer.writerow([r["anchor"], r["test"], r["scale"],
+                                 repr(r["bd_rate_percent"]), repr(r["bd_quality"])])
     return 0
 
 
@@ -229,6 +227,8 @@ def _quantize_tensor(tensor, bits: int, z_th: float):
 
 
 def _reconstruct_tensor(samples, params: QuantParams):
+    if isinstance(samples, list):
+        raise InputError("multiscale samples need per-level outputs; use the API")
     if params.bit_depth == 8:
         z = dequantize_8bit(samples, params)
     else:
@@ -307,8 +307,6 @@ def _cmd_feature(args, config) -> int:
         meta = {
             "layout": fs.layout,
             "dims": list(fs.original_dims),
-            "frames": len(fs.frames),
-            "frame_dims": [list(np.asarray(f).shape) for f in fs.frames],
             "permutation": list(perm) if perm is not None else None,
             "params": _params_to_json(fs.quant),
         }
@@ -325,17 +323,17 @@ def _cmd_feature(args, config) -> int:
         meta = read_json(args.meta)
         raw = Path(args.input).read_bytes()
         with parsing(f"{args.meta}: packing metadata"):
-            shapes = [(int(fh_), int(fw_)) for fh_, fw_ in meta["frame_dims"]]
+            layout, dims = meta["layout"], tuple(meta["dims"])
             params = _params_from_json(meta["params"], args.meta)
             perm = meta["permutation"]
             samples = unpack_frames(PackedFrameSet(
-                frames=split_frames(raw, shapes),
-                layout=meta["layout"],
-                original_dims=tuple(meta["dims"]),
+                frames=split_frames(raw, frame_shapes(layout, dims)),
+                layout=layout,
+                original_dims=dims,
                 channel_permutation=tuple(perm) if perm else None,
                 quant=params,
             ))
-        tensor = _reconstruct_tensor(np.asarray(samples), params)
+        tensor = _reconstruct_tensor(samples, params)
         write_feature_tensor(tensor, args.output)
         return 0
 
@@ -353,10 +351,7 @@ def _cmd_feature(args, config) -> int:
     if op == "decode":
         stream = read_stream(args.input)
         fs = entropy_decode(stream)
-        samples = unpack_frames(fs)
-        if isinstance(samples, list):
-            raise InputError("multiscale streams need per-level outputs; use the API")
-        tensor = _reconstruct_tensor(np.asarray(samples), stream.quant)
+        tensor = _reconstruct_tensor(unpack_frames(fs), stream.quant)
         write_feature_tensor(tensor, args.output)
         sys.stdout.write("checksum OK\n")
         if args.ref:
@@ -386,15 +381,13 @@ def _cmd_run(args, config) -> int:
                 for r in partial
             ]
             partial_path = out_dir / "partial_results.json"
-            partial_path.write_text(
-                json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            _write_json(partial_path, rows)
             # stderr carries only the error line that main writes
             sys.stdout.write(f"wrote {partial_path} ({len(rows)} completed records)\n")
         raise
     report = build_report(manifest_path, manifest, result)
     report_path = out_dir / "report.json"
-    report_path.write_bytes(report_to_json_bytes(report))
+    _write_json(report_path, report)
     for p in [report_path, *write_report_files(report, out_dir)]:
         sys.stdout.write(f"wrote {p}\n")
     return 0

@@ -3,7 +3,6 @@ channel reordering, and the lossless entropy baseline."""
 
 from .entropy import decode_bytes, encode_bytes
 from .packing import (
-    invert_permutation,
     pack_multiscale,
     pack_spatial_tiled,
     pack_temporal,
@@ -30,7 +29,6 @@ __all__ = [
     "encode_bytes",
     "entropy_decode",
     "entropy_encode",
-    "invert_permutation",
     "normalize",
     "pack_multiscale",
     "pack_spatial_tiled",

@@ -6,8 +6,9 @@ Three layouts, each an exact bijection on the occupied samples:
                   sample (x, y) lands at frame row 8y + c//8, column
                   8x + c%8, producing one 8h x 8w frame.
   MULTISCALE      each pyramid level is tiled as above; the finest level
-                  occupies the left block and the coarser levels stack
-                  top-to-bottom in a half-width right column, zero-filled.
+                  occupies the left 8h x 8w block and the coarser levels
+                  stack top-to-bottom in a 4w-wide right column,
+                  zero-filled, producing one 8h x 12w frame.
   TEMPORAL        one frame per channel, in channel order or a supplied
                   permutation.
 
@@ -25,9 +26,9 @@ from ..model import (
     LAYOUT_MULTISCALE,
     LAYOUT_SPATIAL_TILED,
     LAYOUT_TEMPORAL,
-    FeatureTensor,
     PackedFrameSet,
     QuantParams,
+    frame_shapes,
 )
 
 
@@ -77,11 +78,6 @@ def pack_spatial_tiled(
     )
 
 
-def multiscale_frame_dims(h2: int, w2: int) -> tuple[int, int]:
-    """Frame dims for the multiscale layout given the finest level's (h, w)."""
-    return 8 * h2, 8 * w2 + 4 * w2
-
-
 def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> PackedFrameSet:
     """Pack the five tiled levels of a P2..P6 pyramid into one zero-filled frame.
 
@@ -106,8 +102,7 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
             raise DimMismatch(f"P{k + 2} dims {arr.shape[1:]} != expected ({h}, {w})")
         h, w = h // 2, w // 2
     c, h2, w2 = arrays[0].shape
-    frame_h, frame_w = multiscale_frame_dims(h2, w2)
-    frame = np.zeros((frame_h, frame_w), dtype=np.uint8)
+    frame = np.zeros(frame_shapes(LAYOUT_MULTISCALE, (c, h2, w2))[0], dtype=np.uint8)
     frame[: 8 * h2, : 8 * w2] = _tile64(arrays[0])
     row = 0
     for arr in arrays[1:]:
@@ -165,29 +160,26 @@ def unpack_frames(fs: PackedFrameSet) -> np.ndarray | list[np.ndarray]:
     channel permutation (applied to channels before packing) is inverted
     here, so unpack(pack(x)) is exactly x.
     """
-    c, h, w = fs.original_dims
-    unperm = None
-    if fs.channel_permutation is not None:
-        unperm = list(invert_permutation(fs.channel_permutation))
+    _, h, w = fs.original_dims
     if fs.layout == LAYOUT_SPATIAL_TILED:
-        samples = _untile64(np.asarray(fs.frames[0]), h, w)
-        return samples[unperm] if unperm else samples
-    if fs.layout == LAYOUT_TEMPORAL:
-        stacked = np.stack([np.asarray(f) for f in fs.frames])
-        return stacked[unperm] if unperm else stacked
-    # MULTISCALE: level dims follow by successive halving of (h, w)
-    frame = np.asarray(fs.frames[0])
-    out = [_untile64(frame[: 8 * h, : 8 * w], h, w)]
-    row = 0
-    hk, wk = h, w
-    for _ in range(4):
-        hk, wk = hk // 2, wk // 2
-        block = frame[row : row + 8 * hk, 8 * w : 8 * w + 8 * wk]
-        out.append(_untile64(block, hk, wk))
-        row += 8 * hk
-    if unperm:
+        out = [_untile64(fs.frames[0], h, w)]
+    elif fs.layout == LAYOUT_TEMPORAL:
+        out = [np.stack(fs.frames)]
+    else:
+        # MULTISCALE: level dims follow by successive halving of (h, w)
+        frame = fs.frames[0]
+        out = [_untile64(frame[: 8 * h, : 8 * w], h, w)]
+        row = 0
+        hk, wk = h, w
+        for _ in range(4):
+            hk, wk = hk // 2, wk // 2
+            block = frame[row : row + 8 * hk, 8 * w : 8 * w + 8 * wk]
+            out.append(_untile64(block, hk, wk))
+            row += 8 * hk
+    if fs.channel_permutation is not None:
+        unperm = np.argsort(fs.channel_permutation)
         out = [lvl[unperm] for lvl in out]
-    return out
+    return out if fs.layout == LAYOUT_MULTISCALE else out[0]
 
 
 def reorder_channels(data) -> tuple[tuple[int, ...], np.ndarray]:
@@ -196,7 +188,7 @@ def reorder_channels(data) -> tuple[tuple[int, ...], np.ndarray]:
     Starts at channel 0 and repeatedly appends the unvisited channel with
     the smallest squared difference to the last appended one (ties break
     toward the lower channel index). Returns the permutation and the
-    reordered (C, h, w) array; apply invert_permutation to undo.
+    reordered (C, h, w) array; index with np.argsort(perm) to undo.
 
     All pairwise distances come from one Gram matrix, |a|^2 + |b|^2 -
     2 a.b, in float64. For integer samples (the quantizer's output) every
@@ -204,10 +196,7 @@ def reorder_channels(data) -> tuple[tuple[int, ...], np.ndarray]:
     are exact; for real-valued input, near-ties may resolve differently
     from a per-pair difference.
     """
-    if isinstance(data, FeatureTensor):
-        arr = data.values
-    else:
-        arr = np.asarray(data)
+    arr = np.asarray(data)
     if arr.ndim != 3:
         raise InputError(f"expected (C,h,w) data, got shape {arr.shape}")
     c = arr.shape[0]
@@ -222,10 +211,3 @@ def reorder_channels(data) -> tuple[tuple[int, ...], np.ndarray]:
         order.append(int(np.argmin(np.where(visited, np.inf, dist[order[-1]]))))
     perm = tuple(order)
     return perm, arr[list(perm)]
-
-
-def invert_permutation(perm) -> tuple[int, ...]:
-    inverse = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inverse[p] = i
-    return tuple(inverse)

@@ -10,9 +10,10 @@ Little-endian layout:
 The payload is the concatenation of the frame samples in frame order,
 row-major, coded as one raw LZMA2 stream by entropy.encode_bytes; the
 decoder rebuilds the coder settings from the sample count the header
-implies. crc32 covers the decoded sample bytes, so a corrupt or
-truncated payload is detected at decode time. payload_bits is the
-figure rate accounting uses.
+implies. A payload whose length disagrees with payload_bits is
+rejected when the stream is read; crc32 covers the decoded sample
+bytes, so a corrupt payload is detected at decode time. payload_bits is
+the figure rate accounting uses.
 
 Version 2 is the LZMA2 payload. Version 1 streams (the earlier adaptive
 range coder) are rejected as unsupported. Payload bytes depend on the
@@ -37,9 +38,10 @@ from ..model import (
     LAYOUT_TEMPORAL,
     PackedFrameSet,
     QuantParams,
+    frame_shapes,
 )
 from .entropy import decode_bytes, encode_bytes
-from .packing import multiscale_frame_dims, split_frames
+from .packing import split_frames
 
 STREAM_MAGIC = b"VCMS"
 STREAM_VERSION = 2
@@ -51,13 +53,15 @@ _TAG_LAYOUTS = {v: k for k, v in _LAYOUT_TAGS.items()}
 @dataclass(frozen=True)
 class CodedFeatureStream:
     layout: str
-    bit_depth: int
     dims: tuple[int, int, int]
     quant: QuantParams
     channel_permutation: tuple[int, ...] | None
-    payload_bits: int
     crc32: int
     payload: bytes
+
+    @property
+    def payload_bits(self) -> int:
+        return 8 * len(self.payload)
 
     def to_bytes(self) -> bytes:
         c, h, w = self.dims
@@ -65,7 +69,7 @@ class CodedFeatureStream:
         parts = [
             STREAM_MAGIC,
             struct.pack("<I", STREAM_VERSION),
-            struct.pack("<BB", _LAYOUT_TAGS[self.layout], self.bit_depth),
+            struct.pack("<BB", _LAYOUT_TAGS[self.layout], q.bit_depth),
             struct.pack("<3I", c, h, w),
             np.asarray(q.mean, dtype="<f4").tobytes(),
             np.asarray(q.std, dtype="<f4").tobytes(),
@@ -81,15 +85,6 @@ class CodedFeatureStream:
         return b"".join(parts)
 
 
-def _frame_shapes(layout: str, dims: tuple[int, int, int]) -> list[tuple[int, int]]:
-    c, h, w = dims
-    if layout == LAYOUT_SPATIAL_TILED:
-        return [(8 * h, 8 * w)]
-    if layout == LAYOUT_MULTISCALE:
-        return [multiscale_frame_dims(h, w)]
-    return [(h, w)] * c
-
-
 def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
     """Entropy-code a frame set into a self-describing stream."""
     if fs.quant is None:
@@ -103,11 +98,9 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
     payload = encode_bytes(raw)
     return CodedFeatureStream(
         layout=fs.layout,
-        bit_depth=fs.quant.bit_depth,
         dims=fs.original_dims,
         quant=fs.quant,
         channel_permutation=fs.channel_permutation,
-        payload_bits=8 * len(payload),
         crc32=zlib.crc32(raw),
         payload=payload,
     )
@@ -115,15 +108,7 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
 
 def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
     """Decode a stream back to the exact frame set it was built from."""
-    # cheap consistency checks before paying for decoding
-    if stream.payload_bits != 8 * len(stream.payload):
-        raise CorruptStream(
-            f"payload holds {8 * len(stream.payload)} bits, "
-            f"header claims {stream.payload_bits}"
-        )
-    if stream.layout == LAYOUT_SPATIAL_TILED and stream.dims[0] != 64:
-        raise CorruptStream(f"spatial layout requires 64 channels, got {stream.dims[0]}")
-    shapes = _frame_shapes(stream.layout, stream.dims)
+    shapes = frame_shapes(stream.layout, stream.dims)
     n = sum(fh * fw for fh, fw in shapes)
     raw = decode_bytes(stream.payload, n)
     if zlib.crc32(raw) != stream.crc32:
@@ -179,16 +164,18 @@ def stream_from_bytes(raw: bytes, origin: str = "<bytes>") -> CodedFeatureStream
     perm = tuple(take(f"<{c}H")) if perm_flag else None
     payload_bits, crc = take("<QI")
     payload = raw[off:]
+    if payload_bits != 8 * len(payload):
+        raise CorruptStream(
+            f"{origin}: payload holds {8 * len(payload)} bits, header claims {payload_bits}"
+        )
     quant = QuantParams(
         mean=mean, std=std, z_min=z_min, z_max=z_max, z_th=z_th, bit_depth=bit_depth
     )
     return CodedFeatureStream(
         layout=_TAG_LAYOUTS[tag],
-        bit_depth=bit_depth,
         dims=(c, h, w),
         quant=quant,
         channel_permutation=perm,
-        payload_bits=payload_bits,
         crc32=crc,
         payload=payload,
     )

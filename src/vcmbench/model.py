@@ -39,10 +39,6 @@ class BoundingBox:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise InvariantViolation(f"box must have positive extent: {coords}")
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -176,7 +172,29 @@ class QuantParams:
 LAYOUT_SPATIAL_TILED = "SPATIAL_TILED"
 LAYOUT_MULTISCALE = "MULTISCALE"
 LAYOUT_TEMPORAL = "TEMPORAL"
-_LAYOUTS = (LAYOUT_SPATIAL_TILED, LAYOUT_MULTISCALE, LAYOUT_TEMPORAL)
+
+
+def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
+    """The (rows, columns) of each frame a layout packs (C, h, w) samples into.
+
+    TEMPORAL makes C frames of h x w. SPATIAL_TILED makes one 8h x 8w
+    frame. MULTISCALE makes one 8h x 12w frame, (h, w) being the finest
+    pyramid level. Both tiled layouts need C = 64.
+    """
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+        for d in dims
+    ):
+        raise InvariantViolation(f"dims must be three integers >= 1: {dims}")
+    c, h, w = (int(d) for d in dims)
+    if layout == LAYOUT_TEMPORAL:
+        return [(h, w)] * c
+    if layout not in (LAYOUT_SPATIAL_TILED, LAYOUT_MULTISCALE):
+        raise InvariantViolation(f"unknown layout {layout!r}")
+    if c != 64:
+        raise InvariantViolation(f"{layout} requires C = 64, got {c}")
+    return [(8 * h, 8 * w if layout == LAYOUT_SPATIAL_TILED else 12 * w)]
 
 
 @dataclass(frozen=True)
@@ -185,7 +203,8 @@ class PackedFrameSet:
 
     original_dims are the (C,h,w) of the source sample array; for the
     MULTISCALE layout they are the dims of the finest level, from which
-    the coarser levels follow by successive halving.
+    the coarser levels follow by successive halving. The frames have
+    the shapes frame_shapes(layout, original_dims) gives.
     """
 
     frames: tuple[np.ndarray, ...]
@@ -195,28 +214,17 @@ class PackedFrameSet:
     quant: QuantParams | None = None
 
     def __post_init__(self):
-        if self.layout not in _LAYOUTS:
-            raise InvariantViolation(f"unknown layout {self.layout!r}")
+        shapes = frame_shapes(self.layout, self.original_dims)
         frames = tuple(_freeze(np.asarray(f, dtype=np.uint8)) for f in self.frames)
-        for f in frames:
-            if f.ndim != 2:
-                raise InvariantViolation("frames must be 2-D sample arrays")
+        if [f.shape for f in frames] != shapes:
+            raise InvariantViolation(
+                f"{self.layout} dims {self.original_dims} need {len(shapes)} frame(s) "
+                f"of {shapes[0][0]} x {shapes[0][1]}"
+            )
         object.__setattr__(self, "frames", frames)
-        c, h, w = self.original_dims
-        if self.layout == LAYOUT_SPATIAL_TILED:
-            if c != 64:
-                raise InvariantViolation("SPATIAL_TILED requires C = 64")
-            if len(frames) != 1 or frames[0].shape != (8 * h, 8 * w):
-                raise InvariantViolation("SPATIAL_TILED requires one 8h x 8w frame")
-        elif self.layout == LAYOUT_TEMPORAL:
-            if len(frames) != c:
-                raise InvariantViolation("TEMPORAL requires exactly C frames")
-            for f in frames:
-                if f.shape != (h, w):
-                    raise InvariantViolation("TEMPORAL frames must be h x w")
         if self.channel_permutation is not None:
             perm = tuple(int(p) for p in self.channel_permutation)
-            if sorted(perm) != list(range(c)):
+            if sorted(perm) != list(range(self.original_dims[0])):
                 raise InvariantViolation("channel_permutation must permute 0..C-1")
             object.__setattr__(self, "channel_permutation", perm)
         if self.quant is not None and self.quant.bit_depth == 2:

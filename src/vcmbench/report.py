@@ -124,13 +124,21 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(curves, front: RDCurve | None = None, title: str = "") -> str:
-    """Rate on x, metric on y; one polyline per curve plus the front."""
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def render_svg(curves, front: RDCurve, title: str) -> str:
+    """Rate on x, metric on y; one polyline per curve plus the front.
+
+    Labels and the title are XML-escaped; in the data comments a "--"
+    in a label is written as "-&#45;", since a comment may not hold "--".
+    """
     width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 30, 45
     plot_w, plot_h = width - ml - mr, height - mt - mb
     curves = list(curves)
-    everything = curves + ([front] if front is not None else [])
+    everything = curves + [front]
     rates = [p.rate for c in everything for p in c.points]
     quals = [p.quality for c in everything for p in c.points]
     r_lo, r_hi = min(rates), max(rates)
@@ -148,7 +156,7 @@ def render_svg(curves, front: RDCurve | None = None, title: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width // 2}" y="18" text-anchor="middle" font-size="14">{_escape(title)}</text>',
         f'<line x1="{ml}" y1="{mt + plot_h}" x2="{ml + plot_w}" y2="{mt + plot_h}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + plot_h}" stroke="black"/>',
         f'<text x="{ml}" y="{height - 8}" font-size="11">{_fmt(r_lo)}</text>',
@@ -169,23 +177,23 @@ def render_svg(curves, front: RDCurve | None = None, title: str = "") -> str:
             )
         lines.append(
             f'<text x="{ml + plot_w - 4}" y="{mt + 14 + 14 * idx}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{c.label}</text>'
+            f'font-size="11" fill="{color}">{_escape(c.label)}</text>'
         )
-    if front is not None:
-        pts = " ".join(f"{sx(p.rate):.2f},{sy(p.quality):.2f}" for p in front.points)
-        lines.append(
-            f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2.5" '
-            'stroke-dasharray="6,3"/>'
-        )
-        lines.append(
-            f'<text x="{ml + plot_w - 4}" y="{mt + 14 + 14 * len(curves)}" '
-            f'text-anchor="end" font-size="11">{front.label}</text>'
-        )
+    pts = " ".join(f"{sx(p.rate):.2f},{sy(p.quality):.2f}" for p in front.points)
+    lines.append(
+        f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2.5" '
+        'stroke-dasharray="6,3"/>'
+    )
+    lines.append(
+        f'<text x="{ml + plot_w - 4}" y="{mt + 14 + 14 * len(curves)}" '
+        f'text-anchor="end" font-size="11">{_escape(front.label)}</text>'
+    )
     # embed the plotted numbers so the file is diffable without a renderer
     for c in everything:
         scale = "" if c.scale_percent is None else str(c.scale_percent)
         rows = "\n".join(f"{p.rate!r},{p.quality!r}" for p in c.points)
-        lines.append(f"<!-- data:curve label={c.label} scale={scale}\nrate,quality\n{rows}\n-->")
+        label = _escape(c.label).replace("--", "-&#45;")
+        lines.append(f"<!-- data:curve label={label} scale={scale}\nrate,quality\n{rows}\n-->")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

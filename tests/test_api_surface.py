@@ -1,4 +1,5 @@
-"""Every public top-level def or class in src/vcmbench has a caller in src/.
+"""Every public top-level def or class in src/vcmbench, and every public
+method or property of a top-level class, has a caller in src/.
 
 A name counts as used where some module under src/ loads it: as a bare
 name or as an attribute. Imports are not uses, so a re-export from a
@@ -18,14 +19,25 @@ ENTRY_POINTS = {
 }
 
 
+def _public(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def _surface():
-    """(public top-level definitions -> defining file, names loaded anywhere)."""
+    """(public definition -> (defining file, name), names loaded anywhere).
+
+    Methods and properties are keyed Class.name; any load of the bare
+    name counts as their use.
+    """
     defined, used = {}, set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.relative_to(SRC)
+            if _public(node):
+                defined[node.name] = (path.relative_to(SRC), node.name)
+            if isinstance(node, ast.ClassDef):
+                for member in filter(_public, node.body):
+                    defined[f"{node.name}.{member.name}"] = (path.relative_to(SRC), member.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -37,9 +49,9 @@ def _surface():
 def test_every_public_definition_has_a_caller():
     defined, used = _surface()
     unused = sorted(
-        f"{path}: {name}"
-        for name, path in defined.items()
-        if name not in used and name not in ENTRY_POINTS
+        f"{path}: {key}"
+        for key, (path, name) in defined.items()
+        if name not in used and key not in ENTRY_POINTS
     )
     assert unused == []
 

@@ -1,7 +1,9 @@
+import csv
 import json
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -114,6 +116,18 @@ def test_bdrate_constant_ratio(tmp_path, capsys):
     assert written_bd == pytest.approx(-10.0, abs=1e-6)
 
 
+def test_bdrate_out_quotes_labels_with_commas(tmp_path):
+    rates = [0.1, 0.2, 0.4, 0.8]
+    _write_curve_csv(tmp_path / "a.csv", rates, [0.2, 0.4, 0.6, 0.8], label="a,b")
+    rc = main(["bdrate", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"),
+               "--out", str(tmp_path / "bd.csv")])
+    assert rc == 0
+    with open(tmp_path / "bd.csv", newline="", encoding="utf-8") as fh:
+        header, row = csv.reader(fh)
+    assert len(row) == len(header) == 5
+    assert row[:3] == ["a,b", "a,b", ""]
+
+
 def test_bdrate_no_overlap_exits_2(tmp_path, capsys):
     _write_curve_csv(tmp_path / "a.csv", [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4])
     _write_curve_csv(tmp_path / "b.csv", [0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8])
@@ -163,6 +177,17 @@ def test_pareto_svg_golden(tmp_path):
     assert produced.count("data:curve") == 5  # 4 scales + front
     golden = (GOLDEN / "pareto_plot.svg").read_text(encoding="utf-8")
     assert produced == golden
+
+
+def test_pareto_svg_escapes_labels(tmp_path):
+    label = "a&b<c--d"
+    _write_curve_csv(tmp_path / "c.csv", [0.1, 0.2], [0.5, 0.6], label=label)
+    rc = main(["pareto", str(tmp_path / "c.csv"), "--out", str(tmp_path / "p.csv"),
+               "--svg", str(tmp_path / "p.svg")])
+    assert rc == 0
+    doc = minidom.parse(str(tmp_path / "p.svg"))
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text") if t.firstChild]
+    assert label in texts
 
 
 def test_feature_quant_dequant_error_bound(tmp_path, capsys):
@@ -230,13 +255,21 @@ def test_feature_pack_unpack_roundtrip(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "packed.yuv").stat().st_size == 64 * 9
-    rc = main([
-        "feature", "unpack", str(tmp_path / "packed.yuv"), str(tmp_path / "rec.vcmf"),
-        "--meta", str(tmp_path / "meta.json"),
-    ])
-    assert rc == 0
-    rec = read_feature_tensor(tmp_path / "rec.vcmf")
-    assert np.abs(rec.values - t.values).max() < 0.1
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert sorted(meta) == ["dims", "layout", "params", "permutation"]
+    # sidecars of older versions also carry frames and frame_dims; both are ignored
+    old = dict(meta, frames=1, frame_dims=[[24, 24]])
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    recs = []
+    for sidecar in ("meta.json", "old.json"):
+        rc = main([
+            "feature", "unpack", str(tmp_path / "packed.yuv"), str(tmp_path / "rec.vcmf"),
+            "--meta", str(tmp_path / sidecar),
+        ])
+        assert rc == 0
+        recs.append(read_feature_tensor(tmp_path / "rec.vcmf").values)
+    assert np.array_equal(recs[0], recs[1])
+    assert np.abs(recs[0] - t.values).max() < 0.1
 
 
 def test_feature_unpack_truncated_file_exits_2(tmp_path, capsys):
@@ -308,8 +341,7 @@ def _eval_det_csv_dir_missing(d) -> list[str]:
             "--csv", str(d / "nodir" / "ap.csv")]
 
 
-_META = {"layout": "TEMPORAL", "dims": [1, 2, 2], "frame_dims": [[2, 2]],
-         "permutation": None, "params": _PARAMS}
+_META = {"layout": "TEMPORAL", "dims": [1, 2, 2], "permutation": None, "params": _PARAMS}
 
 
 def _report_without_rd_tables(d) -> list[str]:
@@ -377,10 +409,17 @@ BAD_INPUTS = {
         d, json.dumps({k: v for k, v in _PARAMS.items() if k != "z_min"}).encode()
     ),
     "unpack-meta-not-json": lambda d: _unpack(d, _NOT_JSON),
-    "unpack-meta-without-frame-dims": lambda d: _unpack(
-        d, json.dumps({"layout": "TEMPORAL", "dims": [1, 2, 2], "permutation": None,
-                       "params": _PARAMS}).encode()
+    "unpack-meta-unknown-layout": lambda d: _unpack(
+        d, json.dumps(dict(_META, layout="DIAGONAL")).encode()
     ),
+    "unpack-meta-without-dims": lambda d: _unpack(
+        d, json.dumps({k: v for k, v in _META.items() if k != "dims"}).encode()
+    ),
+    "unpack-meta-multiscale": lambda d: [
+        "feature", "unpack", _file(d / "p.yuv", bytes(8 * 12)), str(d / "rec.vcmf"),
+        "--meta", _file(d / "m.json", json.dumps(
+            dict(_META, layout="MULTISCALE", dims=[64, 1, 1])).encode()),
+    ],
     "run-manifest-missing": lambda d: ["run", str(d / "absent.json"),
                                        "--output-dir", str(d / "out")],
     "run-manifest-not-utf8": lambda d: ["run", _file(d / "m.json", _NOT_UTF8),

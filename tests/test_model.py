@@ -11,6 +11,7 @@ from vcmbench.model import (
     RDCurve,
     RDPoint,
     TrackedBox,
+    frame_shapes,
 )
 
 
@@ -82,6 +83,31 @@ def test_packed_frame_set_shape_rules():
         )
     with pytest.raises(InvariantViolation):
         PackedFrameSet(frames=frames, layout="DIAGONAL", original_dims=(64, 2, 3))
+    ms = (np.zeros((16, 24), dtype=np.uint8),)
+    PackedFrameSet(frames=ms, layout="MULTISCALE", original_dims=(64, 2, 2))
+    for bad_frames, dims in [
+        ((np.zeros((5, 5), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8)), (64, 2, 2)),
+        (ms * 2, (64, 2, 2)),
+        (ms, (32, 2, 2)),
+    ]:
+        with pytest.raises(InvariantViolation):
+            PackedFrameSet(frames=bad_frames, layout="MULTISCALE", original_dims=dims)
+
+
+def test_frame_shapes_per_layout():
+    assert frame_shapes("TEMPORAL", (3, 2, 5)) == [(2, 5)] * 3
+    assert frame_shapes("SPATIAL_TILED", (64, 2, 5)) == [(16, 40)]
+    assert frame_shapes("MULTISCALE", (64, 2, 5)) == [(16, 60)]
+    for layout, dims in [
+        ("DIAGONAL", (1, 1, 1)),
+        ("SPATIAL_TILED", (63, 1, 1)),
+        ("TEMPORAL", (0, 2, 2)),
+        ("TEMPORAL", (1, 2.0, 2)),
+        ("TEMPORAL", (1, "2", 2)),
+        ("TEMPORAL", (1, 2)),
+    ]:
+        with pytest.raises(InvariantViolation):
+            frame_shapes(layout, dims)
 
 
 def test_packed_frame_set_2bit_alphabet():

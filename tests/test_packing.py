@@ -4,7 +4,6 @@ import pytest
 from oracles import best_chain_bruteforce, greedy_chain_pairwise
 from vcmbench.errors import DimMismatch, WrongChannelCount
 from vcmbench.featurecodec import (
-    invert_permutation,
     normalize,
     pack_multiscale,
     pack_spatial_tiled,
@@ -14,7 +13,7 @@ from vcmbench.featurecodec import (
     reorder_channels,
     unpack_frames,
 )
-from vcmbench.model import FeatureTensor
+from vcmbench.model import FeatureTensor, frame_shapes
 
 
 def _samples(rng, c, h, w):
@@ -97,11 +96,9 @@ def _pyramid(rng, c, h2, w2):
 
 
 def test_multiscale_frame_dims_formula():
-    from vcmbench.featurecodec.packing import multiscale_frame_dims
-
     # a 16x16 tiled finest block gives a 16-tall, 24-wide frame
-    assert multiscale_frame_dims(2, 2) == (16, 24)
-    assert multiscale_frame_dims(16, 16) == (128, 192)
+    assert frame_shapes("MULTISCALE", (64, 2, 2)) == [(16, 24)]
+    assert frame_shapes("MULTISCALE", (64, 16, 16)) == [(128, 192)]
 
 
 def test_multiscale_block_placement():
@@ -229,5 +226,5 @@ def test_inverse_permutation_roundtrip():
     rng = np.random.default_rng(12)
     s = rng.integers(0, 256, (8, 3, 3)).astype(np.uint8)
     perm, reordered = reorder_channels(s)
-    restored = reordered[list(invert_permutation(perm))]
+    restored = reordered[np.argsort(perm)]
     assert np.array_equal(restored, s)
