@@ -7,18 +7,24 @@ Little-endian layout:
     | perm_flag u8 [| permutation u16*C]
     | payload_bits u64 | crc32 u32 | payload bytes
 
-The payload is the concatenation of the frame samples in frame order,
-row-major, coded as one raw LZMA2 stream by entropy.encode_bytes; the
-decoder rebuilds the coder settings from the sample count the header
-implies. A payload whose length disagrees with payload_bits is
-rejected when the stream is read; crc32 covers the decoded sample
-bytes, so a corrupt payload is detected at decode time. payload_bits is
-the figure rate accounting uses.
+The coded bytes are the frame samples in frame order, row-major. At
+bit_depth 8 each sample is one byte. At bit_depth 2 the samples are
+packed four per byte: sample i sits in bits 2*(i % 4) of byte i // 4,
+and the unused bits of the last byte are zero. The payload is those
+coded bytes as one raw LZMA2 stream by entropy.encode_bytes; the decoder
+rebuilds the coder settings from the coded length the header implies.
+A payload whose length disagrees with payload_bits is rejected when the
+stream is read. crc32 covers the coded bytes (the padding bits
+included), so a corrupt payload is detected at decode time, and a
+2-bit stream whose padding bits are not zero is rejected. payload_bits
+is the figure rate accounting uses.
 
-Version 2 is the LZMA2 payload. Version 1 streams (the earlier adaptive
-range coder) are rejected as unsupported. Payload bytes depend on the
-local liblzma encoder, so the same tensor may code to other (equally
-decodable) bytes on another machine.
+Version 3 packs 2-bit samples; its 8-bit payloads are those of version
+2. Streams of versions 1 (the earlier adaptive range coder) and 2 (one
+byte per 2-bit sample) are rejected as unsupported: re-encode them from
+their tensors. Payload bytes depend on the local liblzma encoder, so
+the same tensor may code to other (equally decodable) bytes on another
+machine.
 """
 
 from __future__ import annotations
@@ -44,10 +50,11 @@ from .entropy import decode_bytes, encode_bytes
 from .packing import split_frames
 
 STREAM_MAGIC = b"VCMS"
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _LAYOUT_TAGS = {LAYOUT_SPATIAL_TILED: 0, LAYOUT_MULTISCALE: 1, LAYOUT_TEMPORAL: 2}
 _TAG_LAYOUTS = {v: k for k, v in _LAYOUT_TAGS.items()}
+_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,23 @@ class CodedFeatureStream:
         return b"".join(parts)
 
 
+def _pack_2bit(samples: np.ndarray) -> bytes:
+    """Samples in 0..3, four per byte: sample i in bits 2*(i % 4), zero-padded."""
+    padded = np.zeros(-(-samples.size // 4) * 4, dtype=np.uint8)
+    padded[: samples.size] = samples
+    quads = padded.reshape(-1, 4)
+    return (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).tobytes()
+
+
+def _unpack_2bit(coded: bytes, n: int) -> bytes:
+    """Invert _pack_2bit for n samples; CorruptStream on non-zero padding."""
+    quads = np.frombuffer(coded, dtype=np.uint8)[:, None] >> _SHIFTS & 3
+    samples = quads.ravel()
+    if samples[n:].any():
+        raise CorruptStream("non-zero padding bits after the last 2-bit sample")
+    return samples[:n].tobytes()
+
+
 def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
     """Entropy-code a frame set into a self-describing stream."""
     if fs.quant is None:
@@ -94,15 +118,20 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
             f"quant params cover {fs.quant.channels} channels, "
             f"frame set has {fs.original_dims[0]}"
         )
-    raw = b"".join(np.asarray(f, dtype=np.uint8).tobytes(order="C") for f in fs.frames)
-    payload = encode_bytes(raw)
+    samples = np.concatenate([np.asarray(f, dtype=np.uint8).ravel() for f in fs.frames])
+    if fs.quant.bit_depth == 2:
+        if samples.max() > 3:
+            raise BadParams("a 2-bit frame set holds a sample above 3")
+        coded = _pack_2bit(samples)
+    else:
+        coded = samples.tobytes()
     return CodedFeatureStream(
         layout=fs.layout,
         dims=fs.original_dims,
         quant=fs.quant,
         channel_permutation=fs.channel_permutation,
-        crc32=zlib.crc32(raw),
-        payload=payload,
+        crc32=zlib.crc32(coded),
+        payload=encode_bytes(coded),
     )
 
 
@@ -110,9 +139,11 @@ def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
     """Decode a stream back to the exact frame set it was built from."""
     shapes = frame_shapes(stream.layout, stream.dims)
     n = sum(fh * fw for fh, fw in shapes)
-    raw = decode_bytes(stream.payload, n)
-    if zlib.crc32(raw) != stream.crc32:
+    two_bit = stream.quant.bit_depth == 2
+    coded = decode_bytes(stream.payload, -(-n // 4) if two_bit else n)
+    if zlib.crc32(coded) != stream.crc32:
         raise CorruptStream("decoded samples fail the checksum")
+    raw = _unpack_2bit(coded, n) if two_bit else coded
     return PackedFrameSet(
         frames=split_frames(raw, shapes),
         layout=stream.layout,

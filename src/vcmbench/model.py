@@ -179,7 +179,8 @@ def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
 
     TEMPORAL makes C frames of h x w. SPATIAL_TILED makes one 8h x 8w
     frame. MULTISCALE makes one 8h x 12w frame, (h, w) being the finest
-    pyramid level. Both tiled layouts need C = 64.
+    pyramid level; both must be at least 16, so that P6, four halvings
+    down, keeps at least 1 px. Both tiled layouts need C = 64.
     """
     dims = tuple(dims)
     if len(dims) != 3 or not all(
@@ -194,6 +195,10 @@ def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
         raise InvariantViolation(f"unknown layout {layout!r}")
     if c != 64:
         raise InvariantViolation(f"{layout} requires C = 64, got {c}")
+    if layout == LAYOUT_MULTISCALE and min(h, w) < 16:
+        raise InvariantViolation(
+            f"MULTISCALE needs a finest level of at least 16 x 16 px, got {h} x {w}"
+        )
     return [(8 * h, 8 * w if layout == LAYOUT_SPATIAL_TILED else 12 * w)]
 
 

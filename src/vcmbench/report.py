@@ -9,7 +9,9 @@ numeric data embedded as structured comments so they diff cleanly.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -220,13 +222,15 @@ def _report_curves(report: dict) -> tuple[list[RDCurve], RDCurve]:
 
 
 def _bd_csv(rows) -> str:
-    lines = ["anchor,test,bd_rate_percent,bd_quality,error\n"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["anchor", "test", "bd_rate_percent", "bd_quality", "error"])
     for row in rows:
         bd_r = "" if row["bd_rate_percent"] is None else repr(row["bd_rate_percent"])
         bd_q = "" if row["bd_quality"] is None else repr(row["bd_quality"])
         err = (row["error"] or "").replace(",", ";").replace("\n", " ")
-        lines.append(f"{row['anchor']},{row['test']},{bd_r},{bd_q},{err}\n")
-    return "".join(lines)
+        writer.writerow([row["anchor"], row["test"], bd_r, bd_q, err])
+    return buf.getvalue()
 
 
 def write_report_files(report: dict, out_dir) -> list[Path]:

@@ -416,9 +416,9 @@ BAD_INPUTS = {
         d, json.dumps({k: v for k, v in _META.items() if k != "dims"}).encode()
     ),
     "unpack-meta-multiscale": lambda d: [
-        "feature", "unpack", _file(d / "p.yuv", bytes(8 * 12)), str(d / "rec.vcmf"),
+        "feature", "unpack", _file(d / "p.yuv", bytes(128 * 192)), str(d / "rec.vcmf"),
         "--meta", _file(d / "m.json", json.dumps(
-            dict(_META, layout="MULTISCALE", dims=[64, 1, 1])).encode()),
+            dict(_META, layout="MULTISCALE", dims=[64, 16, 16])).encode()),
     ],
     "run-manifest-missing": lambda d: ["run", str(d / "absent.json"),
                                        "--output-dir", str(d / "out")],
@@ -575,6 +575,17 @@ def test_report_takes_output_dir_from_config(tmp_path, monkeypatch, capsys):
     cfg = _file(tmp_path / "c.cfg", f"output-dir={tmp_path / 'tables'}\n".encode())
     assert main(["--config", cfg, "report", _report_doc(tmp_path)]) == 0
     assert (tmp_path / "tables" / "rd_curves.csv").is_file()
+
+
+def test_report_quotes_bd_labels_with_commas(tmp_path, capsys):
+    row = {"anchor": "pareto", "test": "a,b", "bd_rate_percent": -1.5,
+           "bd_quality": 0.25, "error": None}
+    doc = _report_doc(tmp_path, bd_table=[row])
+    assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 0
+    with open(tmp_path / "tables" / "bd_table.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [5, 5]
+    assert rows[1] == ["pareto", "a,b", "-1.5", "0.25", ""]
 
 
 def test_run_with_extra_qp_gives_superset_rd_tables(tmp_path, blob_manifest):

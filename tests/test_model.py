@@ -83,12 +83,12 @@ def test_packed_frame_set_shape_rules():
         )
     with pytest.raises(InvariantViolation):
         PackedFrameSet(frames=frames, layout="DIAGONAL", original_dims=(64, 2, 3))
-    ms = (np.zeros((16, 24), dtype=np.uint8),)
-    PackedFrameSet(frames=ms, layout="MULTISCALE", original_dims=(64, 2, 2))
+    ms = (np.zeros((128, 192), dtype=np.uint8),)
+    PackedFrameSet(frames=ms, layout="MULTISCALE", original_dims=(64, 16, 16))
     for bad_frames, dims in [
-        ((np.zeros((5, 5), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8)), (64, 2, 2)),
-        (ms * 2, (64, 2, 2)),
-        (ms, (32, 2, 2)),
+        ((np.zeros((5, 5), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8)), (64, 16, 16)),
+        (ms * 2, (64, 16, 16)),
+        (ms, (32, 16, 16)),
     ]:
         with pytest.raises(InvariantViolation):
             PackedFrameSet(frames=bad_frames, layout="MULTISCALE", original_dims=dims)
@@ -97,10 +97,13 @@ def test_packed_frame_set_shape_rules():
 def test_frame_shapes_per_layout():
     assert frame_shapes("TEMPORAL", (3, 2, 5)) == [(2, 5)] * 3
     assert frame_shapes("SPATIAL_TILED", (64, 2, 5)) == [(16, 40)]
-    assert frame_shapes("MULTISCALE", (64, 2, 5)) == [(16, 60)]
+    assert frame_shapes("MULTISCALE", (64, 16, 40)) == [(128, 480)]
     for layout, dims in [
         ("DIAGONAL", (1, 1, 1)),
         ("SPATIAL_TILED", (63, 1, 1)),
+        # a finest level under 16 px leaves P6 with no pixel
+        ("MULTISCALE", (64, 1, 1)),
+        ("MULTISCALE", (64, 8, 40)),
         ("TEMPORAL", (0, 2, 2)),
         ("TEMPORAL", (1, 2.0, 2)),
         ("TEMPORAL", (1, "2", 2)),

@@ -96,8 +96,8 @@ def _pyramid(rng, c, h2, w2):
 
 
 def test_multiscale_frame_dims_formula():
-    # a 16x16 tiled finest block gives a 16-tall, 24-wide frame
-    assert frame_shapes("MULTISCALE", (64, 2, 2)) == [(16, 24)]
+    # a 136x184 tiled finest block gives a 136-tall, 276-wide frame
+    assert frame_shapes("MULTISCALE", (64, 17, 23)) == [(136, 276)]
     assert frame_shapes("MULTISCALE", (64, 16, 16)) == [(128, 192)]
 
 

@@ -1,13 +1,18 @@
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vcmbench.errors import BadMagic, BadParams, CorruptStream
 from vcmbench.featurecodec import (
+    encode_bytes,
     entropy_decode,
     entropy_encode,
     normalize,
     pack_spatial_tiled,
     pack_temporal,
+    quantize_2bit,
     quantize_8bit,
 )
 from vcmbench.featurecodec.stream import (
@@ -15,7 +20,7 @@ from vcmbench.featurecodec.stream import (
     stream_from_bytes,
     write_stream,
 )
-from vcmbench.model import FeatureTensor, PackedFrameSet
+from vcmbench.model import FeatureTensor, PackedFrameSet, QuantParams
 
 
 def _frameset(rng, layout="TEMPORAL", c=6, h=5, w=4, perm=False):
@@ -98,11 +103,12 @@ def test_every_single_bit_payload_flip_detected():
                 entropy_decode(stream_from_bytes(bytes(bad)))
 
 
-def test_version_1_stream_unsupported():
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_stream_version_unsupported(version):
     rng = np.random.default_rng(9)
     raw = bytearray(entropy_encode(_frameset(rng)).to_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
-    with pytest.raises(BadMagic, match="unsupported version 1"):
+    raw[4:8] = version.to_bytes(4, "little")
+    with pytest.raises(BadMagic, match=f"unsupported version {version}"):
         stream_from_bytes(bytes(raw))
 
 
@@ -158,14 +164,70 @@ def test_header_fuzz_raises_only_harness_errors():
             pass  # any harness error is acceptable; crashes are not
 
 
+def _frameset_2bit(rng, c, h, w):
+    t = FeatureTensor(rng.normal(0, 2, (c, h, w)).astype(np.float32))
+    z, params = normalize(t, bit_depth=2)
+    return pack_temporal(quantize_2bit(z, params.z_th), quant=params)
+
+
 def test_2bit_stream_roundtrip():
     rng = np.random.default_rng(6)
-    t = FeatureTensor(rng.normal(0, 2, (4, 6, 6)).astype(np.float32))
-    from vcmbench.featurecodec import quantize_2bit
-
-    z, params = normalize(t, bit_depth=2)
-    samples = quantize_2bit(z, params.z_th)
-    fs = pack_temporal(samples, quant=params)
+    fs = _frameset_2bit(rng, 4, 6, 6)
     back = entropy_decode(entropy_encode(fs))
     assert all(np.array_equal(a, b) for a, b in zip(back.frames, fs.frames))
     assert back.quant.bit_depth == 2
+
+
+# 5, 18 and 315 samples leave 1, 2 and 3 samples in the last packed byte
+@pytest.mark.parametrize("dims", [(1, 1, 5), (2, 3, 3), (5, 7, 9)])
+def test_2bit_roundtrip_with_partial_last_byte(dims):
+    fs = _frameset_2bit(np.random.default_rng(12), *dims)
+    back = entropy_decode(stream_from_bytes(entropy_encode(fs).to_bytes()))
+    assert all(np.array_equal(a, b) for a, b in zip(back.frames, fs.frames))
+
+
+def test_every_single_bit_flip_in_2bit_payload_detected():
+    stream = entropy_encode(_frameset_2bit(np.random.default_rng(11), 5, 7, 9))
+    raw = stream.to_bytes()
+    header_len = len(raw) - len(stream.payload)
+    for pos in range(header_len, len(raw)):
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[pos] ^= 1 << bit
+            with pytest.raises(CorruptStream):
+                entropy_decode(stream_from_bytes(bytes(bad)))
+
+
+def test_nonzero_2bit_padding_rejected():
+    # 5 samples pack into 2 bytes; the second holds sample 4 in bits 0-1
+    fs = _frameset_2bit(np.random.default_rng(13), 1, 1, 5)
+    stream = entropy_encode(fs)
+    s = [int(v) for v in fs.frames[0].ravel()]
+    coded = bytes([s[0] | s[1] << 2 | s[2] << 4 | s[3] << 6, s[4] | 1 << 2])  # padding 1
+    crafted = replace(stream, crc32=zlib.crc32(coded), payload=encode_bytes(coded))
+    with pytest.raises(CorruptStream, match="padding"):
+        entropy_decode(stream_from_bytes(crafted.to_bytes()))
+
+
+def test_encode_rejects_2bit_sample_above_3():
+    params = QuantParams(mean=np.zeros(1), std=np.ones(1), z_min=-1, z_max=1, bit_depth=2)
+    fs = PackedFrameSet(
+        frames=(np.array([[0, 1], [2, 3]], dtype=np.uint8),),
+        layout="TEMPORAL",
+        original_dims=(1, 2, 2),
+        quant=params,
+    )
+    # PackedFrameSet refuses such a sample when built, so swap the frames in
+    # afterwards to reach the coder's own check, which must not drop high bits
+    object.__setattr__(fs, "frames", (np.array([[0, 1], [2, 4]], dtype=np.uint8),))
+    with pytest.raises(BadParams, match="above 3"):
+        entropy_encode(fs)
+
+
+def test_2bit_payload_is_packed_four_per_byte():
+    rng = np.random.default_rng(14)
+    c, h, w = 16, 256, 256
+    params = QuantParams(mean=np.zeros(c), std=np.ones(c), z_min=-1, z_max=1, bit_depth=2)
+    fs = pack_temporal(rng.integers(0, 4, (c, h, w), dtype=np.uint8), quant=params)
+    # uniform 2-bit samples are incompressible beyond their packed size
+    assert len(entropy_encode(fs).payload) <= -(-c * h * w // 4) + 64
