@@ -10,13 +10,10 @@ interfaces.
 __version__ = "0.1.0"
 
 from .model import (  # noqa: E402,F401
-    BoundingBox,
-    Detection,
+    BoxTable,
     FeatureTensor,
-    GroundTruthBox,
     PackedFrameSet,
     QuantParams,
     RDCurve,
     RDPoint,
-    TrackedBox,
 )

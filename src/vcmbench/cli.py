@@ -103,7 +103,7 @@ def _cmd_eval_det(args, config) -> int:
         _resolve(args, config, "thresholds", str, "0.5")
     )
     interpolation = _resolve(args, config, "interpolation", str, "all_points")
-    result = mean_average_precision(dets, gts, thresholds, interpolation)
+    result = mean_average_precision([dets], [gts], thresholds, interpolation)
     payload = {
         "mAP": result.map_value,
         "thresholds": list(thresholds),
@@ -380,8 +380,12 @@ def _cmd_run(args, config) -> int:
                 }
                 for r in partial
             ]
+            failure = {
+                "stage": e.stage, "item": e.item_id, "qp": e.qp, "scale": e.scale,
+                "cause": str(e.cause),
+            }
             partial_path = out_dir / "partial_results.json"
-            _write_json(partial_path, rows)
+            _write_json(partial_path, {"failure": failure, "records": rows})
             # stderr carries only the error line that main writes
             sys.stdout.write(f"wrote {partial_path} ({len(rows)} completed records)\n")
         raise

@@ -69,14 +69,6 @@ class DimMismatch(InputError):
 
 # --- rate-distortion analysis ---
 
-class ZeroPixels(InputError):
-    pass
-
-
-class ZeroFrames(InputError):
-    pass
-
-
 class EmptyCurve(InputError):
     pass
 

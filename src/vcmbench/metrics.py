@@ -1,11 +1,12 @@
-"""Machine-task quality metrics, both matched through one IoU kernel.
+"""Machine-task quality metrics over box tables, matched through one IoU kernel.
 
-Detection quality is mean average precision over pooled detections,
-each matched only to ground truth of its class and image id (`run`
-prefixes image ids with the item, so no match crosses items). Each
-(class, image) IoU matrix is computed once; at every threshold,
-detections are greedily matched in descending score order (ties keep
-input order). AP integrates the precision envelope over recall with
+Detection quality is mean average precision over detections pooled from
+one table per item, in item-then-file order. Each detection matches only
+ground truth of its own item, class and image id, so items may reuse
+image ids. The pooled detections are ranked once by descending score
+(ties keep pooled order), and each (class, item, image) IoU matrix is
+computed once; at every threshold, detections are greedily matched in
+rank order. AP integrates the precision envelope over recall with
 all-point interpolation. A 101-point interpolation mode is available
 for parity with COCO-style tooling.
 
@@ -15,13 +16,13 @@ matching:  MOTA = 1 - (FN + FP + IDSW) / GT.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGroundTruth, InputError
-from .model import Detection, GroundTruthBox, TrackedBox
+from .model import BoxTable
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,17 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
-def _xyxy(records) -> np.ndarray:
-    boxes = [(r.box.x_min, r.box.y_min, r.box.x_max, r.box.y_max) for r in records]
-    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+def _groups(key: np.ndarray) -> dict[int, np.ndarray]:
+    """Row indices per distinct key, keys ascending and rows in order: one stable sort."""
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
 
 
-def _group(items, key) -> dict:
-    groups = defaultdict(list)
-    for x in items:
-        groups[key(x)].append(x)
-    return groups
+def _pooled(tables, *columns) -> list[np.ndarray]:
+    """The named columns of tables concatenated in order, then each row's table index."""
+    pooled = [np.concatenate([getattr(t, c) for t in tables]) for c in columns]
+    return pooled + [np.repeat(np.arange(len(tables)), [len(t) for t in tables])]
 
 
 def _greedy_match(ious: np.ndarray, threshold: float) -> np.ndarray:
@@ -103,13 +105,14 @@ def _ap_from_flags(flags, n_gt, interpolation="all_points"):
 
 
 def mean_average_precision(
-    dets: list[Detection],
-    gts: list[GroundTruthBox],
+    dets: Sequence[BoxTable],
+    gts: Sequence[BoxTable],
     thresholds=(0.5,),
     interpolation: str = "all_points",
 ) -> APResult:
     """Per-class AP averaged over thresholds, then over GT classes.
 
+    dets[i] and gts[i] are the detections and ground truth of item i.
     Thresholds (0.5,) gives mAP@0.5; (0.5, 0.55, ..., 0.95) gives
     mAP@[0.5:0.95]. The (TP, FP, FN) counts are taken at the last
     threshold with every detection included.
@@ -122,63 +125,67 @@ def mean_average_precision(
     for t in thresholds:
         if not (0.0 < t <= 1.0):
             raise InputError(f"threshold must be in (0,1]: {t}")
-    gt_groups = _group(gts, lambda g: (g.class_id, g.image_id))
-    classes = sorted({c for c, _ in gt_groups})
-    if not classes:
+    if len(dets) != len(gts):
+        raise InputError(f"{len(dets)} detection tables for {len(gts)} ground-truth tables")
+    if not sum(map(len, gts)):
         raise EmptyGroundTruth("no class has any ground-truth box")
-    class_dets = _group(dets, lambda d: d.class_id)
+    g_box, g_cls, g_img, g_item = _pooled(gts, "xyxy", "class_id", "image_id")
+    d_box, d_cls, d_img, score, d_item = _pooled(dets, "xyxy", "class_id", "image_id", "score")
+    rank = np.argsort(-score, kind="stable")
+    d_box, d_cls, d_img, d_item = d_box[rank], d_cls[rank], d_img[rank], d_item[rank]
+    # one integer per (class, item, image), shared by both sides
+    _, cls = np.unique(np.concatenate([g_cls, d_cls]), return_inverse=True)
+    _, img = np.unique(np.concatenate([g_img, d_img]), return_inverse=True)
+    key = (cls * len(gts) + np.concatenate([g_item, d_item])) * (img.max() + 1) + img
+    gt_rows = _groups(key[: len(g_cls)])
+    groups = [
+        (ranks, iou_matrix(d_box[ranks], g_box[gt_rows[k]]))
+        for k, ranks in _groups(key[len(g_cls):]).items()
+        if k in gt_rows
+    ]
+    classes, n_gt = np.unique(g_cls, return_counts=True)
+    in_class = [d_cls == c for c in classes]
+    aps = [[] for _ in in_class]
+    for t in thresholds:
+        flags = np.zeros(len(d_cls), dtype=bool)
+        for ranks, ious in groups:
+            flags[ranks] = _greedy_match(ious, t)
+        for ap, m, n in zip(aps, in_class, n_gt.tolist()):
+            ap.append(_ap_from_flags(flags[m], n, interpolation))
     per_class: dict[int, float] = {}
     counts: dict[int, tuple[int, int, int]] = {}
-    for c in classes:
-        n_gt = sum(g.class_id == c for g in gts)
-        order = np.argsort([-d.score for d in class_dets[c]], kind="stable")
-        ranked = [class_dets[c][i] for i in order]
-        by_image = _group(range(len(ranked)), lambda r: ranked[r].image_id)
-        groups = [
-            (ranks, iou_matrix(_xyxy(ranked[r] for r in ranks), _xyxy(gt_groups[c, image])))
-            for image, ranks in by_image.items()
-            if (c, image) in gt_groups
-        ]
-        aps = []
-        for t in thresholds:
-            flags = np.zeros(len(ranked), dtype=bool)
-            for ranks, ious in groups:
-                flags[ranks] = _greedy_match(ious, t)
-            aps.append(_ap_from_flags(flags, n_gt, interpolation))
-        tp = int(flags.sum())
-        counts[c] = (tp, len(flags) - tp, n_gt - tp)
-        per_class[c] = float(np.mean(aps))
-    map_value = float(np.mean([per_class[c] for c in classes]))
+    for c, ap, m, n in zip(classes.tolist(), aps, in_class, n_gt.tolist()):
+        tp = int(flags[m].sum())  # flags hold the last threshold's matches
+        counts[c] = (tp, int(m.sum()) - tp, n - tp)
+        per_class[c] = float(np.mean(ap))
+    map_value = float(np.mean(list(per_class.values())))
     return APResult(per_class_ap=per_class, map_value=map_value, counts=counts)
 
 
-def mota(
-    pred: list[TrackedBox], gt: list[TrackedBox], iou_threshold: float = 0.5
-) -> MotaResult:
+def mota(pred: BoxTable, gt: BoxTable, iou_threshold: float = 0.5) -> MotaResult:
     """CLEAR-MOT accounting with per-frame greedy IoU matching.
 
     Pairs are taken in descending IoU order (each box used once; ties go
-    to the lower ground-truth, then prediction, index); a matched
+    to the lower ground-truth, then prediction, row); a matched
     ground-truth track whose assigned prediction track differs from its
     previous assignment counts one identity switch.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise InputError(f"iou_threshold must be in (0,1]: {iou_threshold}")
-    if not gt:
+    if not len(gt):
         raise EmptyGroundTruth("ground truth has no tracked boxes")
-    gt_frames = _group(gt, lambda g: g.frame_index)
-    pred_frames = _group(pred, lambda p: p.frame_index)
+    pred_frames = _groups(pred.frame)
 
     fn = fp = idsw = 0
     last_assignment: dict[int, int] = {}  # gt track -> pred track
-    for frame in sorted(set(gt_frames) | set(pred_frames)):
-        g_boxes = gt_frames.get(frame, [])
-        p_boxes = pred_frames.get(frame, [])
-        ious = iou_matrix(_xyxy(g_boxes), _xyxy(p_boxes))
+    for frame, g in _groups(gt.frame).items():
+        p = pred_frames.pop(frame, g[:0])
+        ious = iou_matrix(gt.xyxy[g], pred.xyxy[p])
         rows, cols = np.nonzero(ious >= iou_threshold)
         order = np.argsort(-ious[rows, cols], kind="stable")
-        g_used = [False] * len(g_boxes)
-        p_used = [False] * len(p_boxes)
+        g_tracks, p_tracks = gt.track_id[g].tolist(), pred.track_id[p].tolist()
+        g_used = [False] * len(g)
+        p_used = [False] * len(p)
         matched = 0
         for gi, pi in zip(rows[order].tolist(), cols[order].tolist()):
             if g_used[gi] or p_used[pi]:
@@ -186,12 +193,12 @@ def mota(
             g_used[gi] = True
             p_used[pi] = True
             matched += 1
-            gt_track = g_boxes[gi].track_id
-            pred_track = p_boxes[pi].track_id
+            gt_track, pred_track = g_tracks[gi], p_tracks[pi]
             prev = last_assignment.get(gt_track)
             if prev is not None and prev != pred_track:
                 idsw += 1
             last_assignment[gt_track] = pred_track
-        fn += len(g_boxes) - matched
-        fp += len(p_boxes) - matched
+        fn += len(g) - matched
+        fp += len(p) - matched
+    fp += sum(map(len, pred_frames.values()))  # frames without ground truth
     return MotaResult(fn=fn, fp=fp, idsw=idsw, gt=len(gt))

@@ -21,67 +21,64 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in source-image pixel coordinates (continuous)."""
+@dataclass(frozen=True, eq=False)
+class BoxTable:
+    """The boxes of one JSON-lines file as columns; row i is record i.
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    xyxy is n x 4 float64 (x_min, y_min, x_max, y_max) in source-image
+    pixel coordinates (continuous); every other column has n entries.
+    Detections fill image_id, class_id and score; ground truth image_id
+    and class_id; tracks frame, track_id, class_id and score. A column
+    that a kind lacks is None.
 
-    def __post_init__(self):
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(c) for c in coords):
-            raise InvariantViolation(f"box coordinates must be finite: {coords}")
-        if min(coords) < 0:
-            raise InvariantViolation(f"box coordinates must be >= 0: {coords}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise InvariantViolation(f"box must have positive extent: {coords}")
+    Each row is checked: its box (finite, then >= 0, then positive
+    extent), then image_id non-empty, class_id >= 0 (tracks may carry any
+    class), frame >= 0 and score in [0,1], where the table has them. The
+    first bad row raises InvariantViolation, with `index` set to the row
+    and the message of its first failing check.
+    """
 
-
-@dataclass(frozen=True)
-class Detection:
-    image_id: str
-    class_id: int
-    box: BoundingBox
-    score: float
+    xyxy: np.ndarray
+    class_id: np.ndarray
+    image_id: np.ndarray | None = None
+    score: np.ndarray | None = None
+    frame: np.ndarray | None = None
+    track_id: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.image_id:
-            raise InvariantViolation("image_id must be non-empty")
-        if self.class_id < 0:
-            raise InvariantViolation(f"class_id must be >= 0: {self.class_id}")
-        if not (0.0 <= self.score <= 1.0):
-            raise InvariantViolation(f"score must be in [0,1]: {self.score}")
+        dtypes = {"xyxy": np.float64, "class_id": np.int64, "image_id": object,
+                  "score": np.float64, "frame": np.int64, "track_id": np.int64}
+        columns = {k: np.asarray(getattr(self, k), dtype=t)
+                   for k, t in dtypes.items() if getattr(self, k) is not None}
+        b = columns["xyxy"] = columns["xyxy"].reshape(-1, 4)
+        if any(len(c) != len(b) for c in columns.values()):
+            raise InvariantViolation(f"every column must have {len(b)} rows")
+        for k, c in columns.items():
+            object.__setattr__(self, k, _freeze(c))
+        checks = [
+            (~np.isfinite(b).all(axis=1), "box coordinates must be finite: {box}"),
+            ((b < 0).any(axis=1), "box coordinates must be >= 0: {box}"),
+            (~((b[:, 2] > b[:, 0]) & (b[:, 3] > b[:, 1])),
+             "box must have positive extent: {box}"),
+        ]
+        if self.image_id is not None:
+            checks.append((self.image_id == "", "image_id must be non-empty"))
+        if self.frame is None:
+            checks.append((self.class_id < 0, "class_id must be >= 0: {class_id}"))
+        else:
+            checks.append((self.frame < 0, "frame_index must be >= 0: {frame}"))
+        if self.score is not None:
+            checks.append((~((self.score >= 0) & (self.score <= 1)),
+                           "score must be in [0,1]: {score}"))
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            i = int(bad.argmax())
+            row = {k: columns[k][i].item() for k in ("class_id", "frame", "score") if k in columns}
+            message = next(m for mask, m in checks if mask[i])
+            raise InvariantViolation(message.format(box=tuple(b[i].tolist()), **row), index=i)
 
-
-@dataclass(frozen=True)
-class GroundTruthBox:
-    image_id: str
-    class_id: int
-    box: BoundingBox
-
-    def __post_init__(self):
-        if not self.image_id:
-            raise InvariantViolation("image_id must be non-empty")
-        if self.class_id < 0:
-            raise InvariantViolation(f"class_id must be >= 0: {self.class_id}")
-
-
-@dataclass(frozen=True)
-class TrackedBox:
-    frame_index: int
-    track_id: int
-    class_id: int
-    box: BoundingBox
-    score: float
-
-    def __post_init__(self):
-        if self.frame_index < 0:
-            raise InvariantViolation(f"frame_index must be >= 0: {self.frame_index}")
-        if not (0.0 <= self.score <= 1.0):
-            raise InvariantViolation(f"score must be in [0,1]: {self.score}")
+    def __len__(self) -> int:
+        return len(self.xyxy)
 
 
 # Feature-map element limit for file readers (guards allocation).

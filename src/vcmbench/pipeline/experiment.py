@@ -11,9 +11,10 @@ predictions are produced at source resolution.
 
 Aggregation per (scale, qp): the rate is the mean bits-per-source-pixel
 over items (bits per second for tracking); the metric is computed over
-the pooled detection set, but a detection only matches ground truth of
-its own item (summed CLEAR-MOT counts for tracking). One RD curve per
-scale comes out, plus the Pareto front over all scales.
+the pooled detection set, which `mean_average_precision` receives as one
+table per item, so a detection only matches ground truth of its own item
+(summed CLEAR-MOT counts for tracking). One RD curve per scale comes out,
+plus the Pareto front over all scales.
 
 Units are independent and run in a pool of `jobs` threads; records are
 reduced in a fixed order, so reports are byte-identical at any job
@@ -25,7 +26,7 @@ evaluate a (scale, qp) cell.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import EmptyGroundTruth, InputError, StageError, VcmError
@@ -274,28 +275,22 @@ def _process_item(
         raise StageError(stage, item.item_id, qp, scale, e) from e
 
 
-def _scoped(i: int, boxes: list) -> list:
-    """Prefix each image id with the item index, so items never match each other."""
-    return [replace(b, image_id=f"{i}/{b.image_id}") for b in boxes]
-
-
 def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list) -> float:
     """Pooled task metric over one (scale, qp) cell.
 
-    cell[i] is item i's record and truths[i] its parsed ground truth
-    (image ids `_scoped` for detection). A failure raises StageError
-    naming the item whose predictions failed.
+    cell[i] is item i's record and truths[i] its parsed ground truth. A
+    failure raises StageError naming the item whose predictions failed.
     """
     tracking = manifest.task == TASK_TRACKING
     counts, dets = [], []
-    for i, (rec, gt) in enumerate(zip(cell, truths)):
+    for rec, gt in zip(cell, truths):
         try:
             if tracking:
                 counts.append(
                     mota(load_tracks(rec.predictions_path), gt, manifest.iou_thresholds[0])
                 )
             else:
-                dets.extend(_scoped(i, load_detections(rec.predictions_path)))
+                dets.append(load_detections(rec.predictions_path))
         except (VcmError, OSError) as e:
             raise StageError("evaluate", rec.item_id, rec.qp, rec.scale, e) from e
     if tracking:
@@ -303,8 +298,7 @@ def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list
             fn=sum(r.fn for r in counts), fp=sum(r.fp for r in counts),
             idsw=sum(r.idsw for r in counts), gt=sum(r.gt for r in counts),
         ).mota
-    gts = [g for gt in truths for g in gt]
-    return mean_average_precision(dets, gts, manifest.iou_thresholds).map_value
+    return mean_average_precision(dets, truths, manifest.iou_thresholds).map_value
 
 
 def run_experiment(
@@ -318,8 +312,6 @@ def run_experiment(
     truths = [load_truth(item.ground_truth) for item in manifest.items]
     if not any(truths):
         raise EmptyGroundTruth("no item has any ground-truth box")
-    if manifest.task == TASK_DETECTION:
-        truths = [_scoped(i, gt) for i, gt in enumerate(truths)]
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     units = [

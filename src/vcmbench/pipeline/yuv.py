@@ -53,15 +53,6 @@ class RawImage:
     def height(self) -> int:
         return self.y.shape[0]
 
-    @classmethod
-    def flat(cls, width: int, height: int, y=128, cb=128, cr=128) -> "RawImage":
-        ch, cw = _ceil_half(height), _ceil_half(width)
-        return cls(
-            y=np.full((height, width), y, dtype=np.uint8),
-            cb=np.full((ch, cw), cb, dtype=np.uint8),
-            cr=np.full((ch, cw), cr, dtype=np.uint8),
-        )
-
 
 def frame_size_bytes(width: int, height: int) -> int:
     return width * height + 2 * (_ceil_half(width) * _ceil_half(height))

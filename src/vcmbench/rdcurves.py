@@ -27,8 +27,6 @@ from .errors import (
     InputError,
     NoOverlap,
     UnitMismatch,
-    ZeroFrames,
-    ZeroPixels,
 )
 from .model import RDCurve, RDPoint
 from .tensorio import parsing
@@ -48,14 +46,14 @@ def bpp(bitstream_bits: int, source_width: int, source_height: int) -> float:
         raise InputError(f"bitstream_bits must be > 0: {bitstream_bits}")
     pixels = source_width * source_height
     if pixels <= 0:
-        raise ZeroPixels(f"source has no pixels: {source_width}x{source_height}")
+        raise InputError(f"source has no pixels: {source_width}x{source_height}")
     return bitstream_bits / pixels
 
 
 def bitrate(total_bits: int, frame_count: int, fps: float) -> float:
     """Average bits per second of a coded sequence."""
     if frame_count <= 0:
-        raise ZeroFrames(f"frame_count must be > 0: {frame_count}")
+        raise InputError(f"frame_count must be > 0: {frame_count}")
     if fps <= 0:
         raise InputError(f"fps must be > 0: {fps}")
     return total_bits * fps / frame_count

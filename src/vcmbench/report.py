@@ -2,9 +2,15 @@
 
 Reports are byte-deterministic for identical inputs: keys are sorted,
 floats use repr, nothing depends on clock, locale, path layout, or
-worker count. Every number in a report traces back to the recorded
-sha256 digests of the input files. Plots are standalone SVG with the
-numeric data embedded as structured comments so they diff cleanly.
+worker count. The sha256 digests of the input files are recorded (the
+manifest, each source, ground truth and precomputed prediction file),
+but not everything a number depends on: the predictions a
+`prediction_command` writes are not digested, and `config.codec` records
+only the kind of an EXTERNAL codec, not its templates, so neither the
+external tools nor their outputs are traceable from a report (the
+manifest digest covers only the command text). Plots are standalone SVG
+with the numeric data embedded as structured comments so they diff
+cleanly.
 """
 
 from __future__ import annotations

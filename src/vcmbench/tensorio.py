@@ -14,6 +14,9 @@ Manifests are JSON-lines, one record per line:
     detection    {"image_id", "class_id", "bbox": [x0,y0,x1,y1], "score"}
     ground truth {"image_id", "class_id", "bbox"}
     track        {"frame", "track_id", "class_id", "bbox", "score"}
+Each loads into one BoxTable, a column per field and a row per record in
+file order; "bbox" becomes the xyxy column. Integer fields must fit in
+int64.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .model import (
-    DEFAULT_ELEMENT_LIMIT,
-    BoundingBox,
-    Detection,
-    FeatureTensor,
-    GroundTruthBox,
-    TrackedBox,
-)
+from .model import DEFAULT_ELEMENT_LIMIT, BoxTable, FeatureTensor
 
 TENSOR_MAGIC = b"VCMF"
 TENSOR_VERSION = 1
@@ -109,58 +105,63 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_records(path, build):
-    """Build one object per non-blank line of a JSON-lines file.
+def _int64(v) -> int:
+    v = int(v)
+    if not -(1 << 63) <= v < 1 << 63:
+        raise OverflowError(f"{v} does not fit in int64")
+    return v
+
+
+def _bbox(v) -> list[float]:
+    if not isinstance(v, list) or len(v) != 4:
+        raise ValueError(f"bbox must be [x0,y0,x1,y1]: {v!r}")
+    return [float(c) for c in v]
+
+
+# the cast of each record field, applied in a kind's field order
+_CASTS = {"image_id": str, "class_id": _int64, "bbox": _bbox, "score": float,
+          "frame": _int64, "track_id": _int64}
+
+
+def _table(path, fields, rows) -> BoxTable:
+    columns = dict(zip(fields, zip(*rows) if rows else [()] * len(fields)))
+    try:
+        return BoxTable(xyxy=columns.pop("bbox"), **columns)
+    except InvariantViolation as e:
+        raise InvariantViolation(f"{path} record {e.index}: {e}", index=e.index) from e
+
+
+def _load_records(path, fields) -> BoxTable:
+    """One BoxTable of the non-blank lines of a JSON-lines file.
 
     A record that is not valid JSON or lacks a field or has one of the
     wrong type raises ParseError with its 1-based line; a record that
-    breaks a type invariant raises InvariantViolation with its 0-based
-    index.
+    breaks a BoxTable invariant raises InvariantViolation with its 0-based
+    index. Of two bad records the first in the file is reported.
     """
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
-    out = []
+    casts = [(f, _CASTS[f]) for f in fields]
+    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append(build(json.loads(line)))
+            rec = json.loads(line)
+            rows.append([cast(rec[f]) for f, cast in casts])
         except MALFORMED as e:
+            _table(path, fields, rows)  # an earlier bad record wins
             raise ParseError(f"{path}:{lineno}: {_cause(e)}", line=lineno) from e
-        except InvariantViolation as e:
-            index = len(out)
-            raise InvariantViolation(f"{path} record {index}: {e}", index=index) from e
-    return out
+    return _table(path, fields, rows)
 
 
-def _box(bbox) -> BoundingBox:
-    if not isinstance(bbox, list) or len(bbox) != 4:
-        raise ValueError(f"bbox must be [x0,y0,x1,y1]: {bbox!r}")
-    return BoundingBox(*map(float, bbox))
+def load_detections(path) -> BoxTable:
+    return _load_records(path, ("image_id", "class_id", "bbox", "score"))
 
 
-def load_detections(path) -> list[Detection]:
-    return _load_records(path, lambda rec: Detection(
-        image_id=str(rec["image_id"]),
-        class_id=int(rec["class_id"]),
-        box=_box(rec["bbox"]),
-        score=float(rec["score"]),
-    ))
+def load_ground_truth(path) -> BoxTable:
+    return _load_records(path, ("image_id", "class_id", "bbox"))
 
 
-def load_ground_truth(path) -> list[GroundTruthBox]:
-    return _load_records(path, lambda rec: GroundTruthBox(
-        image_id=str(rec["image_id"]),
-        class_id=int(rec["class_id"]),
-        box=_box(rec["bbox"]),
-    ))
-
-
-def load_tracks(path) -> list[TrackedBox]:
-    return _load_records(path, lambda rec: TrackedBox(
-        frame_index=int(rec["frame"]),
-        track_id=int(rec["track_id"]),
-        class_id=int(rec["class_id"]),
-        box=_box(rec["bbox"]),
-        score=float(rec["score"]),
-    ))
+def load_tracks(path) -> BoxTable:
+    return _load_records(path, ("frame", "track_id", "class_id", "bbox", "score"))

@@ -1,14 +1,52 @@
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vcmbench.model import BoundingBox, GroundTruthBox
+from vcmbench.model import BoxTable
 from vcmbench.pipeline.yuv import RawImage, write_yuv420
 
 TESTS_DIR = Path(__file__).parent
+
+# Test-side records, one per JSON-lines line; box is (x_min, y_min, x_max, y_max).
+Det = namedtuple("Det", "image_id class_id box score")
+Gt = namedtuple("Gt", "image_id class_id box")
+Track = namedtuple("Track", "frame track_id class_id box score")
+
+
+def det_table(dets) -> BoxTable:
+    return BoxTable(
+        xyxy=[d.box for d in dets], class_id=[d.class_id for d in dets],
+        image_id=[d.image_id for d in dets], score=[d.score for d in dets],
+    )
+
+
+def gt_table(gts) -> BoxTable:
+    return BoxTable(
+        xyxy=[g.box for g in gts], class_id=[g.class_id for g in gts],
+        image_id=[g.image_id for g in gts],
+    )
+
+
+def track_table(tracks) -> BoxTable:
+    return BoxTable(
+        xyxy=[t.box for t in tracks], class_id=[t.class_id for t in tracks],
+        frame=[t.frame for t in tracks], track_id=[t.track_id for t in tracks],
+        score=[t.score for t in tracks],
+    )
+
+
+def flat_image(width: int, height: int, y=128, cb=128, cr=128) -> RawImage:
+    """One frame whose every sample of a plane has the same value."""
+    ch, cw = (height + 1) // 2, (width + 1) // 2
+    return RawImage(
+        y=np.full((height, width), y, dtype=np.uint8),
+        cb=np.full((ch, cw), cb, dtype=np.uint8),
+        cr=np.full((ch, cw), cr, dtype=np.uint8),
+    )
 
 # blob grid used by the end-to-end fixtures: (col, row, intensity);
 # intensity 128 + 2^i vanishes under TRUNCATE once qp > i, 255 once qp > 6
@@ -41,18 +79,12 @@ def make_blob_image() -> RawImage:
     )
 
 
-def blob_ground_truth(image_id: str) -> list[GroundTruthBox]:
+def blob_ground_truth(image_id: str) -> list[Gt]:
     boxes = []
     for col, row, _ in BLOB_SPECS:
         x0 = col * CELL + (CELL - BLOB_SIZE) // 2
         y0 = row * CELL + (CELL - BLOB_SIZE) // 2
-        boxes.append(
-            GroundTruthBox(
-                image_id=image_id,
-                class_id=0,
-                box=BoundingBox(x0, y0, x0 + BLOB_SIZE, y0 + BLOB_SIZE),
-            )
-        )
+        boxes.append(Gt(image_id, 0, (x0, y0, x0 + BLOB_SIZE, y0 + BLOB_SIZE)))
     return boxes
 
 
@@ -68,7 +100,7 @@ def gt_records(gts) -> list[dict]:
         {
             "image_id": g.image_id,
             "class_id": g.class_id,
-            "bbox": [g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max],
+            "bbox": list(g.box),
         }
         for g in gts
     ]
@@ -80,7 +112,7 @@ def det_records(gts, score=0.9) -> list[dict]:
         {
             "image_id": g.image_id,
             "class_id": g.class_id,
-            "bbox": [g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max],
+            "bbox": list(g.box),
             "score": score,
         }
         for g in gts

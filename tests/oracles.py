@@ -31,10 +31,10 @@ def mota_pairwise(pred, gt, iou_threshold):
     """
     gt_frames = defaultdict(list)
     for g in gt:
-        gt_frames[g.frame_index].append(g)
+        gt_frames[g.frame].append(g)
     pred_frames = defaultdict(list)
     for p in pred:
-        pred_frames[p.frame_index].append(p)
+        pred_frames[p.frame].append(p)
 
     fn = fp = idsw = 0
     last_assignment = {}  # gt track -> pred track
@@ -44,10 +44,7 @@ def mota_pairwise(pred, gt, iou_threshold):
         pairs = []
         for gi, g in enumerate(g_boxes):
             for pi, p in enumerate(p_boxes):
-                v = iou_xyxy(
-                    (g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max),
-                    (p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max),
-                )
+                v = iou_xyxy(g.box, p.box)
                 if v >= iou_threshold:
                     pairs.append((-v, gi, pi))
         pairs.sort()
@@ -101,16 +98,8 @@ def ap_bruteforce(dets, gts, class_id, threshold) -> float:
     scratch on the detections at or above the cutoff; the all-point
     precision envelope is then integrated over recall.
     """
-    cls_dets = [
-        (d.image_id, (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max), d.score)
-        for d in dets
-        if d.class_id == class_id
-    ]
-    cls_gts = [
-        (g.image_id, (g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max))
-        for g in gts
-        if g.class_id == class_id
-    ]
+    cls_dets = [(d.image_id, d.box, d.score) for d in dets if d.class_id == class_id]
+    cls_gts = [(g.image_id, g.box) for g in gts if g.class_id == class_id]
     if not cls_gts or not cls_dets:
         return 0.0
     ordered = sorted(cls_dets, key=lambda t: -t[2])

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import Det, Gt, Track, det_table, gt_table, track_table
 from oracles import (
     ap_bruteforce,
     bd_rate_oracle_loglinear,
@@ -28,15 +29,7 @@ from vcmbench.featurecodec import (
 from vcmbench.featurecodec.entropy import decode_bytes, encode_bytes
 from vcmbench.featurecodec.quantize import dequantize_8bit, quantize_8bit
 from vcmbench.metrics import mean_average_precision, mota
-from vcmbench.model import (
-    BoundingBox,
-    Detection,
-    FeatureTensor,
-    GroundTruthBox,
-    QuantParams,
-    RDPoint,
-    TrackedBox,
-)
+from vcmbench.model import FeatureTensor, QuantParams, RDPoint
 from vcmbench.pipeline.experiment import load_manifest, run_experiment
 from vcmbench.rdcurves import bd_metrics, build_curve, pareto_front
 
@@ -220,25 +213,23 @@ def _random_map_instance(rng):
         x0, y0 = rng.uniform(0, 40, 2)
         w, h = rng.uniform(2, 15, 2)
         gts.append(
-            GroundTruthBox(str(rng.choice(imgs)), int(rng.integers(0, n_classes)),
-                           BoundingBox(x0, y0, x0 + w, y0 + h))
+            Gt(str(rng.choice(imgs)), int(rng.integers(0, n_classes)), (x0, y0, x0 + w, y0 + h))
         )
     dets = []
     for _ in range(int(rng.integers(0, 21))):
         if rng.random() < 0.65:
             g = gts[rng.integers(0, len(gts))]
             dx = rng.uniform(-4, 4, 4)
-            x0 = max(0, g.box.x_min + dx[0])
-            y0 = max(0, g.box.y_min + dx[1])
-            box = BoundingBox(x0, y0, max(x0 + 0.5, g.box.x_max + dx[2]),
-                              max(y0 + 0.5, g.box.y_max + dx[3]))
-            dets.append(Detection(g.image_id, g.class_id, box, float(next(scores))))
+            x0 = max(0, g.box[0] + dx[0])
+            y0 = max(0, g.box[1] + dx[1])
+            box = (x0, y0, max(x0 + 0.5, g.box[2] + dx[2]), max(y0 + 0.5, g.box[3] + dx[3]))
+            dets.append(Det(g.image_id, g.class_id, box, float(next(scores))))
         else:
             x0, y0 = rng.uniform(0, 40, 2)
             w, h = rng.uniform(2, 15, 2)
             dets.append(
-                Detection(str(rng.choice(imgs)), int(rng.integers(0, n_classes)),
-                          BoundingBox(x0, y0, x0 + w, y0 + h), float(next(scores)))
+                Det(str(rng.choice(imgs)), int(rng.integers(0, n_classes)),
+                    (x0, y0, x0 + w, y0 + h), float(next(scores)))
             )
     return dets, gts
 
@@ -249,7 +240,9 @@ def test_criterion_08_map_oracle_equivalence_500_instances():
     for _ in range(500):
         dets, gts = _random_map_instance(rng)
         for c in sorted({g.class_id for g in gts}):
-            ours = mean_average_precision(dets, gts, (0.5,)).per_class_ap[c]
+            ours = mean_average_precision(
+                [det_table(dets)], [gt_table(gts)], (0.5,)
+            ).per_class_ap[c]
             ref = ap_bruteforce(dets, gts, c, 0.5)
             assert ours == ref or abs(ours - ref) < 1e-12
     elapsed = time.perf_counter() - t0
@@ -276,19 +269,22 @@ def test_criterion_09_pareto_oracle_500_sets():
 
 def test_criterion_11_mota_hand_traced_fixtures():
     def tb(frame, track, x=0.0):
-        return TrackedBox(frame, track, 0, BoundingBox(x, 0, x + 5, 5), 1.0)
+        return Track(frame, track, 0, (x, 0, x + 5, 5), 1.0)
+
+    def mota_of(pred, gt):
+        return mota(track_table(pred), track_table(gt), 0.5)
 
     # fixture 1: predictions identical to GT
     gt = [tb(0, 1), tb(1, 1)]
-    r = mota(gt, gt, 0.5)
+    r = mota_of(gt, gt)
     assert (r.fn, r.fp, r.idsw, r.mota) == (0, 0, 0, 1.0)
     # fixture 2: no predictions, GT = 10 -> MOTA 0.0
     gt10 = [tb(f, 1) for f in range(10)]
-    r = mota([], gt10, 0.5)
+    r = mota_of([], gt10)
     assert r.fn == 10 and r.mota == 0.0
     # fixture 3: correct boxes, track id changes between the two frames
     pred = [tb(0, 7), tb(1, 8)]
-    r = mota(pred, [tb(0, 1), tb(1, 1)], 0.5)
+    r = mota_of(pred, [tb(0, 1), tb(1, 1)])
     assert r.idsw == 1 and r.mota == pytest.approx(0.5)
     _ok(11, "(3 hand-traced fixtures)")
 

@@ -1,9 +1,11 @@
 """Every public top-level def or class in src/vcmbench, and every public
 method or property of a top-level class, has a caller in src/.
 
-A name counts as used where some module under src/ loads it: as a bare
-name or as an attribute. Imports are not uses, so a re-export from a
-package __init__ keeps nothing alive. The few entry points that only the
+A top-level name counts as used where some module under src/ loads it,
+as a bare name or as an attribute; a method or property only where one
+loads it as an attribute, so a local variable of the same name keeps
+nothing alive. Imports are not uses, so a re-export from a package
+__init__ keeps nothing alive either. The few entry points that only the
 acceptance suite calls are listed in ENTRY_POINTS.
 """
 
@@ -24,12 +26,12 @@ def _public(node) -> bool:
 
 
 def _surface():
-    """(public definition -> (defining file, name), names loaded anywhere).
+    """(definition -> (defining file, name), definition -> names whose loads use it).
 
-    Methods and properties are keyed Class.name; any load of the bare
-    name counts as their use.
+    Methods and properties are keyed Class.name, and only attribute loads
+    use them; a top-level definition is also used by a bare-name load.
     """
-    defined, used = {}, set()
+    defined, names, attrs = {}, set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -40,9 +42,10 @@ def _surface():
                     defined[f"{node.name}.{member.name}"] = (path.relative_to(SRC), member.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    used = {key: attrs if "." in key else names | attrs for key in defined}
     return defined, used
 
 
@@ -51,7 +54,7 @@ def test_every_public_definition_has_a_caller():
     unused = sorted(
         f"{path}: {key}"
         for key, (path, name) in defined.items()
-        if name not in used and key not in ENTRY_POINTS
+        if name not in used[key] and key not in ENTRY_POINTS
     )
     assert unused == []
 
@@ -59,4 +62,4 @@ def test_every_public_definition_has_a_caller():
 def test_entry_points_are_defined_and_uncalled():
     # a listed name that gained a caller, or is gone, leaves the list
     defined, used = _surface()
-    assert {n for n in ENTRY_POINTS if n in defined and n not in used} == ENTRY_POINTS
+    assert {n for n in ENTRY_POINTS if n in defined and n not in used[n]} == ENTRY_POINTS

@@ -8,22 +8,19 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from conftest import det_records, gt_records, write_jsonl
+from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
 from vcmbench.cli import main
-from vcmbench.model import BoundingBox, GroundTruthBox, RDPoint
+from vcmbench.model import RDPoint
 from vcmbench.rdcurves import build_curve, write_curves_csv
 from vcmbench.tensorio import read_feature_tensor, write_feature_tensor
 from vcmbench.model import FeatureTensor
-from vcmbench.pipeline.yuv import RawImage, write_yuv420
+from vcmbench.pipeline.yuv import write_yuv420
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _gts():
-    return [
-        GroundTruthBox("img", 0, BoundingBox(0, 0, 10, 10)),
-        GroundTruthBox("img", 1, BoundingBox(20, 20, 40, 40)),
-    ]
+    return [Gt("img", 0, (0, 0, 10, 10)), Gt("img", 1, (20, 20, 40, 40))]
 
 
 def test_eval_det_perfect(tmp_path, capsys):
@@ -53,6 +50,15 @@ def test_eval_det_malformed_line_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert ":1:" in err  # line number surfaces
+
+
+def test_eval_det_class_id_outside_int64_exits_2_naming_the_file(tmp_path, capsys):
+    # accepted before box tables, which hold integer fields as int64
+    argv = _eval_det(tmp_path, class_id=10**30)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'det.jsonl'}:1: OverflowError")
+    assert "Traceback" not in err
 
 
 def test_eval_det_csv_output(tmp_path, capsys):
@@ -356,7 +362,7 @@ def _manifest(d, det=None, **item) -> str:
     det overrides fields of the one detection record; item overrides or
     adds fields of the manifest item.
     """
-    write_yuv420(RawImage.flat(8, 8), d / "img.yuv")
+    write_yuv420(flat_image(8, 8), d / "img.yuv")
     box = {"image_id": "img", "class_id": 0, "bbox": [1, 1, 6, 6]}
     write_jsonl([box], d / "gt.jsonl")
     write_jsonl([dict(box, score=0.9, **(det or {}))], d / "det.jsonl")
@@ -465,6 +471,7 @@ BAD_INPUTS = {
     "eval-det-score-not-numeric": lambda d: _eval_det(d, score="high"),
     "eval-track-frame-null": lambda d: _eval_track(d, frame=None),
     "eval-track-track-id-not-numeric": lambda d: _eval_track(d, track_id="t1"),
+    "eval-track-track-id-outside-int64": lambda d: _eval_track(d, track_id=-(1 << 63) - 1),
     "run-predictions-class-id-null": lambda d: [
         "run", _manifest(d, det={"class_id": None}), "--output-dir", str(d / "out")
     ],
@@ -541,6 +548,28 @@ def test_run_missing_external_binary_exits_3(tmp_path, blob_manifest, capsys):
     rc = main(["run", str(bad), "--output-dir", str(tmp_path / "out")])
     assert rc == 3
     assert "no-such-encoder" in capsys.readouterr().err
+
+
+def test_run_decoder_that_changes_the_size_exits_3(tmp_path, blob_manifest, capsys):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(100,),
+                         predictions="files")
+    doc = json.loads(path.read_text())
+    copy = f'{sys.executable} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
+    # the "decoder" writes three bytes, whatever the input
+    short = (f'{sys.executable} -c "import pathlib,sys; '
+             'pathlib.Path(sys.argv[2]).write_bytes(bytes(3))"')
+    doc["codec"] = {
+        "kind": "EXTERNAL",
+        "encode_template": copy + " {input} {output}",
+        "decode_template": short + " {input} {output}",
+        "qp_list": [22],
+    }
+    bad = tmp_path / "ext.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["run", str(bad), "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: codec failed for item=") and "differs from input" in err
 
 
 def test_run_command_not_executable_exits_3(tmp_path, capsys):
@@ -644,8 +673,13 @@ def test_run_persists_partial_results_on_failure(tmp_path, blob_manifest, capsys
     rc = main(["run", str(bad), "--output-dir", str(out)])
     assert rc == 2
     partial = json.loads((out / "partial_results.json").read_text())
-    assert len(partial) == 1
-    assert partial[0]["item"] == "img_a"
+    assert len(partial["records"]) == 1
+    assert partial["records"][0]["item"] == "img_a"
+    failure = partial["failure"]
+    assert (failure["stage"], failure["item"], failure["qp"], failure["scale"]) == (
+        "load", "img_b", 22, 100
+    )
+    assert "gone.yuv" in failure["cause"]
 
 
 def test_run_persists_every_record_when_evaluation_fails(tmp_path, blob_manifest, capsys):
@@ -657,10 +691,13 @@ def test_run_persists_every_record_when_evaluation_fails(tmp_path, blob_manifest
     assert rc == 2
     assert "evaluate failed for item='img_b'" in capsys.readouterr().err
     partial = json.loads((out / "partial_results.json").read_text())
-    assert sorted((r["item"], r["scale"], r["qp"]) for r in partial) == [
+    assert sorted((r["item"], r["scale"], r["qp"]) for r in partial["records"]) == [
         (item, scale, qp)
         for item in ("img_a", "img_b") for scale in (50, 100) for qp in (22, 27)
     ]
+    assert partial["failure"]["stage"] == "evaluate"
+    assert partial["failure"]["item"] == "img_b"
+    assert "img_b.pred.jsonl:1:" in partial["failure"]["cause"]
 
 
 def test_run_and_report_rerender(tmp_path, blob_manifest, capsys):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_records, gt_records, write_jsonl
+from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
 from vcmbench.cli import main
-from vcmbench.model import BoundingBox, FeatureTensor, GroundTruthBox, RDPoint
-from vcmbench.pipeline.yuv import RawImage, write_yuv420
+from vcmbench.model import FeatureTensor, RDPoint
+from vcmbench.pipeline.yuv import write_yuv420
 from vcmbench.rdcurves import build_curve, write_curves_csv
 from vcmbench.tensorio import write_feature_tensor
 
@@ -82,8 +82,7 @@ CASES = {
 
 
 def _write_inputs(d: Path) -> None:
-    gts = [GroundTruthBox("img", 0, BoundingBox(0, 0, 10, 10)),
-           GroundTruthBox("img", 1, BoundingBox(20, 20, 40, 40))]
+    gts = [Gt("img", 0, (0, 0, 10, 10)), Gt("img", 1, (20, 20, 40, 40))]
     write_jsonl(gt_records(gts), d / "gt.jsonl")
     write_jsonl(det_records(gts), d / "det.jsonl")
     (d / "c.cfg").write_text("thresholds=0.5,0.75\ninterpolation=101pt  # COCO\n")
@@ -104,7 +103,7 @@ def _write_inputs(d: Path) -> None:
     ):
         assert main(argv) == 0
 
-    write_yuv420(RawImage.flat(8, 8, y=90), d / "img.yuv")
+    write_yuv420(flat_image(8, 8, y=90), d / "img.yuv")
     box = {"image_id": "img", "class_id": 0, "bbox": [1, 1, 6, 6]}
     write_jsonl([box], d / "img.gt.jsonl")
     write_jsonl([dict(box, score=0.9)], d / "img.det.jsonl")

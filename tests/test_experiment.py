@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_H, FIXTURE_W, make_blob_image, write_jsonl
+from conftest import FIXTURE_H, FIXTURE_W, flat_image, make_blob_image, write_jsonl
 from vcmbench.errors import InputError, StageError
 from vcmbench.pipeline import experiment
 from vcmbench.pipeline.experiment import load_manifest, run_experiment
-from vcmbench.pipeline.yuv import RawImage, write_yuv420
+from vcmbench.pipeline.yuv import write_yuv420
 from vcmbench.rdcurves import bpp
 
 
@@ -269,7 +269,7 @@ def test_items_sharing_an_image_id_match_only_within_each_item(tmp_path):
     boxes = {"a": ([0, 0, 10, 10], []), "b": ([30, 30, 40, 40], [[0, 0, 10, 10]])}
     items = []
     for name, (gt_box, det_boxes) in boxes.items():
-        write_yuv420(RawImage.flat(64, 64), tmp_path / f"{name}.yuv")
+        write_yuv420(flat_image(64, 64), tmp_path / f"{name}.yuv")
         write_jsonl([{"image_id": "0", "class_id": 0, "bbox": gt_box}], tmp_path / f"{name}.gt")
         write_jsonl(
             [{"image_id": "0", "class_id": 0, "bbox": b, "score": 0.9} for b in det_boxes],

@@ -3,31 +3,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import Det, Gt, Track, det_table, gt_table, track_table
 from oracles import ap_bruteforce, iou_xyxy, map_bruteforce, mota_pairwise
 from vcmbench.errors import EmptyGroundTruth, InputError
 from vcmbench.metrics import iou_matrix, mean_average_precision, mota
-from vcmbench.model import (
-    BoundingBox,
-    Detection,
-    GroundTruthBox,
-    TrackedBox,
-)
 
 
 def B(x0, y0, x1, y1):
-    return BoundingBox(x0, y0, x1, y1)
+    return (x0, y0, x1, y1)
 
 
-def det(img, cls, box, score):
-    return Detection(img, cls, box, score)
+det, gt = Det, Gt
 
 
-def gt(img, cls, box):
-    return GroundTruthBox(img, cls, box)
+def map_of(dets, gts, thresholds=(0.5,), interpolation="all_points"):
+    """mAP of one item's records."""
+    return mean_average_precision([det_table(dets)], [gt_table(gts)], thresholds, interpolation)
+
+
+def mota_of(pred, gt_tracks, iou_threshold):
+    return mota(track_table(pred), track_table(gt_tracks), iou_threshold)
 
 
 def class_ap(dets, gts, class_id, threshold, interpolation="all_points"):
-    return mean_average_precision(dets, gts, (threshold,), interpolation).per_class_ap[class_id]
+    return map_of(dets, gts, (threshold,), interpolation).per_class_ap[class_id]
 
 
 # --- IoU ---
@@ -108,7 +107,7 @@ def test_ap_no_detections():
 def test_ap_no_ground_truth_is_zero():
     # class 0 has no GT, so it gets no AP and its detection counts nowhere
     dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]
-    r = mean_average_precision(dets, [gt("i", 1, B(0, 0, 10, 10))], (0.5,))
+    r = map_of(dets, [gt("i", 1, B(0, 0, 10, 10))], (0.5,))
     assert r.per_class_ap == {1: 0.0}
     assert r.counts == {1: (0, 0, 1)}
 
@@ -127,9 +126,7 @@ def test_ap_invariant_under_monotone_score_transform():
     rng = np.random.default_rng(11)
     dets, gts = _random_instance(rng, n_images=4, n_boxes=15, n_classes=2)
     base = class_ap(dets, gts, 0, 0.5)
-    squashed = [
-        Detection(d.image_id, d.class_id, d.box, d.score ** 3) for d in dets
-    ]
+    squashed = [d._replace(score=d.score ** 3) for d in dets]
     assert class_ap(squashed, gts, 0, 0.5) == pytest.approx(base, abs=1e-12)
 
 
@@ -151,10 +148,10 @@ def _random_instance(rng, n_images=5, n_boxes=20, n_classes=3):
         if gts and rng.random() < 0.6:
             g = gts[rng.integers(0, len(gts))]
             jitter = rng.uniform(-3, 3, 4)
-            x0 = max(0, g.box.x_min + jitter[0])
-            y0 = max(0, g.box.y_min + jitter[1])
-            x1 = max(x0 + 0.5, g.box.x_max + jitter[2])
-            y1 = max(y0 + 0.5, g.box.y_max + jitter[3])
+            x0 = max(0, g.box[0] + jitter[0])
+            y0 = max(0, g.box[1] + jitter[1])
+            x1 = max(x0 + 0.5, g.box[2] + jitter[2])
+            y1 = max(y0 + 0.5, g.box[3] + jitter[3])
             dets.append(
                 det(g.image_id, g.class_id, B(x0, y0, x1, y1), float(next(scores)))
             )
@@ -197,7 +194,7 @@ def test_map_rejects_unknown_interpolation():
     dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]
     gts = [gt("i", 0, B(0, 0, 10, 10))]
     with pytest.raises(InputError, match="101PT"):
-        mean_average_precision(dets, gts, interpolation="101PT")
+        map_of(dets, gts, interpolation="101PT")
 
 
 # --- mAP ---
@@ -205,21 +202,21 @@ def test_map_rejects_unknown_interpolation():
 def test_map_single_class_single_threshold_reduces_to_ap():
     rng = np.random.default_rng(5)
     dets, gts = _random_instance(rng, n_classes=1)
-    r = mean_average_precision(dets, gts, (0.5,))
+    r = map_of(dets, gts, (0.5,))
     assert r.map_value == pytest.approx(class_ap(dets, gts, gts[0].class_id, 0.5))
 
 
 def test_map_two_classes_mean():
     gts = [gt("i", 0, B(0, 0, 10, 10)), gt("i", 1, B(20, 20, 30, 30))]
     dets = [det("i", 0, B(0, 0, 10, 10), 0.9)]  # class 1 never predicted
-    r = mean_average_precision(dets, gts, (0.5,))
+    r = map_of(dets, gts, (0.5,))
     assert r.per_class_ap == {0: 1.0, 1: 0.0}
     assert r.map_value == pytest.approx(0.5)
 
 
 def test_map_empty_ground_truth_raises():
     with pytest.raises(EmptyGroundTruth):
-        mean_average_precision([det("i", 0, B(0, 0, 1, 1), 0.5)], [], (0.5,))
+        map_of([det("i", 0, B(0, 0, 1, 1), 0.5)], [], (0.5,))
 
 
 def test_map_counts_accounting():
@@ -228,7 +225,7 @@ def test_map_counts_accounting():
         det("i", 0, B(0, 0, 10, 10), 0.9),
         det("i", 0, B(50, 50, 60, 60), 0.8),
     ]
-    r = mean_average_precision(dets, gts, (0.5,))
+    r = map_of(dets, gts, (0.5,))
     tp, fp, fn = r.counts[0]
     assert (tp, fp, fn) == (1, 1, 1)
     assert tp + fn == 2  # matched + FN = GT
@@ -239,7 +236,7 @@ def test_map_multi_threshold_matches_oracle():
     thresholds = (0.5, 0.75)
     for _ in range(25):
         dets, gts = _random_instance(rng)
-        r = mean_average_precision(dets, gts, thresholds)
+        r = map_of(dets, gts, thresholds)
         assert r.map_value == pytest.approx(
             map_bruteforce(dets, gts, thresholds), abs=1e-12
         )
@@ -260,28 +257,56 @@ def test_map_matches_oracle_on_tied_ious(det_rows, gt_rows):
     dets = [det(img, c, B(*box), (k + 1) / 16) for k, (img, c, box) in enumerate(det_rows)]
     gts = [gt(img, c, B(*box)) for img, c, box in gt_rows]
     thresholds = (0.1, 0.25, 0.5, 1.0)
-    r = mean_average_precision(dets, gts, thresholds)
+    r = map_of(dets, gts, thresholds)
     assert r.map_value == pytest.approx(map_bruteforce(dets, gts, thresholds), abs=1e-12)
+
+
+def _item_scoped(records, i):
+    return [r._replace(image_id=f"{i}/{r.image_id}") for r in records]
+
+
+def test_pooled_items_match_oracle_on_item_scoped_image_ids():
+    # items reuse image ids; a detection may only match its own item's boxes
+    rng = np.random.default_rng(31)
+    thresholds = (0.5, 0.75)
+    for _ in range(25):
+        items = [_random_instance(rng, n_images=2) for _ in range(3)]
+        # distinct scores across items, as the cutoff oracle needs
+        items = [([d._replace(score=d.score + i * 1e-4) for d in dets], gts)
+                 for i, (dets, gts) in enumerate(items)]
+        r = mean_average_precision(
+            [det_table(dets) for dets, _ in items], [gt_table(gts) for _, gts in items],
+            thresholds,
+        )
+        dets = [d for i, (ds, _) in enumerate(items) for d in _item_scoped(ds, i)]
+        gts = [g for i, (_, gs) in enumerate(items) for g in _item_scoped(gs, i)]
+        assert r.map_value == pytest.approx(map_bruteforce(dets, gts, thresholds), abs=1e-12)
+
+
+def test_score_ties_across_items_keep_item_order():
+    # one box of ground truth per item; the tied hit and miss rank in item order
+    box = B(0, 0, 10, 10)
+    hit = det_table([det("i", 0, box, 0.5)])
+    miss = det_table([det("i", 0, B(50, 50, 60, 60), 0.5)])
+    gts = [gt_table([gt("i", 0, box)])] * 2
+    assert mean_average_precision([hit, miss], gts).map_value == pytest.approx(0.5)
+    assert mean_average_precision([miss, hit], gts).map_value == pytest.approx(0.25)
+
+
+def test_map_takes_one_detection_table_per_item():
+    gts = [gt_table([gt("i", 0, B(0, 0, 1, 1))])]
+    with pytest.raises(InputError, match="2 detection tables for 1"):
+        mean_average_precision([det_table([]), det_table([])], gts)
 
 
 def test_map_box_scale_invariance():
     rng = np.random.default_rng(9)
     dets, gts = _random_instance(rng)
-    base = mean_average_precision(dets, gts, (0.5,)).map_value
+    base = map_of(dets, gts, (0.5,)).map_value
     s = 7.3
-    dets2 = [
-        Detection(d.image_id, d.class_id,
-                  B(d.box.x_min * s, d.box.y_min * s, d.box.x_max * s, d.box.y_max * s),
-                  d.score)
-        for d in dets
-    ]
-    gts2 = [
-        GroundTruthBox(g.image_id, g.class_id,
-                       B(g.box.x_min * s, g.box.y_min * s,
-                         g.box.x_max * s, g.box.y_max * s))
-        for g in gts
-    ]
-    assert mean_average_precision(dets2, gts2, (0.5,)).map_value == pytest.approx(
+    dets2 = [d._replace(box=tuple(c * s for c in d.box)) for d in dets]
+    gts2 = [g._replace(box=tuple(c * s for c in g.box)) for g in gts]
+    assert map_of(dets2, gts2, (0.5,)).map_value == pytest.approx(
         base, abs=1e-12
     )
 
@@ -289,19 +314,19 @@ def test_map_box_scale_invariance():
 # --- MOTA ---
 
 def tb(frame, track, box, score=1.0):
-    return TrackedBox(frame, track, 0, box, score)
+    return Track(frame, track, 0, box, score)
 
 
 def test_mota_perfect_tracking():
     gt_tracks = [tb(0, 1, B(0, 0, 5, 5)), tb(1, 1, B(1, 0, 6, 5))]
-    r = mota(gt_tracks, gt_tracks, 0.5)
+    r = mota_of(gt_tracks, gt_tracks, 0.5)
     assert (r.fn, r.fp, r.idsw) == (0, 0, 0)
     assert r.mota == 1.0
 
 
 def test_mota_all_misses():
     gt_tracks = [tb(f, 1, B(0, 0, 5, 5)) for f in range(10)]
-    r = mota([], gt_tracks, 0.5)
+    r = mota_of([], gt_tracks, 0.5)
     assert r.fn == 10 and r.fp == 0 and r.idsw == 0
     assert r.mota == 0.0
 
@@ -310,7 +335,7 @@ def test_mota_identity_switch():
     # correct boxes both frames, but the predicted track id changes
     gt_tracks = [tb(0, 1, B(0, 0, 5, 5)), tb(1, 1, B(0, 0, 5, 5))]
     pred = [tb(0, 10, B(0, 0, 5, 5)), tb(1, 20, B(0, 0, 5, 5))]
-    r = mota(pred, gt_tracks, 0.5)
+    r = mota_of(pred, gt_tracks, 0.5)
     assert (r.fn, r.fp, r.idsw) == (0, 0, 1)
     assert r.mota == pytest.approx(0.5)
 
@@ -327,7 +352,7 @@ def test_mota_accounting_identity_per_frame():
             for track in range(rng.integers(0, 4)):
                 x = float(rng.uniform(0, 40))
                 pred.append(tb(frame, 100 + track, B(x, 0, x + 5, 5)))
-        r = mota(pred, gt_tracks, 0.5)
+        r = mota_of(pred, gt_tracks, 0.5)
         matched = len(gt_tracks) - r.fn
         assert matched + r.fp == len(pred)
         assert r.gt == len(gt_tracks)
@@ -347,17 +372,17 @@ tracked = st.builds(
 )
 def test_mota_matches_pairwise_oracle(pred, gt_tracks, threshold):
     # grid boxes tie often, so this pins the (-IoU, gt, pred) pair order
-    r = mota(pred, gt_tracks, threshold)
+    r = mota_of(pred, gt_tracks, threshold)
     assert (r.fn, r.fp, r.idsw, r.gt) == mota_pairwise(pred, gt_tracks, threshold)
 
 
 def test_mota_empty_gt_raises():
     with pytest.raises(EmptyGroundTruth):
-        mota([tb(0, 1, B(0, 0, 5, 5))], [], 0.5)
+        mota_of([tb(0, 1, B(0, 0, 5, 5))], [], 0.5)
 
 
 def test_mota_can_be_negative():
     gt_tracks = [tb(0, 1, B(0, 0, 5, 5))]
     pred = [tb(0, 1, B(50, 50, 55, 55)), tb(0, 2, B(60, 60, 65, 65))]
-    r = mota(pred, gt_tracks, 0.5)
+    r = mota_of(pred, gt_tracks, 0.5)
     assert r.mota == pytest.approx(1.0 - 3 / 1)

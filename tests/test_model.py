@@ -3,47 +3,26 @@ import pytest
 
 from vcmbench.errors import InvariantViolation
 from vcmbench.model import (
-    BoundingBox,
-    Detection,
+    BoxTable,
     FeatureTensor,
     PackedFrameSet,
     QuantParams,
     RDCurve,
     RDPoint,
-    TrackedBox,
     frame_shapes,
 )
 
 
-def test_bounding_box_validation():
-    BoundingBox(0, 0, 1, 1)
-    with pytest.raises(InvariantViolation):
-        BoundingBox(1, 0, 1, 1)  # zero width
-    with pytest.raises(InvariantViolation):
-        BoundingBox(0, 2, 1, 1)  # inverted
-    with pytest.raises(InvariantViolation):
-        BoundingBox(-1, 0, 1, 1)
-    with pytest.raises(InvariantViolation):
-        BoundingBox(0, 0, float("inf"), 1)
-
-
-def test_detection_score_bounds():
-    box = BoundingBox(0, 0, 1, 1)
-    Detection("img", 0, box, 0.0)
-    Detection("img", 0, box, 1.0)
-    with pytest.raises(InvariantViolation):
-        Detection("img", 0, box, 1.2)
-    with pytest.raises(InvariantViolation):
-        Detection("", 0, box, 0.5)
-    with pytest.raises(InvariantViolation):
-        Detection("img", -1, box, 0.5)
-
-
-def test_tracked_box_validation():
-    box = BoundingBox(0, 0, 1, 1)
-    TrackedBox(0, 1, 0, box, 0.5)
-    with pytest.raises(InvariantViolation):
-        TrackedBox(-1, 1, 0, box, 0.5)
+def test_box_table_columns_are_frozen_and_equally_long():
+    # row checks are pinned through the loaders (test_tensorio)
+    t = BoxTable(xyxy=[[0, 0, 1, 1], [1, 1, 2, 3]], class_id=[0, 2], image_id=["a", "b"])
+    assert len(t) == 2
+    assert t.xyxy.dtype == np.float64 and t.xyxy.shape == (2, 4)
+    with pytest.raises(ValueError):
+        t.class_id[0] = 1
+    assert len(BoxTable(xyxy=[], class_id=[], frame=[], track_id=[], score=[])) == 0
+    with pytest.raises(InvariantViolation, match="every column must have 2 rows"):
+        BoxTable(xyxy=[[0, 0, 1, 1], [1, 1, 2, 3]], class_id=[0])
 
 
 def test_feature_tensor_immutable_and_validated():

@@ -6,9 +6,9 @@ from vcmbench.errors import (
     DegenerateCurve,
     EmptyAfterCutoff,
     EmptyCurve,
+    InputError,
     NoOverlap,
     UnitMismatch,
-    ZeroFrames,
 )
 from vcmbench.model import RDPoint
 from vcmbench.rdcurves import (
@@ -36,12 +36,14 @@ def test_bpp_uses_source_pixels_not_encode_resolution():
 
 def test_bpp_single_pixel():
     assert bpp(1, 1, 1) == 1.0
+    with pytest.raises(InputError, match="source has no pixels: 0x10"):
+        bpp(1, 0, 10)
 
 
 def test_bitrate_values():
     assert bitrate(30000, 30, 30) == pytest.approx(30000.0)
     assert bitrate(65000, 65, 50) == pytest.approx(50000.0)
-    with pytest.raises(ZeroFrames):
+    with pytest.raises(InputError, match="frame_count must be > 0"):
         bitrate(1000, 0, 30)
 
 

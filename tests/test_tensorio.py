@@ -128,9 +128,9 @@ def test_float64_tensor_serializes_through_float32(tmp_path):
 def test_empty_file_gives_empty_list(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text("", encoding="utf-8")
-    assert load_detections(p) == []
-    assert load_ground_truth(p) == []
-    assert load_tracks(p) == []
+    for load in (load_detections, load_ground_truth, load_tracks):
+        table = load(p)
+        assert len(table) == 0 and table.xyxy.shape == (0, 4)
 
 
 def test_single_record(tmp_path):
@@ -142,9 +142,11 @@ def test_single_record(tmp_path):
         + "\n",
         encoding="utf-8",
     )
-    (d,) = load_detections(p)
-    assert d.image_id == "a" and d.class_id == 1 and d.score == 0.25
-    assert (d.box.x_min, d.box.y_max) == (0.0, 4.0)
+    d = load_detections(p)
+    assert len(d) == 1
+    assert d.image_id.tolist() == ["a"] and d.class_id.tolist() == [1]
+    assert d.score.tolist() == [0.25]
+    assert d.xyxy.tolist() == [[0.0, 0.0, 4.0, 4.0]]
 
 
 def test_order_preserved(tmp_path):
@@ -155,7 +157,8 @@ def test_order_preserved(tmp_path):
     ]
     p.write_text("\n".join(json.dumps(r) for r in lines), encoding="utf-8")
     dets = load_detections(p)
-    assert [d.image_id for d in dets] == [f"img{i}" for i in range(5)]
+    assert dets.image_id.tolist() == [f"img{i}" for i in range(5)]
+    assert dets.xyxy[:, 2].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_score_out_of_range_reports_record_index(tmp_path):
@@ -197,5 +200,75 @@ def test_track_records(tmp_path):
     ]
     p.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
     tracks = load_tracks(p)
-    assert [t.frame_index for t in tracks] == [0, 1]
-    assert all(t.track_id == 7 for t in tracks)
+    assert tracks.frame.tolist() == [0, 1]
+    assert tracks.track_id.tolist() == [7, 7]
+
+
+DET = {"image_id": "img", "class_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
+GT = {"image_id": "img", "class_id": 0, "bbox": [0, 0, 1, 1]}
+TRACK = {"frame": 0, "track_id": 1, "class_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
+LOADERS = {"det": (load_detections, DET), "gt": (load_ground_truth, GT),
+           "track": (load_tracks, TRACK)}
+
+# kind, the fields that differ from a good record, and the message (None: accepted)
+CONTRACT = {
+    "zero-width": ("det", {"bbox": [1, 0, 1, 1]},
+                   "box must have positive extent: (1.0, 0.0, 1.0, 1.0)"),
+    "inverted": ("det", {"bbox": [0, 2, 1, 1]},
+                 "box must have positive extent: (0.0, 2.0, 1.0, 1.0)"),
+    "negative": ("det", {"bbox": [-1, 0, 1, 1]},
+                 "box coordinates must be >= 0: (-1.0, 0.0, 1.0, 1.0)"),
+    "infinite": ("det", {"bbox": [0, 0, float("inf"), 1]},
+                 "box coordinates must be finite: (0.0, 0.0, inf, 1.0)"),
+    # the box is checked before the record's own fields
+    "negative-and-bad-score": ("det", {"bbox": [-1, 0, 1, 1], "score": 2.0},
+                               "box coordinates must be >= 0: (-1.0, 0.0, 1.0, 1.0)"),
+    "score-1.2": ("det", {"score": 1.2}, "score must be in [0,1]: 1.2"),
+    "score-nan": ("det", {"score": float("nan")}, "score must be in [0,1]: nan"),
+    "empty-image-id": ("det", {"image_id": ""}, "image_id must be non-empty"),
+    "det-class-minus-1": ("det", {"class_id": -1}, "class_id must be >= 0: -1"),
+    "gt-class-minus-1": ("gt", {"class_id": -1}, "class_id must be >= 0: -1"),
+    "gt-empty-image-id": ("gt", {"image_id": "", "class_id": -1},
+                          "image_id must be non-empty"),
+    "frame-minus-1": ("track", {"frame": -1}, "frame_index must be >= 0: -1"),
+    "track-score-1.2": ("track", {"score": 1.2}, "score must be in [0,1]: 1.2"),
+    "score-0": ("det", {"score": 0.0}, None),
+    "score-1": ("det", {"score": 1.0}, None),
+    "track-class-minus-1": ("track", {"class_id": -1}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_loader_contract(case, tmp_path):
+    kind, change, message = CONTRACT[case]
+    load, good = LOADERS[kind]
+    p = tmp_path / "r.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in (good, dict(good, **change), good)))
+    if message is None:
+        table = load(p)
+        assert len(table) == 3
+        for key, value in change.items():
+            assert getattr(table, key)[1] == value
+        return
+    with pytest.raises(InvariantViolation) as err:
+        load(p)
+    assert err.value.index == 1
+    assert str(err.value) == f"{p} record 1: {message}"
+
+
+def test_first_bad_record_wins_over_a_later_parse_error(tmp_path):
+    p = tmp_path / "d.jsonl"
+    lines = [json.dumps(DET), json.dumps(dict(DET, score=1.2)), json.dumps(DET), "not json"]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvariantViolation) as err:
+        load_detections(p)
+    assert err.value.index == 1
+
+
+def test_integer_outside_int64_is_parse_error(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps(DET) + "\n" + json.dumps(dict(DET, class_id=10**30)) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_detections(p)
+    assert err.value.line == 2
+    assert str(p) in str(err.value) and "int64" in str(err.value)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import flat_image
 from oracles import resample_plane_gather
 from vcmbench.errors import InputError, TruncatedFile
 from vcmbench.pipeline.yuv import (
@@ -63,7 +64,7 @@ def test_scale_100_is_identity():
 
 
 def test_scale_50_halves_dims_and_keeps_constants():
-    img = RawImage.flat(8, 8, y=77, cb=10, cr=200)
+    img = flat_image(8, 8, y=77, cb=10, cr=200)
     out = scale_image(img, 50)
     assert (out.width, out.height) == (4, 4)
     assert np.all(out.y == 77)
@@ -72,7 +73,7 @@ def test_scale_50_halves_dims_and_keeps_constants():
 
 
 def test_scale_dims_for_all_scales():
-    img = RawImage.flat(192, 128)
+    img = flat_image(192, 128)
     for percent, (w, h) in ((25, (48, 32)), (50, (96, 64)), (75, (144, 96)),
                             (100, (192, 128))):
         out = scale_image(img, percent)
@@ -82,7 +83,7 @@ def test_scale_dims_for_all_scales():
 
 
 def test_downscale_then_upscale_constant_identity():
-    img = RawImage.flat(16, 16, y=42)
+    img = flat_image(16, 16, y=42)
     down = scale_image(img, 50)
     up = resize(down, 16, 16)
     assert np.array_equal(up.y, img.y)
@@ -90,7 +91,7 @@ def test_downscale_then_upscale_constant_identity():
 
 
 def test_resize_min_dims():
-    img = RawImage.flat(5, 3)
+    img = flat_image(5, 3)
     out = scale_image(img, 25)
     assert out.width >= 1 and out.height >= 1
 
