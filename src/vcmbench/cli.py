@@ -371,7 +371,7 @@ def _cmd_run(args, config) -> int:
         result = run_experiment(manifest, work_dir=work_dir, jobs=jobs)
     except VcmError as e:
         partial = getattr(e, "partial_records", None)
-        if partial:
+        if partial is not None:  # an empty list still names the failure
             out_dir.mkdir(parents=True, exist_ok=True)
             rows = [
                 {

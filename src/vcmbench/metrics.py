@@ -5,10 +5,13 @@ one table per item, in item-then-file order. Each detection matches only
 ground truth of its own item, class and image id, so items may reuse
 image ids. The pooled detections are ranked once by descending score
 (ties keep pooled order), and each (class, item, image) IoU matrix is
-computed once; at every threshold, detections are greedily matched in
-rank order. AP integrates the precision envelope over recall with
-all-point interpolation. A 101-point interpolation mode is available
-for parity with COCO-style tooling.
+computed once. Matching takes one pass per group: each detection's
+ground-truth columns are sorted by IoU once, stably, and at every
+threshold, in the order given, the detections in rank order each take
+their first free candidate with IoU >= the threshold -- the best free
+ground-truth box, the lowest column winning ties. AP integrates the
+precision envelope over recall with all-point interpolation. A 101-point
+interpolation mode is available for parity with COCO-style tooling.
 
 Tracking quality is CLEAR-MOT accounting with per-frame greedy IoU
 matching:  MOTA = 1 - (FN + FP + IDSW) / GT.
@@ -68,16 +71,32 @@ def _pooled(tables, *columns) -> list[np.ndarray]:
     return pooled + [np.repeat(np.arange(len(tables)), [len(t) for t in tables])]
 
 
-def _greedy_match(ious: np.ndarray, threshold: float) -> np.ndarray:
-    """Greedy matches of rank-ordered rows: each takes its best free column >= threshold."""
-    matched = np.zeros(len(ious), dtype=bool)
-    free = np.ones(ious.shape[1], dtype=bool)
-    for r in np.flatnonzero((ious >= threshold).any(axis=1)):
-        v = np.where(free, ious[r], -1.0)
-        j = v.argmax()  # the first column on ties
-        if v[j] >= threshold:
-            free[j] = False
-            matched[r] = True
+def _greedy_match(ious: np.ndarray, thresholds) -> np.ndarray:
+    """Greedy matches of rank-ordered rows, one row of flags per threshold.
+
+    Each row's columns are sorted by IoU once (stably, so the lowest column
+    wins ties). At each threshold the rows, in rank order, take their first
+    free candidate with IoU >= the threshold: the best free column.
+    """
+    matched = np.zeros((len(thresholds), len(ious)), dtype=bool)
+    order = np.argsort(-ious, axis=1, kind="stable")
+    ranked = np.take_along_axis(ious, order, axis=1)
+    n_cand = (ranked >= min(thresholds)).sum(axis=1)
+    rows = np.flatnonzero(n_cand).tolist()
+    candidates = [
+        list(zip(order[r, :n].tolist(), ranked[r, :n].tolist()))
+        for r, n in zip(rows, n_cand[rows].tolist())
+    ]
+    for flags, t in zip(matched, thresholds):
+        free = [True] * ious.shape[1]
+        for r, cands in zip(rows, candidates):
+            for j, v in cands:
+                if v < t:
+                    break
+                if free[j]:
+                    free[j] = False
+                    flags[r] = True
+                    break
     return matched
 
 
@@ -95,13 +114,10 @@ def _ap_from_flags(flags, n_gt, interpolation="all_points"):
         idx = np.searchsorted(recall, grid, side="left")
         vals = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
         return float(vals.mean())
-    prev_r = 0.0
-    ap = 0.0
-    for r, p in zip(recall, env):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return float(ap)
+    # recall never falls; cumsum adds the rises in order, as a loop would
+    rise = np.diff(recall, prepend=0.0)
+    terms = (rise * env)[rise > 0]
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def mean_average_precision(
@@ -146,16 +162,16 @@ def mean_average_precision(
     classes, n_gt = np.unique(g_cls, return_counts=True)
     in_class = [d_cls == c for c in classes]
     aps = [[] for _ in in_class]
-    for t in thresholds:
-        flags = np.zeros(len(d_cls), dtype=bool)
-        for ranks, ious in groups:
-            flags[ranks] = _greedy_match(ious, t)
+    matched = np.zeros((len(thresholds), len(d_cls)), dtype=bool)
+    for ranks, ious in groups:
+        matched[:, ranks] = _greedy_match(ious, thresholds)
+    for flags in matched:
         for ap, m, n in zip(aps, in_class, n_gt.tolist()):
             ap.append(_ap_from_flags(flags[m], n, interpolation))
     per_class: dict[int, float] = {}
     counts: dict[int, tuple[int, int, int]] = {}
     for c, ap, m, n in zip(classes.tolist(), aps, in_class, n_gt.tolist()):
-        tp = int(flags[m].sum())  # flags hold the last threshold's matches
+        tp = int(matched[-1][m].sum())  # the last threshold's matches
         counts[c] = (tp, int(m.sum()) - tp, n - tp)
         per_class[c] = float(np.mean(ap))
     map_value = float(np.mean(list(per_class.values())))

@@ -3,9 +3,13 @@
 The unit of work is one (item, scale). A unit reads the item once, scales
 it to the target scale (border-padding to even dims instead of scaling
 at 100%) and writes the codec input once. Then, for each qp, it encodes
-and decodes that input, inverts the padding, upscales the reconstruction
-back to the source resolution, obtains task predictions for it, and
-rates it. Ground-truth files are read-only inputs, parsed once per item
+and decodes that input, obtains task predictions for it, and rates it.
+Only an item with a prediction command needs the reconstruction: for it,
+the padding is inverted, the decoded frames are upscaled back to the
+source resolution and written as the command's input (`recon.yuv` in the
+qp's work directory). An item with precomputed predictions reads none of
+it, so the crop and upscale stages fail only for command items.
+Ground-truth files are read-only inputs, parsed once per item
 per run and before any unit starts: boxes are never rescaled, because
 predictions are produced at source resolution.
 
@@ -225,24 +229,31 @@ def _prepare(manifest, item, scale, scratch: Path) -> PreparedInput:
 def _process_item(
     manifest, item, qp, scale, scratch: Path, prepared: PreparedInput
 ) -> ItemRecord:
-    """Code one prepared input at one qp, then upscale, predict and rate it."""
+    """Code one prepared input at one qp, then predict and rate it.
+
+    Only a prediction command reads the reconstruction: for its items the
+    decoded file is cropped back from its padding (at 100%), upscaled to
+    the source resolution and written as recon.yuv, the command's input.
+    Items with precomputed predictions go from the codec straight to the
+    rate.
+    """
     enc_w, enc_h = prepared.width, prepared.height
     stage = "codec"
     try:
         decoded_path, bits = run_codec(
             manifest.codec, prepared.path, qp, scratch, width=enc_w, height=enc_h
         )
-        decoded = read_yuv420(decoded_path, enc_w, enc_h)
-        if scale == 100:
-            stage = "crop"
-            decoded = [crop_pad(f, prepared.pad_record) for f in decoded]
-        stage = "upscale"
-        recon = [resize(f, item.width, item.height) for f in decoded]
-        recon_path = scratch / "recon.yuv"
-        write_yuv420(recon, recon_path)
-
-        stage = "predict"
         if item.prediction_command is not None:
+            decoded = read_yuv420(decoded_path, enc_w, enc_h)
+            if scale == 100:
+                stage = "crop"
+                decoded = [crop_pad(f, prepared.pad_record) for f in decoded]
+            stage = "upscale"
+            recon = [resize(f, item.width, item.height) for f in decoded]
+            recon_path = scratch / "recon.yuv"
+            write_yuv420(recon, recon_path)
+
+            stage = "predict"
             pred_path = scratch / "predictions.jsonl"
             argv = expand_template(
                 item.prediction_command,

@@ -12,6 +12,8 @@ from collections import defaultdict
 
 import numpy as np
 
+from vcmbench.metrics import APResult
+
 
 def iou_xyxy(a, b) -> float:
     ix = min(a[2], b[2]) - max(a[0], b[0])
@@ -126,6 +128,92 @@ def map_bruteforce(dets, gts, thresholds) -> float:
         for c in classes
     ]
     return float(np.mean(per_class))
+
+
+def _greedy_match_at(ious: np.ndarray, threshold: float) -> np.ndarray:
+    """Greedy matches of rank-ordered rows: each takes its best free column >= threshold."""
+    matched = np.zeros(len(ious), dtype=bool)
+    free = np.ones(ious.shape[1], dtype=bool)
+    for r in np.flatnonzero((ious >= threshold).any(axis=1)):
+        v = np.where(free, ious[r], -1.0)
+        j = v.argmax()  # the first column on ties
+        if v[j] >= threshold:
+            free[j] = False
+            matched[r] = True
+    return matched
+
+
+def _ap_loop(flags, n_gt, interpolation):
+    """AP of rank-ordered match flags; the all-point sum is a plain loop."""
+    if len(flags) == 0:
+        return 0.0
+    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
+    precision = tp / np.arange(1, len(flags) + 1, dtype=np.float64)
+    recall = tp / n_gt
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    if interpolation == "101pt":
+        grid = np.linspace(0.0, 1.0, 101)
+        idx = np.searchsorted(recall, grid, side="left")
+        vals = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
+        return float(vals.mean())
+    prev_r = 0.0
+    ap = 0.0
+    for r, p in zip(recall, env):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+def map_per_threshold(dets, gts, thresholds, interpolation="all_points") -> APResult:
+    """mAP of per-item box tables, matching every threshold from scratch.
+
+    Detections are ranked by descending score (ties keep pooled order) and
+    grouped per (class, item, image id) in dicts; each group's IoU matrix is
+    built from scalar IoUs, and at each threshold every group is matched
+    greedily with one argmax per detection row. Counts are those of the
+    last threshold.
+    """
+    gt_rows = defaultdict(list)  # (class, item, image) -> gt boxes, pooled order
+    n_gt = defaultdict(int)
+    for i, t in enumerate(gts):
+        for box, c, img in zip(t.xyxy.tolist(), t.class_id.tolist(), t.image_id.tolist()):
+            gt_rows[(c, i, img)].append(box)
+            n_gt[c] += 1
+    pooled = [
+        (score, c, i, img, box)
+        for i, t in enumerate(dets)
+        for box, c, img, score in zip(
+            t.xyxy.tolist(), t.class_id.tolist(), t.image_id.tolist(), t.score.tolist()
+        )
+    ]
+    ranked = [pooled[k] for k in sorted(range(len(pooled)), key=lambda k: -pooled[k][0])]
+    det_rows = defaultdict(list)  # (class, item, image) -> rank positions
+    for pos, (_, c, i, img, _) in enumerate(ranked):
+        det_rows[(c, i, img)].append(pos)
+    groups = [
+        (rows, np.array([[iou_xyxy(ranked[r][4], g) for g in gt_rows[key]] for r in rows]))
+        for key, rows in det_rows.items()
+        if key in gt_rows
+    ]
+    classes = sorted(n_gt)
+    ranked_cls = np.array([d[1] for d in ranked], dtype=np.int64)
+    aps = {c: [] for c in classes}
+    for t in thresholds:
+        flags = np.zeros(len(ranked), dtype=bool)
+        for rows, ious in groups:
+            flags[rows] = _greedy_match_at(ious, t)
+        for c in classes:
+            aps[c].append(_ap_loop(flags[ranked_cls == c], n_gt[c], interpolation))
+    counts = {}
+    for c in classes:
+        tp = int(flags[ranked_cls == c].sum())
+        counts[c] = (tp, int((ranked_cls == c).sum()) - tp, n_gt[c] - tp)
+    per_class = {c: float(np.mean(aps[c])) for c in classes}
+    return APResult(
+        per_class_ap=per_class, map_value=float(np.mean(list(per_class.values()))),
+        counts=counts,
+    )
 
 
 def pareto_bruteforce(points) -> list[tuple[float, float]]:

@@ -682,6 +682,16 @@ def test_run_persists_partial_results_on_failure(tmp_path, blob_manifest, capsys
     assert "gone.yuv" in failure["cause"]
 
 
+def test_run_persists_failure_when_no_record_completed(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", _manifest(tmp_path, path="gone.yuv"), "--output-dir", str(out)])
+    assert rc == 2
+    partial = json.loads((out / "partial_results.json").read_text())
+    assert partial["records"] == []
+    assert partial["failure"]["stage"] == "load"
+    assert "gone.yuv" in partial["failure"]["cause"]
+
+
 def test_run_persists_every_record_when_evaluation_fails(tmp_path, blob_manifest, capsys):
     path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
                          predictions="files")

@@ -80,6 +80,28 @@ def test_prediction_command_end_to_end(blob_manifest, tmp_path):
     assert by_cell[(100, 4)][1] == pytest.approx(0.5)
     # more truncation also means fewer coded bits
     assert by_cell[(100, 4)][0] < by_cell[(100, 0)][0]
+    # the command read one reconstruction per (item, qp, scale)
+    recons = sorted(p.parent.name for p in (tmp_path / "work").rglob("recon.yuv"))
+    assert recons == sorted(
+        f"item{i}_q{qp}_s{scale}" for i in (0, 1) for qp in (0, 4) for scale in (100, 50)
+    )
+
+
+def test_precomputed_predictions_skip_the_reconstruction(blob_manifest, tmp_path, monkeypatch):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
+                         predictions="files")
+    calls = []
+    resize = experiment.resize
+
+    def counted(*args):
+        calls.append(args)
+        return resize(*args)
+
+    monkeypatch.setattr(experiment, "resize", counted)
+    result = run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert len(result.records) == 2 * 2 * 2
+    assert calls == []
+    assert list((tmp_path / "work").rglob("recon.yuv")) == []
 
 
 def test_tracking_experiment_end_to_end(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Det, Gt, Track, det_table, gt_table, track_table
-from oracles import ap_bruteforce, iou_xyxy, map_bruteforce, mota_pairwise
+from oracles import ap_bruteforce, iou_xyxy, map_bruteforce, map_per_threshold, mota_pairwise
 from vcmbench.errors import EmptyGroundTruth, InputError
 from vcmbench.metrics import iou_matrix, mean_average_precision, mota
 
@@ -259,6 +259,58 @@ def test_map_matches_oracle_on_tied_ious(det_rows, gt_rows):
     thresholds = (0.1, 0.25, 0.5, 1.0)
     r = map_of(dets, gts, thresholds)
     assert r.map_value == pytest.approx(map_bruteforce(dets, gts, thresholds), abs=1e-12)
+
+
+COCO_THRESHOLDS = tuple(np.linspace(0.5, 0.95, 10))
+INTERPOLATIONS = ("all_points", "101pt")
+
+
+def _assert_matches_per_threshold(det_tables, gt_tables, thresholds, interpolation):
+    got = mean_average_precision(det_tables, gt_tables, thresholds, interpolation)
+    assert got == map_per_threshold(det_tables, gt_tables, thresholds, interpolation)
+
+
+@pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+@pytest.mark.parametrize(
+    "thresholds",
+    [(0.5,), COCO_THRESHOLDS, (0.75, 0.5, 0.75, 0.6)],  # the last out of order, repeated
+    ids=["0.5", "coco", "unordered"],
+)
+def test_map_equals_per_threshold_oracle_on_random_items(thresholds, interpolation):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        items = [_random_instance(rng, n_images=2) for _ in range(3)]
+        # coarse scores tie within and across items
+        det_tables = [
+            det_table([d._replace(score=round(d.score, 1)) for d in dets]) for dets, _ in items
+        ]
+        gt_tables = [gt_table(gts) for _, gts in items]
+        _assert_matches_per_threshold(det_tables, gt_tables, thresholds, interpolation)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1), grid_box), max_size=8),
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1), grid_box), min_size=1,
+             max_size=6),
+    st.sampled_from(INTERPOLATIONS),
+)
+# the tie that test_map_matches_oracle_on_tied_ious pins: the first column wins
+@example([("a", 0, (0, 0, 2, 2)), ("a", 0, (0, 0, 3, 2))],
+         [("a", 0, (0, 0, 2, 2)), ("a", 0, (1, 0, 3, 2))], "all_points")
+def test_map_equals_per_threshold_oracle_on_tied_ious(det_rows, gt_rows, interpolation):
+    dets = [det(img, c, B(*box), (k + 1) / 16) for k, (img, c, box) in enumerate(det_rows)]
+    gts = [gt(img, c, B(*box)) for img, c, box in gt_rows]
+    for thresholds in [(0.1, 0.25, 0.5, 1.0), (1.0, 0.25, 0.1, 0.25)]:
+        _assert_matches_per_threshold(
+            [det_table(dets)], [gt_table(gts)], thresholds, interpolation
+        )
+
+
+@pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+def test_map_equals_per_threshold_oracle_without_detections(interpolation):
+    gts = [gt_table([gt("i", 0, B(0, 0, 10, 10)), gt("j", 1, B(5, 5, 9, 9))])]
+    _assert_matches_per_threshold([det_table([])], gts, COCO_THRESHOLDS, interpolation)
 
 
 def _item_scoped(records, i):
