@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DimMismatch, InputError, VcmError
+from .errors import InputError, VcmError
 from .featurecodec import (
     denormalize,
     dequantize_2bit,
@@ -191,6 +191,8 @@ def _cmd_pareto(args, config) -> int:
 def _parse_dims(text: str) -> tuple[int, int, int]:
     with parsing(f"--dims expects integers C,H,W: {text!r}"):
         c, h, w = (int(p) for p in text.split(","))
+    if min(c, h, w) < 1:
+        raise InputError(f"--dims must be >= 1 each: {text!r}")
     return c, h, w
 
 
@@ -253,7 +255,7 @@ def _report_error(tensor, ref_path, params: QuantParams) -> None:
     """Print the max reconstruction error against a reference tensor."""
     ref = read_feature_tensor(ref_path)
     if ref.dims != tensor.dims:
-        raise DimMismatch(f"reference dims {ref.dims} differ from {tensor.dims}")
+        raise InputError(f"reference dims {ref.dims} differ from {tensor.dims}")
     err = float(np.abs(tensor.values.astype(np.float64) - ref.values).max())
     bound = ""
     if params.bit_depth == 8:

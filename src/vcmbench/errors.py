@@ -6,6 +6,20 @@ ExternalToolError covers failures of user-supplied codec/prediction
 commands (CLI exit code 3). A file or directory that cannot be read or
 written raises the plain OSError from the call that touched it; the CLI
 maps every OSError to exit code 2.
+
+A subclass exists only where a caller needs more than the base class and
+the message: it carries data, it is caught by type, or its name reaches
+an output. Everything else raises InputError or ExternalToolError itself.
+The kept classes:
+    ParseError          carries the 1-based line
+    InvariantViolation  carries the record index; tensorio catches it
+    CorruptStream       caught by type: a damaged payload never passes
+    DegenerateCurve,
+    NoOverlap,
+    UnitMismatch        report.json's bd_table names them in its errors
+    CommandFailed       carries the argv and the captured stderr
+    StageError          carries its (stage, item, qp, scale) context;
+                        run_experiment catches it
 """
 
 
@@ -18,8 +32,6 @@ class VcmError(Exception):
 class InputError(VcmError):
     """Invalid input file, argument, or contract violation."""
 
-    exit_code = 2
-
 
 class ExternalToolError(VcmError):
     """An external command failed or misbehaved."""
@@ -28,18 +40,6 @@ class ExternalToolError(VcmError):
 
 
 # --- core model / file formats ---
-
-class BadMagic(InputError):
-    pass
-
-
-class TruncatedFile(InputError):
-    pass
-
-
-class DimOverflow(InputError):
-    pass
-
 
 class ParseError(InputError):
     """Malformed record; carries the 1-based line number."""
@@ -57,25 +57,7 @@ class InvariantViolation(InputError):
         self.index = index
 
 
-# --- metrics ---
-
-class EmptyGroundTruth(InputError):
-    pass
-
-
-class DimMismatch(InputError):
-    pass
-
-
 # --- rate-distortion analysis ---
-
-class EmptyCurve(InputError):
-    pass
-
-
-class EmptyAfterCutoff(InputError):
-    pass
-
 
 class NoOverlap(InputError):
     pass
@@ -91,18 +73,6 @@ class UnitMismatch(InputError):
 
 # --- feature codec ---
 
-class DegenerateRange(InputError):
-    pass
-
-
-class BadParams(InputError):
-    pass
-
-
-class WrongChannelCount(InputError):
-    pass
-
-
 class CorruptStream(InputError):
     pass
 
@@ -116,14 +86,6 @@ class CommandFailed(ExternalToolError):
         super().__init__(message)
         self.argv = argv
         self.stderr = stderr
-
-
-class OutputMissing(ExternalToolError):
-    pass
-
-
-class DimChanged(ExternalToolError):
-    pass
 
 
 class StageError(VcmError):

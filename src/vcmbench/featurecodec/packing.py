@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimMismatch, InputError, TruncatedFile, WrongChannelCount
+from ..errors import InputError
 from ..model import (
     LAYOUT_MULTISCALE,
     LAYOUT_SPATIAL_TILED,
@@ -67,7 +67,7 @@ def pack_spatial_tiled(
     s = _as_samples(samples)
     c, h, w = s.shape
     if c != 64:
-        raise WrongChannelCount(f"spatial tiling requires 64 channels, got {c}")
+        raise InputError(f"spatial tiling requires 64 channels, got {c}")
     perm = None
     if permutation is not None:
         perm = _validated_perm(permutation, c)
@@ -89,17 +89,17 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
     """
     arrays = [_as_samples(s) for s in samples_per_level]
     if len(arrays) != 5:
-        raise DimMismatch(f"expected 5 levels (P2..P6), got {len(arrays)}")
+        raise InputError(f"expected 5 levels (P2..P6), got {len(arrays)}")
     _, h, w = arrays[0].shape
     for k, arr in enumerate(arrays):
         if arr.shape[0] != 64:
-            raise WrongChannelCount(
+            raise InputError(
                 f"tiled multiscale packing requires 64 channels, P{k + 2} has {arr.shape[0]}"
             )
         if min(h, w) < 1:
-            raise DimMismatch(f"P{k + 2} dims fall below 1 px after halving")
+            raise InputError(f"P{k + 2} dims fall below 1 px after halving")
         if arr.shape[1:] != (h, w):
-            raise DimMismatch(f"P{k + 2} dims {arr.shape[1:]} != expected ({h}, {w})")
+            raise InputError(f"P{k + 2} dims {arr.shape[1:]} != expected ({h}, {w})")
         h, w = h // 2, w // 2
     c, h2, w2 = arrays[0].shape
     frame = np.zeros(frame_shapes(LAYOUT_MULTISCALE, (c, h2, w2))[0], dtype=np.uint8)
@@ -134,11 +134,11 @@ def pack_temporal(samples, permutation=None, quant: QuantParams | None = None) -
 def split_frames(raw: bytes, shapes) -> tuple[np.ndarray, ...]:
     """Cut concatenated row-major 8-bit frames into (h, w) arrays, in order.
 
-    Raises TruncatedFile unless the bytes hold exactly the given frames.
+    Raises InputError unless the bytes hold exactly the given frames.
     """
     sizes = [fh * fw for fh, fw in shapes]
     if len(raw) != sum(sizes):
-        raise TruncatedFile(
+        raise InputError(
             f"{len(raw)} bytes do not match {len(sizes)} frame(s) of "
             f"{sum(sizes)} samples in total"
         )

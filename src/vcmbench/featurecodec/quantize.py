@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BadParams, DegenerateRange, InputError
+from ..errors import InputError
 from ..model import FeatureTensor, QuantParams
 
 
@@ -50,7 +50,7 @@ def normalize(
 def quantize_8bit(z: FeatureTensor, params: QuantParams) -> np.ndarray:
     """Map normalized values to uint8 codes in [0, 255]."""
     if not params.z_max > params.z_min:
-        raise DegenerateRange(
+        raise InputError(
             f"z_max must exceed z_min (got [{params.z_min}, {params.z_max}]); "
             "a degenerate range would map every sample to 0"
         )
@@ -64,12 +64,12 @@ def quantize_8bit(z: FeatureTensor, params: QuantParams) -> np.ndarray:
 def dequantize_8bit(samples: np.ndarray, params: QuantParams) -> FeatureTensor:
     """Inverse of quantize_8bit up to half a quantization step."""
     if not params.z_max > params.z_min:
-        raise BadParams(f"invalid range [{params.z_min}, {params.z_max}]")
+        raise InputError(f"invalid range [{params.z_min}, {params.z_max}]")
     s = np.asarray(samples)
     if s.ndim != 3:
-        raise BadParams(f"samples must be 3-D (C,h,w), got shape {s.shape}")
+        raise InputError(f"samples must be 3-D (C,h,w), got shape {s.shape}")
     if s.dtype != np.uint8 and (s.min() < 0 or s.max() > 255):
-        raise BadParams("8-bit samples must be in [0, 255]")
+        raise InputError("8-bit samples must be in [0, 255]")
     lo, hi = np.float64(params.z_min), np.float64(params.z_max)
     z = lo + s.astype(np.float64) * (hi - lo) / 255.0
     return FeatureTensor(z, dtype=np.float64)
@@ -92,7 +92,7 @@ def dequantize_2bit(samples: np.ndarray, params: QuantParams) -> FeatureTensor:
     """Reconstruct 2-bit codes at the four level centers."""
     s = np.asarray(samples)
     if s.size and s.max() > 3:
-        raise BadParams("2-bit samples must be in {0, 1, 2, 3}")
+        raise InputError("2-bit samples must be in {0, 1, 2, 3}")
     th = params.z_th
     levels = np.array(
         [-1.5 * th, -0.5 * th, 0.5 * th, 1.5 * th], dtype=np.float64
@@ -103,9 +103,7 @@ def dequantize_2bit(samples: np.ndarray, params: QuantParams) -> FeatureTensor:
 def denormalize(z: FeatureTensor, params: QuantParams) -> FeatureTensor:
     """Invert normalize: x = z * std + mean per channel."""
     if params.channels != z.channels:
-        raise BadParams(
-            f"params cover {params.channels} channels, tensor has {z.channels}"
-        )
+        raise InputError(f"params cover {params.channels} channels, tensor has {z.channels}")
     std = params.std.astype(np.float64)[:, None, None]
     mean = params.mean.astype(np.float64)[:, None, None]
     x = z.values.astype(np.float64) * std + mean

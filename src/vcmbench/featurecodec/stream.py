@@ -36,14 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadMagic, BadParams, CorruptStream, DimOverflow, TruncatedFile
+from ..errors import CorruptStream, InputError
 from ..model import (
-    DEFAULT_ELEMENT_LIMIT,
     LAYOUT_MULTISCALE,
     LAYOUT_SPATIAL_TILED,
     LAYOUT_TEMPORAL,
     PackedFrameSet,
     QuantParams,
+    check_header_dims,
     frame_shapes,
 )
 from .entropy import decode_bytes, encode_bytes
@@ -112,16 +112,16 @@ def _unpack_2bit(coded: bytes, n: int) -> bytes:
 def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
     """Entropy-code a frame set into a self-describing stream."""
     if fs.quant is None:
-        raise BadParams("frame set carries no quant params; the stream needs them")
+        raise InputError("frame set carries no quant params; the stream needs them")
     if fs.quant.channels != fs.original_dims[0]:
-        raise BadParams(
+        raise InputError(
             f"quant params cover {fs.quant.channels} channels, "
             f"frame set has {fs.original_dims[0]}"
         )
     samples = np.concatenate([np.asarray(f, dtype=np.uint8).ravel() for f in fs.frames])
     if fs.quant.bit_depth == 2:
         if samples.max() > 3:
-            raise BadParams("a 2-bit frame set holds a sample above 3")
+            raise InputError("a 2-bit frame set holds a sample above 3")
         coded = _pack_2bit(samples)
     else:
         coded = samples.tobytes()
@@ -163,31 +163,26 @@ def write_stream(stream: CodedFeatureStream, path) -> None:
 
 def stream_from_bytes(raw: bytes, origin: str = "<bytes>") -> CodedFeatureStream:
     if len(raw) < 4 or raw[:4] != STREAM_MAGIC:
-        raise BadMagic(f"{origin}: not a coded-feature stream (bad magic)")
+        raise InputError(f"{origin}: not a coded-feature stream (bad magic)")
     off = 4
 
     def take(fmt):
         nonlocal off
         size = struct.calcsize(fmt)
         if len(raw) < off + size:
-            raise TruncatedFile(f"{origin}: truncated at offset {off}")
+            raise InputError(f"{origin}: truncated at offset {off}")
         vals = struct.unpack_from(fmt, raw, off)
         off += size
         return vals
 
     (version,) = take("<I")
     if version != STREAM_VERSION:
-        raise BadMagic(f"{origin}: unsupported version {version}")
+        raise InputError(f"{origin}: unsupported version {version}")
     tag, bit_depth = take("<BB")
     if tag not in _TAG_LAYOUTS:
-        raise BadMagic(f"{origin}: unknown layout tag {tag}")
+        raise InputError(f"{origin}: unknown layout tag {tag}")
     c, h, w = take("<3I")
-    if min(c, h, w) < 1:
-        raise TruncatedFile(f"{origin}: invalid dims ({c},{h},{w})")
-    if c * h * w > DEFAULT_ELEMENT_LIMIT:
-        raise DimOverflow(
-            f"{origin}: {c * h * w} elements exceeds limit {DEFAULT_ELEMENT_LIMIT}"
-        )
+    check_header_dims(c, h, w, origin)
     mean = np.array(take(f"<{c}f"), dtype=np.float32)
     std = np.array(take(f"<{c}f"), dtype=np.float32)
     z_min, z_max, z_th = take("<3f")

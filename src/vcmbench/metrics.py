@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroundTruth, InputError
+from .errors import InputError
 from .model import BoxTable
 
 
@@ -144,7 +144,7 @@ def mean_average_precision(
     if len(dets) != len(gts):
         raise InputError(f"{len(dets)} detection tables for {len(gts)} ground-truth tables")
     if not sum(map(len, gts)):
-        raise EmptyGroundTruth("no class has any ground-truth box")
+        raise InputError("no class has any ground-truth box")
     g_box, g_cls, g_img, g_item = _pooled(gts, "xyxy", "class_id", "image_id")
     d_box, d_cls, d_img, score, d_item = _pooled(dets, "xyxy", "class_id", "image_id", "score")
     rank = np.argsort(-score, kind="stable")
@@ -189,7 +189,7 @@ def mota(pred: BoxTable, gt: BoxTable, iou_threshold: float = 0.5) -> MotaResult
     if not (0.0 < iou_threshold <= 1.0):
         raise InputError(f"iou_threshold must be in (0,1]: {iou_threshold}")
     if not len(gt):
-        raise EmptyGroundTruth("ground truth has no tracked boxes")
+        raise InputError("ground truth has no tracked boxes")
     pred_frames = _groups(pred.frame)
 
     fn = fp = idsw = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -85,6 +85,16 @@ class BoxTable:
 DEFAULT_ELEMENT_LIMIT = 1 << 31
 
 
+def check_header_dims(c: int, h: int, w: int, origin) -> None:
+    """Reject (C, h, w) read from a file header: each >= 1, C*h*w within the limit."""
+    if min(c, h, w) < 1:
+        raise InputError(f"{origin}: invalid dims ({c},{h},{w})")
+    if c * h * w > DEFAULT_ELEMENT_LIMIT:
+        raise InputError(
+            f"{origin}: {c * h * w} elements exceeds limit {DEFAULT_ELEMENT_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class FeatureTensor:
     """C x h x w float feature maps, row-major (channel, row, column).
@@ -143,15 +153,20 @@ class QuantParams:
     bit_depth: int = 8
 
     def __post_init__(self):
-        mean = _freeze(np.asarray(self.mean, dtype=np.float32))
-        std = _freeze(np.asarray(self.std, dtype=np.float32))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-        object.__setattr__(self, "z_min", float(np.float32(self.z_min)))
-        object.__setattr__(self, "z_max", float(np.float32(self.z_max)))
-        object.__setattr__(self, "z_th", float(np.float32(self.z_th)))
+        # a value past the float32 range casts to inf, which is rejected below
+        with np.errstate(over="ignore"):
+            mean = _freeze(np.asarray(self.mean, dtype=np.float32))
+            std = _freeze(np.asarray(self.std, dtype=np.float32))
+            object.__setattr__(self, "mean", mean)
+            object.__setattr__(self, "std", std)
+            object.__setattr__(self, "z_min", float(np.float32(self.z_min)))
+            object.__setattr__(self, "z_max", float(np.float32(self.z_max)))
+            object.__setattr__(self, "z_th", float(np.float32(self.z_th)))
         if mean.ndim != 1 or std.shape != mean.shape:
             raise InvariantViolation("mean/std must be 1-D and the same length")
+        for name in ("mean", "std", "z_min", "z_max", "z_th"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvariantViolation(f"{name} must be finite at float32 precision")
         if (std < 0).any():
             raise InvariantViolation("std must be >= 0 for every channel")
         if self.z_max < self.z_min:

@@ -30,13 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (
-    CommandFailed,
-    DimChanged,
-    InputError,
-    InvariantViolation,
-    OutputMissing,
-)
+from ..errors import CommandFailed, ExternalToolError, InputError, InvariantViolation
 from ..featurecodec.entropy import encode_bytes
 
 KIND_EXTERNAL = "EXTERNAL"
@@ -140,14 +134,14 @@ def run_codec(
     }
     run_command(expand_template(spec.encode_template, subs), "encode")
     if not bitstream.exists():
-        raise OutputMissing(f"encoder produced no bitstream at {bitstream}")
+        raise ExternalToolError(f"encoder produced no bitstream at {bitstream}")
     bits = 8 * bitstream.stat().st_size
     subs = dict(subs, input=str(bitstream), output=str(decoded))
     run_command(expand_template(spec.decode_template, subs), "decode")
     if not decoded.exists():
-        raise OutputMissing(f"decoder produced no output at {decoded}")
+        raise ExternalToolError(f"decoder produced no output at {decoded}")
     if decoded.stat().st_size != input_path.stat().st_size:
-        raise DimChanged(
+        raise ExternalToolError(
             f"decoded size {decoded.stat().st_size} differs from input "
             f"{input_path.stat().st_size}; raw dims must be preserved"
         )

@@ -33,7 +33,7 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import EmptyGroundTruth, InputError, StageError, VcmError
+from ..errors import InputError, StageError, VcmError
 from ..metrics import MotaResult, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint
 from ..rdcurves import bitrate, bpp, build_curve, pareto_front
@@ -322,7 +322,7 @@ def run_experiment(
     load_truth = load_tracks if manifest.task == TASK_TRACKING else load_ground_truth
     truths = [load_truth(item.ground_truth) for item in manifest.items]
     if not any(truths):
-        raise EmptyGroundTruth("no item has any ground-truth box")
+        raise InputError("no item has any ground-truth box")
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     units = [

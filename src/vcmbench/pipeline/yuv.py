@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import InputError, InvariantViolation, TruncatedFile
+from ..errors import InputError, InvariantViolation
 from ..model import VALID_SCALES
 
 
@@ -63,7 +63,7 @@ def read_yuv420(path, width: int, height: int) -> list[RawImage]:
     raw = Path(path).read_bytes()
     fsize = frame_size_bytes(width, height)
     if len(raw) == 0 or len(raw) % fsize != 0:
-        raise TruncatedFile(
+        raise InputError(
             f"{path}: size {len(raw)} is not a multiple of the "
             f"{width}x{height} frame size {fsize}"
         )

@@ -22,8 +22,6 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DegenerateCurve,
-    EmptyAfterCutoff,
-    EmptyCurve,
     InputError,
     NoOverlap,
     UnitMismatch,
@@ -73,7 +71,7 @@ def build_curve(
     """Sort points by rate; duplicate rates collapse keeping max quality."""
     pts = list(points)
     if not pts:
-        raise EmptyCurve(f"curve {label!r} has no points")
+        raise InputError(f"curve {label!r} has no points")
     merged = [RDPoint(r, q) for r, q in sorted(_best_quality_by_rate(pts).items())]
     return RDCurve(
         label=label, points=tuple(merged), scale_percent=scale_percent,
@@ -91,7 +89,7 @@ def pareto_front(curves, label: str = "pareto") -> RDCurve:
     """
     curves = list(curves)
     if not curves:
-        raise EmptyCurve("no curves given")
+        raise InputError("no curves given")
     units = {c.quality_unit for c in curves}
     if len(units) > 1:
         raise UnitMismatch(f"curves mix quality units: {sorted(units)}")
@@ -113,9 +111,7 @@ def apply_cutoff(curve: RDCurve, min_quality: float) -> RDCurve:
     """Drop points whose quality is below the cutoff threshold."""
     kept = tuple(p for p in curve.points if p.quality >= min_quality)
     if not kept:
-        raise EmptyAfterCutoff(
-            f"no point of {curve.label!r} reaches quality {min_quality}"
-        )
+        raise InputError(f"no point of {curve.label!r} reaches quality {min_quality}")
     return RDCurve(
         label=curve.label, points=kept, scale_percent=curve.scale_percent,
         quality_unit=curve.quality_unit,
@@ -219,7 +215,7 @@ def read_curves_csv(path) -> list[RDCurve]:
             point = RDPoint(float(row["rate"]), float(row["quality"]))
             groups.setdefault((row["label"], scale), []).append(point)
     if not groups:
-        raise EmptyCurve(f"{path}: no curve rows")
+        raise InputError(f"{path}: no curve rows")
     return [
         build_curve(pts, label=label, scale_percent=scale)
         for (label, scale), pts in groups.items()

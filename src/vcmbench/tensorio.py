@@ -29,14 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimOverflow,
-    InvariantViolation,
-    ParseError,
-    TruncatedFile,
-)
-from .model import DEFAULT_ELEMENT_LIMIT, BoxTable, FeatureTensor
+from .errors import InputError, InvariantViolation, ParseError
+from .model import BoxTable, FeatureTensor, check_header_dims
 
 TENSOR_MAGIC = b"VCMF"
 TENSOR_VERSION = 1
@@ -77,24 +71,21 @@ def read_feature_tensor(path) -> FeatureTensor:
     """Read a tensor file, validating magic, dims, and payload size."""
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != TENSOR_MAGIC:
-        raise BadMagic(f"{path}: not a feature-tensor file (bad magic)")
+        raise InputError(f"{path}: not a feature-tensor file (bad magic)")
     if len(raw) < 4 + _HEADER.size:
-        raise TruncatedFile(f"{path}: header truncated ({len(raw)} bytes)")
+        raise InputError(f"{path}: header truncated ({len(raw)} bytes)")
     version, dtype, c, h, w = _HEADER.unpack_from(raw, 4)
     if version != TENSOR_VERSION:
-        raise BadMagic(f"{path}: unsupported version {version}")
+        raise InputError(f"{path}: unsupported version {version}")
     if dtype != DTYPE_FLOAT32:
-        raise BadMagic(f"{path}: unsupported dtype code {dtype}")
-    if min(c, h, w) < 1:
-        raise TruncatedFile(f"{path}: invalid dims ({c},{h},{w})")
+        raise InputError(f"{path}: unsupported dtype code {dtype}")
+    check_header_dims(c, h, w, path)
     n = c * h * w
-    if n > DEFAULT_ELEMENT_LIMIT:
-        raise DimOverflow(f"{path}: {n} elements exceeds limit {DEFAULT_ELEMENT_LIMIT}")
     expected = 4 + _HEADER.size + 4 * n
     if len(raw) < expected:
-        raise TruncatedFile(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise InputError(f"{path}: expected {expected} bytes, found {len(raw)}")
     if len(raw) > expected:
-        raise TruncatedFile(f"{path}: {len(raw) - expected} trailing bytes")
+        raise InputError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw, dtype="<f4", count=n, offset=4 + _HEADER.size)
     return FeatureTensor(values.reshape(c, h, w))
 

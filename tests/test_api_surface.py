@@ -7,6 +7,9 @@ loads it as an attribute, so a local variable of the same name keeps
 nothing alive. Imports are not uses, so a re-export from a package
 __init__ keeps nothing alive either. The few entry points that only the
 acceptance suite calls are listed in ENTRY_POINTS.
+
+Every VcmError subclass in errors.py carries data (defines __init__) or is
+listed in DATA_FREE_ERRORS with the reason it exists apart from its base.
 """
 
 import ast
@@ -18,6 +21,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vcmbench"
 ENTRY_POINTS = {
     "raw_size_bits",  # criterion 4: 32/8/2-bit size ratios
     "pack_multiscale",  # criterion 6: multiscale packing is a bijection
+}
+
+# Error classes that carry no data, and why each is more than its base's message.
+DATA_FREE_ERRORS = {
+    "InputError": "base class: exit code 2",
+    "ExternalToolError": "base class: exit code 3",
+    "CorruptStream": "caught by type: a damaged payload never passes silently",
+    "DegenerateCurve": "report tag: report.json's bd_table rows name the class",
+    "NoOverlap": "report tag: report.json's bd_table rows name the class",
+    "UnitMismatch": "report tag: report.json's bd_table rows name the class",
 }
 
 
@@ -63,3 +76,29 @@ def test_entry_points_are_defined_and_uncalled():
     # a listed name that gained a caller, or is gone, leaves the list
     defined, used = _surface()
     assert {n for n in ENTRY_POINTS if n in defined and n not in used[n]} == ENTRY_POINTS
+
+
+def _data_free_errors() -> set[str]:
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def is_error(name):
+        return name == "VcmError" or any(
+            isinstance(b, ast.Name) and b.id in classes and is_error(b.id)
+            for b in classes[name].bases
+        )
+
+    def carries_data(node):
+        return any(isinstance(m, ast.FunctionDef) and m.name == "__init__" for m in node.body)
+
+    return {name for name, node in classes.items()
+            if name != "VcmError" and is_error(name) and not carries_data(node)}
+
+
+def test_every_error_class_carries_data_or_is_listed():
+    assert sorted(_data_free_errors() - DATA_FREE_ERRORS.keys()) == []
+
+
+def test_listed_error_classes_exist_and_carry_no_data():
+    # a listed class that is gone, or gained an __init__, leaves the list
+    assert sorted(DATA_FREE_ERRORS.keys() - _data_free_errors()) == []

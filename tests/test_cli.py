@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.dom import minidom
 
@@ -308,9 +309,9 @@ _PARAMS = {"mean": [0.0], "std": [1.0], "z_min": -1.0, "z_max": 1.0, "z_th": 1.5
            "bit_depth": 8}
 
 
-def _dequant(d, params: bytes) -> list[str]:
+def _dequant(d, params: bytes, samples: bytes = bytes(4)) -> list[str]:
     return [
-        "feature", "dequant", _file(d / "s.samp", bytes(4)), str(d / "rec.vcmf"),
+        "feature", "dequant", _file(d / "s.samp", samples), str(d / "rec.vcmf"),
         "--params", _file(d / "p.json", params), "--dims", "1,2,2",
     ]
 
@@ -437,6 +438,14 @@ BAD_INPUTS = {
     "dequant-dims-not-integers": lambda d: (
         _dequant(d, json.dumps(_PARAMS).encode())[:-1] + ["a,b,c"]
     ),
+    # two negative dims multiply to a positive size; the = form keeps argparse
+    # from reading "-2,..." as a flag
+    "dequant-dims-negative": lambda d: (
+        _dequant(d, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-2,-3,1"]
+    ),
+    "dequant-dims-negative-one": lambda d: (
+        _dequant(d, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-1,6,1"]
+    ),
     "unpack-input-missing": lambda d: [
         "feature", "unpack", str(d / "absent.yuv"), str(d / "rec.vcmf"),
         "--meta", _file(d / "m.json", json.dumps(_META).encode()),
@@ -449,6 +458,12 @@ BAD_INPUTS = {
     ],
     "encode-output-dir-missing": lambda d: [
         "feature", "encode", _tensor(d), str(d / "nodir" / "o.vcms")
+    ],
+    "encode-z-th-infinite": lambda d: [
+        "feature", "encode", _tensor(d), str(d / "o.vcms"), "--bits", "2", "--z-th", "inf"
+    ],
+    "encode-z-th-overflows-float32": lambda d: [
+        "feature", "encode", _tensor(d), str(d / "o.vcms"), "--bits", "2", "--z-th", "1e39"
     ],
     "decode-stream-missing": lambda d: [
         "feature", "decode", str(d / "absent.vcms"), str(d / "o.vcmf")
@@ -526,11 +541,25 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_files_exit_2(case, tmp_path, capsys):
-    rc = main(BAD_INPUTS[case](tmp_path))
+    argv = BAD_INPUTS[case](tmp_path)
+    before = set(tmp_path.rglob("*"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    # nothing is written, except what `run` persists in its output directory
+    written = set(tmp_path.rglob("*")) - before
+    assert sorted(p for p in written if "out" not in p.relative_to(tmp_path).parts) == []
+
+
+def test_dequant_negative_dims_name_the_flag(tmp_path, capsys):
+    # -1 x 6 x 1 fits no sample file, but the fault is the -1, not the size
+    argv = _dequant(tmp_path, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-1,6,1"]
+    assert main(argv) == 2
+    assert "error: --dims must be >= 1 each: '-1,6,1'" in capsys.readouterr().err
 
 
 def test_run_missing_external_binary_exits_3(tmp_path, blob_manifest, capsys):
@@ -640,6 +669,19 @@ def test_run_with_extra_qp_gives_superset_rd_tables(tmp_path, blob_manifest):
         rows_b = rep_b["rd_tables"][scale]
         for row in rows:
             assert row in rows_b  # smaller run's RD rows survive unchanged
+
+
+def test_run_report_names_the_bd_error_class(tmp_path, blob_manifest):
+    # NULL codes every qp at one rate, so each curve is a single point; the
+    # class name is part of report.json's bytes, so errors.py keeps it
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
+                         predictions="files")
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["bd_table"]
+    assert len(rows) == 3
+    for row in rows:
+        assert row["error"].startswith("DegenerateCurve: curve ")
+        assert row["bd_rate_percent"] is None and row["bd_quality"] is None
 
 
 def test_feature_quant_2bit_roundtrip(tmp_path, capsys):

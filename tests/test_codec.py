@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcmbench.errors import CommandFailed, InvariantViolation, OutputMissing
+from vcmbench.errors import CommandFailed, ExternalToolError, InvariantViolation
 from vcmbench.featurecodec.entropy import encode_bytes
 from vcmbench.pipeline.codec import CodecSpec, expand_template, run_codec, run_command
 
@@ -152,5 +152,5 @@ def test_external_codec_missing_output(tmp_path):
     )
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
-    with pytest.raises(OutputMissing):
+    with pytest.raises(ExternalToolError, match="encoder produced no bitstream"):
         run_codec(spec, src, 22, tmp_path / "w")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ def test_quant_params_validation():
         QuantParams(mean=np.zeros(4), std=np.ones(4), z_min=-1, z_max=1, z_th=0)
     with pytest.raises(InvariantViolation):
         QuantParams(mean=np.zeros(4), std=np.ones(4), z_min=-1, z_max=1, bit_depth=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("z_th", float("inf")), ("z_th", 1e39), ("z_min", float("-inf")), ("z_max", 1e39),
+    ("mean", [0.0, float("nan")]), ("std", [1.0, 1e39]),
+])
+def test_quant_params_must_be_finite_at_float32(field, value):
+    # 1e39 overflows the float32 cast; that must raise, not warn and store inf
+    fields = dict(mean=[0.0, 0.0], std=[1.0, 1.0], z_min=-1.0, z_max=1.0, z_th=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match=f"{field} must be finite"):
+            QuantParams(**dict(fields, **{field: value}))
 
 
 def test_packed_frame_set_shape_rules():

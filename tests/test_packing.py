@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import best_chain_bruteforce, greedy_chain_pairwise
-from vcmbench.errors import DimMismatch, WrongChannelCount
+from vcmbench.errors import InputError
 from vcmbench.featurecodec import (
     normalize,
     pack_multiscale,
@@ -31,7 +31,7 @@ def test_spatial_frame_dims():
 
 def test_spatial_rejects_wrong_channel_count():
     rng = np.random.default_rng(0)
-    with pytest.raises(WrongChannelCount):
+    with pytest.raises(InputError, match="spatial tiling requires 64 channels, got 32"):
         pack_spatial_tiled(_samples(rng, 32, 2, 3))
 
 
@@ -134,19 +134,20 @@ def test_multiscale_rejects_mismatched_samples():
     rng = np.random.default_rng(8)
     samples = _pyramid(rng, 64, 16, 16)
     samples[2] = samples[2][:, :1, :]
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InputError, match=r"P4 dims \(1, 4\) != expected \(4, 4\)"):
         pack_multiscale(samples)
 
 
-@pytest.mark.parametrize("h2, w2, change, error", [
-    (16, 16, lambda levels: levels[:4], DimMismatch),
-    (16, 16, lambda levels: levels[:4] + [levels[4][:2]], WrongChannelCount),
+@pytest.mark.parametrize("h2, w2, change, message", [
+    (16, 16, lambda levels: levels[:4], r"expected 5 levels \(P2..P6\), got 4"),
+    (16, 16, lambda levels: levels[:4] + [levels[4][:2]], "requires 64 channels, P6 has 2"),
     # 16x8 halves to 8x4, 4x2, 2x1 and then 1x0: P6 has no room
-    (16, 8, lambda levels: levels[:4] + [np.zeros((64, 1, 1), np.uint8)], DimMismatch),
+    (16, 8, lambda levels: levels[:4] + [np.zeros((64, 1, 1), np.uint8)],
+     "P6 dims fall below 1 px after halving"),
 ], ids=["four-levels", "p6-two-channels", "p6-below-1px"])
-def test_multiscale_rejects_bad_pyramid(h2, w2, change, error):
+def test_multiscale_rejects_bad_pyramid(h2, w2, change, message):
     levels = _pyramid(np.random.default_rng(10), 64, h2, w2)
-    with pytest.raises(error):
+    with pytest.raises(InputError, match=message):
         pack_multiscale(change(levels))
 
 

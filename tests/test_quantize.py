@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vcmbench.errors import BadParams, DegenerateRange, InputError
+from vcmbench.errors import InputError
 from vcmbench.featurecodec import (
     denormalize,
     dequantize_2bit,
@@ -67,7 +67,7 @@ def test_quantize_8bit_midpoint_rounds_away_from_zero():
 
 def test_quantize_8bit_degenerate_range():
     params = _params(0.0, 0.0)
-    with pytest.raises(DegenerateRange):
+    with pytest.raises(InputError, match="z_max must exceed z_min"):
         quantize_8bit(_tensor([[[0.0]]]), params)
 
 
@@ -142,7 +142,7 @@ def test_full_chain_8bit_error_bound():
 
 def test_dequantize_rejects_bad_dims():
     params = _params(-1, 1)
-    with pytest.raises(BadParams):
+    with pytest.raises(InputError, match=r"samples must be 3-D \(C,h,w\), got shape \(4, 4\)"):
         dequantize_8bit(np.zeros((4, 4), dtype=np.uint8), params)
 
 

@@ -4,8 +4,6 @@ import pytest
 from oracles import bd_rate_oracle_loglinear, pareto_bruteforce
 from vcmbench.errors import (
     DegenerateCurve,
-    EmptyAfterCutoff,
-    EmptyCurve,
     InputError,
     NoOverlap,
     UnitMismatch,
@@ -63,7 +61,7 @@ def test_build_curve_duplicate_rate_keeps_max_quality():
 def test_build_curve_single_point():
     c = build_curve([RDPoint(0.3, 0.9)], "c")
     assert len(c.points) == 1
-    with pytest.raises(EmptyCurve):
+    with pytest.raises(InputError, match="curve 'c' has no points"):
         build_curve([], "c")
 
 
@@ -148,7 +146,7 @@ def test_cutoff_identity_below_everything():
 
 def test_cutoff_drops_everything():
     c = build_curve([RDPoint(0.1, 0.5)], "c")
-    with pytest.raises(EmptyAfterCutoff):
+    with pytest.raises(InputError, match="no point of 'c' reaches quality 0.9"):
         apply_cutoff(c, 0.9)
 
 

@@ -4,13 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from vcmbench.errors import (
-    BadMagic,
-    DimOverflow,
-    InvariantViolation,
-    ParseError,
-    TruncatedFile,
-)
+from vcmbench.errors import InputError, InvariantViolation, ParseError
 from vcmbench.model import FeatureTensor
 from vcmbench.tensorio import (
     load_detections,
@@ -75,21 +69,21 @@ def test_truncated_after_header(tmp_path):
     p = tmp_path / "t.vcmf"
     write_feature_tensor(t, p)
     p.write_bytes(p.read_bytes()[:24])  # keep magic + header only
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(InputError, match="expected 56 bytes, found 24"):
         read_feature_tensor(p)
 
 
 def test_truncated_mid_header(tmp_path):
     p = tmp_path / "t.vcmf"
     p.write_bytes(b"VCMF\x01\x00")
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(InputError, match=r"header truncated \(6 bytes\)"):
         read_feature_tensor(p)
 
 
 def test_bad_magic(tmp_path):
     p = tmp_path / "t.vcmf"
     p.write_bytes(b"NOPE" + bytes(24))
-    with pytest.raises(BadMagic):
+    with pytest.raises(InputError, match=r"not a feature-tensor file \(bad magic\)"):
         read_feature_tensor(p)
 
 
@@ -97,7 +91,7 @@ def test_dim_overflow_guard(tmp_path):
     # a header claiming 2^32 elements is rejected before the payload is sized
     p = tmp_path / "t.vcmf"
     p.write_bytes(b"VCMF" + struct.pack("<5I", 1, 0, 1 << 11, 1 << 11, 1 << 10))
-    with pytest.raises(DimOverflow):
+    with pytest.raises(InputError, match="4294967296 elements exceeds limit 2147483648"):
         read_feature_tensor(p)
 
 
@@ -106,7 +100,7 @@ def test_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "t.vcmf"
     write_feature_tensor(t, p)
     p.write_bytes(p.read_bytes() + b"\x00")
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(InputError, match="1 trailing bytes"):
         read_feature_tensor(p)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_image
 from oracles import resample_plane_gather
-from vcmbench.errors import InputError, TruncatedFile
+from vcmbench.errors import InputError
 from vcmbench.pipeline.yuv import (
     RawImage,
     _resample_plane,
@@ -53,7 +53,7 @@ def test_file_roundtrip_multiframe_and_odd_dims(tmp_path):
 def test_file_size_mismatch_rejected(tmp_path):
     p = tmp_path / "bad.yuv"
     p.write_bytes(bytes(frame_size_bytes(8, 8) - 1))
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(InputError, match="is not a multiple of the 8x8 frame size 96"):
         read_yuv420(p, 8, 8)
 
 
