@@ -5,8 +5,9 @@ EXTERNAL codecs run user-supplied encode/decode command templates with
 per-token into an argv (no shell). Two built-in test codecs keep the
 harness hermetic:
 
-  NULL       copies the input; rate is the raw file size. Useful for
-             determinism fixtures and perfect-task endpoints.
+  NULL       returns the input file itself as the decoded file, with
+             no copy (callers only read it); rate is the raw file size.
+             Useful for determinism fixtures and perfect-task endpoints.
   TRUNCATE   zeroes the low (qp mod 8) bits of every sample. Rate is
              charged per bit-plane, as in embedded bit-plane coding: each
              kept plane k >= qp mod 8 is packed one bit per sample and
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import re
 import shlex
-import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,16 +103,17 @@ def run_codec(
     width: int | None = None,
     height: int | None = None,
 ) -> tuple[Path, int]:
-    """Encode and decode one raw file; returns (decoded path, bitstream bits)."""
+    """Encode and decode one raw file; returns (decoded path, bitstream bits).
+
+    The decoded file must only be read: under NULL it is input_path.
+    """
     input_path = Path(input_path)
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     decoded = work_dir / f"decoded_q{qp}{input_path.suffix}"
 
     if spec.kind == KIND_NULL:
-        shutil.copyfile(input_path, decoded)
-        bits = 8 * input_path.stat().st_size
-        return decoded, bits
+        return input_path, 8 * input_path.stat().st_size
 
     if spec.kind == KIND_TRUNCATE:
         src = np.fromfile(input_path, dtype=np.uint8)

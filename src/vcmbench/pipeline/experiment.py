@@ -9,6 +9,13 @@ the padding is inverted, the decoded frames are upscaled back to the
 source resolution and written as the command's input (`recon.yuv` in the
 qp's work directory). An item with precomputed predictions reads none of
 it, so the crop and upscale stages fail only for command items.
+
+Both streams run one frame at a time: a frame is read, scaled (or
+cropped and upscaled), padded and written before the next is read, so a
+unit holds a few frames whatever the sequence length. The source size is
+checked against the item's frame count before any frame is read. A
+failure to open or write the codec input or `recon.yuv` is the `write`
+stage's.
 Ground-truth files are read-only inputs, parsed once per item
 per run and before any unit starts: boxes are never rescaled, because
 predictions are produced at source resolution.
@@ -29,7 +36,9 @@ evaluate a (scale, qp) cell.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +54,15 @@ from ..tensorio import (
     read_json,
 )
 from .codec import CodecSpec, expand_template, run_codec, run_command
-from .yuv import crop_pad, pad_to_even, read_yuv420, resize, scale_image, write_yuv420
+from .yuv import (
+    RawImage,
+    crop_pad,
+    pad_to_even,
+    read_yuv420,
+    resize,
+    scale_image,
+    write_yuv420,
+)
 
 TASK_DETECTION = "DETECTION"
 TASK_TRACKING = "TRACKING"
@@ -197,33 +214,64 @@ class PreparedInput:
     pad_record: tuple[int, int]
 
 
+class _Progress:
+    """The stage a unit is in, for the StageError its failure raises."""
+
+    def __init__(self, stage: str):
+        self.stage = stage
+
+    def stream(self, frames: Iterator[RawImage], steps, path: Path) -> RawImage:
+        """Write frames to path, each passed through steps before the next is read.
+
+        steps is a list of (stage, frame -> frame). While a frame is read,
+        the stage stays the one set before the call; each step sets its own
+        stage while it runs; "write" holds while the file is opened, written
+        and closed. The reader is closed on every exit. Returns the last
+        frame written.
+        """
+        read_stage = self.stage
+        last = None
+
+        def each():
+            nonlocal last
+            self.stage = read_stage
+            for frame in frames:
+                for stage, step in steps:
+                    self.stage = stage
+                    frame = step(frame)
+                self.stage = "write"
+                last = frame
+                yield frame
+                self.stage = read_stage
+            self.stage = "write"
+
+        self.stage = "write"
+        with closing(frames):
+            write_yuv420(each(), path)
+        return last
+
+
 def _prepare(manifest, item, scale, scratch: Path) -> PreparedInput:
-    """Read, scale and pad an item's frames, and write them as the codec input."""
-    stage = "load"
+    """Stream an item's frames through scaling and padding into the codec input."""
+    pad_record = (0, 0)
+
+    def pad(frame):
+        nonlocal pad_record
+        frame, pad_record = pad_to_even(frame)
+        return frame
+
+    steps = [("scale", lambda f: scale_image(f, scale))]
+    if scale == 100:
+        steps.append(("pad", pad))
+    coded_input = scratch / "input.yuv"
+    at = _Progress("load")
     try:
-        frames = read_yuv420(item.path, item.width, item.height)
-        if len(frames) != item.frames:
-            raise InputError(
-                f"{item.path}: expected {item.frames} frames, found {len(frames)}"
-            )
-        stage = "scale"
-        scaled = [scale_image(f, scale) for f in frames]
-        pad_record = (0, 0)
-        if scale == 100:
-            stage = "pad"
-            padded = []
-            for f in scaled:
-                pf, pad_record = pad_to_even(f)
-                padded.append(pf)
-            scaled = padded
-        coded_input = scratch / "input.yuv"
-        write_yuv420(scaled, coded_input)
-        return PreparedInput(
-            coded_input, scaled[0].width, scaled[0].height, pad_record
-        )
+        frames = read_yuv420(item.path, item.width, item.height, item.frames)
+        last = at.stream(frames, steps, coded_input)
     except (VcmError, OSError) as e:
         # the item's first qp is the job that needs this input first
-        raise StageError(stage, item.item_id, manifest.codec.qp_list[0], scale, e) from e
+        raise StageError(at.stage, item.item_id, manifest.codec.qp_list[0], scale, e) from e
+    return PreparedInput(coded_input, last.width, last.height, pad_record)
 
 
 def _process_item(
@@ -231,29 +279,27 @@ def _process_item(
 ) -> ItemRecord:
     """Code one prepared input at one qp, then predict and rate it.
 
-    Only a prediction command reads the reconstruction: for its items the
-    decoded file is cropped back from its padding (at 100%), upscaled to
-    the source resolution and written as recon.yuv, the command's input.
-    Items with precomputed predictions go from the codec straight to the
-    rate.
+    Only a prediction command reads the reconstruction: for its items each
+    decoded frame is cropped back from its padding (at 100%), upscaled to
+    the source resolution and written to recon.yuv, the command's input,
+    before the next frame is read. Items with precomputed predictions go
+    from the codec straight to the rate.
     """
     enc_w, enc_h = prepared.width, prepared.height
-    stage = "codec"
+    at = _Progress("codec")
     try:
         decoded_path, bits = run_codec(
             manifest.codec, prepared.path, qp, scratch, width=enc_w, height=enc_h
         )
         if item.prediction_command is not None:
-            decoded = read_yuv420(decoded_path, enc_w, enc_h)
+            steps = []
             if scale == 100:
-                stage = "crop"
-                decoded = [crop_pad(f, prepared.pad_record) for f in decoded]
-            stage = "upscale"
-            recon = [resize(f, item.width, item.height) for f in decoded]
+                steps.append(("crop", lambda f: crop_pad(f, prepared.pad_record)))
+            steps.append(("upscale", lambda f: resize(f, item.width, item.height)))
             recon_path = scratch / "recon.yuv"
-            write_yuv420(recon, recon_path)
+            at.stream(read_yuv420(decoded_path, enc_w, enc_h), steps, recon_path)
 
-            stage = "predict"
+            at.stage = "predict"
             pred_path = scratch / "predictions.jsonl"
             argv = expand_template(
                 item.prediction_command,
@@ -273,7 +319,7 @@ def _process_item(
         else:
             pred_path = item.predictions[(qp, scale)]
 
-        stage = "rate"
+        at.stage = "rate"
         if manifest.task == TASK_TRACKING:
             rate = bitrate(bits, item.frames, item.fps)
         else:
@@ -283,7 +329,7 @@ def _process_item(
             rate=rate, predictions_path=pred_path,
         )
     except (VcmError, OSError) as e:
-        raise StageError(stage, item.item_id, qp, scale, e) from e
+        raise StageError(at.stage, item.item_id, qp, scale, e) from e
 
 
 def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list) -> float:

@@ -2,7 +2,10 @@
 
 Files are headerless planar frames (Y then Cb then Cr), concatenated for
 sequences; dimensions come from the caller. Chroma planes are
-ceil(dim/2) in each direction.
+ceil(dim/2) in each direction. Sequences stream: `read_yuv420` checks a
+file's size up front and then reads one frame at a time, and
+`write_yuv420` writes each frame as its iterable yields it, so a chain of
+per-frame steps between them holds one frame, not the sequence.
 
 Scaling is plain bilinear with half-pixel-centre sampling and
 half-away-from-zero rounding; 100% is an exact identity and constant
@@ -11,7 +14,9 @@ images stay constant at any factor.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -58,51 +63,73 @@ def frame_size_bytes(width: int, height: int) -> int:
     return width * height + 2 * (_ceil_half(width) * _ceil_half(height))
 
 
-def read_yuv420(path, width: int, height: int) -> list[RawImage]:
-    """Read all frames of a headerless planar 4:2:0 file."""
-    raw = Path(path).read_bytes()
+def read_yuv420(
+    path, width: int, height: int, frames: int | None = None
+) -> Iterator[RawImage]:
+    """Iterate the frames of a headerless planar 4:2:0 file.
+
+    The file size is checked against the frame size, and against `frames`
+    when given, before this returns; the frames are then read lazily, one
+    frame-sized read each, so a caller that handles each frame before
+    asking for the next holds one frame at a time. A file that comes up
+    short during the reads raises InputError.
+    """
     fsize = frame_size_bytes(width, height)
-    if len(raw) == 0 or len(raw) % fsize != 0:
+    size = Path(path).stat().st_size
+    if size == 0 or size % fsize != 0:
         raise InputError(
-            f"{path}: size {len(raw)} is not a multiple of the "
+            f"{path}: size {size} is not a multiple of the "
             f"{width}x{height} frame size {fsize}"
         )
+    if frames is not None and size // fsize != frames:
+        raise InputError(f"{path}: expected {frames} frames, found {size // fsize}")
+    return _read_frames(path, width, height, size // fsize)
+
+
+def _read_frames(path, width: int, height: int, count: int) -> Iterator[RawImage]:
+    fsize = frame_size_bytes(width, height)
     ch, cw = _ceil_half(height), _ceil_half(width)
-    frames = []
-    for off in range(0, len(raw), fsize):
-        buf = np.frombuffer(raw, dtype=np.uint8, count=fsize, offset=off)
-        y = buf[: width * height].reshape(height, width)
-        cb = buf[width * height : width * height + ch * cw].reshape(ch, cw)
-        cr = buf[width * height + ch * cw :].reshape(ch, cw)
-        frames.append(RawImage(y=y, cb=cb, cr=cr))
-    return frames
+    with open(path, "rb") as fh:
+        for i in range(count):
+            raw = fh.read(fsize)
+            if len(raw) != fsize:
+                raise InputError(
+                    f"{path}: frame {i} of {count} is short: "
+                    f"{len(raw)} of {fsize} bytes"
+                )
+            buf = np.frombuffer(raw, dtype=np.uint8)
+            yield RawImage(
+                y=buf[: width * height].reshape(height, width),
+                cb=buf[width * height : width * height + ch * cw].reshape(ch, cw),
+                cr=buf[width * height + ch * cw :].reshape(ch, cw),
+            )
 
 
-def write_yuv420(frames, path) -> None:
-    frames = [frames] if isinstance(frames, RawImage) else list(frames)
+def write_yuv420(frames: RawImage | Iterable[RawImage], path) -> None:
+    """Write one frame, or the frames of any iterable as it yields them."""
+    if isinstance(frames, RawImage):
+        frames = (frames,)
     with open(path, "wb") as fh:
         for f in frames:
-            fh.write(f.y.tobytes())
-            fh.write(f.cb.tobytes())
-            fh.write(f.cr.tobytes())
+            fh.write(f.y)
+            fh.write(f.cb)
+            fh.write(f.cr)
 
 
 # output rows per step of the vertical pass: its float64 buffers stay small
 _BLOCK_ROWS = 32
 
 
-def _resample_plane(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample: a horizontal pass, then a vertical one in row blocks.
+@lru_cache(maxsize=64)
+def _plan(h: int, w: int, out_h: int, out_w: int):
+    """Taps, weights and row blocks of an (h, w) -> (out_h, out_w) resample.
 
-    The horizontal pass runs over the source rows when upscaling in y, and
-    over each block's gathered y0/y1 rows when downscaling. Every output
-    sample gets the same float64 operations in the same order as a
-    four-tap gather at output size, so the bytes are the same; the blocks
-    reuse three small buffers instead of allocating whole-plane ones.
+    Made once per shape pair, not per plane of every frame. Returns (x0c,
+    x1c, wx, fx, wy, fy, blocks). Each block of up to _BLOCK_ROWS output
+    rows is (out rows, the distinct source rows it reads, and the positions
+    in those rows of each output row's y0 and y1 taps). The arrays are
+    read-only: every caller with these shapes shares them.
     """
-    h, w = plane.shape
-    if (out_h, out_w) == (h, w):
-        return plane.copy()
     x = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     x0 = np.floor(x).astype(np.intp)
@@ -113,38 +140,53 @@ def _resample_plane(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1c = np.clip(x0 + 1, 0, w - 1)
     y0c = np.clip(y0, 0, h - 1)
     y1c = np.clip(y0 + 1, 0, h - 1)
-    wx, wy = 1 - fx, 1 - fy
+    blocks = []
+    for r in range(0, out_h, _BLOCK_ROWS):
+        rs = slice(r, min(r + _BLOCK_ROWS, out_h))
+        k = rs.stop - r
+        rows, at = np.unique(np.concatenate([y0c[rs], y1c[rs]]), return_inverse=True)
+        blocks.append((rs, rows, at[:k], at[k:]))
+    arrays = [x0c, x1c, 1 - fx, fx, 1 - fy, fy]
+    for a in arrays + [a for b in blocks for a in b[1:]]:
+        a.flags.writeable = False
+    return (*arrays, tuple(blocks))
+
+
+def _resample_plane(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample: a horizontal pass, then a vertical one in row blocks.
+
+    Each block runs the horizontal pass once on each distinct source row
+    its output rows read, then blends each output row's two rows. Every
+    output sample gets the same float64 operations in the same order as a
+    four-tap gather at output size, so the bytes are the same; the blocks
+    reuse four small buffers instead of allocating whole-plane ones.
+    """
+    h, w = plane.shape
+    if (out_h, out_w) == (h, w):
+        return plane.copy()
+    x0c, x1c, wx, fx, wy, fy, blocks = _plan(h, w, out_h, out_w)
     n = min(_BLOCK_ROWS, out_h)
-    top, bottom, spare = (np.empty((n, out_w)) for _ in range(3))
-
-    def horizontal(rows, out):
-        np.multiply(rows[:, x0c], wx, out=out)
-        right = spare[: len(out)]
-        np.multiply(rows[:, x1c], fx, out=right)
-        out += right
-
-    upscale = out_h >= h
-    if upscale:
-        src = np.empty((h, out_w))
-        for r in range(0, h, n):
-            horizontal(plane[r : r + n], src[r : r + n])
+    most = max(len(b[1]) for b in blocks)
+    rows_h, spare = np.empty((most, out_w)), np.empty((most, out_w))
+    top, bottom = np.empty((n, out_w)), np.empty((n, out_w))
     out = np.empty((out_h, out_w), dtype=np.uint8)
-    for r in range(0, out_h, n):
-        rs = slice(r, r + n)
-        k = min(n, out_h - r)
+    for rs, rows, at0, at1 in blocks:
+        m, k = len(rows), len(at0)
+        hz, right = rows_h[:m], spare[:m]
+        src = plane[rows]
+        np.multiply(src[:, x0c], wx, out=hz)
+        np.multiply(src[:, x1c], fx, out=right)
+        hz += right
         a, b = top[:k], bottom[:k]
-        if upscale:
-            np.take(src, y0c[rs], axis=0, out=a)
-            np.take(src, y1c[rs], axis=0, out=b)
-        else:
-            horizontal(plane[y0c[rs]], a)
-            horizontal(plane[y1c[rs]], b)
+        np.take(hz, at0, axis=0, out=a)
+        np.take(hz, at1, axis=0, out=b)
         a *= wy[rs]
         b *= fy[rs]
         a += b
+        # the weights are non-negative and sum to 1 within rounding, so
+        # a + 0.5 lies in [0.5, 256) and the truncating cast to uint8 is
+        # floor(a + 0.5): no floor or clip pass is needed
         a += 0.5
-        np.floor(a, out=a)
-        np.clip(a, 0, 255, out=a)
         out[rs] = a
     return out
 

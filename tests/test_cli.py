@@ -734,6 +734,22 @@ def test_run_persists_failure_when_no_record_completed(tmp_path, capsys):
     assert "gone.yuv" in partial["failure"]["cause"]
 
 
+def test_run_failing_to_write_the_codec_input_names_the_write_stage(
+    tmp_path, blob_manifest, capsys
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(50,),
+                         predictions="files")
+    out = tmp_path / "out"
+    (out / "work" / "item0_s50" / "input.yuv").mkdir(parents=True)
+    rc = main(["run", str(path), "--output-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "write failed for item='img_a' qp=22 scale=50" in err
+    assert "Is a directory" in err
+    partial = json.loads((out / "partial_results.json").read_text())
+    assert partial["failure"]["stage"] == "write"
+
+
 def test_run_persists_every_record_when_evaluation_fails(tmp_path, blob_manifest, capsys):
     path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
                          predictions="files")

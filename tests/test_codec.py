@@ -36,13 +36,14 @@ def test_expand_template_leaves_substituted_values_literal():
     assert argv == ["enc", "-i", "/data/clip_{qp}.yuv", "--qp", "22"]
 
 
-def test_null_codec_copies_and_charges_raw_size(tmp_path):
+def test_null_codec_returns_the_input_and_charges_raw_size(tmp_path):
     data = bytes(range(256)) * 4
     src = tmp_path / "in.yuv"
     src.write_bytes(data)
     out, bits = run_codec(CodecSpec(kind="NULL"), src, 22, tmp_path / "w")
-    assert out.read_bytes() == data
+    assert out == src and out.read_bytes() == data
     assert bits == 8 * len(data)
+    assert list((tmp_path / "w").iterdir()) == []
 
 
 def test_truncate_qp0_is_lossless(tmp_path):

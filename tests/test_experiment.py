@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ import pytest
 from conftest import FIXTURE_H, FIXTURE_W, flat_image, make_blob_image, write_jsonl
 from vcmbench.errors import InputError, StageError
 from vcmbench.pipeline import experiment
+from vcmbench.pipeline.codec import CodecSpec
 from vcmbench.pipeline.experiment import load_manifest, run_experiment
-from vcmbench.pipeline.yuv import write_yuv420
+from vcmbench.pipeline.yuv import RawImage, frame_size_bytes, write_yuv420
 from vcmbench.rdcurves import bpp
 
 
@@ -378,3 +382,162 @@ def test_quality_unit_follows_task(tmp_path, blob_manifest):
     assert manifest.quality_unit == "fraction"
     tracking = dataclasses.replace(manifest, task="TRACKING")
     assert tracking.quality_unit == "mota"
+
+
+def test_frame_count_mismatch_fails_at_load_before_any_frame(
+    tmp_path, blob_manifest, monkeypatch
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(50,),
+                         predictions="files")
+    doc = json.loads(path.read_text())
+    for item in doc["items"]:
+        item["frames"] = 3
+    path.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(experiment, "scale_image", lambda *a: calls.append(a))
+    with pytest.raises(StageError, match="expected 3 frames, found 1") as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert (err.value.stage, err.value.item_id) == ("load", "img_a")
+    assert calls == []
+
+
+def test_source_cut_short_mid_stream_fails_at_load(tmp_path, blob_manifest, monkeypatch):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(50,),
+                         predictions="files")
+    doc = json.loads(path.read_text())
+    doc["items"][0]["frames"] = 3
+    source = tmp_path / doc["items"][0]["path"]
+    write_yuv420([make_blob_image()] * 3, source)
+    path.write_text(json.dumps(doc))
+    read = experiment.read_yuv420
+
+    def read_then_cut(*args):
+        frames = read(*args)
+        # the size was checked; the file loses half its last frame before the reads
+        with open(source, "r+b") as fh:
+            fh.truncate(source.stat().st_size - FIXTURE_W * FIXTURE_H // 2)
+        return frames
+
+    monkeypatch.setattr(experiment, "read_yuv420", read_then_cut)
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert (err.value.stage, err.value.item_id) == ("load", "img_a")
+    assert isinstance(err.value.__cause__, InputError)
+    assert "frame 2 of 3 is short" in str(err.value)
+
+
+@pytest.mark.parametrize("blocked, qp", [
+    ("item0_s50/input.yuv", 22),
+    ("item0_q27_s50/recon.yuv", 27),
+])
+def test_a_failed_write_names_the_write_stage(tmp_path, blob_manifest, blocked, qp):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(50,))
+    (tmp_path / "work" / blocked).mkdir(parents=True)
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert (err.value.stage, err.value.item_id, err.value.qp, err.value.scale) == (
+        "write", "img_a", qp, 50
+    )
+    assert isinstance(err.value.__cause__, IsADirectoryError)
+
+
+def test_null_codec_writes_no_decoded_file(tmp_path, blob_manifest):
+    # the prediction command reads the reconstruction of the input itself
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50))
+    result = run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert all(q == pytest.approx(1.0) for _, q in result.rd_points.values())
+    assert list((tmp_path / "work").rglob("decoded_q*")) == []
+    assert len(list((tmp_path / "work").rglob("recon.yuv"))) == 2 * 2 * 2
+
+
+def _open_paths() -> set[str]:
+    fds = Path("/proc/self/fd")
+    return {os.path.realpath(fd) for fd in fds.iterdir() if fd.is_symlink()}
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("step, stage", [("scale_image", "scale"), ("resize", "upscale")])
+def test_a_unit_failing_mid_stream_leaves_no_file_open(
+    tmp_path, blob_manifest, monkeypatch, step, stage
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(50,))
+    doc = json.loads(path.read_text())
+    for item in doc["items"]:
+        item["frames"] = 4
+        write_yuv420([make_blob_image()] * 4, tmp_path / item["path"])
+    path.write_text(json.dumps(doc))
+    fn, calls = getattr(experiment, step), []
+
+    def fails_in_frame_3(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise InputError("frame 3 is bad")
+        return fn(*args)
+
+    monkeypatch.setattr(experiment, step, fails_in_frame_3)
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert (err.value.stage, err.value.item_id) == (stage, "img_a")
+    # the error and its traceback are still alive, and no file stays open
+    work = os.path.realpath(tmp_path)
+    assert [p for p in _open_paths() if p.startswith(work)] == []
+
+
+def _video_unit(tmp_path, frames: int):
+    """A 321x241 DETECTION item of `frames` random frames at 75 %, over NULL."""
+    rng = np.random.default_rng(frames)
+    w, h = 321, 241
+    src = tmp_path / f"v{frames}.yuv"
+    write_yuv420(
+        (RawImage(y=rng.integers(0, 256, (h, w), dtype=np.uint8),
+                  cb=rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8),
+                  cr=rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8))
+         for _ in range(frames)),
+        src,
+    )
+    item = experiment.ExperimentItem(
+        item_id=f"v{frames}", path=src, width=w, height=h, frames=frames,
+        ground_truth=tmp_path / "gt.jsonl", prediction_command="predict {input} {output}",
+    )
+    manifest = experiment.ExperimentManifest(
+        task="DETECTION", codec=CodecSpec(kind="NULL", qp_list=(22,)),
+        items=(item,), scales=(75,),
+    )
+    unit_dir = tmp_path / f"unit{frames}"
+    unit_dir.mkdir()
+    return manifest, item, unit_dir
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prepare_memory_does_not_grow_with_frames(tmp_path):
+    units = {n: _video_unit(tmp_path, n) for n in (4, 32)}
+    experiment._prepare(*units[4][:2], 75, units[4][2])  # fills the resampler's plan cache
+    peak = {
+        n: _peak_bytes(lambda: experiment._prepare(m, item, 75, d))
+        for n, (m, item, d) in units.items()
+    }
+    assert peak[32] <= peak[4] + frame_size_bytes(321, 241), peak
+
+
+def test_reconstruction_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
+    def predict(argv, what):
+        Path(argv[2]).write_text("")
+
+    monkeypatch.setattr(experiment, "run_command", predict)
+    units = {n: _video_unit(tmp_path, n) for n in (4, 32)}
+    prepared = {n: experiment._prepare(m, item, 75, d) for n, (m, item, d) in units.items()}
+    experiment._process_item(*units[4][:2], 22, 75, units[4][2], prepared[4])
+    peak = {
+        n: _peak_bytes(lambda: experiment._process_item(m, item, 22, 75, d, prepared[n]))
+        for n, (m, item, d) in units.items()
+    }
+    assert peak[32] <= peak[4] + frame_size_bytes(321, 241), peak
+    assert (units[32][2] / "recon.yuv").stat().st_size == 32 * frame_size_bytes(321, 241)

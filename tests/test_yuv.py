@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -44,7 +46,7 @@ def test_file_roundtrip_multiframe_and_odd_dims(tmp_path):
     frames = [_image(rng, 7, 5) for _ in range(3)]
     p = tmp_path / "seq.yuv"
     write_yuv420(frames, p)
-    back = read_yuv420(p, 7, 5)
+    back = list(read_yuv420(p, 7, 5))
     assert len(back) == 3
     for a, b in zip(back, frames):
         assert np.array_equal(a.y, b.y)
@@ -55,6 +57,43 @@ def test_file_size_mismatch_rejected(tmp_path):
     p.write_bytes(bytes(frame_size_bytes(8, 8) - 1))
     with pytest.raises(InputError, match="is not a multiple of the 8x8 frame size 96"):
         read_yuv420(p, 8, 8)
+
+
+def test_read_checks_frame_count_before_reading(tmp_path):
+    p = tmp_path / "seq.yuv"
+    write_yuv420([flat_image(8, 8)] * 2, p)
+    # raised by the call itself, before any frame is read
+    with pytest.raises(InputError, match="expected 3 frames, found 2"):
+        read_yuv420(p, 8, 8, frames=3)
+    assert len(list(read_yuv420(p, 8, 8, frames=2))) == 2
+
+
+def test_read_of_a_file_cut_short_mid_stream_raises_input_error(tmp_path):
+    # frames larger than the reader's buffer, so each read reaches the file
+    p = tmp_path / "seq.yuv"
+    write_yuv420([flat_image(128, 128, y=v) for v in (1, 2, 3)], p)
+    frames = read_yuv420(p, 128, 128, frames=3)
+    assert next(frames).y[0, 0] == 1
+    with open(p, "r+b") as fh:
+        fh.truncate(frame_size_bytes(128, 128) * 3 // 2)
+    with pytest.raises(InputError, match="frame 1 of 3 is short: 12288 of 24576 bytes"):
+        next(frames)
+
+
+def test_write_holds_one_frame_at_a_time(tmp_path):
+    made = []
+
+    def frames():
+        for v in range(4):
+            # only the frame the writer has just written may still be alive
+            assert sum(ref() is not None for ref in made) <= 1
+            frame = flat_image(8, 8, y=v)
+            made.append(weakref.ref(frame))
+            yield frame
+
+    p = tmp_path / "seq.yuv"
+    write_yuv420(frames(), p)
+    assert [f.y[0, 0] for f in read_yuv420(p, 8, 8)] == [0, 1, 2, 3]
 
 
 def test_scale_100_is_identity():
