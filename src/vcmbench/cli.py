@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +58,11 @@ from .tensorio import (
 
 
 def _load_config(path) -> dict[str, str]:
-    """TOML-like key=value file; '#' starts a comment."""
+    """TOML-like key=value file; '#' starts a comment; lines end at "\n" alone."""
     config = {}
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -197,58 +198,15 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _params_to_json(params: QuantParams) -> dict:
+    # tolist() turns the float32 mean and std arrays into JSON-ready floats
     return {
-        "mean": [float(v) for v in params.mean],
-        "std": [float(v) for v in params.std],
-        "z_min": params.z_min,
-        "z_max": params.z_max,
-        "z_th": params.z_th,
-        "bit_depth": params.bit_depth,
+        f.name: np.asarray(getattr(params, f.name)).tolist() for f in fields(QuantParams)
     }
 
 
 def _params_from_json(doc, origin) -> QuantParams:
     with parsing(f"{origin}: quantization params"):
-        return QuantParams(
-            mean=np.array(doc["mean"], dtype=np.float32),
-            std=np.array(doc["std"], dtype=np.float32),
-            z_min=doc["z_min"],
-            z_max=doc["z_max"],
-            z_th=doc["z_th"],
-            bit_depth=doc["bit_depth"],
-        )
-
-
-def _quantize_tensor(tensor, bits: int, z_th: float):
-    z, params = normalize(tensor, z_th=z_th, bit_depth=bits)
-    if bits == 8:
-        samples = quantize_8bit(z, params)
-    else:
-        samples = quantize_2bit(z, params.z_th)
-    return samples, params
-
-
-def _reconstruct_tensor(samples, params: QuantParams):
-    if isinstance(samples, list):
-        raise InputError("multiscale samples need per-level outputs; use the API")
-    if params.bit_depth == 8:
-        z = dequantize_8bit(samples, params)
-    else:
-        z = dequantize_2bit(samples, params)
-    return denormalize(z, params)
-
-
-def _pack_tensor(args, bits: int, z_th: float, layout: str) -> PackedFrameSet:
-    """Read, quantize, optionally reorder channels, and pack by layout."""
-    if layout not in ("spatial", "temporal"):
-        raise InputError(
-            f"--layout must be spatial or temporal for {args.op}: {layout!r}"
-        )
-    tensor = read_feature_tensor(args.input)
-    samples, params = _quantize_tensor(tensor, bits, z_th)
-    perm = reorder_channels(samples)[0] if args.reorder else None
-    pack = pack_spatial_tiled if layout == "spatial" else pack_temporal
-    return pack(samples, permutation=perm, quant=params)
+        return QuantParams(**{f.name: doc[f.name] for f in fields(QuantParams)})
 
 
 def _report_error(tensor, ref_path, params: QuantParams) -> None:
@@ -266,21 +224,49 @@ def _report_error(tensor, ref_path, params: QuantParams) -> None:
 
 
 def _cmd_feature(args, config) -> int:
+    """Forward ops quantize (and pack, and code) a tensor; inverse ops rebuild one."""
     op = args.op
     bits = int(_resolve(args, config, "bits", int, 8))
     if bits not in (2, 8):
         raise InputError(f"--bits must be 2 or 8: {bits}")
     z_th = float(_resolve(args, config, "z-th", float, 1.5))
     layout = _resolve(args, config, "layout", str, "temporal")
+    if op in ("pack", "encode") and layout not in ("spatial", "temporal"):
+        raise InputError(f"--layout must be spatial or temporal for {op}: {layout!r}")
 
-    if op == "quant":
+    if op in ("quant", "pack", "encode"):
         tensor = read_feature_tensor(args.input)
-        samples, params = _quantize_tensor(tensor, bits, z_th)
-        Path(args.output).write_bytes(samples.tobytes(order="C"))
-        params_path = args.params or (str(args.output) + ".params.json")
-        _write_json(params_path, _params_to_json(params))
+        z, params = normalize(tensor, z_th=z_th, bit_depth=bits)
+        samples = quantize_8bit(z, params) if bits == 8 else quantize_2bit(z, params.z_th)
+        if op == "quant":
+            Path(args.output).write_bytes(samples.tobytes(order="C"))
+            params_path = args.params or (str(args.output) + ".params.json")
+            _write_json(params_path, _params_to_json(params))
+            sys.stdout.write(
+                f"quantized {tensor.dims} to {bits}-bit samples; params -> {params_path}\n"
+            )
+            return 0
+        perm = reorder_channels(samples)[0] if args.reorder else None
+        pack = pack_spatial_tiled if layout == "spatial" else pack_temporal
+        fs = pack(samples, permutation=perm, quant=params)
+        if op == "encode":
+            stream = entropy_encode(fs)
+            write_stream(stream, args.output)
+            sys.stdout.write(
+                f"coded {stream.payload_bits} payload bits "
+                f"({stream.payload_bits / (fs.sample_count * 8):.4f} of packed size)\n"
+            )
+            return 0
+        Path(args.output).write_bytes(b"".join(f.tobytes(order="C") for f in fs.frames))
+        meta_path = args.meta or (str(args.output) + ".meta.json")
+        _write_json(meta_path, {
+            "layout": fs.layout,
+            "dims": list(fs.original_dims),
+            "permutation": None if perm is None else list(perm),
+            "params": _params_to_json(params),
+        })
         sys.stdout.write(
-            f"quantized {tensor.dims} to {bits}-bit samples; params -> {params_path}\n"
+            f"packed {fs.layout}: {len(fs.frames)} frame(s), meta -> {meta_path}\n"
         )
         return 0
 
@@ -294,32 +280,8 @@ def _cmd_feature(args, config) -> int:
             raise InputError(
                 f"sample file holds {raw.size} bytes, dims need {c * h * w}"
             )
-        tensor = _reconstruct_tensor(raw.reshape(c, h, w), params)
-        write_feature_tensor(tensor, args.output)
-        if args.ref:
-            _report_error(tensor, args.ref, params)
-        return 0
-
-    if op == "pack":
-        fs = _pack_tensor(args, bits, z_th, layout)
-        Path(args.output).write_bytes(
-            b"".join(np.asarray(f).tobytes(order="C") for f in fs.frames)
-        )
-        perm = fs.channel_permutation
-        meta = {
-            "layout": fs.layout,
-            "dims": list(fs.original_dims),
-            "permutation": list(perm) if perm is not None else None,
-            "params": _params_to_json(fs.quant),
-        }
-        meta_path = args.meta or (str(args.output) + ".meta.json")
-        _write_json(meta_path, meta)
-        sys.stdout.write(
-            f"packed {fs.layout}: {len(fs.frames)} frame(s), meta -> {meta_path}\n"
-        )
-        return 0
-
-    if op == "unpack":
+        samples = raw.reshape(c, h, w)
+    elif op == "unpack":
         if not args.meta:
             raise InputError("unpack needs --meta from the pack step")
         meta = read_json(args.meta)
@@ -335,32 +297,20 @@ def _cmd_feature(args, config) -> int:
                 channel_permutation=tuple(perm) if perm else None,
                 quant=params,
             ))
-        tensor = _reconstruct_tensor(samples, params)
-        write_feature_tensor(tensor, args.output)
-        return 0
-
-    if op == "encode":
-        fs = _pack_tensor(args, bits, z_th, layout)
-        stream = entropy_encode(fs)
-        write_stream(stream, args.output)
-        raw_bits = fs.sample_count * 8
-        sys.stdout.write(
-            f"coded {stream.payload_bits} payload bits "
-            f"({stream.payload_bits / raw_bits:.4f} of packed size)\n"
-        )
-        return 0
-
-    if op == "decode":
+    else:
         stream = read_stream(args.input)
-        fs = entropy_decode(stream)
-        tensor = _reconstruct_tensor(unpack_frames(fs), stream.quant)
-        write_feature_tensor(tensor, args.output)
+        params = stream.quant
+        samples = unpack_frames(entropy_decode(stream))
+    if isinstance(samples, list):
+        raise InputError("multiscale samples need per-level outputs; use the API")
+    dequantize = dequantize_8bit if params.bit_depth == 8 else dequantize_2bit
+    tensor = denormalize(dequantize(samples, params), params)
+    write_feature_tensor(tensor, args.output)
+    if op == "decode":
         sys.stdout.write("checksum OK\n")
-        if args.ref:
-            _report_error(tensor, args.ref, stream.quant)
-        return 0
-
-    raise InputError(f"unknown feature op {op!r}")
+    if args.ref:
+        _report_error(tensor, args.ref, params)
+    return 0
 
 
 def _cmd_run(args, config) -> int:

@@ -53,11 +53,31 @@ def _untile64(frame: np.ndarray, h: int, w: int) -> np.ndarray:
     return frame.reshape(h, 8, w, 8).transpose(1, 3, 0, 2).reshape(64, h, w)
 
 
-def _validated_perm(permutation, c: int) -> tuple[int, ...]:
+def _permuted(s: np.ndarray, permutation):
+    """The validated permutation (or None) and s's channels in its order."""
+    if permutation is None:
+        return None, s
     perm = tuple(int(p) for p in permutation)
-    if sorted(perm) != list(range(c)):
+    if sorted(perm) != list(range(s.shape[0])):
         raise InputError("permutation must permute 0..C-1")
-    return perm
+    return perm, s[list(perm)]
+
+
+def _blocks(layout: str, h: int, w: int) -> list[tuple[int, int, slice, slice]]:
+    """(h, w, rows, columns) of each tiled level in a frame, finest first.
+
+    SPATIAL_TILED has one 8h x 8w block. MULTISCALE adds the four coarser
+    levels, each the floor-half of the one before, stacked top-to-bottom
+    in the column right of the finest block.
+    """
+    blocks = [(h, w, slice(0, 8 * h), slice(0, 8 * w))]
+    if layout == LAYOUT_MULTISCALE:
+        row, hk, wk = 0, h, w
+        for _ in range(4):
+            hk, wk = hk // 2, wk // 2
+            blocks.append((hk, wk, slice(row, row + 8 * hk), slice(8 * w, 8 * w + 8 * wk)))
+            row += 8 * hk
+    return blocks
 
 
 def pack_spatial_tiled(
@@ -68,10 +88,7 @@ def pack_spatial_tiled(
     c, h, w = s.shape
     if c != 64:
         raise InputError(f"spatial tiling requires 64 channels, got {c}")
-    perm = None
-    if permutation is not None:
-        perm = _validated_perm(permutation, c)
-        s = s[list(perm)]
+    perm, s = _permuted(s, permutation)
     return PackedFrameSet(
         frames=(_tile64(s),), layout=LAYOUT_SPATIAL_TILED,
         original_dims=(c, h, w), channel_permutation=perm, quant=quant,
@@ -90,8 +107,9 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
     arrays = [_as_samples(s) for s in samples_per_level]
     if len(arrays) != 5:
         raise InputError(f"expected 5 levels (P2..P6), got {len(arrays)}")
-    _, h, w = arrays[0].shape
-    for k, arr in enumerate(arrays):
+    c, h2, w2 = arrays[0].shape
+    blocks = _blocks(LAYOUT_MULTISCALE, h2, w2)
+    for k, (arr, (h, w, _, _)) in enumerate(zip(arrays, blocks)):
         if arr.shape[0] != 64:
             raise InputError(
                 f"tiled multiscale packing requires 64 channels, P{k + 2} has {arr.shape[0]}"
@@ -100,15 +118,9 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
             raise InputError(f"P{k + 2} dims fall below 1 px after halving")
         if arr.shape[1:] != (h, w):
             raise InputError(f"P{k + 2} dims {arr.shape[1:]} != expected ({h}, {w})")
-        h, w = h // 2, w // 2
-    c, h2, w2 = arrays[0].shape
     frame = np.zeros(frame_shapes(LAYOUT_MULTISCALE, (c, h2, w2))[0], dtype=np.uint8)
-    frame[: 8 * h2, : 8 * w2] = _tile64(arrays[0])
-    row = 0
-    for arr in arrays[1:]:
-        _, hk, wk = arr.shape
-        frame[row : row + 8 * hk, 8 * w2 : 8 * w2 + 8 * wk] = _tile64(arr)
-        row += 8 * hk
+    for arr, (_, _, rows, cols) in zip(arrays, blocks):
+        frame[rows, cols] = _tile64(arr)
     return PackedFrameSet(
         frames=(frame,), layout=LAYOUT_MULTISCALE,
         original_dims=(c, h2, w2), quant=quant,
@@ -118,15 +130,9 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
 def pack_temporal(samples, permutation=None, quant: QuantParams | None = None) -> PackedFrameSet:
     """One frame per channel; frame order follows the permutation if given."""
     s = _as_samples(samples)
-    c = s.shape[0]
-    if permutation is not None:
-        perm = _validated_perm(permutation, c)
-        ordered = s[list(perm)]
-    else:
-        perm = None
-        ordered = s
+    perm, ordered = _permuted(s, permutation)
     return PackedFrameSet(
-        frames=tuple(ordered[i] for i in range(c)), layout=LAYOUT_TEMPORAL,
+        frames=tuple(ordered), layout=LAYOUT_TEMPORAL,
         original_dims=s.shape, channel_permutation=perm, quant=quant,
     )
 
@@ -161,21 +167,13 @@ def unpack_frames(fs: PackedFrameSet) -> np.ndarray | list[np.ndarray]:
     here, so unpack(pack(x)) is exactly x.
     """
     _, h, w = fs.original_dims
-    if fs.layout == LAYOUT_SPATIAL_TILED:
-        out = [_untile64(fs.frames[0], h, w)]
-    elif fs.layout == LAYOUT_TEMPORAL:
+    if fs.layout == LAYOUT_TEMPORAL:
         out = [np.stack(fs.frames)]
     else:
-        # MULTISCALE: level dims follow by successive halving of (h, w)
-        frame = fs.frames[0]
-        out = [_untile64(frame[: 8 * h, : 8 * w], h, w)]
-        row = 0
-        hk, wk = h, w
-        for _ in range(4):
-            hk, wk = hk // 2, wk // 2
-            block = frame[row : row + 8 * hk, 8 * w : 8 * w + 8 * wk]
-            out.append(_untile64(block, hk, wk))
-            row += 8 * hk
+        out = [
+            _untile64(fs.frames[0][rows, cols], hk, wk)
+            for hk, wk, rows, cols in _blocks(fs.layout, h, w)
+        ]
     if fs.channel_permutation is not None:
         unperm = np.argsort(fs.channel_permutation)
         out = [lvl[unperm] for lvl in out]

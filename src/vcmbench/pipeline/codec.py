@@ -133,11 +133,14 @@ def run_codec(
         "width": width if width is not None else "",
         "height": height if height is not None else "",
     }
+    # a previous run's files must not pass for this run's outputs
+    bitstream.unlink(missing_ok=True)
     run_command(expand_template(spec.encode_template, subs), "encode")
     if not bitstream.exists():
         raise ExternalToolError(f"encoder produced no bitstream at {bitstream}")
     bits = 8 * bitstream.stat().st_size
     subs = dict(subs, input=str(bitstream), output=str(decoded))
+    decoded.unlink(missing_ok=True)
     run_command(expand_template(spec.decode_template, subs), "decode")
     if not decoded.exists():
         raise ExternalToolError(f"decoder produced no output at {decoded}")

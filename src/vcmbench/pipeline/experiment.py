@@ -42,7 +42,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import InputError, StageError, VcmError
+from ..errors import ExternalToolError, InputError, StageError, VcmError
 from ..metrics import MotaResult, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint
 from ..rdcurves import bitrate, bpp, build_curve, pareto_front
@@ -313,9 +313,10 @@ def _process_item(
                     "item": item.item_id,
                 },
             )
+            pred_path.unlink(missing_ok=True)  # a previous run's file is no answer
             run_command(argv, "prediction")
             if not pred_path.exists():
-                raise InputError(f"prediction command wrote no file at {pred_path}")
+                raise ExternalToolError(f"prediction command wrote no file at {pred_path}")
         else:
             pred_path = item.predictions[(qp, scale)]
 

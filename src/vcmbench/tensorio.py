@@ -125,6 +125,9 @@ def _table(path, fields, rows) -> BoxTable:
 def _load_records(path, fields) -> BoxTable:
     """One BoxTable of the non-blank lines of a JSON-lines file.
 
+    Lines end at "\n" alone (read_text turns "\r\n" and "\r" into it), so
+    U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and
+    line numbers count "\n" lines.
     A record that is not valid JSON or lacks a field or has one of the
     wrong type raises ParseError with its 1-based line; a record that
     breaks a BoxTable invariant raises InvariantViolation with its 0-based
@@ -134,7 +137,7 @@ def _load_records(path, fields) -> BoxTable:
         text = Path(path).read_text(encoding="utf-8")
     casts = [(f, _CASTS[f]) for f in fields]
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -279,6 +279,28 @@ def test_feature_pack_unpack_roundtrip(tmp_path):
     assert np.abs(recs[0] - t.values).max() < 0.1
 
 
+@pytest.mark.parametrize("bits", ["2", "8"])
+def test_feature_unpack_ref_reports_the_error_as_dequant_does(tmp_path, capsys, bits):
+    # a temporal pack without reordering holds the quant sample bytes
+    t = FeatureTensor(np.random.default_rng(5).normal(0, 1, (4, 3, 5)).astype(np.float32))
+    ref = tmp_path / "t.vcmf"
+    write_feature_tensor(t, ref)
+    for op, out in (("quant", "t.samp"), ("pack", "t.pack")):
+        assert main(["feature", op, str(ref), str(tmp_path / out), "--bits", bits]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "t.samp").read_bytes() == (tmp_path / "t.pack").read_bytes()
+    lines = []
+    for op, src, sidecar in (("dequant", "t.samp", ["--params", "t.samp.params.json",
+                                                     "--dims", "4,3,5"]),
+                             ("unpack", "t.pack", ["--meta", "t.pack.meta.json"])):
+        sidecar[1] = str(tmp_path / sidecar[1])
+        argv = ["feature", op, str(tmp_path / src), str(tmp_path / f"{op}.vcmf"), *sidecar]
+        assert main([*argv, "--ref", str(ref)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0].startswith("max reconstruction error: ")
+    assert lines[1] == lines[0]
+
+
 def test_feature_unpack_truncated_file_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(4)
     t = FeatureTensor(rng.normal(0, 1, (4, 3, 3)).astype(np.float32))
@@ -616,6 +638,53 @@ def test_run_command_not_executable_exits_3(tmp_path, capsys):
     assert err.startswith("error: ") and "detector.sh" in err
 
 
+_COPY = f'{sys.executable} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
+_IDLE = f'{sys.executable} -c "pass"'
+
+
+def _run_twice(d, first: dict, second: dict) -> int:
+    """Run a manifest changed by first, then by second, into one output directory.
+
+    The first run must pass; returns the exit status of the second.
+    """
+    manifest = Path(_manifest(d))
+    doc = json.loads(manifest.read_text())
+    codes = []
+    for change in (first, second):
+        doc.update(change.get("doc", {}))
+        doc["items"][0].update(change.get("item", {}))
+        manifest.write_text(json.dumps(doc))
+        codes.append(main(["run", str(manifest), "--output-dir", str(d / "out")]))
+    assert codes[0] == 0
+    return codes[1]
+
+
+def test_run_again_with_a_predictor_that_writes_nothing_exits_3(tmp_path, capsys):
+    copy_dets = f"{_COPY} {tmp_path / 'det.jsonl'} {{output}}"
+    rc = _run_twice(tmp_path, {"item": {"prediction_command": copy_dets}},
+                    {"item": {"prediction_command": _IDLE}})
+    assert rc == 3
+    assert "prediction command wrote no file" in capsys.readouterr().err
+    partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
+    assert partial["failure"]["stage"] == "predict"
+    assert partial["records"] == []
+
+
+def test_run_again_with_an_encoder_that_writes_nothing_exits_3(tmp_path, capsys):
+    def codec(encoder):
+        return {"doc": {"codec": {
+            "kind": "EXTERNAL", "qp_list": [22],
+            "encode_template": f"{encoder} {{input}} {{output}}",
+            "decode_template": f"{_COPY} {{input}} {{output}}",
+        }}}
+
+    assert _run_twice(tmp_path, codec(_COPY), codec(_IDLE)) == 3
+    assert "encoder produced no bitstream" in capsys.readouterr().err
+    partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
+    assert partial["failure"]["stage"] == "codec"
+    assert partial["records"] == []
+
+
 def test_run_command_with_undecodable_stderr_exits_3(tmp_path, capsys):
     noisy = (
         f'{sys.executable} -c "import sys; '
@@ -802,6 +871,22 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["thresholds"] == [0.5, 0.75]
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_config_lines_break_only_at_newlines(tmp_path, capsys, char):
+    gts = _gts()
+    write_jsonl(gt_records(gts), tmp_path / "gt.jsonl")
+    write_jsonl(det_records(gts), tmp_path / "det.jsonl")
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"thresholds=0.75  # strict{char}sweep\n\nbad line\n", encoding="utf-8")
+    argv = ["--config", str(cfg), "eval-det", str(tmp_path / "det.jsonl"),
+            str(tmp_path / "gt.jsonl")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: expected key=value\n"
+    cfg.write_text(f"thresholds=0.75  # strict{char}sweep\n", encoding="utf-8")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["thresholds"] == [0.75]
 
 
 def test_console_entry_point(tmp_path):

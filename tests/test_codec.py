@@ -155,3 +155,23 @@ def test_external_codec_missing_output(tmp_path):
     src.write_bytes(b"x")
     with pytest.raises(ExternalToolError, match="encoder produced no bitstream"):
         run_codec(spec, src, 22, tmp_path / "w")
+
+
+@pytest.mark.parametrize("stale", ["encoder", "decoder"])
+def test_external_codec_ignores_a_previous_runs_outputs(tmp_path, stale):
+    copy = f'{sys.executable} -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"'
+    idle = f'{sys.executable} -c "pass"'
+
+    def spec(encoder, decoder):
+        return CodecSpec(kind="EXTERNAL", encode_template=f"{encoder} {{input}} {{output}}",
+                         decode_template=f"{decoder} {{input}} {{output}}", qp_list=(22,))
+
+    src = tmp_path / "in.yuv"
+    src.write_bytes(b"xy")
+    run_codec(spec(copy, copy), src, 22, tmp_path / "w")
+    if stale == "encoder":
+        second, message = spec(idle, copy), "encoder produced no bitstream"
+    else:
+        second, message = spec(copy, idle), "decoder produced no output"
+    with pytest.raises(ExternalToolError, match=message):
+        run_codec(second, src, 22, tmp_path / "w")

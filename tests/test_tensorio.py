@@ -179,6 +179,21 @@ def test_parse_error_reports_line_number(tmp_path):
     assert err.value.line == 2
 
 
+# JSON allows these raw inside strings, and str.splitlines() breaks lines at them
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_records_break_lines_only_at_newlines(tmp_path, char, newline):
+    p = tmp_path / "gt.jsonl"
+    rec = {"image_id": f"cam{char}a", "class_id": 0, "bbox": [0, 0, 1, 1]}
+    lines = [json.dumps(rec, ensure_ascii=False), "", json.dumps(rec, ensure_ascii=False)]
+    p.write_bytes(newline.join(lines).encode("utf-8"))
+    assert load_ground_truth(p).image_id.tolist() == [f"cam{char}a"] * 2
+    p.write_bytes(newline.join([*lines, "not json", ""]).encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        load_ground_truth(p)
+    assert err.value.line == 4
+
+
 def test_missing_field_is_parse_error(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text(json.dumps({"image_id": "a", "bbox": [0, 0, 1, 1]}) + "\n")
