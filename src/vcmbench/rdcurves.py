@@ -10,6 +10,12 @@ fit and the gap between the two curves is averaged over the overlapping
 interval.  BD-rate integrates log-rate over the shared quality range;
 BD-quality integrates quality over the shared log-rate range.  Curves
 with fewer than four points fall back to piecewise-linear interpolation.
+
+The PCHIP is the monotone one of Fritsch & Carlson (SIAM J. Numer. Anal.
+17(2), 1980) with Fritsch & Butland's harmonic-mean slopes (SIAM J. Sci.
+Stat. Comput. 5(2), 1984).  It is scipy's PchipInterpolator arithmetic
+done in numpy, operation for operation, so it gives the same bits as
+scipy; BD numbers do not depend on whether or which scipy is installed.
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DegenerateCurve,
     InputError,
     NoOverlap,
+    ParseError,
     UnitMismatch,
 )
 from .model import RDCurve, RDPoint
@@ -130,13 +136,58 @@ def _check_curve_for_bd(curve: RDCurve) -> tuple[np.ndarray, np.ndarray]:
             f"curve {curve.label!r} has non-monotone quality; "
             "pass it through build_curve + pareto_front first"
         )
+    if not np.all(np.diff(log_rate) > 0):  # x of both fits must strictly increase
+        raise DegenerateCurve(
+            f"curve {curve.label!r} has rates too close to tell apart in log10"
+        )
     return log_rate, quality
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clamped to preserve shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """Monotone PCHIP through (x, y), x strictly increasing, len(x) >= 3.
+
+    Every step repeats scipy.interpolate.PchipInterpolator (slopes) and
+    PPoly (evaluation, extrapolating from the end intervals) so that the
+    result is bit-identical to it.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # interior slopes: weighted harmonic mean, 0 at a sign change or flat segment
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    # cubic Hermite coefficients in s = xs - x[i], highest power first
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def evaluate(xs):
+        i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, len(x) - 2)
+        s = xs - x[i]
+        # PPoly's sum starts at 0.0 and multiplies s up term by term
+        return 0.0 + c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+    return evaluate
 
 
 def _fit(x: np.ndarray, y: np.ndarray):
     """PCHIP for >= 4 support points, piecewise-linear below that."""
     if len(x) >= 4:
-        return PchipInterpolator(x, y)
+        return _pchip(x, y)
 
     def linear(t):
         return np.interp(t, x, y)
@@ -202,18 +253,35 @@ def write_curves_csv(curves, path) -> None:
 
 
 def read_curves_csv(path) -> list[RDCurve]:
-    """Read curves grouped by (label, scale), in first-appearance order."""
+    """Read curves grouped by (label, scale), in first-appearance order.
+
+    A leading byte-order mark is skipped. A row whose field count differs
+    from the header's, or whose rate, quality or scale does not parse,
+    raises ParseError naming its line.
+    """
     groups: dict[tuple[str, int | None], list[RDPoint]] = {}
-    with open(path, newline="", encoding="utf-8") as fh, parsing(path):
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(CSV_FIELDS) <= set(reader.fieldnames):
+    with open(path, newline="", encoding="utf-8-sig") as fh, parsing(path):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(CSV_FIELDS) <= set(header):
             raise InputError(
                 f"{path}: expected CSV columns {','.join(CSV_FIELDS)}"
             )
+        columns = [header.index(name) for name in CSV_FIELDS]
         for row in reader:
-            scale = int(row["scale"]) if row["scale"] else None
-            point = RDPoint(float(row["rate"]), float(row["quality"]))
-            groups.setdefault((row["label"], scale), []).append(point)
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}:{line}: {len(row)} fields, the header has {len(header)}",
+                    line=line,
+                )
+            rate, quality, label, scale = (row[i] for i in columns)
+            with parsing(f"{path}:{line}", line=line):
+                key = (label, int(scale) if scale else None)
+                point = RDPoint(float(rate), float(quality))
+            groups.setdefault(key, []).append(point)
     if not groups:
         raise InputError(f"{path}: no curve rows")
     return [

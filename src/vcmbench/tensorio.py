@@ -49,12 +49,12 @@ def _cause(e: Exception) -> str:
 
 
 @contextmanager
-def parsing(origin):
-    """Raise ParseError naming origin for any MALFORMED error in the block."""
+def parsing(origin, line=None):
+    """Raise ParseError naming origin, carrying line, for any MALFORMED error in the block."""
     try:
         yield
     except MALFORMED as e:
-        raise ParseError(f"{origin}: {_cause(e)}") from e
+        raise ParseError(f"{origin}: {_cause(e)}", line=line) from e
 
 
 def write_feature_tensor(tensor: FeatureTensor, path) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -141,6 +142,35 @@ def test_bdrate_no_overlap_exits_2(tmp_path, capsys):
     rc = main(["bdrate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
     assert rc == 2
     assert "overlap" in capsys.readouterr().err
+
+
+def test_curve_csv_with_a_byte_order_mark(tmp_path, capsys):
+    # Excel writes UTF-8 CSV with a BOM before the header
+    plain = tmp_path / "a.csv"
+    _write_curve_csv(plain, [0.1, 0.2, 0.4, 0.8], [0.2, 0.4, 0.6, 0.7])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["bdrate", str(plain), str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["bdrate", str(bom), str(bom)]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["pareto", str(bom), "--out", str(tmp_path / "front.csv")]) == 0
+
+
+@pytest.mark.parametrize("row, cause", [
+    ("0.1,0.5,a", "3 fields, the header has 4"),
+    ("0.1,0.5,a,,x", "5 fields, the header has 4"),
+    ("abc,0.5,a,100", "ValueError: could not convert string to float: 'abc'"),
+    ("0.1,0.5,a,1.5", "ValueError: invalid literal for int() with base 10: '1.5'"),
+])
+def test_curve_csv_bad_row_exits_2_naming_the_line(tmp_path, capsys, row, cause):
+    path = tmp_path / "b.csv"
+    path.write_text(f"rate,quality,label,scale\n0.2,0.6,a,\n{row}\n", encoding="utf-8")
+    for argv in (["bdrate", str(path), str(path)],
+                 ["pareto", str(path), "--out", str(tmp_path / "front.csv")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: {cause}\n"
+    assert not (tmp_path / "front.csv").exists()
 
 
 def test_pareto_single_curve(tmp_path, capsys):
@@ -887,6 +917,20 @@ def test_config_lines_break_only_at_newlines(tmp_path, capsys, char):
     cfg.write_text(f"thresholds=0.75  # strict{char}sweep\n", encoding="utf-8")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["thresholds"] == [0.75]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only the tests' PCHIP oracle; importing scipy.interpolate
+    # would cost every vcmbench process most of its start-up time
+    code = ("import sys, vcmbench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_console_entry_point(tmp_path):

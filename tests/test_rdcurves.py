@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from oracles import bd_rate_oracle_loglinear, pareto_bruteforce
+from vcmbench import rdcurves
 from vcmbench.errors import (
     DegenerateCurve,
     InputError,
     NoOverlap,
+    ParseError,
     UnitMismatch,
 )
 from vcmbench.model import RDPoint
 from vcmbench.rdcurves import (
+    _end_slope,
+    _pchip,
     apply_cutoff,
     bd_metrics,
     bitrate,
@@ -280,6 +284,80 @@ def test_bd_quality_constant_offset():
     assert bd.bd_quality == pytest.approx(0.1, abs=1e-9)
 
 
+def test_bd_rejects_rates_that_log10_cannot_tell_apart():
+    close = float(np.nextafter(1e10, np.inf))
+    assert np.log10(close) == np.log10(1e10)
+    c = _curve_from_arrays([1e9, 1e10, close, 1e11], [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(DegenerateCurve, match="too close to tell apart"):
+        bd_metrics(c, c)
+
+
+# --- PCHIP: scipy's PchipInterpolator is the oracle (scipy is a test-only dependency) ---
+
+def _bits(values):
+    """The float64 bit patterns, so that 0.0 and -0.0 differ too."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _random_curve(rng, k):
+    n = int(rng.integers(4, 12))
+    x = np.cumsum(rng.uniform(0.01, 2.0, n)) + rng.normal()
+    y = rng.normal(size=n)  # non-monotone: slopes change sign
+    if k % 3 == 0:
+        y = np.sort(y)
+    if k % 5 == 0:
+        j = int(rng.integers(n - 1))
+        y[j + 1] = y[j]  # one flat segment
+    if k % 7 == 0:
+        y = np.round(y, 1)  # ties: more flat segments
+    return x, y
+
+
+def test_pchip_is_bit_identical_to_scipy_on_random_curves():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(17)
+    for k in range(2000):
+        x, y = _random_curve(rng, k)
+        xs = np.linspace(x[0], x[-1], 257)
+        ours, theirs = _pchip(x, y)(xs), PchipInterpolator(x, y)(xs)
+        assert np.array_equal(_bits(ours), _bits(theirs)), (x.tolist(), y.tolist())
+
+
+@pytest.mark.parametrize("y, slope", [
+    ([0.0, 3.0, 4.0, 4.5], 4.0),  # the plain three-point formula
+    ([0.0, 1.0, 5.0, 6.0], 0.0),  # formula's sign differs from m0: 0
+    ([0.0, 1.0, -9.0, -10.0], 3.0),  # m0, m1 differ in sign, |d| > 3|m0|: 3*m0
+])
+def test_pchip_end_slope_branches(y, slope):
+    from scipy.interpolate import PchipInterpolator
+
+    y = np.array(y)
+    m = np.diff(y)
+    assert _end_slope(1.0, 1.0, m[0], m[1]) == slope
+    x = np.arange(4.0)
+    xs = np.linspace(-0.5, 3.5, 257)  # beyond both ends too
+    for ys, end, expected in ((y, 0.0, slope), (y[::-1], 3.0, -slope)):
+        oracle = PchipInterpolator(x, ys)
+        assert oracle.derivative()(end) == expected  # the case takes this branch
+        assert np.array_equal(_bits(_pchip(x, ys)(xs)), _bits(oracle(xs)))
+
+
+def test_bd_metrics_equals_a_scipy_backed_reference(monkeypatch):
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(19)
+    anchor = _curve_from_arrays(
+        np.sort(rng.uniform(0.05, 2.0, 7)), np.sort(rng.uniform(0.1, 0.9, 7)), "anchor"
+    )
+    test = _curve_from_arrays(
+        np.sort(rng.uniform(0.04, 1.8, 5)), np.sort(rng.uniform(0.15, 0.95, 5)), "test"
+    )
+    ours = bd_metrics(anchor, test)
+    monkeypatch.setattr(rdcurves, "_pchip", PchipInterpolator)
+    assert bd_metrics(anchor, test) == ours
+
+
 # --- CSV interchange ---
 
 def test_csv_roundtrip(tmp_path):
@@ -294,3 +372,13 @@ def test_csv_roundtrip(tmp_path):
     assert back[0].label == "a" and back[0].scale_percent == 100
     assert back[0].points == a.points
     assert back[1].points == b.points
+
+
+def test_csv_bad_row_names_its_physical_line(tmp_path):
+    # every kind of bad row is tried through the CLI in test_cli.py
+    p = tmp_path / "curves.csv"
+    p.write_text("rate,quality,label,scale\n0.2,0.6,a,100\n\n0.1,0.5,a\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_curves_csv(p)
+    assert str(info.value) == f"{p}:4: 3 fields, the header has 4"
+    assert info.value.line == 4
