@@ -45,8 +45,11 @@ from .rdcurves import (
     read_curves_csv,
     write_curves_csv,
 )
-from .report import build_report, render_svg, report_to_json_bytes, write_report_files
+from .report import (
+    SCHEMA_VERSION, build_report, render_svg, report_to_json_bytes, write_report_files,
+)
 from .tensorio import (
+    MALFORMED_OR_INVALID,
     load_detections,
     load_ground_truth,
     load_tracks,
@@ -352,10 +355,10 @@ def _cmd_run(args, config) -> int:
 def _cmd_report(args, config) -> int:
     doc = read_json(args.report)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != 1:
+    if version != SCHEMA_VERSION:
         raise InputError(f"unsupported report schema: {version}")
     out_dir = Path(_resolve(args, config, "output-dir", str, "vcmbench-out"))
-    with parsing(f"{args.report}: report document"):
+    with parsing(f"{args.report}: report document", errors=MALFORMED_OR_INVALID):
         write_report_files(doc, out_dir)
     sys.stdout.write(f"rendered report tables into {out_dir}\n")
     return 0

@@ -15,8 +15,7 @@ The kept classes:
     InvariantViolation  carries the record index; tensorio catches it
     CorruptStream       caught by type: a damaged payload never passes
     DegenerateCurve,
-    NoOverlap,
-    UnitMismatch        report.json's bd_table names them in its errors
+    NoOverlap           report.json's bd_table names them in its errors
     CommandFailed       carries the argv and the captured stderr
     StageError          carries its (stage, item, qp, scale) context;
                         run_experiment catches it
@@ -64,10 +63,6 @@ class NoOverlap(InputError):
 
 
 class DegenerateCurve(InputError):
-    pass
-
-
-class UnitMismatch(InputError):
     pass
 
 

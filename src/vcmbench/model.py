@@ -257,6 +257,13 @@ class PackedFrameSet:
 VALID_SCALES = (25, 50, 75, 100)
 
 
+def check_scale_percent(scale_percent):
+    """Return scale_percent if it is one of VALID_SCALES or None."""
+    if scale_percent is not None and scale_percent not in VALID_SCALES:
+        raise InvariantViolation(f"scale_percent must be one of {VALID_SCALES} or None")
+    return scale_percent
+
+
 @dataclass(frozen=True)
 class RDPoint:
     """One operating point: rate in BPP (images) or bits/s (video)."""
@@ -288,10 +295,7 @@ class RDCurve:
             if not b.rate > a.rate:
                 raise InvariantViolation("curve rates must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        if self.scale_percent is not None and self.scale_percent not in VALID_SCALES:
-            raise InvariantViolation(
-                f"scale_percent must be one of {VALID_SCALES} or None"
-            )
+        check_scale_percent(self.scale_percent)
 
     @property
     def rates(self) -> np.ndarray:

@@ -45,7 +45,7 @@ from pathlib import Path
 from ..errors import ExternalToolError, InputError, StageError, VcmError
 from ..metrics import MotaResult, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint
-from ..rdcurves import bitrate, bpp, build_curve, pareto_front
+from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
     load_detections,
     load_ground_truth,
@@ -392,7 +392,6 @@ def run_experiment(
             )
 
     rd_points: dict[tuple[int, int], tuple[float, float]] = {}
-    curves = []
     try:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(run_unit, unit) for unit in units]
@@ -403,25 +402,21 @@ def run_experiment(
             if not fut.cancelled() and fut.exception() is not None:
                 raise fut.exception()
         for scale in manifest.scales:
-            points = []
             for qp in manifest.codec.qp_list:
                 cell = [
                     records[(i, qp, scale)] for i in range(len(manifest.items))
                 ]
                 rate = sum(r.rate for r in cell) / len(cell)
-                quality = _evaluate(manifest, cell, truths)
-                rd_points[(scale, qp)] = (rate, quality)
-                points.append(RDPoint(rate, quality))
-            curves.append(
-                build_curve(
-                    points, label=f"scale{scale}", scale_percent=scale,
-                    quality_unit=manifest.quality_unit,
-                )
-            )
+                rd_points[(scale, qp)] = (rate, _evaluate(manifest, cell, truths))
     except StageError as e:
         # completed work survives so callers can persist partial results
         e.partial_records = [records[k] for k in sorted(records)]
         raise
+    curves = scale_curves(
+        ((scale, [RDPoint(*rd_points[(scale, qp)]) for qp in manifest.codec.qp_list])
+         for scale in manifest.scales),
+        manifest.quality_unit,
+    )
     front = pareto_front(curves, label="pareto")
     ordered = [records[k] for k in sorted(records)]
     return ExperimentResult(

@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCurve,
-    InputError,
-    NoOverlap,
-    ParseError,
-    UnitMismatch,
-)
-from .model import RDCurve, RDPoint
-from .tensorio import parsing
+from .errors import DegenerateCurve, InputError, InvariantViolation, NoOverlap, ParseError
+from .model import RDCurve, RDPoint, check_scale_percent
+from .tensorio import MALFORMED_OR_INVALID, parsing
 
 
 @dataclass(frozen=True)
@@ -77,12 +71,17 @@ def build_curve(
     """Sort points by rate; duplicate rates collapse keeping max quality."""
     pts = list(points)
     if not pts:
-        raise InputError(f"curve {label!r} has no points")
+        raise InvariantViolation(f"curve {label!r} has no points")
     merged = [RDPoint(r, q) for r, q in sorted(_best_quality_by_rate(pts).items())]
     return RDCurve(
         label=label, points=tuple(merged), scale_percent=scale_percent,
         quality_unit=quality_unit,
     )
+
+
+def scale_curves(points_by_scale, quality_unit: str) -> list[RDCurve]:
+    """One curve per (scale, points) pair, labelled scale<N>, in the pairs' order."""
+    return [build_curve(pts, f"scale{s}", s, quality_unit) for s, pts in points_by_scale]
 
 
 def pareto_front(curves, label: str = "pareto") -> RDCurve:
@@ -98,7 +97,7 @@ def pareto_front(curves, label: str = "pareto") -> RDCurve:
         raise InputError("no curves given")
     units = {c.quality_unit for c in curves}
     if len(units) > 1:
-        raise UnitMismatch(f"curves mix quality units: {sorted(units)}")
+        raise InputError(f"curves mix quality units: {sorted(units)}")
     by_rate = _best_quality_by_rate(p for c in curves for p in c.points)
     survivors = []
     best = -np.inf
@@ -209,7 +208,7 @@ def bd_metrics(anchor: RDCurve, test: RDCurve) -> BdResult:
     no log-rate range, and DegenerateCurve for quality inversions.
     """
     if anchor.quality_unit != test.quality_unit:
-        raise UnitMismatch(
+        raise InputError(
             f"quality units differ: {anchor.quality_unit!r} vs {test.quality_unit!r}"
         )
     lr_a, q_a = _check_curve_for_bd(anchor)
@@ -256,8 +255,8 @@ def read_curves_csv(path) -> list[RDCurve]:
     """Read curves grouped by (label, scale), in first-appearance order.
 
     A leading byte-order mark is skipped. A row whose field count differs
-    from the header's, or whose rate, quality or scale does not parse,
-    raises ParseError naming its line.
+    from the header's, or whose rate, quality or scale does not parse or
+    is out of range, raises ParseError naming its line.
     """
     groups: dict[tuple[str, int | None], list[RDPoint]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh, parsing(path):
@@ -278,8 +277,8 @@ def read_curves_csv(path) -> list[RDCurve]:
                     line=line,
                 )
             rate, quality, label, scale = (row[i] for i in columns)
-            with parsing(f"{path}:{line}", line=line):
-                key = (label, int(scale) if scale else None)
+            with parsing(f"{path}:{line}", line=line, errors=MALFORMED_OR_INVALID):
+                key = (label, check_scale_percent(int(scale) if scale else None))
                 point = RDPoint(float(rate), float(quality))
             groups.setdefault(key, []).append(point)
     if not groups:

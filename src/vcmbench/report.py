@@ -11,6 +11,9 @@ external tools nor their outputs are traceable from a report (the
 manifest digest covers only the command text). Plots are standalone SVG
 with the numeric data embedded as structured comments so they diff
 cleanly.
+
+`bd_table`, the CSVs and the plot all derive from the document's own
+`rd_tables` and `pareto` rows, through one `_report_curves`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .errors import VcmError
 from .model import RDCurve, RDPoint
-from .rdcurves import bd_metrics, build_curve, pareto_front, write_curves_csv
+from .rdcurves import bd_metrics, pareto_front, scale_curves, write_curves_csv
 
 SCHEMA_VERSION = 1
 
@@ -89,18 +92,18 @@ def build_report(manifest_path, manifest, result) -> dict:
                 digests[f"item:{item.item_id}:pred:q{qp}:s{scale}"] = sha256_file(p)
 
     rd_tables = {}
-    for curve in result.curves:
+    for scale in manifest.scales:
         rows = []
         for qp in manifest.codec.qp_list:
-            rate, quality = result.rd_points[(curve.scale_percent, qp)]
+            rate, quality = result.rd_points[(scale, qp)]
             rows.append({"qp": qp, "rate": rate, "quality": quality})
-        rd_tables[str(curve.scale_percent)] = rows
+        rd_tables[str(scale)] = rows
 
     codec_info = {"kind": manifest.codec.kind}
     if manifest.codec.kind != "EXTERNAL":
         codec_info["note"] = "built-in test codec, not a standardized algorithm"
 
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "tool": "vcmbench",
         "tool_version": __version__,
@@ -120,8 +123,9 @@ def build_report(manifest_path, manifest, result) -> dict:
         },
         "rd_tables": rd_tables,
         "pareto": _curve_rows(result.pareto),
-        "bd_table": _bd_rows(result.curves, result.pareto),
     }
+    report["bd_table"] = _bd_rows(*_report_curves(report))
+    return report
 
 
 def report_to_json_bytes(report: dict) -> bytes:
@@ -214,13 +218,10 @@ def _report_curves(report: dict) -> tuple[list[RDCurve], RDCurve]:
     """Per-scale RD curves, in the manifest's scale order, and the front."""
     config = report["config"]
     unit = config["quality_unit"]
-    curves = [
-        build_curve(
-            _points(report["rd_tables"][str(scale)]), label=f"scale{scale}",
-            scale_percent=scale, quality_unit=unit,
-        )
-        for scale in config["scales"]
-    ]
+    curves = scale_curves(
+        ((scale, _points(report["rd_tables"][str(scale)])) for scale in config["scales"]),
+        unit,
+    )
     front = RDCurve(
         label="pareto", points=tuple(_points(report["pareto"])), quality_unit=unit
     )

@@ -42,6 +42,8 @@ _HEADER = struct.Struct("<5I")  # version, dtype, C, h, w
 MALFORMED = (
     AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError, csv.Error,
 )
+# ...plus what a model type raises on a parsed value out of its range
+MALFORMED_OR_INVALID = (*MALFORMED, InvariantViolation)
 
 
 def _cause(e: Exception) -> str:
@@ -49,11 +51,11 @@ def _cause(e: Exception) -> str:
 
 
 @contextmanager
-def parsing(origin, line=None):
-    """Raise ParseError naming origin, carrying line, for any MALFORMED error in the block."""
+def parsing(origin, line=None, errors=MALFORMED):
+    """Raise ParseError naming origin, carrying line, for any of errors in the block."""
     try:
         yield
-    except MALFORMED as e:
+    except errors as e:
         raise ParseError(f"{origin}: {_cause(e)}", line=line) from e
 
 

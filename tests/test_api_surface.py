@@ -30,7 +30,6 @@ DATA_FREE_ERRORS = {
     "CorruptStream": "caught by type: a damaged payload never passes silently",
     "DegenerateCurve": "report tag: report.json's bd_table rows name the class",
     "NoOverlap": "report tag: report.json's bd_table rows name the class",
-    "UnitMismatch": "report tag: report.json's bd_table rows name the class",
 }
 
 

@@ -13,7 +13,13 @@ import pytest
 from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
 from vcmbench.cli import main
 from vcmbench.model import RDPoint
-from vcmbench.rdcurves import build_curve, write_curves_csv
+from vcmbench.rdcurves import (
+    bd_metrics,
+    build_curve,
+    pareto_front,
+    read_curves_csv,
+    write_curves_csv,
+)
 from vcmbench.tensorio import read_feature_tensor, write_feature_tensor
 from vcmbench.model import FeatureTensor
 from vcmbench.pipeline.yuv import write_yuv420
@@ -162,6 +168,10 @@ def test_curve_csv_with_a_byte_order_mark(tmp_path, capsys):
     ("0.1,0.5,a,,x", "5 fields, the header has 4"),
     ("abc,0.5,a,100", "ValueError: could not convert string to float: 'abc'"),
     ("0.1,0.5,a,1.5", "ValueError: invalid literal for int() with base 10: '1.5'"),
+    ("-1,0.5,a,", "InvariantViolation: rate must be finite and > 0: -1.0"),
+    ("0.2,nan,a,", "InvariantViolation: quality must be finite: nan"),
+    ("0.1,0.5,a,37",
+     "InvariantViolation: scale_percent must be one of (25, 50, 75, 100) or None"),
 ])
 def test_curve_csv_bad_row_exits_2_naming_the_line(tmp_path, capsys, row, cause):
     path = tmp_path / "b.csv"
@@ -745,6 +755,19 @@ def test_report_quotes_bd_labels_with_commas(tmp_path, capsys):
     assert rows[1] == ["pareto", "a,b", "-1.5", "0.25", ""]
 
 
+@pytest.mark.parametrize("changes", [
+    {"rd_tables": {"100": [{"qp": 22, "rate": -1.0, "quality": 0.5}]}},
+    {"config": {"scales": [37], "quality_unit": "fraction"},
+     "rd_tables": {"37": [{"qp": 22, "rate": 1.0, "quality": 0.5}]}},
+    {"rd_tables": {"100": []}},
+])
+def test_report_with_an_invalid_row_names_the_file(tmp_path, capsys, changes):
+    doc = _report_doc(tmp_path, **changes)
+    assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {doc}: report document: ")
+    assert not (tmp_path / "tables").exists()
+
+
 def test_run_with_extra_qp_gives_superset_rd_tables(tmp_path, blob_manifest):
     base = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50),
                          predictions="files")
@@ -781,6 +804,32 @@ def test_run_report_names_the_bd_error_class(tmp_path, blob_manifest):
     for row in rows:
         assert row["error"].startswith("DegenerateCurve: curve ")
         assert row["bd_rate_percent"] is None and row["bd_quality"] is None
+
+
+def test_run_report_bd_rows_match_its_own_curves(tmp_path, blob_manifest, capsys):
+    # TRUNCATE gives every scale a curve of several points, so each BD row
+    # succeeds; the rows must be what the written curve files give
+    path = blob_manifest(codec_kind="TRUNCATE", qp_list=range(8), scales=(100, 75, 50, 25),
+                         predictions="command")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["bd_table"]
+    curves = {c.label: c for c in read_curves_csv(out / "rd_curves.csv")}
+    [curves["pareto"]] = read_curves_csv(out / "pareto.csv")
+    assert [(r["anchor"], r["test"]) for r in rows] == [
+        ("scale100", "scale75"), ("scale100", "scale50"), ("scale100", "scale25"),
+        ("pareto", "scale100"), ("pareto", "scale75"), ("pareto", "scale50"),
+        ("pareto", "scale25"),
+    ]
+    for row in rows:
+        bd = bd_metrics(pareto_front([curves[row["anchor"]]]),
+                        pareto_front([curves[row["test"]]]))
+        assert row["error"] is None
+        assert (row["bd_rate_percent"], row["bd_quality"]) == (bd.bd_rate_percent, bd.bd_quality)
+    rere = tmp_path / "rerendered"
+    assert main(["report", str(out / "report.json"), "--output-dir", str(rere)]) == 0
+    for name in ("rd_curves.csv", "pareto.csv", "bd_table.csv", "plot.svg"):
+        assert (rere / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_feature_quant_2bit_roundtrip(tmp_path, capsys):

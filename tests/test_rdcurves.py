@@ -3,13 +3,7 @@ import pytest
 
 from oracles import bd_rate_oracle_loglinear, pareto_bruteforce
 from vcmbench import rdcurves
-from vcmbench.errors import (
-    DegenerateCurve,
-    InputError,
-    NoOverlap,
-    ParseError,
-    UnitMismatch,
-)
+from vcmbench.errors import DegenerateCurve, InputError, NoOverlap, ParseError
 from vcmbench.model import RDPoint
 from vcmbench.rdcurves import (
     _end_slope,
@@ -137,7 +131,7 @@ def test_pareto_idempotent():
 def test_pareto_unit_mismatch():
     a = build_curve([RDPoint(0.1, 0.5)], "a", quality_unit="fraction")
     b = build_curve([RDPoint(0.2, 50.0)], "b", quality_unit="percent")
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(InputError, match="quality units"):
         pareto_front([a, b])
 
 
@@ -270,7 +264,7 @@ def test_bd_unit_mismatch():
     b = build_curve(
         [RDPoint(0.1, 10.0), RDPoint(0.2, 20.0)], "b", quality_unit="percent"
     )
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(InputError, match="quality units"):
         bd_metrics(a, b)
 
 
@@ -382,3 +376,13 @@ def test_csv_bad_row_names_its_physical_line(tmp_path):
         read_curves_csv(p)
     assert str(info.value) == f"{p}:4: 3 fields, the header has 4"
     assert info.value.line == 4
+
+
+def test_csv_bad_scale_is_rejected_at_its_own_row(tmp_path):
+    # the scale row comes first, so it is reported before the bad rate below it
+    p = tmp_path / "curves.csv"
+    p.write_text("rate,quality,label,scale\n0.2,0.6,a,37\n-1,0.5,a,100\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_curves_csv(p)
+    assert info.value.line == 2
+    assert "scale_percent must be one of" in str(info.value)
