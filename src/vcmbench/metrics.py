@@ -7,11 +7,14 @@ image ids. The pooled detections are ranked once by descending score
 (ties keep pooled order), and each (class, item, image) IoU matrix is
 computed once. Matching takes one pass per group: each detection's
 ground-truth columns are sorted by IoU once, stably, and at every
-threshold, in the order given, the detections in rank order each take
-their first free candidate with IoU >= the threshold -- the best free
-ground-truth box, the lowest column winning ties. AP integrates the
-precision envelope over recall with all-point interpolation. A 101-point
-interpolation mode is available for parity with COCO-style tooling.
+threshold the detections in rank order each take their first free
+candidate with IoU >= the threshold -- the best free ground-truth box, the
+lowest column winning ties. Thresholds are matched in ascending order,
+and one no higher than the lowest IoU matched at the threshold below it
+reuses that match, which is the same. AP integrates the precision
+envelope over recall with all-point interpolation, for all thresholds of
+a class at once. A 101-point interpolation mode is available for parity
+with COCO-style tooling.
 
 Tracking quality is CLEAR-MOT accounting with per-frame greedy IoU
 matching:  MOTA = 1 - (FN + FP + IDSW) / GT.
@@ -19,6 +22,7 @@ matching:  MOTA = 1 - (FN + FP + IDSW) / GT.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -77,18 +81,27 @@ def _greedy_match(ious: np.ndarray, thresholds) -> np.ndarray:
     Each row's columns are sorted by IoU once (stably, so the lowest column
     wins ties). At each threshold the rows, in rank order, take their first
     free candidate with IoU >= the threshold: the best free column.
+    Thresholds are matched in ascending order. When every pair matched at
+    t has IoU >= t', the match at t' is the same: each row's candidates at
+    t' are a prefix of those at t, so, row by row in rank order, each row
+    takes the same column or none. Such a t' copies the flags of t.
     """
     matched = np.zeros((len(thresholds), len(ious)), dtype=bool)
     order = np.argsort(-ious, axis=1, kind="stable")
     ranked = np.take_along_axis(ious, order, axis=1)
-    n_cand = (ranked >= min(thresholds)).sum(axis=1)
+    is_cand = ranked >= min(thresholds)  # a prefix of each row
+    pairs = list(zip(order[is_cand].tolist(), ranked[is_cand].tolist()))
+    n_cand = is_cand.sum(axis=1)
     rows = np.flatnonzero(n_cand).tolist()
-    candidates = [
-        list(zip(order[r, :n].tolist(), ranked[r, :n].tolist()))
-        for r, n in zip(rows, n_cand[rows].tolist())
-    ]
-    for flags, t in zip(matched, thresholds):
-        free = [True] * ious.shape[1]
+    ends = np.cumsum(n_cand[rows]).tolist()
+    candidates = [pairs[e - n:e] for e, n in zip(ends, n_cand[rows].tolist())]
+    done = lowest = None  # the last threshold matched, its lowest matched IoU
+    for i in sorted(range(len(thresholds)), key=thresholds.__getitem__):
+        t = thresholds[i]
+        if done is not None and t <= lowest:
+            matched[i] = matched[done]
+            continue
+        flags, free, lowest = matched[i], [True] * ious.shape[1], math.inf
         for r, cands in zip(rows, candidates):
             for j, v in cands:
                 if v < t:
@@ -96,28 +109,34 @@ def _greedy_match(ious: np.ndarray, thresholds) -> np.ndarray:
                 if free[j]:
                     free[j] = False
                     flags[r] = True
+                    if v < lowest:
+                        lowest = v
                     break
+        done = i
     return matched
 
 
-def _ap_from_flags(flags, n_gt, interpolation="all_points"):
-    if len(flags) == 0:
-        return 0.0
-    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
-    ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
-    precision = tp / ranks
+def _aps_from_flags(flags: np.ndarray, n_gt: int, interpolation="all_points") -> list[float]:
+    """AP of each row of rank-ordered match flags (a row per threshold)."""
+    n = flags.shape[1]
+    if n == 0:
+        return [0.0] * len(flags)
+    tp = np.cumsum(flags, axis=1, dtype=np.float64)
+    precision = tp / np.arange(1, n + 1, dtype=np.float64)
     recall = tp / n_gt
     # precision envelope: max precision at any recall >= r
-    env = np.maximum.accumulate(precision[::-1])[::-1]
+    env = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
     if interpolation == "101pt":
         grid = np.linspace(0.0, 1.0, 101)
-        idx = np.searchsorted(recall, grid, side="left")
-        vals = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
-        return float(vals.mean())
-    # recall never falls; cumsum adds the rises in order, as a loop would
-    rise = np.diff(recall, prepend=0.0)
-    terms = (rise * env)[rise > 0]
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+        aps = []
+        for r, e in zip(recall, env):
+            idx = np.searchsorted(r, grid, side="left")
+            aps.append(float(np.where(idx < n, e[np.minimum(idx, n - 1)], 0.0).mean()))
+        return aps
+    # recall never falls; cumsum adds the rises in order, as a loop would,
+    # and the 0.0 terms where recall stays put leave each sum as it is
+    rise = np.diff(recall, axis=1, prepend=0.0)
+    return np.cumsum(rise * env, axis=1)[:, -1].tolist()
 
 
 def mean_average_precision(
@@ -160,20 +179,16 @@ def mean_average_precision(
         if k in gt_rows
     ]
     classes, n_gt = np.unique(g_cls, return_counts=True)
-    in_class = [d_cls == c for c in classes]
-    aps = [[] for _ in in_class]
     matched = np.zeros((len(thresholds), len(d_cls)), dtype=bool)
     for ranks, ious in groups:
         matched[:, ranks] = _greedy_match(ious, thresholds)
-    for flags in matched:
-        for ap, m, n in zip(aps, in_class, n_gt.tolist()):
-            ap.append(_ap_from_flags(flags[m], n, interpolation))
     per_class: dict[int, float] = {}
     counts: dict[int, tuple[int, int, int]] = {}
-    for c, ap, m, n in zip(classes.tolist(), aps, in_class, n_gt.tolist()):
-        tp = int(matched[-1][m].sum())  # the last threshold's matches
-        counts[c] = (tp, int(m.sum()) - tp, n - tp)
-        per_class[c] = float(np.mean(ap))
+    for c, n in zip(classes.tolist(), n_gt.tolist()):
+        flags = matched[:, d_cls == c]
+        tp = int(flags[-1].sum())  # the last threshold's matches
+        counts[c] = (tp, flags.shape[1] - tp, n - tp)
+        per_class[c] = float(np.mean(_aps_from_flags(flags, n, interpolation)))
     map_value = float(np.mean(list(per_class.values())))
     return APResult(per_class_ap=per_class, map_value=map_value, counts=counts)
 

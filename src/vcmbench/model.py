@@ -257,6 +257,12 @@ class PackedFrameSet:
 VALID_SCALES = (25, 50, 75, 100)
 
 
+def check_unique_scales(scales) -> None:
+    """Reject a list of scales that names one scale twice."""
+    if len(set(scales)) != len(scales):
+        raise InvariantViolation(f"manifest scales have duplicates: {list(scales)}")
+
+
 def check_scale_percent(scale_percent):
     """Return scale_percent if it is one of VALID_SCALES or None."""
     if scale_percent is not None and scale_percent not in VALID_SCALES:

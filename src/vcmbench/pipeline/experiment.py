@@ -44,7 +44,7 @@ from pathlib import Path
 
 from ..errors import ExternalToolError, InputError, StageError, VcmError
 from ..metrics import MotaResult, mean_average_precision, mota
-from ..model import VALID_SCALES, RDCurve, RDPoint
+from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
     load_detections,
@@ -113,8 +113,7 @@ class ExperimentManifest:
         bad = [s for s in self.scales if s not in VALID_SCALES]
         if bad:
             raise InputError(f"manifest scales must be among {VALID_SCALES}: {bad}")
-        if len(set(self.scales)) != len(self.scales):
-            raise InputError(f"manifest scales have duplicates: {list(self.scales)}")
+        check_unique_scales(self.scales)
         bad = [t for t in self.iou_thresholds if not 0.0 < t <= 1.0]
         if bad:
             raise InputError(f"iou_thresholds must be in (0, 1]: {bad}")

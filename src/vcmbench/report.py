@@ -13,7 +13,8 @@ with the numeric data embedded as structured comments so they diff
 cleanly.
 
 `bd_table`, the CSVs and the plot all derive from the document's own
-`rd_tables` and `pareto` rows, through one `_report_curves`.
+`rd_tables` and `pareto` rows, through one `_report_curves`; re-rendering
+a document whose `bd_table` is not the one those rows give is an error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import VcmError
-from .model import RDCurve, RDPoint
+from .errors import InvariantViolation, VcmError
+from .model import RDCurve, RDPoint, check_unique_scales
 from .rdcurves import bd_metrics, pareto_front, scale_curves, write_curves_csv
 
 SCHEMA_VERSION = 1
@@ -218,6 +219,7 @@ def _report_curves(report: dict) -> tuple[list[RDCurve], RDCurve]:
     """Per-scale RD curves, in the manifest's scale order, and the front."""
     config = report["config"]
     unit = config["quality_unit"]
+    check_unique_scales(config["scales"])
     curves = scale_curves(
         ((scale, _points(report["rd_tables"][str(scale)])) for scale in config["scales"]),
         unit,
@@ -246,11 +248,15 @@ def write_report_files(report: dict, out_dir) -> list[Path]:
     Everything is derived from the report document alone, so the files
     `run` writes and a later re-render of its report.json are the same
     bytes. A malformed document raises one of tensorio.MALFORMED (or an
-    InputError) before any file is written; report.json itself is never
-    written here.
+    InputError) before any file is written: so does one whose `bd_table`
+    differs from the rows its curves give, or whose scales repeat.
+    report.json itself is never written here.
     """
     curves, front = _report_curves(report)
-    bd_csv = _bd_csv(report["bd_table"])
+    bd_rows = _bd_rows(curves, front)
+    if json.dumps(report["bd_table"], sort_keys=True) != json.dumps(bd_rows, sort_keys=True):
+        raise InvariantViolation("bd_table is not the table of its own rd_tables and pareto rows")
+    bd_csv = _bd_csv(bd_rows)
     svg = render_svg(curves, front, title="rate vs task metric")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from vcmbench.rdcurves import (
     read_curves_csv,
     write_curves_csv,
 )
+from vcmbench.report import _bd_csv
 from vcmbench.tensorio import read_feature_tensor, write_feature_tensor
 from vcmbench.model import FeatureTensor
 from vcmbench.pipeline.yuv import write_yuv420
@@ -67,6 +69,23 @@ def test_eval_det_class_id_outside_int64_exits_2_naming_the_file(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'det.jsonl'}:1: OverflowError")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [1.7, True])
+def test_eval_det_fractional_or_bool_class_id_exits_2_naming_the_line(tmp_path, capsys, value):
+    # int() alone truncates 1.7 to class 1 and reads true as class 1
+    assert main(_eval_det(tmp_path, class_id=value)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'det.jsonl'}:1: ValueError: expected an integer: {value!r}\n"
+
+
+def test_run_fractional_class_id_exits_2_naming_the_line(tmp_path, capsys):
+    argv = ["run", _manifest(tmp_path, det={"class_id": 1.7}), "--output-dir",
+            str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"{tmp_path / 'det.jsonl'}:1: ValueError: expected an integer: 1.7" in (
+        capsys.readouterr().err
+    )
 
 
 def test_eval_det_csv_output(tmp_path, capsys):
@@ -457,13 +476,16 @@ def _curves(d) -> str:
     return str(d / "ok.csv")
 
 
+_ONE_POINT_PARETO = "DegenerateCurve: curve 'pareto' needs >= 2 points for BD metrics"
+
+
 def _report_doc(d, **changes) -> str:
     doc = {"schema_version": 1,
            "config": {"scales": [100], "quality_unit": "fraction"},
            "rd_tables": {"100": [{"qp": 22, "rate": 1.0, "quality": 0.5}]},
            "pareto": [{"rate": 1.0, "quality": 0.5}],
            "bd_table": [{"anchor": "pareto", "test": "scale100", "bd_rate_percent": None,
-                         "bd_quality": None, "error": "NoOverlap"}]}
+                         "bd_quality": None, "error": _ONE_POINT_PARETO}]}
     doc.update(changes)
     return _file(d / "r.json", json.dumps(doc).encode())
 
@@ -544,6 +566,20 @@ BAD_INPUTS = {
     "eval-det-class-id-null": lambda d: _eval_det(d, class_id=None),
     "eval-det-class-id-not-numeric": lambda d: _eval_det(d, class_id="person"),
     "eval-det-class-id-infinite": lambda d: _eval_det(d, class_id=float("inf")),
+    "eval-det-class-id-fractional": lambda d: _eval_det(d, class_id=1.7),
+    "eval-det-class-id-bool": lambda d: _eval_det(d, class_id=True),
+    "eval-track-frame-fractional": lambda d: _eval_track(d, frame=0.5),
+    "eval-track-track-id-bool": lambda d: _eval_track(d, track_id=False),
+    "run-predictions-class-id-fractional": lambda d: [
+        "run", _manifest(d, det={"class_id": 1.7}), "--output-dir", str(d / "out")
+    ],
+    "report-bd-table-empty": lambda d: [
+        "report", _report_doc(d, bd_table=[]), "--output-dir", str(d / "out")
+    ],
+    "report-scales-repeated": lambda d: [
+        "report", _report_doc(d, config={"scales": [100, 100], "quality_unit": "fraction"}),
+        "--output-dir", str(d / "out"),
+    ],
     "eval-det-score-null": lambda d: _eval_det(d, score=None),
     "eval-det-score-not-numeric": lambda d: _eval_det(d, score="high"),
     "eval-track-frame-null": lambda d: _eval_track(d, frame=None),
@@ -744,13 +780,11 @@ def test_report_takes_output_dir_from_config(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "tables" / "rd_curves.csv").is_file()
 
 
-def test_report_quotes_bd_labels_with_commas(tmp_path, capsys):
+def test_report_quotes_bd_labels_with_commas():
+    # a document's labels are scale<N> and pareto, so the writer is fed directly
     row = {"anchor": "pareto", "test": "a,b", "bd_rate_percent": -1.5,
            "bd_quality": 0.25, "error": None}
-    doc = _report_doc(tmp_path, bd_table=[row])
-    assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 0
-    with open(tmp_path / "tables" / "bd_table.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_bd_csv([row]), newline="")))
     assert [len(r) for r in rows] == [5, 5]
     assert rows[1] == ["pareto", "a,b", "-1.5", "0.25", ""]
 
@@ -765,6 +799,35 @@ def test_report_with_an_invalid_row_names_the_file(tmp_path, capsys, changes):
     doc = _report_doc(tmp_path, **changes)
     assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {doc}: report document: ")
+    assert not (tmp_path / "tables").exists()
+
+
+@pytest.mark.parametrize("bd_table", [
+    [],
+    [{"anchor": "pareto", "test": "scale100", "bd_rate_percent": None, "bd_quality": None,
+      "error": "NoOverlap"}],
+    [{"anchor": "pareto", "test": "scale100", "bd_rate_percent": 0.0, "bd_quality": 0.0,
+      "error": None}],
+    [{"anchor": "pareto", "test": "scale100", "bd_rate_percent": None, "bd_quality": None,
+      "error": _ONE_POINT_PARETO}] * 2,
+], ids=["empty", "other-error", "numbers", "repeated-row"])
+def test_report_whose_bd_table_contradicts_its_curves_exits_2(tmp_path, capsys, bd_table):
+    doc = _report_doc(tmp_path, bd_table=bd_table)
+    assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {doc}: report document: InvariantViolation: "
+        "bd_table is not the table of its own rd_tables and pareto rows\n"
+    )
+    assert not (tmp_path / "tables").exists()
+
+
+def test_report_with_repeated_scales_exits_2_as_a_manifest_would(tmp_path, capsys):
+    doc = _report_doc(tmp_path, config={"scales": [100, 100], "quality_unit": "fraction"})
+    assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {doc}: report document: InvariantViolation: "
+        "manifest scales have duplicates: [100, 100]\n"
+    )
     assert not (tmp_path / "tables").exists()
 
 

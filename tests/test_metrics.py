@@ -4,9 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Det, Gt, Track, det_table, gt_table, track_table
-from oracles import ap_bruteforce, iou_xyxy, map_bruteforce, map_per_threshold, mota_pairwise
+from oracles import (
+    _greedy_match_at, ap_bruteforce, iou_xyxy, map_bruteforce, map_per_threshold, mota_pairwise,
+)
 from vcmbench.errors import InputError
-from vcmbench.metrics import iou_matrix, mean_average_precision, mota
+from vcmbench.metrics import _greedy_match, iou_matrix, mean_average_precision, mota
 
 
 def B(x0, y0, x1, y1):
@@ -438,3 +440,41 @@ def test_mota_can_be_negative():
     pred = [tb(0, 1, B(50, 50, 55, 55)), tb(0, 2, B(60, 60, 65, 65))]
     r = mota_of(pred, gt_tracks, 0.5)
     assert r.mota == pytest.approx(1.0 - 3 / 1)
+
+
+# IoUs that tie within rows and columns, several exactly on a threshold
+TIED_IOUS = (0.0, 0.25, 0.5, 0.5, 0.6, 0.75, 0.75, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("thresholds", [
+    COCO_THRESHOLDS, COCO_THRESHOLDS[::-1], (0.5, 0.5, 0.75, 0.25, 0.75),
+    (1.0, 0.25, 0.1, 0.25), (0.6,),
+], ids=["coco", "descending", "repeated", "unordered", "one"])
+def test_greedy_match_equals_matching_each_threshold_alone(thresholds):
+    # copying a lower threshold's matches must give what matching anew gives
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        ious = rng.choice(TIED_IOUS, tuple(rng.integers(1, 8, 2)))
+        want = np.array([_greedy_match_at(ious, t) for t in thresholds])
+        assert (_greedy_match(ious, thresholds) == want).all()
+
+
+def _grid_boxes(rng, n):
+    xy = rng.integers(0, 5, (n, 2))
+    return np.concatenate([xy, xy + rng.integers(1, 4, (n, 2))], axis=1).astype(float).tolist()
+
+
+@pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+def test_map_equals_per_threshold_oracle_on_grid_boxes_and_mixed_thresholds(interpolation):
+    # integer boxes give tied IoUs of 1/3, 1/2, 2/3 ...; threshold tuples come
+    # unsorted and with repeats, some equal to those IoUs
+    rng = np.random.default_rng(23)
+    grid = (0.1, 0.25, 1 / 3, 0.5, 0.6, 2 / 3, 0.75, 1.0)
+    for _ in range(60):
+        gts = [gt(f"i{rng.integers(2)}", int(rng.integers(2)), tuple(b))
+               for b in _grid_boxes(rng, int(rng.integers(1, 7)))]
+        dets = [det(f"i{rng.integers(2)}", int(rng.integers(2)), tuple(b), rng.integers(4) / 4)
+                for b in _grid_boxes(rng, int(rng.integers(0, 9)))]
+        thresholds = tuple(rng.choice(grid, int(rng.integers(1, 7))).tolist())
+        _assert_matches_per_threshold([det_table(dets)], [gt_table(gts)], thresholds,
+                                      interpolation)

@@ -7,6 +7,9 @@ import pytest
 from vcmbench.errors import InputError, InvariantViolation, ParseError
 from vcmbench.model import FeatureTensor
 from vcmbench.tensorio import (
+    _fast_columns,
+    _load_lines,
+    _load_records,
     load_detections,
     load_ground_truth,
     load_tracks,
@@ -281,3 +284,182 @@ def test_integer_outside_int64_is_parse_error(tmp_path):
         load_detections(p)
     assert err.value.line == 2
     assert str(p) in str(err.value) and "int64" in str(err.value)
+
+
+# --- integer fields ---
+
+INT_FIELDS = [("det", "class_id"), ("gt", "class_id"), ("track", "class_id"),
+              ("track", "frame"), ("track", "track_id")]
+
+
+@pytest.mark.parametrize(("kind", "field"), INT_FIELDS)
+@pytest.mark.parametrize("value", [1.7, -0.5, True, False])
+def test_fractional_or_bool_integer_field_is_parse_error(tmp_path, kind, field, value):
+    load, good = LOADERS[kind]
+    p = tmp_path / "r.jsonl"
+    p.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n")
+    with pytest.raises(ParseError) as err:
+        load(p)
+    assert err.value.line == 2
+    assert str(err.value) == f"{p}:2: ValueError: expected an integer: {value!r}"
+
+
+@pytest.mark.parametrize(("kind", "field"), INT_FIELDS)
+@pytest.mark.parametrize(("value", "loaded"), [(2.0, 2), (-0.0, 0), (1e3, 1000), ("3", 3),
+                                               (" 4 ", 4)])
+def test_integral_floats_and_numeric_strings_load_as_integers(tmp_path, kind, field, value,
+                                                              loaded):
+    load, good = LOADERS[kind]
+    p = tmp_path / "r.jsonl"
+    p.write_text(json.dumps(dict(good, **{field: value})) + "\n")
+    column = getattr(load(p), field)
+    assert column.dtype == np.int64 and column.tolist() == [loaded]
+
+
+# --- the column-wise path against the per-line path ---
+
+FIELDS = {"det": ("image_id", "class_id", "bbox", "score"),
+          "gt": ("image_id", "class_id", "bbox"),
+          "track": ("frame", "track_id", "class_id", "bbox", "score")}
+
+# values of a type the column-wise path leaves to the per-line path, and clean
+# values out of a BoxTable range (-1, ""): both paths must give one outcome
+ODD_VALUES = {
+    "image_id": [5, None, 1.5, ["a"], "", "cam\u2028a"],
+    "class_id": [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30, True, False, 2.0, 1.7, "3",
+                 " 4 ", "1.5", "x", None, float("nan"), float("inf"), [1], -1],
+    "bbox": [[1, 0, 1, 1], [-1, 0, 1, 1], [0, 0, float("inf"), 1], [0, 0, float("nan"), 1],
+             [0, 0, 10**400, 1], [0, 0, 1], [0, 0, 1, 1, 1], [0, 0, "1", 1], [0, 0, True, 1],
+             [[0], 0, 1, 1], {"x": 1}, "0,0,1,1", None],
+    "score": [1.2, -0.1, float("nan"), float("-inf"), 10**400, "0.5", True, None, 1, 0],
+}
+ODD_VALUES["frame"] = ODD_VALUES["track_id"] = ODD_VALUES["class_id"]
+
+# lines that are not one clean record: blank in either sense, decorated, not a
+# JSON object, not JSON, or a record joined across two lines
+ODD_LINES = ["", "   ", "\t", "\x0c", "\u2028", "\x0b", "\u00a0", "[1, 2]", "5", '"a"', "null",
+             "{}", "{broken", "NaN", '{"a": [{"b": 1}', '{"c": 2}]}', "\ufeff{}"]
+
+
+def _clean_record(rng, kind):
+    box = sorted(rng.uniform(0, 50, 2).round(2).tolist())
+    box = [box[0], box[0] * 0.5, box[1] + 1, int(rng.integers(60, 90))]
+    values = {"image_id": f"img{rng.integers(3)}", "class_id": int(rng.integers(0, 4)),
+              "bbox": box, "score": [0.25, 1, 0, round(float(rng.random()), 3)][rng.integers(4)],
+              "frame": int(rng.integers(0, 5)), "track_id": int(rng.integers(-3, 9))}
+    return {f: values[f] for f in FIELDS[kind]}
+
+
+def _odd_line(rng, kind):
+    choice = rng.integers(6)
+    rec = _clean_record(rng, kind)
+    field = FIELDS[kind][rng.integers(len(FIELDS[kind]))]
+    if choice == 0:
+        return ODD_LINES[rng.integers(len(ODD_LINES))]
+    if choice == 1:
+        odd = ODD_VALUES[field]
+        return json.dumps(dict(rec, **{field: odd[rng.integers(len(odd))]}))
+    if choice == 2:
+        return json.dumps({k: v for k, v in rec.items() if k != field})
+    if choice == 3:  # a duplicate key: the last value wins
+        return json.dumps(rec)[:-1] + f', "{field}": {json.dumps(rec[field])}}}'
+    if choice == 4:
+        pad = ["  ", "\t", "\x0c", "\u2028", " \t "]
+        return pad[rng.integers(len(pad))] + json.dumps(rec) + pad[rng.integers(len(pad))]
+    return json.dumps(rec) + " " + json.dumps(rec)
+
+
+def _outcome(load):
+    """A loaded table's columns as (dtype, shape, bytes or values), or the error."""
+    try:
+        table = load()
+    except (ParseError, InvariantViolation) as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "index", None)
+    return {
+        k: (c.dtype.str, c.shape, c.tolist() if c.dtype == object else c.tobytes())
+        for k in ("xyxy", *FIELDS["track"], "image_id")
+        if k != "bbox" and (c := getattr(table, k)) is not None
+    }
+
+
+def _assert_same_as_per_line(p, kind):
+    fields = FIELDS[kind]
+    lines = p.read_text(encoding="utf-8").split("\n")
+    got = _outcome(lambda: _load_records(p, fields))
+    assert got == _outcome(lambda: _load_lines(p, lines, fields))
+    return _fast_columns(lines, fields) is not None
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_columns_equal_the_per_line_path_on_seeded_files(tmp_path, kind):
+    rng = np.random.default_rng(list(FIELDS).index(kind))
+    fast = slow = 0
+    for case in range(300):
+        n = int(rng.integers(0, 7))
+        lines = [json.dumps(_clean_record(rng, kind)) for _ in range(n)]
+        for _ in range(int(rng.integers(0, 3)) if case % 2 else 0):
+            lines.insert(int(rng.integers(len(lines) + 1)), _odd_line(rng, kind))
+        newline = "\r\n" if rng.random() < 0.3 else "\n"
+        p = tmp_path / f"{case}.jsonl"
+        p.write_bytes((newline.join(lines) + newline * int(rng.integers(2))).encode("utf-8"))
+        if _assert_same_as_per_line(p, kind):
+            fast += 1
+        else:
+            slow += 1
+    assert fast > 100 and slow > 50
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+@pytest.mark.parametrize("line", ODD_LINES)
+def test_each_odd_line_gives_the_per_line_outcome(tmp_path, kind, line):
+    good = json.dumps(_clean_record(np.random.default_rng(0), kind))
+    p = tmp_path / "r.jsonl"
+    p.write_text("\n".join([good, line, good]), encoding="utf-8")
+    _assert_same_as_per_line(p, kind)
+
+
+@pytest.mark.parametrize(("kind", "field"), [(k, f) for k in sorted(FIELDS) for f in FIELDS[k]])
+def test_each_odd_value_gives_the_per_line_outcome(tmp_path, kind, field):
+    rec = _clean_record(np.random.default_rng(0), kind)
+    p = tmp_path / "r.jsonl"
+    for value in ODD_VALUES[field]:
+        p.write_text("\n".join(json.dumps(r) for r in (rec, dict(rec, **{field: value}))))
+        _assert_same_as_per_line(p, kind)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_records_joined_across_lines_give_the_per_line_outcome(tmp_path, kind):
+    # '{"a": [{"b": 1}' and '{"c": 2}]}' would join into one valid record
+    good = json.dumps(_clean_record(np.random.default_rng(0), kind))
+    p = tmp_path / "r.jsonl"
+    for cut in range(1, len(good)):
+        p.write_text("\n".join([good, good[:cut], good[cut:], good]), encoding="utf-8")
+        _assert_same_as_per_line(p, kind)
+    p.write_text("\n".join([good, '{"a": [{"b": 1}', '{"c": 2}]}']), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        _load_records(p, FIELDS[kind])
+    assert err.value.line == 2
+
+
+def test_bbox_lengths_that_sum_to_whole_boxes_give_the_per_line_outcome(tmp_path):
+    # a 3- and a 5-element bbox hold 8 numbers, two boxes' worth
+    p = tmp_path / "r.jsonl"
+    boxes = [0, 0, 1], [0, 0, 1, 1, 1]
+    p.write_text("".join(json.dumps(dict(DET, bbox=b)) + "\n" for b in boxes))
+    _assert_same_as_per_line(p, "det")
+    with pytest.raises(ParseError) as err:
+        load_detections(p)
+    assert err.value.line == 1
+
+
+def test_clean_files_take_the_column_wise_path(tmp_path):
+    # CRLF, blank lines, padding, NaN-free numbers of both types, a duplicate key
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(b'{"image_id": "a", "class_id": 1, "bbox": [0, 0.5, 4, 4], "score": 1}\r\n'
+                  b"\r\n  \t\r\n"
+                  b' {"score": 0.5, "class_id": 0, "class_id": 3, "image_id": "b",'
+                  b' "bbox": [1.5, 2, 3, 4.25], "extra": null}\t\r\n')
+    assert _assert_same_as_per_line(p, "det")
+    d = load_detections(p)
+    assert d.class_id.tolist() == [1, 3] and d.score.tolist() == [1.0, 0.5]
+    assert d.xyxy.tolist() == [[0.0, 0.5, 4.0, 4.0], [1.5, 2.0, 3.0, 4.25]]
