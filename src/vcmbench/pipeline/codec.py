@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import CommandFailed, ExternalToolError, InputError, InvariantViolation
 from ..featurecodec.entropy import encode_bytes
+from ..tensorio import as_int64
 
 KIND_EXTERNAL = "EXTERNAL"
 KIND_NULL = "NULL"
@@ -49,17 +50,36 @@ class CodecSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvariantViolation(f"unknown codec kind {self.kind!r}")
-        templates = (self.encode_template, self.decode_template)
-        if self.kind == KIND_EXTERNAL and not all(isinstance(t, str) and t for t in templates):
-            raise InvariantViolation("EXTERNAL codec needs encode and decode templates")
+        templates = {"encode_template": self.encode_template,
+                     "decode_template": self.decode_template}
+        if self.kind == KIND_EXTERNAL:
+            if not all(isinstance(t, str) and t for t in templates.values()):
+                raise InvariantViolation("EXTERNAL codec needs encode and decode templates")
+            for name, template in templates.items():
+                split_template(template, name)
         if not self.qp_list:
             raise InvariantViolation("qp list must be non-empty")
-        object.__setattr__(self, "qp_list", tuple(int(q) for q in self.qp_list))
+        object.__setattr__(self, "qp_list", tuple(as_int64(q) for q in self.qp_list))
         if len(set(self.qp_list)) != len(self.qp_list):
             raise InvariantViolation(f"qp list has duplicates: {list(self.qp_list)}")
 
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+
+def split_template(template: str, what: str) -> list[str]:
+    """A command template's argv tokens, split as a POSIX shell would, without expansion.
+
+    An unbalanced quote or escape, or a template of no tokens, raises
+    InputError naming what.
+    """
+    try:
+        argv = shlex.split(template)
+    except ValueError as e:
+        raise InputError(f"{what}: {e}: {template!r}") from e
+    if not argv:
+        raise InputError(f"{what}: no argv tokens: {template!r}")
+    return argv
 
 
 def expand_template(template: str, substitutions: dict[str, str]) -> list[str]:
@@ -74,10 +94,8 @@ def expand_template(template: str, substitutions: dict[str, str]) -> list[str]:
         key = m.group(1)
         return str(substitutions[key]) if key in substitutions else m.group(0)
 
-    argv = [_PLACEHOLDER.sub(value, token) for token in shlex.split(template)]
-    if not argv:
-        raise InputError(f"empty command template: {template!r}")
-    return argv
+    tokens = split_template(template, "command template")
+    return [_PLACEHOLDER.sub(value, token) for token in tokens]
 
 
 def run_command(argv: list[str], what: str) -> None:

@@ -47,13 +47,14 @@ from ..metrics import MotaResult, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
+    as_int64,
     load_detections,
     load_ground_truth,
     load_tracks,
     parsing,
     read_json,
 )
-from .codec import CodecSpec, expand_template, run_codec, run_command
+from .codec import CodecSpec, expand_template, run_codec, run_command, split_template
 from .yuv import (
     RawImage,
     crop_pad,
@@ -88,6 +89,8 @@ class ExperimentItem:
             )
         if not isinstance(self.prediction_command, (str, type(None))):
             raise InputError(f"item {self.item_id!r}: prediction_command must be a string")
+        if self.prediction_command is not None:
+            split_template(self.prediction_command, f"item {self.item_id!r}: prediction_command")
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def load_manifest(path) -> ExperimentManifest:
             kind=codec_doc["kind"],
             encode_template=codec_doc.get("encode_template"),
             decode_template=codec_doc.get("decode_template"),
-            qp_list=tuple(codec_doc.get("qp_list", (22, 27, 32, 37, 42, 47))),
+            qp_list=codec_doc.get("qp_list", CodecSpec.qp_list),
         )
         items = []
         for it in doc["items"]:
@@ -178,16 +181,16 @@ def load_manifest(path) -> ExperimentManifest:
                 preds = {}
                 for key, p in it["predictions"].items():
                     qp_s, scale_s = key.split(":")
-                    preds[(int(qp_s), int(scale_s))] = resolve(p)
+                    preds[(as_int64(qp_s), as_int64(scale_s))] = resolve(p)
             items.append(
                 ExperimentItem(
                     item_id=str(it["id"]),
                     path=resolve(it["path"]),
-                    width=int(it["width"]),
-                    height=int(it["height"]),
+                    width=as_int64(it["width"]),
+                    height=as_int64(it["height"]),
                     ground_truth=resolve(it["ground_truth"]),
-                    frames=int(it.get("frames", 1)),
-                    fps=float(it.get("fps", 30.0)),
+                    frames=as_int64(it.get("frames", ExperimentItem.frames)),
+                    fps=float(it.get("fps", ExperimentItem.fps)),
                     predictions=preds,
                     prediction_command=it.get("prediction_command"),
                 )
@@ -196,9 +199,9 @@ def load_manifest(path) -> ExperimentManifest:
             task=doc["task"],
             codec=codec,
             items=tuple(items),
-            scales=tuple(int(s) for s in doc.get("scales", (100, 75, 50, 25))),
+            scales=tuple(as_int64(s) for s in doc.get("scales", ExperimentManifest.scales)),
             iou_thresholds=tuple(
-                float(t) for t in doc.get("iou_thresholds", (0.5,))
+                float(t) for t in doc.get("iou_thresholds", ExperimentManifest.iou_thresholds)
             ),
         )
 

@@ -12,9 +12,10 @@ manifest digest covers only the command text). Plots are standalone SVG
 with the numeric data embedded as structured comments so they diff
 cleanly.
 
-`bd_table`, the CSVs and the plot all derive from the document's own
-`rd_tables` and `pareto` rows, through one `_report_curves`; re-rendering
-a document whose `bd_table` is not the one those rows give is an error.
+`pareto`, `bd_table`, the CSVs and the plot all derive from the
+document's own `rd_tables` rows, through one `_report_curves`;
+re-rendering a document whose `pareto` or `bd_table` is not the one those
+rows give is an error.
 """
 
 from __future__ import annotations
@@ -215,18 +216,24 @@ def _points(rows) -> list[RDPoint]:
     return [RDPoint(r["rate"], r["quality"]) for r in rows]
 
 
+def _same_rows(a, b) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def _report_curves(report: dict) -> tuple[list[RDCurve], RDCurve]:
-    """Per-scale RD curves, in the manifest's scale order, and the front."""
+    """Per-scale RD curves, in the manifest's scale order, and their Pareto front.
+
+    The document's `pareto` rows must be that front.
+    """
     config = report["config"]
-    unit = config["quality_unit"]
     check_unique_scales(config["scales"])
     curves = scale_curves(
         ((scale, _points(report["rd_tables"][str(scale)])) for scale in config["scales"]),
-        unit,
+        config["quality_unit"],
     )
-    front = RDCurve(
-        label="pareto", points=tuple(_points(report["pareto"])), quality_unit=unit
-    )
+    front = pareto_front(curves, label="pareto")
+    if not _same_rows(report["pareto"], _curve_rows(front)):
+        raise InvariantViolation("pareto is not the front of its own rd_tables rows")
     return curves, front
 
 
@@ -248,13 +255,13 @@ def write_report_files(report: dict, out_dir) -> list[Path]:
     Everything is derived from the report document alone, so the files
     `run` writes and a later re-render of its report.json are the same
     bytes. A malformed document raises one of tensorio.MALFORMED (or an
-    InputError) before any file is written: so does one whose `bd_table`
-    differs from the rows its curves give, or whose scales repeat.
+    InputError) before any file is written: so does one whose `pareto` or
+    `bd_table` differs from the rows its curves give, or whose scales repeat.
     report.json itself is never written here.
     """
     curves, front = _report_curves(report)
     bd_rows = _bd_rows(curves, front)
-    if json.dumps(report["bd_table"], sort_keys=True) != json.dumps(bd_rows, sort_keys=True):
+    if not _same_rows(report["bd_table"], bd_rows):
         raise InvariantViolation("bd_table is not the table of its own rd_tables and pareto rows")
     bd_csv = _bd_csv(bd_rows)
     svg = render_svg(curves, front, title="rate vs task metric")

@@ -20,13 +20,13 @@ frame, track_id) must fit in int64; an integral float (2.0) or a numeric
 string ("2") reads as that integer, while true, false or a number with a
 fractional part (1.7) is a ParseError naming its line.
 
-A file whose every non-blank line is one JSON object with each field of
-exactly the type its cast keeps (str image ids, int integer fields, int or
-float scores, bboxes as lists of 4 ints or floats) is read column-wise:
-each line is decoded by the json module's scanner and each column built by
-one numpy call. Any other file, a malformed one included, is read line by
-line with json.loads and a cast per field. Both give the same columns,
-and only the second raises, so every error is the per-line path's.
+Each line is decoded by the json module's scanner; only a line the scan
+cannot take whole goes to json.loads, which returns its value or raises
+the error reported. Each field's column is built by one numpy call when
+every value has exactly the type its cast keeps (str image ids, int
+integer fields, int or float scores, bboxes as lists of 4 ints or
+floats); otherwise that column alone is cast value by value, up to its
+first failure.
 """
 
 from __future__ import annotations
@@ -112,7 +112,12 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _int64(v) -> int:
+def as_int64(v) -> int:
+    """v as an int64 by the JSON-lines integer rule.
+
+    An integral float or a numeric string reads as that integer; a bool or
+    a fractional number raises ValueError, a value outside int64 OverflowError.
+    """
     if isinstance(v, bool) or isinstance(v, float) and math.isfinite(v) and not v.is_integer():
         raise ValueError(f"expected an integer: {v!r}")
     v = int(v)
@@ -126,10 +131,6 @@ def _bbox(v) -> list[float]:
         raise ValueError(f"bbox must be [x0,y0,x1,y1]: {v!r}")
     return [float(c) for c in v]
 
-
-# the cast of each record field, applied in a kind's field order
-_CASTS = {"image_id": str, "class_id": _int64, "bbox": _bbox, "score": float,
-          "frame": _int64, "track_id": _int64}
 
 # json.loads of one line is its scan from the first non-whitespace character
 _scan_once = json.scanner.make_scanner(json.JSONDecoder())
@@ -145,10 +146,6 @@ def _ints(values) -> np.ndarray:
     return np.array(values, dtype=np.int64)  # OverflowError beyond int64
 
 
-def _strs(values) -> np.ndarray:
-    return np.array(values, dtype=object)
-
-
 def _boxes(col) -> np.ndarray:
     flat = list(chain.from_iterable(col))
     if set(map(len, col)) - {4} or set(map(type, flat)) - _NUMBER:
@@ -156,44 +153,34 @@ def _boxes(col) -> np.ndarray:
     return _floats(flat).reshape(-1, 4)
 
 
-# per field: the value types its cast keeps as they are, and the column of
-# such values, equal in values and dtype to what the cast gives
-_COLUMNS = {"image_id": ({str}, _strs), "class_id": ({int}, _ints), "bbox": ({list}, _boxes),
-            "score": (_NUMBER, _floats), "frame": ({int}, _ints), "track_id": ({int}, _ints)}
+# per field: the cast of one value; the value types that cast keeps as they
+# are; and the column of such values by one numpy call, equal in values and
+# dtype to the column of the cast values (a list of str: BoxTable casts it)
+_FIELDS = {"image_id": (str, {str}, list), "class_id": (as_int64, {int}, _ints),
+           "bbox": (_bbox, {list}, _boxes), "score": (float, _NUMBER, _floats),
+           "frame": (as_int64, {int}, _ints), "track_id": (as_int64, {int}, _ints)}
 
 
-def _fast_columns(lines, fields) -> dict | None:
-    """The columns of the non-blank lines, or None unless every record is clean.
+def _column(records, field):
+    """The field's column over records, and (k, error) where its cast first fails.
 
-    Clean: each line is one JSON object holding every field with a type
-    its cast keeps as it is (str image ids, int integer fields within
-    int64, int or float scores, 4-element lists of int or float bboxes).
-    The columns then equal the per-line path's; anything else, an error
-    included, is left to that path and its messages.
+    When every value has a type the cast keeps, one call builds the
+    column; otherwise each value is cast in turn, up to the first failure.
     """
-    records = []
-    for line in lines:
-        text = line.strip(_JSON_SPACE)
-        if not text:
-            continue
+    cast, types, build = _FIELDS[field]
+    try:
+        col = list(map(itemgetter(field), records))
+        if not set(map(type, col)) - types:
+            return build(col), None
+    except MALFORMED:  # a record without the field or not an object; out of int64; not 4 numbers
+        pass
+    col = []
+    for k, record in enumerate(records):
         try:
-            record, end = _scan_once(text, 0)
-        except (StopIteration, ValueError):  # ValueError: JSONDecodeError
-            return None
-        if end != len(text) or type(record) is not dict:
-            return None
-        records.append(record)
-    columns = {}
-    for f in fields:
-        types, build = _COLUMNS[f]
-        try:
-            col = list(map(itemgetter(f), records))
-            if set(map(type, col)) - types:
-                return None
-            columns[f] = build(col)
-        except (KeyError, ValueError, OverflowError):  # no field; no 4 numbers; too big
-            return None
-    return columns
+            col.append(cast(record[field]))
+        except MALFORMED as e:
+            return build(col), (k, e)
+    return build(col), None
 
 
 def _table(path, columns) -> BoxTable:
@@ -204,46 +191,50 @@ def _table(path, columns) -> BoxTable:
         raise InvariantViolation(f"{path} record {e.index}: {e}", index=e.index) from e
 
 
-def _rows_table(path, fields, rows) -> BoxTable:
-    return _table(path, zip(fields, zip(*rows) if rows else [()] * len(fields)))
-
-
-def _load_lines(path, lines, fields) -> BoxTable:
-    """The per-line path: one json.loads and one cast per field of each record."""
-    casts = [(f, _CASTS[f]) for f in fields]
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            rows.append([cast(rec[f]) for f, cast in casts])
-        except MALFORMED as e:
-            _rows_table(path, fields, rows)  # an earlier bad record wins
-            raise ParseError(f"{path}:{lineno}: {_cause(e)}", line=lineno) from e
-    return _rows_table(path, fields, rows)
-
-
 def _load_records(path, fields) -> BoxTable:
     """One BoxTable of the non-blank lines of a JSON-lines file.
 
     Lines end at "\n" alone (read_text turns "\r\n" and "\r" into it), so
     U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and
-    line numbers count "\n" lines.
+    line numbers count "\n" lines. A line is blank when str.strip()
+    leaves nothing.
     A record that is not valid JSON or lacks a field or has one of the
     wrong type raises ParseError with its 1-based line; a record that
     breaks a BoxTable invariant raises InvariantViolation with its 0-based
-    index. Of two bad records the first in the file is reported.
-    A file of clean records (see _fast_columns) is read column by column;
-    any other file takes the per-line path, which gives the same columns.
+    index. Of two bad records the first in the file is reported, and of
+    two bad fields of one record the first in the kind's field order.
     """
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    columns = _fast_columns(lines, fields)
-    if columns is None:
-        return _load_lines(path, lines, fields)
-    return _table(path, columns)
+    records, linenos, failure = [], [], None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip(_JSON_SPACE)
+        try:
+            record, end = _scan_once(stripped, 0)
+        except (StopIteration, ValueError):  # ValueError: JSONDecodeError
+            end = -1
+        if end != len(stripped):
+            if not line.strip():
+                continue
+            try:  # json.loads decides: its value, or the error to report
+                record = json.loads(line)
+            except MALFORMED as e:
+                failure = lineno, e
+                break
+        records.append(record)
+        linenos.append(lineno)
+    columns = {}
+    for f in fields:
+        columns[f], bad = _column(records, f)
+        if bad:  # an earlier record than any failure found so far
+            k, e = bad
+            failure = linenos[k], e
+            del records[k:]
+    table = _table(path, {f: c[:len(records)] for f, c in columns.items()})
+    if failure:  # after the table, so an earlier bad record wins
+        lineno, e = failure
+        raise ParseError(f"{path}:{lineno}: {_cause(e)}", line=lineno) from e
+    return table
 
 
 def load_detections(path) -> BoxTable:

@@ -8,11 +8,15 @@ avoids the code paths under test.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import defaultdict
 
 import numpy as np
 
+from vcmbench.errors import ParseError
 from vcmbench.metrics import APResult
+from vcmbench.model import BoxTable
+from vcmbench.tensorio import MALFORMED, _bbox, _cause, _table, as_int64
 
 
 def iou_xyxy(a, b) -> float:
@@ -298,3 +302,30 @@ def resample_plane_gather(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarr
     bottom = src[y1c][:, x0c] * (1 - fx) + src[y1c][:, x1c] * fx
     out = top * (1 - fy)[:, None] + bottom * fy[:, None]
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+# --- JSON-lines records: the reference for tensorio._load_records ---
+
+# the cast of each record field, applied in a kind's field order
+_CASTS = {"image_id": str, "class_id": as_int64, "bbox": _bbox, "score": float,
+          "frame": as_int64, "track_id": as_int64}
+
+
+def _rows_table(path, fields, rows) -> BoxTable:
+    return _table(path, zip(fields, zip(*rows) if rows else [()] * len(fields)))
+
+
+def _load_lines(path, lines, fields) -> BoxTable:
+    """The per-line path: one json.loads and one cast per field of each record."""
+    casts = [(f, _CASTS[f]) for f in fields]
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            rows.append([cast(rec[f]) for f, cast in casts])
+        except MALFORMED as e:
+            _rows_table(path, fields, rows)  # an earlier bad record wins
+            raise ParseError(f"{path}:{lineno}: {_cause(e)}", line=lineno) from e
+    return _rows_table(path, fields, rows)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
 from vcmbench.cli import main
-from vcmbench.model import RDPoint
+from vcmbench.model import RDCurve, RDPoint
 from vcmbench.rdcurves import (
     bd_metrics,
     build_curve,
@@ -21,7 +21,7 @@ from vcmbench.rdcurves import (
     read_curves_csv,
     write_curves_csv,
 )
-from vcmbench.report import _bd_csv
+from vcmbench.report import _bd_csv, _bd_rows
 from vcmbench.tensorio import read_feature_tensor, write_feature_tensor
 from vcmbench.model import FeatureTensor
 from vcmbench.pipeline.yuv import write_yuv420
@@ -458,6 +458,15 @@ def _manifest(d, det=None, **item) -> str:
     return _file(d / "m.json", json.dumps(doc).encode())
 
 
+def _run(d, codec=None, scales=None, **item) -> list[str]:
+    """`run` on _manifest's document, its codec or scales replaced when given."""
+    path = Path(_manifest(d, **item))
+    doc = json.loads(path.read_text())
+    doc.update({k: v for k, v in (("codec", codec), ("scales", scales)) if v is not None})
+    path.write_text(json.dumps(doc))
+    return ["run", str(path), "--output-dir", str(d / "out")]
+
+
 def _eval_det(d, **det) -> list[str]:
     write_jsonl(gt_records(_gts()), d / "gt.jsonl")
     write_jsonl([dict(r, **det) for r in det_records(_gts())], d / "det.jsonl")
@@ -487,6 +496,28 @@ def _report_doc(d, **changes) -> str:
            "bd_table": [{"anchor": "pareto", "test": "scale100", "bd_rate_percent": None,
                          "bd_quality": None, "error": _ONE_POINT_PARETO}]}
     doc.update(changes)
+    return _file(d / "r.json", json.dumps(doc).encode())
+
+
+# two curves and a front that lies on neither
+_CURVES = {"100": [(1.0, 0.5), (2.0, 0.7), (3.0, 0.8)],
+           "75": [(0.5, 0.3), (1.5, 0.6), (2.5, 0.65)]}
+_TRUE_FRONT = [(0.5, 0.3), (1.0, 0.5), (1.5, 0.6), (2.0, 0.7), (3.0, 0.8)]
+_FALSE_FRONT = [(0.1, 0.9), (3.0, 0.95)]
+
+
+def _report_with_front(d, front) -> str:
+    """A document of _CURVES whose pareto rows are front and whose bd_table they give."""
+    def curve(label, pts, scale=None):
+        return RDCurve(label, tuple(RDPoint(*p) for p in pts), scale)
+
+    curves = [curve(f"scale{s}", pts, int(s)) for s, pts in _CURVES.items()]
+    doc = {"schema_version": 1,
+           "config": {"scales": [100, 75], "quality_unit": "fraction"},
+           "rd_tables": {s: [{"qp": 22 + 5 * i, "rate": r, "quality": q}
+                             for i, (r, q) in enumerate(pts)] for s, pts in _CURVES.items()},
+           "pareto": [{"rate": r, "quality": q} for r, q in front],
+           "bd_table": _bd_rows(curves, curve("pareto", front))}
     return _file(d / "r.json", json.dumps(doc).encode())
 
 
@@ -579,6 +610,20 @@ BAD_INPUTS = {
     "report-scales-repeated": lambda d: [
         "report", _report_doc(d, config={"scales": [100, 100], "quality_unit": "fraction"}),
         "--output-dir", str(d / "out"),
+    ],
+    "run-prediction-command-unbalanced-quote": lambda d: _run(
+        d, prediction_command="detector 'unclosed {input} {output}"
+    ),
+    "run-encode-template-unbalanced-quote": lambda d: _run(
+        d, codec={"kind": "EXTERNAL", "encode_template": "enc 'x {input} {output}",
+                  "decode_template": "dec {input} {output}", "qp_list": [22]},
+    ),
+    "run-scale-fractional": lambda d: _run(d, scales=[100.5]),
+    "run-qp-bool": lambda d: _run(d, codec={"kind": "NULL", "qp_list": [True]},
+                                  predictions={"1:100": "det.jsonl"}),
+    "run-item-width-fractional": lambda d: _run(d, width=8.4),
+    "report-pareto-not-the-front": lambda d: [
+        "report", _report_with_front(d, _FALSE_FRONT), "--output-dir", str(d / "out")
     ],
     "eval-det-score-null": lambda d: _eval_det(d, score=None),
     "eval-det-score-not-numeric": lambda d: _eval_det(d, score="high"),
@@ -817,6 +862,23 @@ def test_report_whose_bd_table_contradicts_its_curves_exits_2(tmp_path, capsys, 
     assert capsys.readouterr().err == (
         f"error: {doc}: report document: InvariantViolation: "
         "bd_table is not the table of its own rd_tables and pareto rows\n"
+    )
+    assert not (tmp_path / "tables").exists()
+
+
+@pytest.mark.parametrize("front", [_TRUE_FRONT, _FALSE_FRONT, _TRUE_FRONT[1:],
+                                   _TRUE_FRONT[:4] + [(2.5, 0.65)] + _TRUE_FRONT[4:]],
+                         ids=["true", "off-the-curves", "point-missing", "dominated-point"])
+def test_report_whose_pareto_is_not_its_front_exits_2(tmp_path, capsys, front):
+    doc = _report_with_front(tmp_path, front)
+    rc = main(["report", doc, "--output-dir", str(tmp_path / "tables")])
+    if front is _TRUE_FRONT:
+        assert rc == 0
+        return
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {doc}: report document: InvariantViolation: "
+        "pareto is not the front of its own rd_tables rows\n"
     )
     assert not (tmp_path / "tables").exists()
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_H, FIXTURE_W, flat_image, make_blob_image, write_jsonl
-from vcmbench.errors import InputError, StageError
+from vcmbench.errors import InputError, ParseError, StageError
 from vcmbench.pipeline import experiment
 from vcmbench.pipeline.codec import CodecSpec
 from vcmbench.pipeline.experiment import load_manifest, run_experiment
@@ -374,6 +375,68 @@ def test_manifest_bad_field_rejected_at_load(tmp_path, blob_manifest, change):
     bad.write_text(json.dumps(doc))
     with pytest.raises(InputError):
         load_manifest(bad)
+
+
+_EXTERNAL = {"kind": "EXTERNAL", "encode_template": "enc {input} {output}",
+             "decode_template": "dec {input} {output}", "qp_list": [22]}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["items"][0].update(prediction_command="det 'unclosed {input} {output}"),
+     "item 'img_a': prediction_command: No closing quotation: \"det 'unclosed {input} {output}\""),
+    (lambda doc: doc["items"][1].update(prediction_command=" \t"),
+     "item 'img_b': prediction_command: no argv tokens: ' \\t'"),
+    (lambda doc: doc.update(codec=dict(_EXTERNAL, encode_template="enc 'x {input} {output}")),
+     "encode_template: No closing quotation: \"enc 'x {input} {output}\""),
+    (lambda doc: doc.update(codec=dict(_EXTERNAL, decode_template="dec {input} {output} \\")),
+     "decode_template: No escaped character: 'dec {input} {output} \\\\'"),
+], ids=["command-unbalanced-quote", "command-blank", "encode-unbalanced-quote",
+        "decode-trailing-escape"])
+def test_bad_command_template_fails_at_load_before_any_codec_call(
+    tmp_path, blob_manifest, monkeypatch, change, message
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(experiment, "run_codec", lambda *a, **k: calls.append(a))
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert calls == []
+
+
+@pytest.mark.parametrize("change, value", [
+    (lambda doc: doc["items"][0].update(width=FIXTURE_W + 0.5), FIXTURE_W + 0.5),
+    (lambda doc: doc["items"][1].update(height=True), True),
+    (lambda doc: doc["items"][0].update(frames=1.25), 1.25),
+    (lambda doc: doc.update(scales=[100, 50.5]), 50.5),
+    (lambda doc: doc["codec"].update(qp_list=[22, 27.9]), 27.9),
+    (lambda doc: doc["codec"].update(qp_list=[False]), False),
+], ids=["width-fractional", "height-bool", "frames-fractional", "scale-fractional",
+        "qp-fractional", "qp-bool"])
+def test_manifest_integer_that_is_not_one_is_parse_error(tmp_path, blob_manifest, change, value):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: manifest: ValueError: expected an integer: {value!r}"
+
+
+def test_manifest_integers_read_integral_floats_and_numeric_strings(tmp_path, blob_manifest):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(100,), predictions="files")
+    doc = json.loads(path.read_text())
+    doc["items"][0].update(width=float(FIXTURE_W), height=str(FIXTURE_H), frames=1.0)
+    doc.update(scales=[100.0])
+    doc["codec"].update(qp_list=["22"])
+    path.write_text(json.dumps(doc))
+    manifest = load_manifest(path)
+    item = manifest.items[0]
+    values = (item.width, item.height, item.frames, *manifest.scales, *manifest.codec.qp_list)
+    assert values == (FIXTURE_W, FIXTURE_H, 1, 100, 22)
+    assert {type(v) for v in values} == {int}
 
 
 def test_quality_unit_follows_task(tmp_path, blob_manifest):

@@ -1,14 +1,15 @@
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import _load_lines
 
+from vcmbench import tensorio
 from vcmbench.errors import InputError, InvariantViolation, ParseError
 from vcmbench.model import FeatureTensor
 from vcmbench.tensorio import (
-    _fast_columns,
-    _load_lines,
     _load_records,
     load_detections,
     load_ground_truth,
@@ -316,14 +317,14 @@ def test_integral_floats_and_numeric_strings_load_as_integers(tmp_path, kind, fi
     assert column.dtype == np.int64 and column.tolist() == [loaded]
 
 
-# --- the column-wise path against the per-line path ---
+# --- the column path against the per-line reference ---
 
 FIELDS = {"det": ("image_id", "class_id", "bbox", "score"),
           "gt": ("image_id", "class_id", "bbox"),
           "track": ("frame", "track_id", "class_id", "bbox", "score")}
 
-# values of a type the column-wise path leaves to the per-line path, and clean
-# values out of a BoxTable range (-1, ""): both paths must give one outcome
+# values of a type the column path casts one by one, and clean values out of a
+# BoxTable range (-1, ""): the reader and the reference must give one outcome
 ODD_VALUES = {
     "image_id": [5, None, 1.5, ["a"], "", "cam\u2028a"],
     "class_id": [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30, True, False, 2.0, 1.7, "3",
@@ -382,12 +383,34 @@ def _outcome(load):
     }
 
 
+def _load_counting(p, fields):
+    """_load_records' outcome, and how often it called each field's cast and json.loads."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(value):
+            calls[name] += 1
+            return fn(value)
+        return wrapper
+
+    table = {f: (counted(f, cast), types, build)
+             for f, (cast, types, build) in tensorio._FIELDS.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensorio, "_FIELDS", table)
+        mp.setattr(json, "loads", counted("json.loads", json.loads))
+        return _outcome(lambda: _load_records(p, fields)), calls
+
+
 def _assert_same_as_per_line(p, kind):
+    """Check p loads as the per-line reference does.
+
+    True if it took the column path throughout: no cast of one value, no json.loads.
+    """
     fields = FIELDS[kind]
+    got, calls = _load_counting(p, fields)
     lines = p.read_text(encoding="utf-8").split("\n")
-    got = _outcome(lambda: _load_records(p, fields))
     assert got == _outcome(lambda: _load_lines(p, lines, fields))
-    return _fast_columns(lines, fields) is not None
+    return not calls
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))
@@ -463,3 +486,14 @@ def test_clean_files_take_the_column_wise_path(tmp_path):
     d = load_detections(p)
     assert d.class_id.tolist() == [1, 3] and d.score.tolist() == [1.0, 0.5]
     assert d.xyxy.tolist() == [[0.0, 0.5, 4.0, 4.0], [1.5, 2.0, 3.0, 4.25]]
+
+
+def test_one_odd_value_casts_only_its_own_column(tmp_path):
+    p = tmp_path / "d.jsonl"
+    rows = [dict(DET, image_id=f"img{i}", class_id=i) for i in range(5)]
+    rows[3]["class_id"] = "2"
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    outcome, calls = _load_counting(p, FIELDS["det"])
+    assert calls == {"class_id": 5}
+    assert outcome["class_id"][2] == np.array([0, 1, 2, 2, 4], dtype=np.int64).tobytes()
+    assert _assert_same_as_per_line(p, "det") is False
