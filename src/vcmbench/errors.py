@@ -3,9 +3,11 @@
 Every error raised by the harness derives from VcmError. InputError covers
 bad files, bad arguments, and contract violations (CLI exit code 2);
 ExternalToolError covers failures of user-supplied codec/prediction
-commands (CLI exit code 3). A file or directory that cannot be read or
-written raises the plain OSError from the call that touched it; the CLI
-maps every OSError to exit code 2.
+commands (CLI exit code 3): pipeline.codec.run_command raises it for a
+tool that cannot start, exits non-zero or writes no output file, with
+the tool's stderr in the message. A file or directory that cannot be
+read or written raises the plain OSError from the call that touched it;
+the CLI maps every OSError to exit code 2.
 
 A subclass exists only where a caller needs more than the base class and
 the message: it carries data, it is caught by type, or its name reaches
@@ -16,7 +18,6 @@ The kept classes:
     CorruptStream       caught by type: a damaged payload never passes
     DegenerateCurve,
     NoOverlap           report.json's bd_table names them in its errors
-    CommandFailed       carries the argv and the captured stderr
     StageError          carries its (stage, item, qp, scale) context;
                         run_experiment catches it
 """
@@ -73,15 +74,6 @@ class CorruptStream(InputError):
 
 
 # --- pipeline ---
-
-class CommandFailed(ExternalToolError):
-    """External command exited nonzero; carries argv and captured stderr."""
-
-    def __init__(self, message, argv=None, stderr=None):
-        super().__init__(message)
-        self.argv = argv
-        self.stderr = stderr
-
 
 class StageError(VcmError):
     """Wraps a per-stage pipeline failure with (item, qp, scale) context."""

@@ -52,11 +52,16 @@ class MotaResult:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of a[i] and b[j] at (i, j) for n x 4 and m x 4 xyxy boxes; 0 when disjoint."""
+    """IoU of a[i] and b[j] at (i, j) for n x 4 and m x 4 xyxy boxes; 0 when disjoint.
+
+    For boxes of a BoxTable no step overflows or divides by a subnormal:
+    the overlaps are clipped at 0, so each intersection is at most both
+    areas, and the areas lie in model.BOX_AREA.
+    """
     a = a[:, None, :]
-    ix = np.minimum(a[..., 2], b[:, 2]) - np.maximum(a[..., 0], b[:, 0])
-    iy = np.minimum(a[..., 3], b[:, 3]) - np.maximum(a[..., 1], b[:, 1])
-    inter = np.where((ix > 0) & (iy > 0), ix * iy, 0.0)
+    ix = np.maximum(np.minimum(a[..., 2], b[:, 2]) - np.maximum(a[..., 0], b[:, 0]), 0.0)
+    iy = np.maximum(np.minimum(a[..., 3], b[:, 3]) - np.maximum(a[..., 1], b[:, 1]), 0.0)
+    inter = ix * iy
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     return inter / (area_a + area_b - inter)

@@ -21,6 +21,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# A box's area lies in this range, so an IoU, inter / (area_a + area_b -
+# inter), neither overflows nor divides by a subnormal float64.
+BOX_AREA = (np.finfo(np.float64).smallest_normal.item(), np.finfo(np.float64).max.item() / 2)
+
+
 @dataclass(frozen=True, eq=False)
 class BoxTable:
     """The boxes of one JSON-lines file as columns; row i is record i.
@@ -32,10 +37,11 @@ class BoxTable:
     that a kind lacks is None.
 
     Each row is checked: its box (finite, then >= 0, then positive
-    extent), then image_id non-empty, class_id >= 0 (tracks may carry any
-    class), frame >= 0 and score in [0,1], where the table has them. The
-    first bad row raises InvariantViolation, with `index` set to the row
-    and the message of its first failing check.
+    extent, then an area within BOX_AREA), then image_id non-empty,
+    class_id >= 0 (tracks may carry any class), frame >= 0 and score in
+    [0,1], where the table has them. The first bad row raises
+    InvariantViolation, with `index` set to the row and the message of
+    its first failing check.
     """
 
     xyxy: np.ndarray
@@ -55,11 +61,15 @@ class BoxTable:
             raise InvariantViolation(f"every column must have {len(b)} rows")
         for k, c in columns.items():
             object.__setattr__(self, k, _freeze(c))
+        with np.errstate(over="ignore", invalid="ignore"):  # rows an earlier check fails
+            area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
         checks = [
             (~np.isfinite(b).all(axis=1), "box coordinates must be finite: {box}"),
             ((b < 0).any(axis=1), "box coordinates must be >= 0: {box}"),
             (~((b[:, 2] > b[:, 0]) & (b[:, 3] > b[:, 1])),
              "box must have positive extent: {box}"),
+            (~((area >= BOX_AREA[0]) & (area <= BOX_AREA[1])),
+             "box area must be in [%r, %r]: {box}" % BOX_AREA),
         ]
         if self.image_id is not None:
             checks.append((self.image_id == "", "image_id must be non-empty"))

@@ -1,30 +1,2 @@
 """Anchor-generation pipeline: scaling, padding, codec invocation, and
 end-to-end experiment runs producing RD curves."""
-
-from .codec import CodecSpec, run_codec
-from .experiment import ExperimentItem, ExperimentManifest, ExperimentResult, run_experiment
-from .yuv import (
-    RawImage,
-    crop_pad,
-    pad_to_even,
-    read_yuv420,
-    resize,
-    scale_image,
-    write_yuv420,
-)
-
-__all__ = [
-    "CodecSpec",
-    "ExperimentItem",
-    "ExperimentManifest",
-    "ExperimentResult",
-    "RawImage",
-    "crop_pad",
-    "pad_to_even",
-    "read_yuv420",
-    "resize",
-    "run_codec",
-    "run_experiment",
-    "scale_image",
-    "write_yuv420",
-]

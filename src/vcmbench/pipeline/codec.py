@@ -2,8 +2,12 @@
 
 EXTERNAL codecs run user-supplied encode/decode command templates with
 {input}, {output}, {qp}, {width}, {height} placeholders, expanded
-per-token into an argv (no shell). Two built-in test codecs keep the
-harness hermetic:
+per-token into an argv (no shell). Every external tool -- encoder,
+decoder and prediction command -- runs through `run_command`, which
+alone states the rules: a previous run's output is deleted first, stdout
+is discarded, stderr goes into the error, and a tool that cannot start,
+exits non-zero or writes no output raises ExternalToolError (exit 3).
+Two built-in test codecs keep the harness hermetic:
 
   NULL       returns the input file itself as the decoded file, with
              no copy (callers only read it); rate is the raw file size.
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CommandFailed, ExternalToolError, InputError, InvariantViolation
+from ..errors import ExternalToolError, InputError, InvariantViolation
 from ..featurecodec.entropy import encode_bytes
 from ..tensorio import as_int64
 
@@ -98,19 +102,26 @@ def expand_template(template: str, substitutions: dict[str, str]) -> list[str]:
     return [_PLACEHOLDER.sub(value, token) for token in tokens]
 
 
-def run_command(argv: list[str], what: str) -> None:
+def run_command(template: str, substitutions: dict, what: str, output) -> None:
+    """Run the external tool of a command template, its {output} set to output.
+
+    A file already at output is deleted first, so a previous run's cannot
+    pass for this one's. The tool's stdout is discarded; its stderr goes
+    into the error. ExternalToolError names what when the tool cannot
+    start, exits non-zero or writes no file at output.
+    """
+    output = Path(output)
+    argv = expand_template(template, dict(substitutions, output=str(output)))
+    output.unlink(missing_ok=True)
     try:
-        proc = subprocess.run(argv, capture_output=True)
+        proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     except OSError as e:
-        raise CommandFailed(f"{what}: cannot start {argv}: {e}", argv=argv) from e
+        raise ExternalToolError(f"{what}: cannot start {argv}: {e}") from e
     if proc.returncode != 0:
-        # a tool may write any bytes to stderr
-        stderr = proc.stderr.decode("utf-8", errors="replace")
-        raise CommandFailed(
-            f"{what}: exit {proc.returncode}: {argv}\n{stderr.strip()}",
-            argv=argv,
-            stderr=stderr,
-        )
+        stderr = proc.stderr.decode("utf-8", errors="replace")  # a tool may write any bytes
+        raise ExternalToolError(f"{what}: exit {proc.returncode}: {argv}\n{stderr.strip()}")
+    if not output.exists():
+        raise ExternalToolError(f"{what} wrote no file at {output}")
 
 
 def run_codec(
@@ -146,22 +157,13 @@ def run_codec(
     bitstream = work_dir / f"bitstream_q{qp}.bin"
     subs = {
         "input": str(input_path),
-        "output": str(bitstream),
         "qp": qp,
         "width": width if width is not None else "",
         "height": height if height is not None else "",
     }
-    # a previous run's files must not pass for this run's outputs
-    bitstream.unlink(missing_ok=True)
-    run_command(expand_template(spec.encode_template, subs), "encode")
-    if not bitstream.exists():
-        raise ExternalToolError(f"encoder produced no bitstream at {bitstream}")
+    run_command(spec.encode_template, subs, "encoder", bitstream)
     bits = 8 * bitstream.stat().st_size
-    subs = dict(subs, input=str(bitstream), output=str(decoded))
-    decoded.unlink(missing_ok=True)
-    run_command(expand_template(spec.decode_template, subs), "decode")
-    if not decoded.exists():
-        raise ExternalToolError(f"decoder produced no output at {decoded}")
+    run_command(spec.decode_template, dict(subs, input=str(bitstream)), "decoder", decoded)
     if decoded.stat().st_size != input_path.stat().st_size:
         raise ExternalToolError(
             f"decoded size {decoded.stat().st_size} differs from input "

@@ -42,7 +42,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import ExternalToolError, InputError, StageError, VcmError
+from ..errors import InputError, StageError, VcmError
 from ..metrics import MotaResult, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
@@ -54,7 +54,7 @@ from ..tensorio import (
     parsing,
     read_json,
 )
-from .codec import CodecSpec, expand_template, run_codec, run_command, split_template
+from .codec import CodecSpec, run_codec, run_command, split_template
 from .yuv import (
     RawImage,
     crop_pad,
@@ -303,22 +303,9 @@ def _process_item(
 
             at.stage = "predict"
             pred_path = scratch / "predictions.jsonl"
-            argv = expand_template(
-                item.prediction_command,
-                {
-                    "input": str(recon_path),
-                    "output": str(pred_path),
-                    "qp": qp,
-                    "scale": scale,
-                    "width": item.width,
-                    "height": item.height,
-                    "item": item.item_id,
-                },
-            )
-            pred_path.unlink(missing_ok=True)  # a previous run's file is no answer
-            run_command(argv, "prediction")
-            if not pred_path.exists():
-                raise ExternalToolError(f"prediction command wrote no file at {pred_path}")
+            subs = {"input": str(recon_path), "qp": qp, "scale": scale,
+                    "width": item.width, "height": item.height, "item": item.item_id}
+            run_command(item.prediction_command, subs, "prediction command", pred_path)
         else:
             pred_path = item.predictions[(qp, scale)]
 

@@ -244,8 +244,7 @@ def _bd_csv(rows) -> str:
     for row in rows:
         bd_r = "" if row["bd_rate_percent"] is None else repr(row["bd_rate_percent"])
         bd_q = "" if row["bd_quality"] is None else repr(row["bd_quality"])
-        err = (row["error"] or "").replace(",", ";").replace("\n", " ")
-        writer.writerow([row["anchor"], row["test"], bd_r, bd_q, err])
+        writer.writerow([row["anchor"], row["test"], bd_r, bd_q, row["error"] or ""])
     return buf.getvalue()
 
 

@@ -52,9 +52,11 @@ DTYPE_FLOAT32 = 0
 _HEADER = struct.Struct("<5I")  # version, dtype, C, h, w
 
 # What indexing, casting and decoding raise on a document of the wrong
-# shape; ValueError covers JSONDecodeError and UnicodeDecodeError.
+# shape; ValueError covers JSONDecodeError and UnicodeDecodeError, and
+# RecursionError is the json scanner's on a value nested too deep.
 MALFORMED = (
     AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError, csv.Error,
+    RecursionError,
 )
 # ...plus what a model type raises on a parsed value out of its range
 MALFORMED_OR_INVALID = (*MALFORMED, InvariantViolation)
@@ -211,7 +213,7 @@ def _load_records(path, fields) -> BoxTable:
         stripped = line.strip(_JSON_SPACE)
         try:
             record, end = _scan_once(stripped, 0)
-        except (StopIteration, ValueError):  # ValueError: JSONDecodeError
+        except (StopIteration, ValueError, RecursionError):  # ValueError: JSONDecodeError
             end = -1
         if end != len(stripped):
             if not line.strip():

@@ -506,16 +506,16 @@ _TRUE_FRONT = [(0.5, 0.3), (1.0, 0.5), (1.5, 0.6), (2.0, 0.7), (3.0, 0.8)]
 _FALSE_FRONT = [(0.1, 0.9), (3.0, 0.95)]
 
 
-def _report_with_front(d, front) -> str:
-    """A document of _CURVES whose pareto rows are front and whose bd_table they give."""
+def _report_with_front(d, front, rd=_CURVES) -> str:
+    """A document of rd's curves whose pareto rows are front and whose bd_table they give."""
     def curve(label, pts, scale=None):
         return RDCurve(label, tuple(RDPoint(*p) for p in pts), scale)
 
-    curves = [curve(f"scale{s}", pts, int(s)) for s, pts in _CURVES.items()]
+    curves = [curve(f"scale{s}", pts, int(s)) for s, pts in rd.items()]
     doc = {"schema_version": 1,
-           "config": {"scales": [100, 75], "quality_unit": "fraction"},
+           "config": {"scales": [int(s) for s in rd], "quality_unit": "fraction"},
            "rd_tables": {s: [{"qp": 22 + 5 * i, "rate": r, "quality": q}
-                             for i, (r, q) in enumerate(pts)] for s, pts in _CURVES.items()},
+                             for i, (r, q) in enumerate(pts)] for s, pts in rd.items()},
            "pareto": [{"rate": r, "quality": q} for r, q in front],
            "bd_table": _bd_rows(curves, curve("pareto", front))}
     return _file(d / "r.json", json.dumps(doc).encode())
@@ -698,6 +698,40 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     assert sorted(p for p in written if "out" not in p.relative_to(tmp_path).parts) == []
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit
+
+
+@pytest.mark.parametrize("command", ["eval-det", "eval-track", "run"])
+def test_ground_truth_nested_too_deep_exits_2_naming_its_line(command, tmp_path, capsys):
+    build = {"eval-det": _eval_det, "eval-track": _eval_track, "run": _run}[command]
+    argv = build(tmp_path)
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(gt.read_text().splitlines()[0] + "\n" + _DEEP + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gt}:2: RecursionError: ") and "Traceback" not in err
+
+
+def test_report_nested_too_deep_exits_2_naming_the_document(tmp_path, capsys):
+    doc = _file(tmp_path / "r.json", _DEEP.encode())
+    assert main(["report", doc, "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {doc}: RecursionError: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("box", [[0, 0, 1e308, 1e308], [0, 0, 1e154, 1e154],
+                                 [0, 0, 1e-320, 1e-320]],
+                         ids=["area-overflows", "union-overflows", "area-underflows"])
+def test_eval_det_refuses_a_box_whose_iou_cannot_be_computed(box, tmp_path, capsys):
+    # an exact match; its IoU would be inf - inf, inf / inf or 0 / 0
+    row = {"image_id": "a", "class_id": 0, "bbox": box}
+    write_jsonl([dict(row, score=0.5)], tmp_path / "det.jsonl")
+    write_jsonl([row], tmp_path / "gt.jsonl")
+    assert main(["eval-det", str(tmp_path / "det.jsonl"), str(tmp_path / "gt.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'det.jsonl'} record 0: box area must be in [")
+
+
 def test_dequant_negative_dims_name_the_flag(tmp_path, capsys):
     # -1 x 6 x 1 fits no sample file, but the fault is the -1, not the size
     argv = _dequant(tmp_path, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-1,6,1"]
@@ -780,29 +814,30 @@ def _run_twice(d, first: dict, second: dict) -> int:
     return codes[1]
 
 
-def test_run_again_with_a_predictor_that_writes_nothing_exits_3(tmp_path, capsys):
-    copy_dets = f"{_COPY} {tmp_path / 'det.jsonl'} {{output}}"
-    rc = _run_twice(tmp_path, {"item": {"prediction_command": copy_dets}},
-                    {"item": {"prediction_command": _IDLE}})
-    assert rc == 3
-    assert "prediction command wrote no file" in capsys.readouterr().err
-    partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
-    assert partial["failure"]["stage"] == "predict"
-    assert partial["records"] == []
-
-
-def test_run_again_with_an_encoder_that_writes_nothing_exits_3(tmp_path, capsys):
-    def codec(encoder):
+@pytest.mark.parametrize("stale", [False, True], ids=["fresh", "stale"])
+@pytest.mark.parametrize("tool, stage", [("encoder", "codec"), ("decoder", "codec"),
+                                         ("prediction command", "predict")],
+                         ids=["encoder", "decoder", "predictor"])
+def test_run_with_a_tool_that_writes_no_file_exits_3(tmp_path, capsys, tool, stage, stale):
+    # the first run leaves every tool's output (stale) or none of them (NULL codec,
+    # precomputed predictions); either way the idle tool's turn must fail
+    def tools(idle: str | None) -> dict:
+        cmd = {"encoder": _COPY, "decoder": _COPY,
+               "prediction command": f"{_COPY} {tmp_path / 'det.jsonl'}"}
+        if idle:
+            cmd[idle] = _IDLE
         return {"doc": {"codec": {
-            "kind": "EXTERNAL", "qp_list": [22],
-            "encode_template": f"{encoder} {{input}} {{output}}",
-            "decode_template": f"{_COPY} {{input}} {{output}}",
-        }}}
+                    "kind": "EXTERNAL", "qp_list": [22],
+                    "encode_template": f"{cmd['encoder']} {{input}} {{output}}",
+                    "decode_template": f"{cmd['decoder']} {{input}} {{output}}"}},
+                "item": {"prediction_command": f"{cmd['prediction command']} {{output}}"}}
 
-    assert _run_twice(tmp_path, codec(_COPY), codec(_IDLE)) == 3
-    assert "encoder produced no bitstream" in capsys.readouterr().err
+    assert _run_twice(tmp_path, tools(None) if stale else {}, tools(tool)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage} failed for item='img'")
+    assert f"{tool} wrote no file at" in err
     partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
-    assert partial["failure"]["stage"] == "codec"
+    assert partial["failure"]["stage"] == stage
     assert partial["records"] == []
 
 
@@ -829,9 +864,22 @@ def test_report_quotes_bd_labels_with_commas():
     # a document's labels are scale<N> and pareto, so the writer is fed directly
     row = {"anchor": "pareto", "test": "a,b", "bd_rate_percent": -1.5,
            "bd_quality": 0.25, "error": None}
-    rows = list(csv.reader(io.StringIO(_bd_csv([row]), newline="")))
-    assert [len(r) for r in rows] == [5, 5]
+    failed = dict(row, bd_rate_percent=None, bd_quality=None, error="NoOverlap: a, b;\nc")
+    rows = list(csv.reader(io.StringIO(_bd_csv([row, failed]), newline="")))
+    assert [len(r) for r in rows] == [5, 5, 5]
     assert rows[1] == ["pareto", "a,b", "-1.5", "0.25", ""]
+    assert rows[2] == ["pareto", "a,b", "", "", "NoOverlap: a, b;\nc"]
+
+
+def test_report_bd_csv_holds_the_documents_errors_as_they_are(tmp_path):
+    # the scales' quality ranges do not overlap, and NoOverlap names both
+    rd = {"100": [(1.0, 0.5), (2.0, 0.6)], "75": [(0.5, 0.1), (0.8, 0.2)]}
+    doc = _report_with_front(tmp_path, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.5), (2.0, 0.6)], rd)
+    assert main(["report", doc, "--output-dir", str(tmp_path / "tables")]) == 0
+    errors = [row["error"] or "" for row in json.loads(Path(doc).read_text())["bd_table"]]
+    assert "NoOverlap: quality ranges do not overlap: [0.5, 0.6] vs [0.1, 0.2]" in errors
+    with open(tmp_path / "tables" / "bd_table.csv", encoding="utf-8", newline="") as f:
+        assert [row["error"] for row in csv.DictReader(f)] == errors
 
 
 @pytest.mark.parametrize("changes", [

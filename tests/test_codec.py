@@ -1,11 +1,12 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcmbench.errors import CommandFailed, ExternalToolError, InvariantViolation
+from vcmbench.errors import ExternalToolError, InvariantViolation
 from vcmbench.featurecodec.entropy import encode_bytes
 from vcmbench.pipeline.codec import CodecSpec, expand_template, run_codec, run_command
 
@@ -113,21 +114,37 @@ def test_external_codec_roundtrip(tmp_path):
 def test_external_codec_nonzero_exit(tmp_path):
     spec = CodecSpec(
         kind="EXTERNAL",
-        encode_template=f'{sys.executable} -c "import sys; sys.exit(3)"',
+        encode_template=f'{sys.executable} -c "import sys; sys.exit(\'bad frame\')"',
         decode_template="true",
         qp_list=(22,),
     )
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
-    with pytest.raises(CommandFailed):
+    with pytest.raises(ExternalToolError) as err:
         run_codec(spec, src, 22, tmp_path / "w")
+    # the tool's stderr ends the message
+    assert str(err.value).startswith("encoder: exit 1: [")
+    assert str(err.value).endswith("\nbad frame")
 
 
-def test_command_with_undecodable_stderr_succeeds():
-    run_command(
-        [sys.executable, "-c", "import sys; sys.stderr.buffer.write(bytes([255, 254, 10]))"],
-        "prediction",
-    )
+def test_command_with_undecodable_stderr_succeeds(tmp_path):
+    noisy = (f'{sys.executable} -c "import sys; sys.stderr.buffer.write(bytes([255, 254, 10])); '
+             'open(sys.argv[1], \'w\').close()" {output}')
+    run_command(noisy, {}, "prediction command", tmp_path / "out")
+    assert (tmp_path / "out").read_bytes() == b""
+
+
+def test_command_stdout_is_not_held_in_memory(tmp_path):
+    # 64 MiB to stdout; buffered, it would be a 64 MiB peak at least
+    chatty = (f'{sys.executable} -c "import sys; sys.stdout.buffer.write(bytes(64 << 20)); '
+              'open(sys.argv[1], \'w\').close()" {output}')
+    tracemalloc.start()
+    try:
+        run_command(chatty, {}, "prediction command", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_external_codec_missing_binary(tmp_path):
@@ -139,9 +156,9 @@ def test_external_codec_missing_binary(tmp_path):
     )
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
-    with pytest.raises(CommandFailed) as err:
+    with pytest.raises(ExternalToolError) as err:
         run_codec(spec, src, 22, tmp_path / "w")
-    assert "definitely-not-a-command" in str(err.value)
+    assert str(err.value).startswith("encoder: cannot start ['definitely-not-a-command', ")
 
 
 def test_external_codec_missing_output(tmp_path):
@@ -153,8 +170,9 @@ def test_external_codec_missing_output(tmp_path):
     )
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
-    with pytest.raises(ExternalToolError, match="encoder produced no bitstream"):
+    with pytest.raises(ExternalToolError) as err:
         run_codec(spec, src, 22, tmp_path / "w")
+    assert str(err.value) == f"encoder wrote no file at {tmp_path / 'w' / 'bitstream_q22.bin'}"
 
 
 @pytest.mark.parametrize("stale", ["encoder", "decoder"])
@@ -170,8 +188,8 @@ def test_external_codec_ignores_a_previous_runs_outputs(tmp_path, stale):
     src.write_bytes(b"xy")
     run_codec(spec(copy, copy), src, 22, tmp_path / "w")
     if stale == "encoder":
-        second, message = spec(idle, copy), "encoder produced no bitstream"
+        second, message = spec(idle, copy), "encoder wrote no file at "
     else:
-        second, message = spec(copy, idle), "decoder produced no output"
+        second, message = spec(copy, idle), "decoder wrote no file at "
     with pytest.raises(ExternalToolError, match=message):
         run_codec(second, src, 22, tmp_path / "w")

@@ -591,8 +591,8 @@ def test_prepare_memory_does_not_grow_with_frames(tmp_path):
 
 
 def test_reconstruction_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
-    def predict(argv, what):
-        Path(argv[2]).write_text("")
+    def predict(template, substitutions, what, output):
+        Path(output).write_text("")
 
     monkeypatch.setattr(experiment, "run_command", predict)
     units = {n: _video_unit(tmp_path, n) for n in (4, 32)}

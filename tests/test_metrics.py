@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +10,9 @@ from conftest import Det, Gt, Track, det_table, gt_table, track_table
 from oracles import (
     _greedy_match_at, ap_bruteforce, iou_xyxy, map_bruteforce, map_per_threshold, mota_pairwise,
 )
-from vcmbench.errors import InputError
+from vcmbench.errors import InputError, InvariantViolation
 from vcmbench.metrics import _greedy_match, iou_matrix, mean_average_precision, mota
+from vcmbench.model import BOX_AREA
 
 
 def B(x0, y0, x1, y1):
@@ -428,6 +432,80 @@ def test_mota_matches_pairwise_oracle(pred, gt_tracks, threshold):
     # grid boxes tie often, so this pins the (-IoU, gt, pred) pair order
     r = mota_of(pred, gt_tracks, threshold)
     assert (r.fn, r.fp, r.idsw, r.gt) == mota_pairwise(pred, gt_tracks, threshold)
+
+
+# --- boxes of any magnitude ---
+# Grid boxes scaled by 2**k, from 2**-1074 (the least subnormal) to 9 * 2**1019
+# (near the largest float64): every coordinate, extent and in-range area is
+# exact, so the only way to a wrong IoU is an overflow or underflow. The
+# thresholds are dyadic: an IoU's one rounding cannot carry a small-integer
+# ratio across one, as it carries 1/10 up to the float 0.1.
+_DYADIC = (0.125, 0.25, 0.5, 1.0)
+
+def _scaled(rows, k):
+    return [r._replace(box=tuple(math.ldexp(c, k) for c in r.box)) for r in rows]
+
+
+def _exact(rows):
+    return [r._replace(box=tuple(map(Fraction, r.box))) for r in rows]
+
+
+def _area_in_range(box) -> bool:
+    x0, y0, x1, y1 = map(Fraction, box)
+    return BOX_AREA[0] <= (x1 - x0) * (y1 - y0) <= BOX_AREA[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(-1074, 1019),
+    st.lists(st.tuples(st.integers(0, 1), grid_box), max_size=6),
+    st.lists(st.tuples(st.integers(0, 1), grid_box), min_size=1, max_size=6),
+)
+# areas of 2**1022, and far apart: ix * iy of the pair is 25 * 2**1022
+@example(511, [(0, (0.0, 0.0, 1.0, 1.0))], [(0, (6.0, 6.0, 7.0, 7.0))])
+def test_map_at_any_magnitude_is_the_exact_iou_map_or_refused(k, det_rows, gt_rows):
+    dets = _scaled([det("a", c, B(*box), (i + 1) / 16) for i, (c, box) in enumerate(det_rows)], k)
+    gts = _scaled([gt("a", c, B(*box)) for c, box in gt_rows], k)
+    thresholds = _DYADIC
+    if not all(_area_in_range(r.box) for r in dets + gts):
+        with pytest.raises(InvariantViolation, match="box area must be in"):
+            map_of(dets, gts, thresholds)
+        return
+    exact = map_bruteforce(_exact(dets), _exact(gts), thresholds)
+    assert map_of(dets, gts, thresholds).map_value == pytest.approx(exact, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(-1074, 1019),
+    st.lists(tracked, max_size=10),
+    st.lists(tracked, min_size=1, max_size=10),
+    st.sampled_from(_DYADIC),
+)
+@example(511, [tb(0, 1, B(0.0, 0.0, 1.0, 1.0))], [tb(0, 1, B(6.0, 6.0, 7.0, 7.0))], 0.5)
+def test_mota_at_any_magnitude_is_the_exact_iou_mota_or_refused(k, pred, gt_tracks, threshold):
+    pred, gt_tracks = _scaled(pred, k), _scaled(gt_tracks, k)
+    if not all(_area_in_range(r.box) for r in pred + gt_tracks):
+        with pytest.raises(InvariantViolation, match="box area must be in"):
+            mota_of(pred, gt_tracks, threshold)
+        return
+    r = mota_of(pred, gt_tracks, threshold)
+    assert (r.fn, r.fp, r.idsw, r.gt) == mota_pairwise(_exact(pred), _exact(gt_tracks), threshold)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(1e-320, 1e308), st.floats(1e-320, 1e308))
+@example(1e308, 1e308)  # the area overflows
+@example(1e154, 1e154)  # each area is finite, their sum is not
+@example(1e-320, 1e-320)  # the area underflows to 0
+def test_exact_match_of_any_magnitude_scores_1_or_is_refused(w, h):
+    box = B(0.0, 0.0, w, h)
+    if not _area_in_range(box):
+        with pytest.raises(InvariantViolation, match="box area must be in"):
+            gt_table([gt("a", 0, box)])
+        return
+    assert map_of([det("a", 0, box, 0.5)], [gt("a", 0, box)], (1.0,)).map_value == 1.0
+    assert mota_of([tb(0, 1, box)], [tb(0, 1, box)], 1.0).mota == 1.0
 
 
 def test_mota_empty_gt_raises():
