@@ -5,12 +5,16 @@ EXTERNAL codecs run user-supplied encode/decode command templates with
 per-token into an argv (no shell). Every external tool -- encoder,
 decoder and prediction command -- runs through `run_command`, which
 alone states the rules: a previous run's output is deleted first, stdout
-is discarded, stderr goes into the error, and a tool that cannot start,
-exits non-zero or writes no output raises ExternalToolError (exit 3).
+is discarded, stderr goes to a temporary file whose last 4 KiB go into
+the error, and a tool that cannot start, exits non-zero or writes no
+output raises ExternalToolError (exit 3).
 Two built-in test codecs keep the harness hermetic:
 
   NULL       returns the input file itself as the decoded file, with
-             no copy (callers only read it); rate is the raw file size.
+             no copy (callers only read it). The rate is computed from
+             the encoded dims, 8 x frames x the 4:2:0 frame size, which
+             is the raw input's size; the input is never opened, so a
+             caller that reads no decoded pixels need not write it.
              Useful for determinism fixtures and perfect-task endpoints.
   TRUNCATE   zeroes the low (qp mod 8) bits of every sample. Rate is
              charged per bit-plane, as in embedded bit-plane coding: each
@@ -26,9 +30,11 @@ Two built-in test codecs keep the harness hermetic:
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +43,7 @@ import numpy as np
 from ..errors import ExternalToolError, InputError, InvariantViolation
 from ..featurecodec.entropy import encode_bytes
 from ..tensorio import as_int64
+from .yuv import frame_size_bytes
 
 KIND_EXTERNAL = "EXTERNAL"
 KIND_NULL = "NULL"
@@ -69,6 +76,8 @@ class CodecSpec:
 
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
+# the bytes of a failed tool's stderr that its error keeps: the end, where the cause is
+STDERR_TAIL = 4096
 
 
 def split_template(template: str, what: str) -> list[str]:
@@ -107,19 +116,27 @@ def run_command(template: str, substitutions: dict, what: str, output) -> None:
 
     A file already at output is deleted first, so a previous run's cannot
     pass for this one's. The tool's stdout is discarded; its stderr goes
-    into the error. ExternalToolError names what when the tool cannot
-    start, exits non-zero or writes no file at output.
+    to a temporary file, not a pipe, so no amount of it can fill memory or
+    block the tool. ExternalToolError names what when the tool cannot
+    start, exits non-zero or writes no file at output; for a non-zero
+    exit it ends with the last STDERR_TAIL bytes of stderr, after a note
+    of how many earlier bytes were left out.
     """
     output = Path(output)
     argv = expand_template(template, dict(substitutions, output=str(output)))
     output.unlink(missing_ok=True)
-    try:
-        proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    except OSError as e:
-        raise ExternalToolError(f"{what}: cannot start {argv}: {e}") from e
-    if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", errors="replace")  # a tool may write any bytes
-        raise ExternalToolError(f"{what}: exit {proc.returncode}: {argv}\n{stderr.strip()}")
+    with tempfile.TemporaryFile() as stderr:
+        try:
+            proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=stderr)
+        except OSError as e:
+            raise ExternalToolError(f"{what}: cannot start {argv}: {e}") from e
+        if proc.returncode != 0:
+            left_out = max(0, stderr.seek(0, os.SEEK_END) - STDERR_TAIL)
+            stderr.seek(left_out)
+            tail = stderr.read().decode("utf-8", errors="replace")  # a tool may write any bytes
+            if left_out:
+                tail = f"[{left_out} earlier bytes of stderr left out]\n{tail}"
+            raise ExternalToolError(f"{what}: exit {proc.returncode}: {argv}\n{tail.strip()}")
     if not output.exists():
         raise ExternalToolError(f"{what} wrote no file at {output}")
 
@@ -131,18 +148,23 @@ def run_codec(
     work_dir,
     width: int | None = None,
     height: int | None = None,
+    frames: int | None = None,
 ) -> tuple[Path, int]:
     """Encode and decode one raw file; returns (decoded path, bitstream bits).
 
-    The decoded file must only be read: under NULL it is input_path.
+    width, height and frames are the input's dims and frame count: NULL
+    rates from all three, and EXTERNAL substitutes width and height into
+    its templates. The decoded file must only be read: under NULL it is
+    input_path, which NULL never opens and which need not exist, and
+    work_dir is not made.
     """
+    if spec.kind == KIND_NULL:
+        return input_path, 8 * frames * frame_size_bytes(width, height)
+
     input_path = Path(input_path)
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     decoded = work_dir / f"decoded_q{qp}{input_path.suffix}"
-
-    if spec.kind == KIND_NULL:
-        return input_path, 8 * input_path.stat().st_size
 
     if spec.kind == KIND_TRUNCATE:
         src = np.fromfile(input_path, dtype=np.uint8)

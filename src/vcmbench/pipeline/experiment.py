@@ -1,9 +1,16 @@
 """End-to-end anchor-generation runs.
 
-The unit of work is one (item, scale). A unit reads the item once, scales
-it to the target scale (border-padding to even dims instead of scaling
-at 100%) and writes the codec input once. Then, for each qp, it encodes
-and decodes that input, obtains task predictions for it, and rates it.
+The unit of work is one (item, scale). Its encoded dims come from
+arithmetic (`yuv.scaled_dims`: the target scale, or padding to even dims
+instead of scaling at 100%). Then, for each qp, it encodes and decodes
+the codec input, obtains task predictions for it, and rates it.
+The codec input is written only when a stage reads its pixels: under
+TRUNCATE and EXTERNAL, and for an item with a prediction command, whose
+reconstruction is made from the decoded file (under NULL, the input
+itself). Such a unit reads the item once, scales and pads it, and writes
+`input.yuv` once. A NULL item with precomputed predictions reads no
+frame and writes nothing under the work directory: its source size is
+checked, and NULL's rate is computed from the encoded dims.
 Only an item with a prediction command needs the reconstruction: for it,
 the padding is inverted, the decoded frames are upscaled back to the
 source resolution and written as the command's input (`recon.yuv` in the
@@ -54,14 +61,16 @@ from ..tensorio import (
     parsing,
     read_json,
 )
-from .codec import CodecSpec, run_codec, run_command, split_template
+from .codec import KIND_NULL, CodecSpec, run_codec, run_command, split_template
 from .yuv import (
     RawImage,
     crop_pad,
+    frame_count,
     pad_to_even,
     read_yuv420,
     resize,
     scale_image,
+    scaled_dims,
     write_yuv420,
 )
 
@@ -208,9 +217,13 @@ def load_manifest(path) -> ExperimentManifest:
 
 @dataclass(frozen=True)
 class PreparedInput:
-    """The codec input of one (item, scale), written once for every qp."""
+    """The codec input of one (item, scale), for every qp.
 
-    path: Path
+    path is None when no stage reads the input's pixels, and no file is
+    written; the dims and pad record hold either way.
+    """
+
+    path: Path | None
     width: int
     height: int
     pad_record: tuple[int, int]
@@ -222,27 +235,23 @@ class _Progress:
     def __init__(self, stage: str):
         self.stage = stage
 
-    def stream(self, frames: Iterator[RawImage], steps, path: Path) -> RawImage:
+    def stream(self, frames: Iterator[RawImage], steps, path: Path) -> None:
         """Write frames to path, each passed through steps before the next is read.
 
         steps is a list of (stage, frame -> frame). While a frame is read,
         the stage stays the one set before the call; each step sets its own
         stage while it runs; "write" holds while the file is opened, written
-        and closed. The reader is closed on every exit. Returns the last
-        frame written.
+        and closed. The reader is closed on every exit.
         """
         read_stage = self.stage
-        last = None
 
         def each():
-            nonlocal last
             self.stage = read_stage
             for frame in frames:
                 for stage, step in steps:
                     self.stage = stage
                     frame = step(frame)
                 self.stage = "write"
-                last = frame
                 yield frame
                 self.stage = read_stage
             self.stage = "write"
@@ -250,30 +259,43 @@ class _Progress:
         self.stage = "write"
         with closing(frames):
             write_yuv420(each(), path)
-        return last
+
+
+def _reads_pixels(manifest, item) -> bool:
+    """Whether any stage reads the pixels of an item's codec input.
+
+    Every codec but NULL reads them; under NULL the decoded file is the
+    input, which only a prediction command's reconstruction reads.
+    """
+    return manifest.codec.kind != KIND_NULL or item.prediction_command is not None
 
 
 def _prepare(manifest, item, scale, scratch: Path) -> PreparedInput:
-    """Stream an item's frames through scaling and padding into the codec input."""
-    pad_record = (0, 0)
+    """The codec input of one (item, scale), its dims taken from arithmetic.
 
-    def pad(frame):
-        nonlocal pad_record
-        frame, pad_record = pad_to_even(frame)
-        return frame
-
-    steps = [("scale", lambda f: scale_image(f, scale))]
-    if scale == 100:
-        steps.append(("pad", pad))
-    coded_input = scratch / "input.yuv"
+    If a stage reads its pixels, the item's frames stream through scaling
+    and padding into scratch/input.yuv. Otherwise only the source's size
+    is checked, as read_yuv420 checks it, and nothing is read or written.
+    """
+    width, height = scaled_dims(item.width, item.height, scale)
+    pad_record = (width - item.width, height - item.height) if scale == 100 else (0, 0)
+    coded_input = scratch / "input.yuv" if _reads_pixels(manifest, item) else None
+    if coded_input is not None:
+        scratch.mkdir(parents=True, exist_ok=True)
     at = _Progress("load")
     try:
-        frames = read_yuv420(item.path, item.width, item.height, item.frames)
-        last = at.stream(frames, steps, coded_input)
+        if coded_input is None:
+            frame_count(item.path, item.width, item.height, item.frames)
+        else:
+            steps = [("scale", lambda f: scale_image(f, scale))]
+            if scale == 100:
+                steps.append(("pad", lambda f: pad_to_even(f)[0]))
+            frames = read_yuv420(item.path, item.width, item.height, item.frames)
+            at.stream(frames, steps, coded_input)
     except (VcmError, OSError) as e:
         # the item's first qp is the job that needs this input first
         raise StageError(at.stage, item.item_id, manifest.codec.qp_list[0], scale, e) from e
-    return PreparedInput(coded_input, last.width, last.height, pad_record)
+    return PreparedInput(coded_input, width, height, pad_record)
 
 
 def _process_item(
@@ -291,7 +313,8 @@ def _process_item(
     at = _Progress("codec")
     try:
         decoded_path, bits = run_codec(
-            manifest.codec, prepared.path, qp, scratch, width=enc_w, height=enc_h
+            manifest.codec, prepared.path, qp, scratch,
+            width=enc_w, height=enc_h, frames=item.frames,
         )
         if item.prediction_command is not None:
             steps = []
@@ -370,12 +393,11 @@ def run_experiment(
 
     def run_unit(unit):
         i, item, scale = unit
-        unit_dir = work_dir / f"item{i}_s{scale}"
-        unit_dir.mkdir(parents=True, exist_ok=True)
-        prepared = _prepare(manifest, item, scale, unit_dir)
+        prepared = _prepare(manifest, item, scale, work_dir / f"item{i}_s{scale}")
         for qp in manifest.codec.qp_list:
             scratch = work_dir / f"item{i}_q{qp}_s{scale}"
-            scratch.mkdir(parents=True, exist_ok=True)
+            if prepared.path is not None:  # a unit whose pixels nobody reads writes nothing
+                scratch.mkdir(parents=True, exist_ok=True)
             records[(i, qp, scale)] = _process_item(
                 manifest, item, qp, scale, scratch, prepared
             )

@@ -3,9 +3,9 @@
 Files are headerless planar frames (Y then Cb then Cr), concatenated for
 sequences; dimensions come from the caller. Chroma planes are
 ceil(dim/2) in each direction. Sequences stream: `read_yuv420` checks a
-file's size up front and then reads one frame at a time, and
-`write_yuv420` writes each frame as its iterable yields it, so a chain of
-per-frame steps between them holds one frame, not the sequence.
+file's size up front (`frame_count`) and then reads one frame at a time,
+and `write_yuv420` writes each frame as its iterable yields it, so a chain
+of per-frame steps between them holds one frame, not the sequence.
 
 Scaling is plain bilinear with half-pixel-centre sampling and
 half-away-from-zero rounding; 100% is an exact identity and constant
@@ -63,16 +63,12 @@ def frame_size_bytes(width: int, height: int) -> int:
     return width * height + 2 * (_ceil_half(width) * _ceil_half(height))
 
 
-def read_yuv420(
-    path, width: int, height: int, frames: int | None = None
-) -> Iterator[RawImage]:
-    """Iterate the frames of a headerless planar 4:2:0 file.
+def frame_count(path, width: int, height: int, frames: int | None = None) -> int:
+    """The number of frames of a headerless planar 4:2:0 file, read from its size.
 
-    The file size is checked against the frame size, and against `frames`
-    when given, before this returns; the frames are then read lazily, one
-    frame-sized read each, so a caller that handles each frame before
-    asking for the next holds one frame at a time. A file that comes up
-    short during the reads raises InputError.
+    A size of no frames or not a whole number of them, or a count other
+    than `frames` when given, raises InputError; a missing file raises the
+    OSError of its stat. No byte of the file is read.
     """
     fsize = frame_size_bytes(width, height)
     size = Path(path).stat().st_size
@@ -83,7 +79,20 @@ def read_yuv420(
         )
     if frames is not None and size // fsize != frames:
         raise InputError(f"{path}: expected {frames} frames, found {size // fsize}")
-    return _read_frames(path, width, height, size // fsize)
+    return size // fsize
+
+
+def read_yuv420(
+    path, width: int, height: int, frames: int | None = None
+) -> Iterator[RawImage]:
+    """Iterate the frames of a headerless planar 4:2:0 file.
+
+    The file is checked by `frame_count` before this returns; the frames
+    are then read lazily, one frame-sized read each, so a caller that
+    handles each frame before asking for the next holds one frame at a
+    time. A file that comes up short during the reads raises InputError.
+    """
+    return _read_frames(path, width, height, frame_count(path, width, height, frames))
 
 
 def _read_frames(path, width: int, height: int, count: int) -> Iterator[RawImage]:
@@ -203,16 +212,26 @@ def resize(img: RawImage, width: int, height: int) -> RawImage:
     )
 
 
-def scale_image(img: RawImage, percent: int) -> RawImage:
-    """Scale to one of the four evaluation scales; 100% is the identity."""
+def scaled_dims(width: int, height: int, percent: int) -> tuple[int, int]:
+    """The luma dims a width x height frame is coded at, at one evaluation scale.
+
+    Below 100% they are scale_image's output dims: rounded half up and
+    floored at 1. At 100% the frame is not resampled but padded to even
+    dims by pad_to_even.
+    """
     if percent not in VALID_SCALES:
         raise InputError(f"percent must be one of {VALID_SCALES}: {percent}")
     if percent == 100:
+        return width + width % 2, height + height % 2
+    return (max(1, (width * percent * 2 + 100) // 200),
+            max(1, (height * percent * 2 + 100) // 200))
+
+
+def scale_image(img: RawImage, percent: int) -> RawImage:
+    """Scale to one of the four evaluation scales; 100% is the identity."""
+    if percent == 100:
         return img
-    # round-half-up output dims, floored at 1
-    out_w = max(1, (img.width * percent * 2 + 100) // 200)
-    out_h = max(1, (img.height * percent * 2 + 100) // 200)
-    return resize(img, out_w, out_h)
+    return resize(img, *scaled_dims(img.width, img.height, percent))
 
 
 def pad_to_even(img: RawImage) -> tuple[RawImage, tuple[int, int]]:

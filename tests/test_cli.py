@@ -841,6 +841,19 @@ def test_run_with_a_tool_that_writes_no_file_exits_3(tmp_path, capsys, tool, sta
     assert partial["records"] == []
 
 
+def test_run_decoder_flooding_stderr_exits_3_with_a_short_error(tmp_path, capsys):
+    flood = f'{sys.executable} -c "import sys; sys.stderr.write(\'x\' * (16 << 20)); sys.exit(1)"'
+    argv = _run(tmp_path, codec={"kind": "EXTERNAL", "qp_list": [22],
+                                 "encode_template": f"{_COPY} {{input}} {{output}}",
+                                 "decode_template": f"{flood} {{input}} {{output}}"})
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: codec failed for item='img' qp=22 scale=100: decoder: exit 1: [")
+    assert len(err) < 5000, len(err)
+    partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
+    assert "earlier bytes of stderr left out" in partial["failure"]["cause"]
+
+
 def test_run_command_with_undecodable_stderr_exits_3(tmp_path, capsys):
     noisy = (
         f'{sys.executable} -c "import sys; '
@@ -1058,7 +1071,8 @@ def test_run_persists_failure_when_no_record_completed(tmp_path, capsys):
 def test_run_failing_to_write_the_codec_input_names_the_write_stage(
     tmp_path, blob_manifest, capsys
 ):
-    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(50,),
+    # TRUNCATE reads the codec input; NULL with prediction files never writes it
+    path = blob_manifest(codec_kind="TRUNCATE", qp_list=(22,), scales=(50,),
                          predictions="files")
     out = tmp_path / "out"
     (out / "work" / "item0_s50" / "input.yuv").mkdir(parents=True)

@@ -1,7 +1,9 @@
 """Every subcommand on empty, truncated and byte-flipped copies of its inputs.
 
 The CLI contract holds for any input file: `main` returns 0, 2 or 3, and
-every non-zero exit prints one `error:` line instead of raising.
+every non-zero exit prints one `error:` line instead of raising. `run`
+covers the TRUNCATE codec, which reads every frame, and `run-null` the
+NULL codec with prediction files, which only checks the source's size.
 """
 
 import contextlib
@@ -74,6 +76,10 @@ CASES = {
         lambda d: ["run", f"{d}/m.json", "--output-dir", f"{d}/out"],
         ["m.json", "img.yuv", "img.gt.jsonl", "img.det.jsonl"],
     ),
+    "run-null": (
+        lambda d: ["run", f"{d}/null.json", "--output-dir", f"{d}/out"],
+        ["null.json", "img.yuv", "img.gt.jsonl", "img.det.jsonl"],
+    ),
     "report": (
         lambda d: ["report", f"{d}/r.json", "--output-dir", f"{d}/tables"],
         ["r.json"],
@@ -117,6 +123,10 @@ def _write_inputs(d: Path) -> None:
     }
     (d / "m.json").write_text(json.dumps(manifest))
     assert main(["run", f"{d}/m.json", "--output-dir", f"{d}/run"]) == 0
+    # NULL with prediction files: the path that reads no frame of the source
+    manifest["codec"]["kind"] = "NULL"
+    (d / "null.json").write_text(json.dumps(manifest))
+    assert main(["run", f"{d}/null.json", "--output-dir", f"{d}/run-null"]) == 0
     (d / "r.json").write_bytes((d / "run" / "report.json").read_bytes())
 
 

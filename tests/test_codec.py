@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from vcmbench.errors import ExternalToolError, InvariantViolation
 from vcmbench.featurecodec.entropy import encode_bytes
-from vcmbench.pipeline.codec import CodecSpec, expand_template, run_codec, run_command
+from vcmbench.pipeline.codec import (
+    STDERR_TAIL,
+    CodecSpec,
+    expand_template,
+    run_codec,
+    run_command,
+)
 
 
 def test_codec_spec_validation():
@@ -38,13 +44,24 @@ def test_expand_template_leaves_substituted_values_literal():
 
 
 def test_null_codec_returns_the_input_and_charges_raw_size(tmp_path):
-    data = bytes(range(256)) * 4
+    data = bytes(range(256)) * 3  # two 16x16 4:2:0 frames
     src = tmp_path / "in.yuv"
     src.write_bytes(data)
-    out, bits = run_codec(CodecSpec(kind="NULL"), src, 22, tmp_path / "w")
+    out, bits = run_codec(CodecSpec(kind="NULL"), src, 22, tmp_path / "w",
+                          width=16, height=16, frames=2)
     assert out == src and out.read_bytes() == data
     assert bits == 8 * len(data)
-    assert list((tmp_path / "w").iterdir()) == []
+    assert not (tmp_path / "w").exists()
+
+
+def test_null_codec_rate_needs_no_input_file(tmp_path):
+    # the rate comes from the dims alone: 8 x frames x (luma + two half-size chroma)
+    missing = tmp_path / "never-written.yuv"
+    out, bits = run_codec(CodecSpec(kind="NULL"), missing, 22, tmp_path / "w",
+                          width=321, height=241, frames=3)
+    assert out == missing
+    assert bits == 8 * 3 * (321 * 241 + 2 * 161 * 121)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_truncate_qp0_is_lossless(tmp_path):
@@ -145,6 +162,36 @@ def test_command_stdout_is_not_held_in_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
+
+
+def test_failing_tool_error_keeps_only_the_end_of_its_stderr(tmp_path):
+    # 16 MiB to stderr, then exit 1; piped, it would all be held and quoted
+    size = 16 << 20
+    loud = (f'{sys.executable} -c "import sys; '
+            f'sys.stderr.buffer.write(bytes({size} - 9) + b\'the cause\'); sys.exit(1)"')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExternalToolError) as err:
+            run_command(loud, {}, "decoder", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert err.value.exit_code == 3
+    assert len(message) < 5000, len(message)
+    assert message.startswith("decoder: exit 1: [")
+    assert f"\n[{size - STDERR_TAIL} earlier bytes of stderr left out]\n" in message
+    assert message.endswith("the cause")
+    assert peak < 1 << 20, peak
+
+
+def test_failing_tool_with_a_short_stderr_quotes_all_of_it(tmp_path):
+    tail = "x" * (STDERR_TAIL - len("the cause")) + "the cause"
+    exact = f'{sys.executable} -c "import sys; sys.stderr.write(\'{tail}\'); sys.exit(2)"'
+    with pytest.raises(ExternalToolError) as err:
+        run_command(exact, {}, "decoder", tmp_path / "out")
+    assert str(err.value).endswith(f"]\n{tail}")
+    assert "left out" not in str(err.value)
 
 
 def test_external_codec_missing_binary(tmp_path):

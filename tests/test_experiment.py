@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import sys
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_H, FIXTURE_W, flat_image, make_blob_image, write_jsonl
+from vcmbench.cli import main
 from vcmbench.errors import InputError, ParseError, StageError
 from vcmbench.pipeline import experiment
 from vcmbench.pipeline.codec import CodecSpec
@@ -107,6 +109,109 @@ def test_precomputed_predictions_skip_the_reconstruction(blob_manifest, tmp_path
     assert len(result.records) == 2 * 2 * 2
     assert calls == []
     assert list((tmp_path / "work").rglob("recon.yuv")) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_null_precomputed_items_read_scale_and_write_no_frame(
+    blob_manifest, tmp_path, monkeypatch, jobs
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), predictions="files")
+    calls = []
+    for name in ("read_yuv420", "scale_image", "write_yuv420"):
+        monkeypatch.setattr(experiment, name, lambda *a, name=name: calls.append(name))
+    result = run_experiment(load_manifest(path), work_dir=tmp_path / "work", jobs=jobs)
+    assert len(result.records) == 2 * 4 * 2
+    assert calls == []
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def _odd_null_manifest(tmp_path, frames=3) -> Path:
+    """Two NULL items on one 321x241 source of `frames` frames, at every scale.
+
+    item "cmd" has a prediction command, which makes the codec input;
+    item "files" has the same predictions precomputed.
+    """
+    w, h = 321, 241
+    rng = np.random.default_rng(5)
+    write_yuv420(
+        [RawImage(y=rng.integers(0, 256, (h, w), dtype=np.uint8),
+                  cb=rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8),
+                  cr=rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8))
+         for _ in range(frames)],
+        tmp_path / "src.yuv",
+    )
+    box = {"image_id": "0", "class_id": 0, "bbox": [10, 10, 60, 50]}
+    write_jsonl([box], tmp_path / "gt.jsonl")
+    write_jsonl([dict(box, score=0.9)], tmp_path / "det.jsonl")
+    qps, scales = (22, 27), (100, 75, 50, 25)
+    copy = (f"{shlex.quote(sys.executable)} -c "
+            '"import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])"')
+    item = {"path": "src.yuv", "width": w, "height": h, "frames": frames,
+            "ground_truth": "gt.jsonl"}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "task": "DETECTION", "scales": list(scales),
+        "codec": {"kind": "NULL", "qp_list": list(qps)},
+        "items": [
+            dict(item, id="cmd", prediction_command=(
+                f"{copy} {shlex.quote(str(tmp_path / 'det.jsonl'))} {{output}}")),
+            dict(item, id="files",
+                 predictions={f"{qp}:{s}": "det.jsonl" for qp in qps for s in scales}),
+        ],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_null_rate_is_the_same_with_and_without_the_codec_input(tmp_path, jobs):
+    work = tmp_path / "work"
+    result = run_experiment(load_manifest(_odd_null_manifest(tmp_path)), work, jobs=jobs)
+    by_item = {(r.item_id, r.scale, r.qp): r for r in result.records}
+    assert len(by_item) == 2 * 4 * 2
+    for scale in (100, 75, 50, 25):
+        # the command item wrote the codec input, whose raw size NULL charges
+        written = 8 * (work / f"item0_s{scale}" / "input.yuv").stat().st_size
+        for qp in (22, 27):
+            cmd, files = by_item[("cmd", scale, qp)], by_item[("files", scale, qp)]
+            assert cmd.bits == files.bits == written, (scale, qp)
+            assert cmd.rate == files.rate == bpp(written, 321, 241)
+    # the precomputed item made no directory and no file
+    assert not [p for p in work.iterdir() if p.name.startswith("item1_")]
+    assert (work / "item0_s100" / "input.yuv").stat().st_size == 3 * frame_size_bytes(322, 242)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("breakage, cause", [
+    ("missing", "No such file or directory"),
+    ("wrong-size", "is not a multiple of the 256x128 frame size 49152"),
+    ("frames", "expected 2 frames, found 1"),
+])
+def test_null_precomputed_source_faults_fail_at_load(
+    tmp_path, blob_manifest, capsys, breakage, cause, jobs
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), predictions="files")
+    source = tmp_path / "img_a.yuv"
+    if breakage == "missing":
+        source.unlink()
+    elif breakage == "wrong-size":
+        source.write_bytes(source.read_bytes() + b"\0")
+    else:
+        doc = json.loads(path.read_text())
+        doc["items"][0]["frames"] = 2
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--jobs", str(jobs), "run", str(path), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: load failed for item='img_a' qp=22 scale=100: "
+    )
+    partial = json.loads((out / "partial_results.json").read_text())
+    failure = partial["failure"]
+    assert (failure["stage"], failure["item"], failure["qp"], failure["scale"]) == (
+        "load", "img_a", 22, 100
+    )
+    assert cause in failure["cause"]
+    assert all(r["item"] == "img_b" for r in partial["records"])
+    assert not (out / "report.json").exists()
 
 
 def test_tracking_experiment_end_to_end(tmp_path):
@@ -314,7 +419,8 @@ def test_items_sharing_an_image_id_match_only_within_each_item(tmp_path):
 
 
 def test_pixel_work_once_per_item_scale(tmp_path, blob_manifest, monkeypatch):
-    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27, 32), predictions="files")
+    # TRUNCATE reads the codec input; NULL with prediction files prepares no pixels
+    path = blob_manifest(codec_kind="TRUNCATE", qp_list=(22, 27, 32), predictions="files")
     doc = json.loads(path.read_text())
     frames = 3
     for item in doc["items"]:
@@ -465,7 +571,8 @@ def test_frame_count_mismatch_fails_at_load_before_any_frame(
 
 
 def test_source_cut_short_mid_stream_fails_at_load(tmp_path, blob_manifest, monkeypatch):
-    path = blob_manifest(codec_kind="NULL", qp_list=(22,), scales=(50,),
+    # TRUNCATE reads the source's frames; NULL with prediction files only checks its size
+    path = blob_manifest(codec_kind="TRUNCATE", qp_list=(22,), scales=(50,),
                          predictions="files")
     doc = json.loads(path.read_text())
     doc["items"][0]["frames"] = 3

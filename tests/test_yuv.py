@@ -12,11 +12,13 @@ from vcmbench.pipeline.yuv import (
     RawImage,
     _resample_plane,
     crop_pad,
+    frame_count,
     frame_size_bytes,
     pad_to_even,
     read_yuv420,
     resize,
     scale_image,
+    scaled_dims,
     write_yuv420,
 )
 
@@ -119,6 +121,27 @@ def test_scale_dims_for_all_scales():
         assert (out.width, out.height) == (w, h)
     with pytest.raises(InputError):
         scale_image(img, 60)
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (3, 2), (321, 241), (854, 479)])
+@pytest.mark.parametrize("percent", [100, 75, 50, 25])
+def test_scaled_dims_are_the_dims_scaling_and_padding_make(w, h, percent):
+    img = scale_image(flat_image(w, h), percent)
+    if percent == 100:
+        img, _ = pad_to_even(img)
+    assert scaled_dims(w, h, percent) == (img.width, img.height)
+
+
+def test_frame_count_checks_the_size_against_frames(tmp_path):
+    p = tmp_path / "seq.yuv"
+    write_yuv420([flat_image(9, 7)] * 3, p)
+    assert frame_count(p, 9, 7) == frame_count(p, 9, 7, frames=3) == 3
+    with pytest.raises(InputError, match="expected 2 frames, found 3"):
+        frame_count(p, 9, 7, frames=2)
+    with pytest.raises(InputError, match="is not a multiple of the 8x8 frame size 96"):
+        frame_count(p, 8, 8)
+    with pytest.raises(FileNotFoundError):
+        frame_count(tmp_path / "missing.yuv", 9, 7)
 
 
 def test_downscale_then_upscale_constant_identity():
