@@ -130,7 +130,7 @@ def _cmd_eval_track(args, config) -> int:
     pred = load_tracks(args.predictions)
     gt = load_tracks(args.ground_truth)
     iou_threshold = _resolve(args, config, "iou", float, 0.5)
-    r = mota(pred, gt, iou_threshold)
+    r = mota([pred], [gt], iou_threshold)
     _print_json(
         {"MOTA": r.mota, "FN": r.fn, "FP": r.fp, "IDSW": r.idsw, "GT": r.gt}
     )

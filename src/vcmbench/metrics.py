@@ -17,7 +17,9 @@ a class at once. A 101-point interpolation mode is available for parity
 with COCO-style tooling.
 
 Tracking quality is CLEAR-MOT accounting with per-frame greedy IoU
-matching:  MOTA = 1 - (FN + FP + IDSW) / GT.
+matching:  MOTA = 1 - (FN + FP + IDSW) / GT. Like mAP it pools one table
+per item: each item's frames and track ids are matched on their own, and
+the counts are summed over items.
 """
 
 from __future__ import annotations
@@ -198,18 +200,32 @@ def mean_average_precision(
     return APResult(per_class_ap=per_class, map_value=map_value, counts=counts)
 
 
-def mota(pred: BoxTable, gt: BoxTable, iou_threshold: float = 0.5) -> MotaResult:
-    """CLEAR-MOT accounting with per-frame greedy IoU matching.
+def mota(
+    preds: Sequence[BoxTable], gts: Sequence[BoxTable], iou_threshold: float = 0.5
+) -> MotaResult:
+    """CLEAR-MOT accounting with per-frame greedy IoU matching, pooled over items.
 
-    Pairs are taken in descending IoU order (each box used once; ties go
-    to the lower ground-truth, then prediction, row); a matched
-    ground-truth track whose assigned prediction track differs from its
-    previous assignment counts one identity switch.
+    preds[i] and gts[i] are the tracks of item i; each item's frames and
+    track ids are matched on their own and the counts are summed, so an
+    item without ground truth only adds its predictions as false
+    positives. Pairs are taken in descending IoU order (each box used
+    once; ties go to the lower ground-truth, then prediction, row); a
+    matched ground-truth track whose assigned prediction track differs
+    from its previous assignment counts one identity switch.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise InputError(f"iou_threshold must be in (0,1]: {iou_threshold}")
-    if not len(gt):
+    if len(preds) != len(gts):
+        raise InputError(f"{len(preds)} prediction tables for {len(gts)} ground-truth tables")
+    if not sum(map(len, gts)):
         raise InputError("ground truth has no tracked boxes")
+    counts = [_clear_mot(pred, gt, iou_threshold) for pred, gt in zip(preds, gts)]
+    fn, fp, idsw = map(sum, zip(*counts))
+    return MotaResult(fn=fn, fp=fp, idsw=idsw, gt=sum(map(len, gts)))
+
+
+def _clear_mot(pred: BoxTable, gt: BoxTable, iou_threshold: float) -> tuple[int, int, int]:
+    """The (FN, FP, IDSW) counts of one item's tracks."""
     pred_frames = _groups(pred.frame)
 
     fn = fp = idsw = 0
@@ -237,4 +253,4 @@ def mota(pred: BoxTable, gt: BoxTable, iou_threshold: float = 0.5) -> MotaResult
         fn += len(g) - matched
         fp += len(p) - matched
     fp += sum(map(len, pred_frames.values()))  # frames without ground truth
-    return MotaResult(fn=fn, fp=fp, idsw=idsw, gt=len(gt))
+    return fn, fp, idsw

@@ -146,9 +146,10 @@ def run_codec(
     input_path,
     qp: int,
     work_dir,
-    width: int | None = None,
-    height: int | None = None,
-    frames: int | None = None,
+    *,
+    width: int,
+    height: int,
+    frames: int,
 ) -> tuple[Path, int]:
     """Encode and decode one raw file; returns (decoded path, bitstream bits).
 
@@ -177,12 +178,7 @@ def run_codec(
         return decoded, bits
 
     bitstream = work_dir / f"bitstream_q{qp}.bin"
-    subs = {
-        "input": str(input_path),
-        "qp": qp,
-        "width": width if width is not None else "",
-        "height": height if height is not None else "",
-    }
+    subs = {"input": str(input_path), "qp": qp, "width": width, "height": height}
     run_command(spec.encode_template, subs, "encoder", bitstream)
     bits = 8 * bitstream.stat().st_size
     run_command(spec.decode_template, dict(subs, input=str(bitstream)), "decoder", decoded)

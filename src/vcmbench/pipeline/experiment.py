@@ -7,32 +7,37 @@ the codec input, obtains task predictions for it, and rates it.
 The codec input is written only when a stage reads its pixels: under
 TRUNCATE and EXTERNAL, and for an item with a prediction command, whose
 reconstruction is made from the decoded file (under NULL, the input
-itself). Such a unit reads the item once, scales and pads it, and writes
-`input.yuv` once. A NULL item with precomputed predictions reads no
-frame and writes nothing under the work directory: its source size is
-checked, and NULL's rate is computed from the encoded dims.
+itself). Such a unit reads the item once, passes each frame through
+`yuv.scale_image` (which pads at 100%), and writes `input.yuv` once. A
+NULL item with precomputed predictions reads no frame and writes
+nothing under the work directory: its source size is checked, and
+NULL's rate is computed from the encoded dims.
 Only an item with a prediction command needs the reconstruction: for it,
-the padding is inverted, the decoded frames are upscaled back to the
-source resolution and written as the command's input (`recon.yuv` in the
-qp's work directory). An item with precomputed predictions reads none of
-it, so the crop and upscale stages fail only for command items.
+the decoded frames are cropped back to the source dims (at 100%) or
+upscaled to them (below 100%) and written as the command's input
+(`recon.yuv` in the qp's work directory). An item with precomputed
+predictions reads none of it, so the crop and upscale stages fail only
+for command items.
 
 Both streams run one frame at a time: a frame is read, scaled (or
-cropped and upscaled), padded and written before the next is read, so a
-unit holds a few frames whatever the sequence length. The source size is
+cropped or upscaled) and written before the next is read, so a unit
+holds a few frames whatever the sequence length. The source size is
 checked against the item's frame count before any frame is read. A
-failure to open or write the codec input or `recon.yuv` is the `write`
-stage's.
+failure to make the directory of, open or write the codec input or
+`recon.yuv` is the `write` stage's. A unit has one error boundary: any
+failure in it raises StageError naming the stage it was in and the qp
+it was at; a failure to prepare the input names the first qp.
 Ground-truth files are read-only inputs, parsed once per item
 per run and before any unit starts: boxes are never rescaled, because
 predictions are produced at source resolution.
 
 Aggregation per (scale, qp): the rate is the mean bits-per-source-pixel
-over items (bits per second for tracking); the metric is computed over
-the pooled detection set, which `mean_average_precision` receives as one
-table per item, so a detection only matches ground truth of its own item
-(summed CLEAR-MOT counts for tracking). One RD curve per scale comes out,
-plus the Pareto front over all scales.
+over items (bits per second for tracking); the metric pools the items:
+`mean_average_precision` and `mota` each receive one table per item, so
+a prediction only matches ground truth of its own item (for tracking,
+of its own frames and track ids, the CLEAR-MOT counts summed over
+items). One RD curve per scale comes out, plus the Pareto front over
+all scales.
 
 Units are independent and run in a pool of `jobs` threads; records are
 reduced in a fixed order, so reports are byte-identical at any job
@@ -50,10 +55,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import InputError, StageError, VcmError
-from ..metrics import MotaResult, mean_average_precision, mota
+from ..metrics import mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
+    MALFORMED,
     as_int64,
     load_detections,
     load_ground_truth,
@@ -64,9 +70,8 @@ from ..tensorio import (
 from .codec import KIND_NULL, CodecSpec, run_codec, run_command, split_template
 from .yuv import (
     RawImage,
-    crop_pad,
+    crop,
     frame_count,
-    pad_to_even,
     read_yuv420,
     resize,
     scale_image,
@@ -167,6 +172,11 @@ class ExperimentResult:
 
 
 def load_manifest(path) -> ExperimentManifest:
+    """The manifest of a JSON file; relative paths in it are taken from its directory.
+
+    A field that is malformed, or that the manifest's types refuse, raises
+    ParseError "{path}: manifest: <error class>: <message>".
+    """
     path = Path(path)
     doc = read_json(path)
     base = path.parent
@@ -175,7 +185,8 @@ def load_manifest(path) -> ExperimentManifest:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    with parsing(f"{path}: manifest"):
+    # a field the types refuse names the manifest, as a malformed one does
+    with parsing(f"{path}: manifest", errors=(*MALFORMED, InputError)):
         codec_doc = doc["codec"]
         codec = CodecSpec(
             kind=codec_doc["kind"],
@@ -215,42 +226,27 @@ def load_manifest(path) -> ExperimentManifest:
         )
 
 
-@dataclass(frozen=True)
-class PreparedInput:
-    """The codec input of one (item, scale), for every qp.
-
-    path is None when no stage reads the input's pixels, and no file is
-    written; the dims and pad record hold either way.
-    """
-
-    path: Path | None
-    width: int
-    height: int
-    pad_record: tuple[int, int]
-
-
 class _Progress:
     """The stage a unit is in, for the StageError its failure raises."""
 
     def __init__(self, stage: str):
         self.stage = stage
 
-    def stream(self, frames: Iterator[RawImage], steps, path: Path) -> None:
-        """Write frames to path, each passed through steps before the next is read.
+    def stream(self, frames: Iterator[RawImage], stage: str, step, path: Path) -> None:
+        """Write frames to path, each passed through step before the next is read.
 
-        steps is a list of (stage, frame -> frame). While a frame is read,
-        the stage stays the one set before the call; each step sets its own
-        stage while it runs; "write" holds while the file is opened, written
-        and closed. The reader is closed on every exit.
+        While a frame is read, the stage stays the one set before the call;
+        stage holds while step (frame -> frame) runs; "write" holds while
+        the file's directory is made and the file is opened, written and
+        closed. The reader is closed on every exit.
         """
         read_stage = self.stage
 
         def each():
             self.stage = read_stage
             for frame in frames:
-                for stage, step in steps:
-                    self.stage = stage
-                    frame = step(frame)
+                self.stage = stage
+                frame = step(frame)
                 self.stage = "write"
                 yield frame
                 self.stage = read_stage
@@ -258,6 +254,7 @@ class _Progress:
 
         self.stage = "write"
         with closing(frames):
+            path.parent.mkdir(parents=True, exist_ok=True)
             write_yuv420(each(), path)
 
 
@@ -270,105 +267,83 @@ def _reads_pixels(manifest, item) -> bool:
     return manifest.codec.kind != KIND_NULL or item.prediction_command is not None
 
 
-def _prepare(manifest, item, scale, scratch: Path) -> PreparedInput:
-    """The codec input of one (item, scale), its dims taken from arithmetic.
+def _prepare(manifest, item, scale, scratch: Path, at: _Progress) -> Path | None:
+    """The path of the codec input of one (item, scale), or None if none is made.
 
-    If a stage reads its pixels, the item's frames stream through scaling
-    and padding into scratch/input.yuv. Otherwise only the source's size
+    If a stage reads its pixels, the item's frames stream through
+    scale_image into scratch/input.yuv. Otherwise only the source's size
     is checked, as read_yuv420 checks it, and nothing is read or written.
     """
-    width, height = scaled_dims(item.width, item.height, scale)
-    pad_record = (width - item.width, height - item.height) if scale == 100 else (0, 0)
-    coded_input = scratch / "input.yuv" if _reads_pixels(manifest, item) else None
-    if coded_input is not None:
-        scratch.mkdir(parents=True, exist_ok=True)
-    at = _Progress("load")
-    try:
-        if coded_input is None:
-            frame_count(item.path, item.width, item.height, item.frames)
-        else:
-            steps = [("scale", lambda f: scale_image(f, scale))]
-            if scale == 100:
-                steps.append(("pad", lambda f: pad_to_even(f)[0]))
-            frames = read_yuv420(item.path, item.width, item.height, item.frames)
-            at.stream(frames, steps, coded_input)
-    except (VcmError, OSError) as e:
-        # the item's first qp is the job that needs this input first
-        raise StageError(at.stage, item.item_id, manifest.codec.qp_list[0], scale, e) from e
-    return PreparedInput(coded_input, width, height, pad_record)
+    if not _reads_pixels(manifest, item):
+        frame_count(item.path, item.width, item.height, item.frames)
+        return None
+    coded_input = scratch / "input.yuv"
+    frames = read_yuv420(item.path, item.width, item.height, item.frames)
+    at.stream(frames, "scale", lambda f: scale_image(f, scale), coded_input)
+    return coded_input
 
 
 def _process_item(
-    manifest, item, qp, scale, scratch: Path, prepared: PreparedInput
+    manifest, item, qp, scale, scratch: Path, coded_input: Path | None, at: _Progress
 ) -> ItemRecord:
-    """Code one prepared input at one qp, then predict and rate it.
+    """Code one (item, scale)'s input at one qp, then predict and rate it.
 
     Only a prediction command reads the reconstruction: for its items each
-    decoded frame is cropped back from its padding (at 100%), upscaled to
-    the source resolution and written to recon.yuv, the command's input,
+    decoded frame is cropped back to the source dims (at 100%) or upscaled
+    to them (below 100%) and written to recon.yuv, the command's input,
     before the next frame is read. Items with precomputed predictions go
     from the codec straight to the rate.
     """
-    enc_w, enc_h = prepared.width, prepared.height
-    at = _Progress("codec")
-    try:
-        decoded_path, bits = run_codec(
-            manifest.codec, prepared.path, qp, scratch,
-            width=enc_w, height=enc_h, frames=item.frames,
-        )
-        if item.prediction_command is not None:
-            steps = []
-            if scale == 100:
-                steps.append(("crop", lambda f: crop_pad(f, prepared.pad_record)))
-            steps.append(("upscale", lambda f: resize(f, item.width, item.height)))
-            recon_path = scratch / "recon.yuv"
-            at.stream(read_yuv420(decoded_path, enc_w, enc_h), steps, recon_path)
-
-            at.stage = "predict"
-            pred_path = scratch / "predictions.jsonl"
-            subs = {"input": str(recon_path), "qp": qp, "scale": scale,
-                    "width": item.width, "height": item.height, "item": item.item_id}
-            run_command(item.prediction_command, subs, "prediction command", pred_path)
+    enc_w, enc_h = scaled_dims(item.width, item.height, scale)
+    at.stage = "codec"
+    decoded_path, bits = run_codec(
+        manifest.codec, coded_input, qp, scratch,
+        width=enc_w, height=enc_h, frames=item.frames,
+    )
+    if item.prediction_command is not None:
+        if scale == 100:
+            stage, step = "crop", lambda f: crop(f, item.width, item.height)
         else:
-            pred_path = item.predictions[(qp, scale)]
+            stage, step = "upscale", lambda f: resize(f, item.width, item.height)
+        recon_path = scratch / "recon.yuv"
+        at.stream(read_yuv420(decoded_path, enc_w, enc_h), stage, step, recon_path)
 
-        at.stage = "rate"
-        if manifest.task == TASK_TRACKING:
-            rate = bitrate(bits, item.frames, item.fps)
-        else:
-            rate = bpp(bits, item.width, item.height)
-        return ItemRecord(
-            item_id=item.item_id, qp=qp, scale=scale, bits=bits,
-            rate=rate, predictions_path=pred_path,
-        )
-    except (VcmError, OSError) as e:
-        raise StageError(at.stage, item.item_id, qp, scale, e) from e
+        at.stage = "predict"
+        pred_path = scratch / "predictions.jsonl"
+        subs = {"input": str(recon_path), "qp": qp, "scale": scale,
+                "width": item.width, "height": item.height, "item": item.item_id}
+        run_command(item.prediction_command, subs, "prediction command", pred_path)
+    else:
+        pred_path = item.predictions[(qp, scale)]
+
+    at.stage = "rate"
+    if manifest.task == TASK_TRACKING:
+        rate = bitrate(bits, item.frames, item.fps)
+    else:
+        rate = bpp(bits, item.width, item.height)
+    return ItemRecord(
+        item_id=item.item_id, qp=qp, scale=scale, bits=bits,
+        rate=rate, predictions_path=pred_path,
+    )
 
 
 def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list) -> float:
     """Pooled task metric over one (scale, qp) cell.
 
     cell[i] is item i's record and truths[i] its parsed ground truth. A
-    failure raises StageError naming the item whose predictions failed.
+    failure to load predictions raises StageError naming the item.
     """
     tracking = manifest.task == TASK_TRACKING
-    counts, dets = [], []
-    for rec, gt in zip(cell, truths):
+    load = load_tracks if tracking else load_detections
+    preds = []
+    for rec in cell:
         try:
-            if tracking:
-                counts.append(
-                    mota(load_tracks(rec.predictions_path), gt, manifest.iou_thresholds[0])
-                )
-            else:
-                dets.append(load_detections(rec.predictions_path))
+            preds.append(load(rec.predictions_path))
         except (VcmError, OSError) as e:
             raise StageError("evaluate", rec.item_id, rec.qp, rec.scale, e) from e
     if tracking:
-        return MotaResult(
-            fn=sum(r.fn for r in counts), fp=sum(r.fp for r in counts),
-            idsw=sum(r.idsw for r in counts), gt=sum(r.gt for r in counts),
-        ).mota
-    return mean_average_precision(dets, truths, manifest.iou_thresholds).map_value
+        return mota(preds, truths, manifest.iou_thresholds[0]).mota
+    return mean_average_precision(preds, truths, manifest.iou_thresholds).map_value
 
 
 def run_experiment(
@@ -393,14 +368,17 @@ def run_experiment(
 
     def run_unit(unit):
         i, item, scale = unit
-        prepared = _prepare(manifest, item, scale, work_dir / f"item{i}_s{scale}")
-        for qp in manifest.codec.qp_list:
-            scratch = work_dir / f"item{i}_q{qp}_s{scale}"
-            if prepared.path is not None:  # a unit whose pixels nobody reads writes nothing
-                scratch.mkdir(parents=True, exist_ok=True)
-            records[(i, qp, scale)] = _process_item(
-                manifest, item, qp, scale, scratch, prepared
-            )
+        # a failure to prepare is charged to the first qp, the first job to need the input
+        at, qp = _Progress("load"), manifest.codec.qp_list[0]
+        try:
+            coded_input = _prepare(manifest, item, scale, work_dir / f"item{i}_s{scale}", at)
+            for qp in manifest.codec.qp_list:
+                records[(i, qp, scale)] = _process_item(
+                    manifest, item, qp, scale, work_dir / f"item{i}_q{qp}_s{scale}",
+                    coded_input, at,
+                )
+        except (VcmError, OSError) as e:
+            raise StageError(at.stage, item.item_id, qp, scale, e) from e
 
     rd_points: dict[tuple[int, int], tuple[float, float]] = {}
     try:

@@ -8,8 +8,10 @@ and `write_yuv420` writes each frame as its iterable yields it, so a chain
 of per-frame steps between them holds one frame, not the sequence.
 
 Scaling is plain bilinear with half-pixel-centre sampling and
-half-away-from-zero rounding; 100% is an exact identity and constant
-images stay constant at any factor.
+half-away-from-zero rounding, and constant images stay constant at any
+factor. `scale_image` states the one rule for the frame coded at each
+evaluation scale: resampled below 100%, and at 100% padded to even luma
+dims by replicating the last column and row; `crop` undoes the padding.
 """
 
 from __future__ import annotations
@@ -215,9 +217,8 @@ def resize(img: RawImage, width: int, height: int) -> RawImage:
 def scaled_dims(width: int, height: int, percent: int) -> tuple[int, int]:
     """The luma dims a width x height frame is coded at, at one evaluation scale.
 
-    Below 100% they are scale_image's output dims: rounded half up and
-    floored at 1. At 100% the frame is not resampled but padded to even
-    dims by pad_to_even.
+    Below 100% they are rounded half up and floored at 1; at 100% an odd
+    dim is padded to the next even one.
     """
     if percent not in VALID_SCALES:
         raise InputError(f"percent must be one of {VALID_SCALES}: {percent}")
@@ -228,38 +229,23 @@ def scaled_dims(width: int, height: int, percent: int) -> tuple[int, int]:
 
 
 def scale_image(img: RawImage, percent: int) -> RawImage:
-    """Scale to one of the four evaluation scales; 100% is the identity."""
-    if percent == 100:
-        return img
-    return resize(img, *scaled_dims(img.width, img.height, percent))
+    """The frame coded at one evaluation scale, of exactly its scaled_dims.
 
-
-def pad_to_even(img: RawImage) -> tuple[RawImage, tuple[int, int]]:
-    """Replicate the last column/row so both luma dims are even.
-
-    Chroma planes are already ceil(dim/2) and stay valid unchanged.
-    Returns the padded image and the (pad_w, pad_h) record crop_pad uses.
+    Below 100% it is resampled. At 100% it is not: the last column and row
+    are replicated where a luma dim is odd (chroma, ceil(dim/2), is already
+    the size of the even dims), and an even frame is returned as it is.
+    `crop` to the source dims undoes this.
     """
-    pad_w = img.width % 2
-    pad_h = img.height % 2
-    if not (pad_w or pad_h):
-        return img, (0, 0)
-    y = img.y
-    if pad_w:
-        y = np.concatenate([y, y[:, -1:]], axis=1)
-    if pad_h:
-        y = np.concatenate([y, y[-1:, :]], axis=0)
-    return RawImage(y=y, cb=img.cb, cr=img.cr), (pad_w, pad_h)
-
-
-def crop_pad(img: RawImage, pad_record: tuple[int, int]) -> RawImage:
-    """Exactly invert pad_to_even."""
-    pad_w, pad_h = pad_record
-    if not (pad_w or pad_h):
+    width, height = scaled_dims(img.width, img.height, percent)
+    if percent != 100:
+        return resize(img, width, height)
+    if (width, height) == (img.width, img.height):
         return img
-    h = img.height - pad_h
-    w = img.width - pad_w
-    ch, cw = _ceil_half(h), _ceil_half(w)
-    return RawImage(
-        y=img.y[:h, :w], cb=img.cb[:ch, :cw], cr=img.cr[:ch, :cw]
-    )
+    y = np.pad(img.y, ((0, height - img.height), (0, width - img.width)), mode="edge")
+    return RawImage(y=y, cb=img.cb, cr=img.cr)
+
+
+def crop(img: RawImage, width: int, height: int) -> RawImage:
+    """The top-left width x height luma of a frame, with its ceil-half chroma."""
+    ch, cw = _ceil_half(height), _ceil_half(width)
+    return RawImage(y=img.y[:height, :width], cb=img.cb[:ch, :cw], cr=img.cr[:ch, :cw])

@@ -272,7 +272,7 @@ def test_criterion_11_mota_hand_traced_fixtures():
         return Track(frame, track, 0, (x, 0, x + 5, 5), 1.0)
 
     def mota_of(pred, gt):
-        return mota(track_table(pred), track_table(gt), 0.5)
+        return mota([track_table(pred)], [track_table(gt)], 0.5)
 
     # fixture 1: predictions identical to GT
     gt = [tb(0, 1), tb(1, 1)]

@@ -10,12 +10,23 @@ acceptance suite calls are listed in ENTRY_POINTS.
 
 Every VcmError subclass in errors.py carries data (defines __init__) or is
 listed in DATA_FREE_ERRORS with the reason it exists apart from its base.
+
+Every name that the benchmark's tracer (perfbench/tracing.py, BOUNDARIES)
+wraps where it is called still resolves, and experiment._process_item
+still takes the job's item, qp and scale where the tracer reads them.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vcmbench"
+from vcmbench.pipeline import experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vcmbench"
 
 # Library calls that the acceptance criteria exercise and no command makes.
 ENTRY_POINTS = {
@@ -101,3 +112,25 @@ def test_every_error_class_carries_data_or_is_listed():
 def test_listed_error_classes_exist_and_carry_no_data():
     # a listed class that is gone, or gained an __init__, leaves the list
     assert sorted(DATA_FREE_ERRORS.keys() - _data_free_errors()) == []
+
+
+def _traced_boundaries(monkeypatch) -> list:
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module.BOUNDARIES
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # a name the tracer cannot find leaves its per-layer metrics out, and the
+    # benchmark's own self-tests are not tier-1
+    boundaries = _traced_boundaries(monkeypatch)
+    assert boundaries
+    missing = [(module, name) for module, name, *_ in boundaries
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+    # the tracer's job attributes are the item, qp and scale of args[1:4]
+    params = list(inspect.signature(experiment._process_item).parameters)
+    assert params[:4] == ["manifest", "item", "qp", "scale"]

@@ -16,6 +16,10 @@ from vcmbench.pipeline.codec import (
     run_command,
 )
 
+# run_codec's dims for an input of raw bytes, not frames: TRUNCATE reads no
+# dims, and the EXTERNAL tools of these tests take none
+RAW = {"width": 1, "height": 1, "frames": 1}
+
 
 def test_codec_spec_validation():
     CodecSpec(kind="NULL")
@@ -69,7 +73,7 @@ def test_truncate_qp0_is_lossless(tmp_path):
     data = rng.integers(0, 256, 4096, dtype=np.uint8).tobytes()
     src = tmp_path / "in.yuv"
     src.write_bytes(data)
-    out, bits = run_codec(CodecSpec(kind="TRUNCATE", qp_list=(0,)), src, 0, tmp_path / "w")
+    out, bits = run_codec(CodecSpec(kind="TRUNCATE", qp_list=(0,)), src, 0, tmp_path / "w", **RAW)
     assert out.read_bytes() == data
     samples = np.frombuffer(data, dtype=np.uint8)
     planes = [np.packbits((samples >> k) & 1).tobytes() for k in range(8)]
@@ -87,7 +91,7 @@ def test_truncate_monotone_bits_on_natural_statistics(tmp_path):
     spec = CodecSpec(kind="TRUNCATE", qp_list=tuple(range(8)))
     sizes = []
     for qp in range(8):
-        _, bits = run_codec(spec, src, qp, tmp_path / f"w{qp}")
+        _, bits = run_codec(spec, src, qp, tmp_path / f"w{qp}", **RAW)
         sizes.append(bits)
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] > sizes[-1]  # the extremes genuinely differ
@@ -100,14 +104,14 @@ def test_truncate_bits_never_rise_with_qp(tmp_path_factory, data):
     src = tmp_path / "in.yuv"
     src.write_bytes(data)
     spec = CodecSpec(kind="TRUNCATE", qp_list=tuple(range(8)))
-    bits = [run_codec(spec, src, qp, tmp_path / "w")[1] for qp in range(8)]
+    bits = [run_codec(spec, src, qp, tmp_path / "w", **RAW)[1] for qp in range(8)]
     assert all(a >= b for a, b in zip(bits, bits[1:])), bits
 
 
 def test_truncate_zeroes_low_bits(tmp_path):
     src = tmp_path / "in.yuv"
     src.write_bytes(bytes([0b10110111, 0b01111111]))
-    out, _ = run_codec(CodecSpec(kind="TRUNCATE", qp_list=(3,)), src, 3, tmp_path / "w")
+    out, _ = run_codec(CodecSpec(kind="TRUNCATE", qp_list=(3,)), src, 3, tmp_path / "w", **RAW)
     assert out.read_bytes() == bytes([0b10110000, 0b01111000])
 
 
@@ -120,10 +124,10 @@ def test_external_codec_roundtrip(tmp_path):
         decode_template=copier + " {input} {output}",
         qp_list=(22,),
     )
-    data = b"\x01\x02\x03\x04" * 64
+    data = b"\x01\x02\x03\x04" * 96  # one 16x16 frame
     src = tmp_path / "in.yuv"
     src.write_bytes(data)
-    out, bits = run_codec(spec, src, 22, tmp_path / "w")
+    out, bits = run_codec(spec, src, 22, tmp_path / "w", width=16, height=16, frames=1)
     assert out.read_bytes() == data
     assert bits == 8 * len(data)
 
@@ -138,7 +142,7 @@ def test_external_codec_nonzero_exit(tmp_path):
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
     with pytest.raises(ExternalToolError) as err:
-        run_codec(spec, src, 22, tmp_path / "w")
+        run_codec(spec, src, 22, tmp_path / "w", **RAW)
     # the tool's stderr ends the message
     assert str(err.value).startswith("encoder: exit 1: [")
     assert str(err.value).endswith("\nbad frame")
@@ -204,7 +208,7 @@ def test_external_codec_missing_binary(tmp_path):
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
     with pytest.raises(ExternalToolError) as err:
-        run_codec(spec, src, 22, tmp_path / "w")
+        run_codec(spec, src, 22, tmp_path / "w", **RAW)
     assert str(err.value).startswith("encoder: cannot start ['definitely-not-a-command', ")
 
 
@@ -218,7 +222,7 @@ def test_external_codec_missing_output(tmp_path):
     src = tmp_path / "in.yuv"
     src.write_bytes(b"x")
     with pytest.raises(ExternalToolError) as err:
-        run_codec(spec, src, 22, tmp_path / "w")
+        run_codec(spec, src, 22, tmp_path / "w", **RAW)
     assert str(err.value) == f"encoder wrote no file at {tmp_path / 'w' / 'bitstream_q22.bin'}"
 
 
@@ -233,10 +237,10 @@ def test_external_codec_ignores_a_previous_runs_outputs(tmp_path, stale):
 
     src = tmp_path / "in.yuv"
     src.write_bytes(b"xy")
-    run_codec(spec(copy, copy), src, 22, tmp_path / "w")
+    run_codec(spec(copy, copy), src, 22, tmp_path / "w", **RAW)
     if stale == "encoder":
         second, message = spec(idle, copy), "encoder wrote no file at "
     else:
         second, message = spec(copy, idle), "decoder wrote no file at "
     with pytest.raises(ExternalToolError, match=message):
-        run_codec(second, src, 22, tmp_path / "w")
+        run_codec(second, src, 22, tmp_path / "w", **RAW)

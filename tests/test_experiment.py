@@ -181,6 +181,20 @@ def test_null_rate_is_the_same_with_and_without_the_codec_input(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_command_reconstruction_is_the_source_at_100_and_its_size_below(tmp_path, jobs):
+    # the source's random frames make its last column and row unlike the
+    # padding's copies of them, so an off-by-one crop cannot pass
+    work = tmp_path / "work"
+    run_experiment(load_manifest(_odd_null_manifest(tmp_path)), work, jobs=jobs)
+    source = (tmp_path / "src.yuv").read_bytes()
+    for qp in (22, 27):
+        assert (work / f"item0_q{qp}_s100" / "recon.yuv").read_bytes() == source
+        for scale in (75, 50, 25):
+            recon = work / f"item0_q{qp}_s{scale}" / "recon.yuv"
+            assert recon.stat().st_size == len(source) == 3 * frame_size_bytes(321, 241)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("breakage, cause", [
     ("missing", "No such file or directory"),
     ("wrong-size", "is not a multiple of the 256x128 frame size 49152"),
@@ -269,6 +283,29 @@ def test_tracking_experiment_end_to_end(tmp_path):
     # rate is bits per second: 8 * file bytes * fps / frames
     expected = 8 * seq.stat().st_size * 30 / 4
     assert result.rd_points[(100, 22)][0] == pytest.approx(expected)
+
+
+def test_tracking_item_without_ground_truth_counts_its_predictions_as_false_positives(
+    tmp_path, capsys
+):
+    # item a tracks its one box; item b has no ground truth and one prediction
+    box = {"frame": 0, "track_id": 1, "class_id": 0, "bbox": [2.0, 2.0, 10.0, 10.0],
+           "score": 1.0}
+    items = []
+    for name, gt in (("a", [box]), ("b", [])):
+        write_yuv420(flat_image(16, 16), tmp_path / f"{name}.yuv")
+        write_jsonl(gt, tmp_path / f"{name}.gt.jsonl")
+        write_jsonl([box], tmp_path / f"{name}.pred.jsonl")
+        items.append({"id": name, "path": f"{name}.yuv", "width": 16, "height": 16,
+                      "ground_truth": f"{name}.gt.jsonl",
+                      "predictions": {"22:100": f"{name}.pred.jsonl"}})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"task": "TRACKING", "scales": [100],
+                                "codec": {"kind": "NULL", "qp_list": [22]}, "items": items}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0, capsys.readouterr().err
+    (row,) = json.loads((out / "report.json").read_text())["rd_tables"]["100"]
+    assert row["quality"] == 0.0  # 1 - (FN 0 + FP 1 + IDSW 0) / GT 1
 
 
 def test_ground_truth_files_are_read_only_inputs(blob_manifest, tmp_path):
@@ -489,13 +526,14 @@ _EXTERNAL = {"kind": "EXTERNAL", "encode_template": "enc {input} {output}",
 
 @pytest.mark.parametrize("change, message", [
     (lambda doc: doc["items"][0].update(prediction_command="det 'unclosed {input} {output}"),
-     "item 'img_a': prediction_command: No closing quotation: \"det 'unclosed {input} {output}\""),
+     "InputError: item 'img_a': prediction_command: No closing quotation: "
+     "\"det 'unclosed {input} {output}\""),
     (lambda doc: doc["items"][1].update(prediction_command=" \t"),
-     "item 'img_b': prediction_command: no argv tokens: ' \\t'"),
+     "InputError: item 'img_b': prediction_command: no argv tokens: ' \\t'"),
     (lambda doc: doc.update(codec=dict(_EXTERNAL, encode_template="enc 'x {input} {output}")),
-     "encode_template: No closing quotation: \"enc 'x {input} {output}\""),
+     "InputError: encode_template: No closing quotation: \"enc 'x {input} {output}\""),
     (lambda doc: doc.update(codec=dict(_EXTERNAL, decode_template="dec {input} {output} \\")),
-     "decode_template: No escaped character: 'dec {input} {output} \\\\'"),
+     "InputError: decode_template: No escaped character: 'dec {input} {output} \\\\'"),
 ], ids=["command-unbalanced-quote", "command-blank", "encode-unbalanced-quote",
         "decode-trailing-escape"])
 def test_bad_command_template_fails_at_load_before_any_codec_call(
@@ -507,9 +545,30 @@ def test_bad_command_template_fails_at_load_before_any_codec_call(
     path.write_text(json.dumps(doc))
     calls = []
     monkeypatch.setattr(experiment, "run_codec", lambda *a, **k: calls.append(a))
-    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: manifest: {message}')}$"):
         run_experiment(load_manifest(path), work_dir=tmp_path / "work")
     assert calls == []
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["codec"].update(qp_list=[22, 22]),
+     "InvariantViolation: qp list has duplicates: [22, 22]"),
+    (lambda doc: doc["codec"].update(kind="H266"),
+     "InvariantViolation: unknown codec kind 'H266'"),
+    (lambda doc: doc.update(scales=[100, 100]),
+     "InvariantViolation: manifest scales have duplicates: [100, 100]"),
+    (lambda doc: doc.update(codec=dict(_EXTERNAL, decode_template=None)),
+     "InvariantViolation: EXTERNAL codec needs encode and decode templates"),
+], ids=["duplicate-qps", "unknown-codec", "duplicate-scales", "external-without-decoder"])
+def test_run_on_a_manifest_its_types_refuse_names_the_manifest(
+    tmp_path, blob_manifest, capsys, change, message
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: manifest: {message}\n"
 
 
 @pytest.mark.parametrize("change, value", [
@@ -611,6 +670,22 @@ def test_a_failed_write_names_the_write_stage(tmp_path, blob_manifest, blocked, 
     assert isinstance(err.value.__cause__, IsADirectoryError)
 
 
+@pytest.mark.parametrize("blocked, qp", [("item0_s50", 22), ("item0_q27_s50", 27)])
+def test_a_directory_that_cannot_be_made_names_the_write_stage(
+    tmp_path, blob_manifest, blocked, qp
+):
+    # a file where the unit's or the qp's directory goes
+    path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(50,))
+    (tmp_path / "work").mkdir()
+    (tmp_path / "work" / blocked).write_text("")
+    with pytest.raises(StageError) as err:
+        run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert (err.value.stage, err.value.item_id, err.value.qp, err.value.scale) == (
+        "write", "img_a", qp, 50
+    )
+    assert isinstance(err.value.__cause__, FileExistsError)
+
+
 def test_null_codec_writes_no_decoded_file(tmp_path, blob_manifest):
     # the prediction command reads the reconstruction of the input itself
     path = blob_manifest(codec_kind="NULL", qp_list=(22, 27), scales=(100, 50))
@@ -689,9 +764,10 @@ def _peak_bytes(fn) -> int:
 
 def test_prepare_memory_does_not_grow_with_frames(tmp_path):
     units = {n: _video_unit(tmp_path, n) for n in (4, 32)}
-    experiment._prepare(*units[4][:2], 75, units[4][2])  # fills the resampler's plan cache
+    at = experiment._Progress("load")
+    experiment._prepare(*units[4][:2], 75, units[4][2], at)  # fills the resampler's plan cache
     peak = {
-        n: _peak_bytes(lambda: experiment._prepare(m, item, 75, d))
+        n: _peak_bytes(lambda: experiment._prepare(m, item, 75, d, at))
         for n, (m, item, d) in units.items()
     }
     assert peak[32] <= peak[4] + frame_size_bytes(321, 241), peak
@@ -703,10 +779,11 @@ def test_reconstruction_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "run_command", predict)
     units = {n: _video_unit(tmp_path, n) for n in (4, 32)}
-    prepared = {n: experiment._prepare(m, item, 75, d) for n, (m, item, d) in units.items()}
-    experiment._process_item(*units[4][:2], 22, 75, units[4][2], prepared[4])
+    at = experiment._Progress("load")
+    prepared = {n: experiment._prepare(m, item, 75, d, at) for n, (m, item, d) in units.items()}
+    experiment._process_item(*units[4][:2], 22, 75, units[4][2], prepared[4], at)
     peak = {
-        n: _peak_bytes(lambda: experiment._process_item(m, item, 22, 75, d, prepared[n]))
+        n: _peak_bytes(lambda: experiment._process_item(m, item, 22, 75, d, prepared[n], at))
         for n, (m, item, d) in units.items()
     }
     assert peak[32] <= peak[4] + frame_size_bytes(321, 241), peak

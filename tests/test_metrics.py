@@ -28,7 +28,7 @@ def map_of(dets, gts, thresholds=(0.5,), interpolation="all_points"):
 
 
 def mota_of(pred, gt_tracks, iou_threshold):
-    return mota(track_table(pred), track_table(gt_tracks), iou_threshold)
+    return mota([track_table(pred)], [track_table(gt_tracks)], iou_threshold)
 
 
 def class_ap(dets, gts, class_id, threshold, interpolation="all_points"):
@@ -511,6 +511,43 @@ def test_exact_match_of_any_magnitude_scores_1_or_is_refused(w, h):
 def test_mota_empty_gt_raises():
     with pytest.raises(InputError, match="ground truth has no tracked boxes"):
         mota_of([tb(0, 1, B(0, 0, 5, 5))], [], 0.5)
+
+
+def _seeded_items(rng, n_items):
+    """Tracks of items that all reuse frames 0-3 and track ids 0-3."""
+    preds, gts = [], []
+    for _ in range(n_items):
+        gt_tracks, pred = [], []
+        for frame in range(4):
+            for track in range(rng.integers(1, 4)):
+                x = float(rng.uniform(0, 40))
+                gt_tracks.append(tb(frame, track, B(x, 0, x + 5, 5)))
+                if rng.random() < 0.8:  # a near box, its track id now and then another
+                    pred.append(tb(frame, int(rng.integers(0, 3)), B(x + 1, 0, x + 6, 5)))
+        preds.append(pred)
+        gts.append(gt_tracks)
+    return preds, gts
+
+
+def test_mota_pools_items_as_the_sum_of_single_item_calls():
+    preds, gts = _seeded_items(np.random.default_rng(29), 5)
+    singles = [mota_of(p, g, 0.5) for p, g in zip(preds, gts)]
+    pooled = mota([track_table(p) for p in preds], [track_table(g) for g in gts], 0.5)
+    counts = (pooled.fn, pooled.fp, pooled.idsw, pooled.gt)
+    assert counts == tuple(sum(getattr(r, k) for r in singles) for k in ("fn", "fp", "idsw", "gt"))
+    assert min(counts) > 0
+    # an item without ground truth adds its predictions as false positives
+    extra = [tb(0, 0, B(0, 0, 5, 5)), tb(1, 0, B(0, 0, 5, 5))]
+    more = mota([track_table(p) for p in preds + [extra]],
+                [track_table(g) for g in gts + [[]]], 0.5)
+    assert (more.fn, more.fp, more.idsw, more.gt) == (pooled.fn, pooled.fp + 2, pooled.idsw,
+                                                      pooled.gt)
+
+
+def test_mota_refuses_lists_of_different_lengths():
+    gt_tracks = track_table([tb(0, 1, B(0, 0, 5, 5))])
+    with pytest.raises(InputError, match="^1 prediction tables for 2 ground-truth tables$"):
+        mota([gt_tracks], [gt_tracks, gt_tracks], 0.5)
 
 
 def test_mota_can_be_negative():

@@ -11,10 +11,9 @@ from vcmbench.errors import InputError
 from vcmbench.pipeline.yuv import (
     RawImage,
     _resample_plane,
-    crop_pad,
+    crop,
     frame_count,
     frame_size_bytes,
-    pad_to_even,
     read_yuv420,
     resize,
     scale_image,
@@ -123,12 +122,10 @@ def test_scale_dims_for_all_scales():
         scale_image(img, 60)
 
 
-@pytest.mark.parametrize("w, h", [(1, 1), (3, 2), (321, 241), (854, 479)])
+@pytest.mark.parametrize("w, h", [(1, 1), (3, 2), (321, 241), (854, 479), (16, 12)])
 @pytest.mark.parametrize("percent", [100, 75, 50, 25])
 def test_scaled_dims_are_the_dims_scaling_and_padding_make(w, h, percent):
     img = scale_image(flat_image(w, h), percent)
-    if percent == 100:
-        img, _ = pad_to_even(img)
     assert scaled_dims(w, h, percent) == (img.width, img.height)
 
 
@@ -169,16 +166,15 @@ def test_bilinear_average_on_even_downscale():
 def test_pad_even_noop():
     rng = np.random.default_rng(3)
     img = _image(rng, 8, 6)
-    padded, record = pad_to_even(img)
-    assert record == (0, 0)
+    padded = scale_image(img, 100)
+    assert (padded.width, padded.height) == (img.width, img.height)
     assert padded is img
 
 
 def test_pad_replicates_last_column():
     rng = np.random.default_rng(4)
     img = _image(rng, 3, 4)
-    padded, record = pad_to_even(img)
-    assert record == (1, 0)
+    padded = scale_image(img, 100)
     assert (padded.width, padded.height) == (4, 4)
     assert np.array_equal(padded.y[:, 3], img.y[:, 2])
 
@@ -187,9 +183,9 @@ def test_pad_crop_roundtrip_all_parities():
     rng = np.random.default_rng(5)
     for w, h in ((3, 4), (4, 3), (5, 5), (6, 6)):
         img = _image(rng, w, h)
-        padded, record = pad_to_even(img)
+        padded = scale_image(img, 100)
         assert padded.width % 2 == 0 and padded.height % 2 == 0
-        back = crop_pad(padded, record)
+        back = crop(padded, w, h)
         assert np.array_equal(back.y, img.y)
         assert np.array_equal(back.cb, img.cb)
         assert np.array_equal(back.cr, img.cr)
