@@ -10,7 +10,6 @@ included), 3 external-command failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -43,6 +42,7 @@ from .rdcurves import (
     bd_metrics,
     pareto_front,
     read_curves_csv,
+    write_csv,
     write_curves_csv,
 )
 from .report import (
@@ -60,8 +60,15 @@ from .tensorio import (
 )
 
 
+# the keys _resolve serves; a config file naming any other key exits 2
+_CONFIG_KEYS = (
+    "thresholds", "interpolation", "iou", "min-quality", "bits", "z-th", "layout",
+    "output-dir", "jobs",
+)
+
+
 def _load_config(path) -> dict[str, str]:
-    """TOML-like key=value file; '#' starts a comment; lines end at "\n" alone."""
+    """TOML-like key=value file of _CONFIG_KEYS; '#' starts a comment; lines end at "\n"."""
     config = {}
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
@@ -71,8 +78,10 @@ def _load_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        config[key] = value
     return config
 
 
@@ -119,10 +128,8 @@ def _cmd_eval_det(args, config) -> int:
     }
     _print_json(payload)
     if args.csv:
-        lines = ["class_id,ap"]
-        lines += [f"{c},{result.per_class_ap[c]!r}" for c in sorted(result.per_class_ap)]
-        lines.append(f"mAP,{result.map_value!r}")
-        Path(args.csv).write_bytes(("\n".join(lines) + "\n").encode())
+        rows = [(c, result.per_class_ap[c]) for c in sorted(result.per_class_ap)]
+        write_csv(args.csv, ("class_id", "ap"), [*rows, ("mAP", result.map_value)])
     return 0
 
 
@@ -167,12 +174,8 @@ def _cmd_bdrate(args, config) -> int:
         )
     _print_json(rows)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["anchor", "test", "scale", "bd_rate_percent", "bd_quality"])
-            for r in rows:
-                writer.writerow([r["anchor"], r["test"], r["scale"],
-                                 repr(r["bd_rate_percent"]), repr(r["bd_quality"])])
+        header = ("anchor", "test", "scale", "bd_rate_percent", "bd_quality")
+        write_csv(args.out, header, ([r[f] for f in header] for r in rows))
     return 0
 
 

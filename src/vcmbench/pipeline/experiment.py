@@ -48,6 +48,7 @@ evaluate a (scale, qp) cell.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import closing
@@ -60,6 +61,7 @@ from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
     MALFORMED,
+    as_float64,
     as_int64,
     load_detections,
     load_ground_truth,
@@ -96,15 +98,19 @@ class ExperimentItem:
     prediction_command: str | None = None
 
     def __post_init__(self):
-        if min(self.width, self.height, self.frames) < 1 or not self.fps > 0:
+        if min(self.width, self.height, self.frames) < 1 or not 0 < self.fps < math.inf:
             raise InputError(
                 f"item {self.item_id!r}: width, height and frames must be >= 1 "
-                f"and fps > 0"
+                "and fps finite and > 0"
             )
         if not isinstance(self.prediction_command, (str, type(None))):
             raise InputError(f"item {self.item_id!r}: prediction_command must be a string")
         if self.prediction_command is not None:
             split_template(self.prediction_command, f"item {self.item_id!r}: prediction_command")
+            if self.predictions is not None:
+                raise InputError(
+                    f"item {self.item_id!r}: give prediction_command or predictions, not both"
+                )
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ def load_manifest(path) -> ExperimentManifest:
                     height=as_int64(it["height"]),
                     ground_truth=resolve(it["ground_truth"]),
                     frames=as_int64(it.get("frames", ExperimentItem.frames)),
-                    fps=float(it.get("fps", ExperimentItem.fps)),
+                    fps=as_float64(it.get("fps", ExperimentItem.fps)),
                     predictions=preds,
                     prediction_command=it.get("prediction_command"),
                 )
@@ -221,7 +227,8 @@ def load_manifest(path) -> ExperimentManifest:
             items=tuple(items),
             scales=tuple(as_int64(s) for s in doc.get("scales", ExperimentManifest.scales)),
             iou_thresholds=tuple(
-                float(t) for t in doc.get("iou_thresholds", ExperimentManifest.iou_thresholds)
+                as_float64(t)
+                for t in doc.get("iou_thresholds", ExperimentManifest.iou_thresholds)
             ),
         )
 

@@ -10,6 +10,8 @@ fit and the gap between the two curves is averaged over the overlapping
 interval.  BD-rate integrates log-rate over the shared quality range;
 BD-quality integrates quality over the shared log-rate range.  Curves
 with fewer than four points fall back to piecewise-linear interpolation.
+Every caller's curves are compared by their own Pareto fronts, and every
+CSV table vcmbench writes goes through `write_csv`.
 
 The PCHIP is the monotone one of Fritsch & Carlson (SIAM J. Numer. Anal.
 17(2), 1980) with Fritsch & Butland's harmonic-mean slopes (SIAM J. Sci.
@@ -21,6 +23,7 @@ scipy; BD numbers do not depend on whether or which scipy is installed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +57,10 @@ def bitrate(total_bits: int, frame_count: int, fps: float) -> float:
         raise InputError(f"frame_count must be > 0: {frame_count}")
     if fps <= 0:
         raise InputError(f"fps must be > 0: {fps}")
-    return total_bits * fps / frame_count
+    rate = total_bits * fps / frame_count
+    if not math.isfinite(rate):
+        raise InputError(f"bitrate is not finite: {total_bits} bits at {fps} fps")
+    return rate
 
 
 def _best_quality_by_rate(points) -> dict[float, float]:
@@ -129,17 +135,11 @@ def _check_curve_for_bd(curve: RDCurve) -> tuple[np.ndarray, np.ndarray]:
             f"curve {curve.label!r} needs >= 2 points for BD metrics"
         )
     log_rate = np.log10(curve.rates)
-    quality = curve.qualities
-    if not np.all(np.diff(quality) > 0):
-        raise DegenerateCurve(
-            f"curve {curve.label!r} has non-monotone quality; "
-            "pass it through build_curve + pareto_front first"
-        )
     if not np.all(np.diff(log_rate) > 0):  # x of both fits must strictly increase
         raise DegenerateCurve(
             f"curve {curve.label!r} has rates too close to tell apart in log10"
         )
-    return log_rate, quality
+    return log_rate, curve.qualities
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -201,18 +201,18 @@ def _mean_gap(f_anchor, f_test, lo: float, hi: float, n: int = 257) -> float:
 
 
 def bd_metrics(anchor: RDCurve, test: RDCurve) -> BdResult:
-    """Bjontegaard deltas of test vs anchor over the overlap interval.
+    """Bjontegaard deltas of test's Pareto front vs anchor's, over their overlap.
 
     Negative BD-rate means the test curve needs fewer bits for equal
-    quality. Raises NoOverlap when the curves share no quality range or
-    no log-rate range, and DegenerateCurve for quality inversions.
+    quality. Raises NoOverlap when the fronts share no quality range or
+    no log-rate range, and DegenerateCurve when a front has < 2 points.
     """
     if anchor.quality_unit != test.quality_unit:
         raise InputError(
             f"quality units differ: {anchor.quality_unit!r} vs {test.quality_unit!r}"
         )
-    lr_a, q_a = _check_curve_for_bd(anchor)
-    lr_t, q_t = _check_curve_for_bd(test)
+    lr_a, q_a = _check_curve_for_bd(pareto_front([anchor], label=anchor.label))
+    lr_t, q_t = _check_curve_for_bd(pareto_front([test], label=test.label))
 
     q_lo, q_hi = max(q_a[0], q_t[0]), min(q_a[-1], q_t[-1])
     if not q_hi > q_lo:
@@ -241,14 +241,18 @@ def bd_metrics(anchor: RDCurve, test: RDCurve) -> BdResult:
 CSV_FIELDS = ("rate", "quality", "label", "scale")
 
 
-def write_curves_csv(curves, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """A UTF-8 CSV table, lines ending in "\n"; a float cell is its repr, None empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for c in curves:
-            scale = "" if c.scale_percent is None else str(c.scale_percent)
-            for p in c.points:
-                writer.writerow([repr(p.rate), repr(p.quality), c.label, scale])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_curves_csv(curves, path) -> None:
+    write_csv(path, CSV_FIELDS, (
+        (p.rate, p.quality, c.label, c.scale_percent) for c in curves for p in c.points
+    ))
 
 
 def read_curves_csv(path) -> list[RDCurve]:

@@ -15,21 +15,20 @@ cleanly.
 `pareto`, `bd_table`, the CSVs and the plot all derive from the
 document's own `rd_tables` rows, through one `_report_curves`;
 re-rendering a document whose `pareto` or `bd_table` is not the one those
-rows give is an error.
+rows give is an error. BD rows compare each curve's own Pareto front, as
+`vcmbench bdrate` does, and every CSV goes through `rdcurves.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
 from . import __version__
 from .errors import InvariantViolation, VcmError
 from .model import RDCurve, RDPoint, check_unique_scales
-from .rdcurves import bd_metrics, pareto_front, scale_curves, write_curves_csv
+from .rdcurves import bd_metrics, pareto_front, scale_curves, write_csv, write_curves_csv
 
 SCHEMA_VERSION = 1
 
@@ -51,8 +50,8 @@ def _curve_rows(curve: RDCurve) -> list[dict]:
 def _bd_rows(curves: list[RDCurve], front: RDCurve) -> list[dict]:
     """Both anchor definitions, explicitly labeled per row.
 
-    Curves pass through a single-curve Pareto filter first; BD failures
-    (too few points, no overlap, flat quality) are recorded, not raised.
+    bd_metrics compares each curve's own Pareto front; BD failures (too
+    few points on a front, no overlap) are recorded, not raised.
     """
     anchors = []
     for c in curves:
@@ -72,9 +71,7 @@ def _bd_rows(curves: list[RDCurve], front: RDCurve) -> list[dict]:
                 "error": None,
             }
             try:
-                a = pareto_front([anchor], label=anchor.label)
-                t = pareto_front([test], label=test.label)
-                bd = bd_metrics(a, t)
+                bd = bd_metrics(anchor, test)
                 row["bd_rate_percent"] = bd.bd_rate_percent
                 row["bd_quality"] = bd.bd_quality
             except VcmError as e:
@@ -237,17 +234,6 @@ def _report_curves(report: dict) -> tuple[list[RDCurve], RDCurve]:
     return curves, front
 
 
-def _bd_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["anchor", "test", "bd_rate_percent", "bd_quality", "error"])
-    for row in rows:
-        bd_r = "" if row["bd_rate_percent"] is None else repr(row["bd_rate_percent"])
-        bd_q = "" if row["bd_quality"] is None else repr(row["bd_quality"])
-        writer.writerow([row["anchor"], row["test"], bd_r, bd_q, row["error"] or ""])
-    return buf.getvalue()
-
-
 def write_report_files(report: dict, out_dir) -> list[Path]:
     """Write the CSV tables and the SVG plot of a report; returns their paths.
 
@@ -262,7 +248,6 @@ def write_report_files(report: dict, out_dir) -> list[Path]:
     bd_rows = _bd_rows(curves, front)
     if not _same_rows(report["bd_table"], bd_rows):
         raise InvariantViolation("bd_table is not the table of its own rd_tables and pareto rows")
-    bd_csv = _bd_csv(bd_rows)
     svg = render_svg(curves, front, title="rate vs task metric")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,6 +256,7 @@ def write_report_files(report: dict, out_dir) -> list[Path]:
     ]
     write_curves_csv(curves, rd)
     write_curves_csv([front], pareto)
-    bd.write_text(bd_csv, encoding="utf-8", newline="")
+    header = ("anchor", "test", "bd_rate_percent", "bd_quality", "error")
+    write_csv(bd, header, ([row[f] for f in header] for row in bd_rows))
     plot.write_text(svg, encoding="utf-8")
     return paths

@@ -18,7 +18,9 @@ Each loads into one BoxTable, a column per field and a row per record in
 file order; "bbox" becomes the xyxy column. Integer fields (class_id,
 frame, track_id) must fit in int64; an integral float (2.0) or a numeric
 string ("2") reads as that integer, while true, false or a number with a
-fractional part (1.7) is a ParseError naming its line.
+fractional part (1.7) is a ParseError naming its line. Float fields
+(score, the bbox coordinates) take a number or a numeric string ("0.5");
+true or false is a ParseError naming its line.
 
 Each line is decoded by the json module's scanner; only a line the scan
 cannot take whole goes to json.loads, which returns its value or raises
@@ -128,10 +130,20 @@ def as_int64(v) -> int:
     return v
 
 
+def as_float64(v) -> float:
+    """v as a float64 by the JSON-lines number rule.
+
+    A number or a numeric string reads as that number; a bool raises ValueError.
+    """
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number: {v!r}")
+    return float(v)
+
+
 def _bbox(v) -> list[float]:
     if not isinstance(v, list) or len(v) != 4:
         raise ValueError(f"bbox must be [x0,y0,x1,y1]: {v!r}")
-    return [float(c) for c in v]
+    return [as_float64(c) for c in v]
 
 
 # json.loads of one line is its scan from the first non-whitespace character
@@ -159,7 +171,7 @@ def _boxes(col) -> np.ndarray:
 # are; and the column of such values by one numpy call, equal in values and
 # dtype to the column of the cast values (a list of str: BoxTable casts it)
 _FIELDS = {"image_id": (str, {str}, list), "class_id": (as_int64, {int}, _ints),
-           "bbox": (_bbox, {list}, _boxes), "score": (float, _NUMBER, _floats),
+           "bbox": (_bbox, {list}, _boxes), "score": (as_float64, _NUMBER, _floats),
            "frame": (as_int64, {int}, _ints), "track_id": (as_int64, {int}, _ints)}
 
 

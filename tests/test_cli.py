@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import os
 import subprocess
@@ -19,9 +18,10 @@ from vcmbench.rdcurves import (
     build_curve,
     pareto_front,
     read_curves_csv,
+    write_csv,
     write_curves_csv,
 )
-from vcmbench.report import _bd_csv, _bd_rows
+from vcmbench.report import _bd_rows
 from vcmbench.tensorio import read_feature_tensor, write_feature_tensor
 from vcmbench.model import FeatureTensor
 from vcmbench.pipeline.yuv import write_yuv420
@@ -159,6 +159,26 @@ def test_bdrate_out_quotes_labels_with_commas(tmp_path):
         header, row = csv.reader(fh)
     assert len(row) == len(header) == 5
     assert row[:3] == ["a,b", "a,b", ""]
+
+
+def test_bdrate_on_a_quality_plateau_gives_the_report_row(tmp_path, capsys):
+    # the anchor's quality stalls at 0.7: every command compares the curves' fronts
+    anchor = build_curve([RDPoint(r, q) for r, q in [(0.1, 0.5), (0.2, 0.7), (0.3, 0.7),
+                                                     (0.4, 0.8), (0.5, 0.9)]],
+                         "scale100", scale_percent=100)
+    test = build_curve([RDPoint(r, q) for r, q in [(0.08, 0.5), (0.16, 0.65), (0.24, 0.75),
+                                                   (0.32, 0.85), (0.4, 0.9)]],
+                       "scale75", scale_percent=75)
+    write_curves_csv([anchor], tmp_path / "a.csv")
+    write_curves_csv([test], tmp_path / "t.csv")
+    assert main(["bdrate", str(tmp_path / "a.csv"), str(tmp_path / "t.csv")]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    (expected,) = [r for r in _bd_rows([anchor, test], pareto_front([anchor, test]))
+                   if r["anchor"] == "scale100"]
+    assert expected["error"] is None
+    assert {k: row[k] for k in ("anchor", "test", "bd_rate_percent", "bd_quality")} == {
+        k: expected[k] for k in ("anchor", "test", "bd_rate_percent", "bd_quality")
+    }
 
 
 def test_bdrate_no_overlap_exits_2(tmp_path, capsys):
@@ -448,21 +468,21 @@ def _manifest(d, det=None, **item) -> str:
     box = {"image_id": "img", "class_id": 0, "bbox": [1, 1, 6, 6]}
     write_jsonl([box], d / "gt.jsonl")
     write_jsonl([dict(box, score=0.9, **(det or {}))], d / "det.jsonl")
-    doc = {
-        "task": "DETECTION", "scales": [100],
-        "codec": {"kind": "NULL", "qp_list": [22]},
-        "items": [dict({"id": "img", "path": "img.yuv", "width": 8, "height": 8,
-                        "ground_truth": "gt.jsonl",
-                        "predictions": {"22:100": "det.jsonl"}}, **item)],
-    }
+    entry = dict({"id": "img", "path": "img.yuv", "width": 8, "height": 8,
+                  "ground_truth": "gt.jsonl", "predictions": {"22:100": "det.jsonl"}}, **item)
+    if "prediction_command" in item and "predictions" not in item:  # one source per item
+        del entry["predictions"]
+    doc = {"task": "DETECTION", "scales": [100],
+           "codec": {"kind": "NULL", "qp_list": [22]}, "items": [entry]}
     return _file(d / "m.json", json.dumps(doc).encode())
 
 
-def _run(d, codec=None, scales=None, **item) -> list[str]:
-    """`run` on _manifest's document, its codec or scales replaced when given."""
+def _run(d, codec=None, scales=None, iou_thresholds=None, **item) -> list[str]:
+    """`run` on _manifest's document, its codec, scales or thresholds replaced when given."""
     path = Path(_manifest(d, **item))
     doc = json.loads(path.read_text())
-    doc.update({k: v for k, v in (("codec", codec), ("scales", scales)) if v is not None})
+    doc.update({k: v for k, v in (("codec", codec), ("scales", scales),
+                                  ("iou_thresholds", iou_thresholds)) if v is not None})
     path.write_text(json.dumps(doc))
     return ["run", str(path), "--output-dir", str(d / "out")]
 
@@ -679,6 +699,19 @@ BAD_INPUTS = {
         "--config", _file(d / "c.cfg", b"jobs=0\n"),
         "run", _manifest(d), "--output-dir", str(d / "out"),
     ],
+    "config-key-unknown": lambda d: [
+        "--config", _file(d / "c.cfg", b"treshold=0.9\n"), *_eval_det(d)
+    ],
+    "eval-det-score-bool": lambda d: _eval_det(d, score=True),
+    "eval-det-bbox-holds-a-bool": lambda d: _eval_det(d, bbox=[0, 0, 10, True]),
+    "run-item-fps-bool": lambda d: _run(d, fps=True),
+    "run-item-fps-infinite": lambda d: _run(d, fps=float("inf")),
+    "run-iou-thresholds-bool": lambda d: _run(d, iou_thresholds=[True]),
+    "run-item-with-both-prediction-sources": lambda d: [
+        "run", _manifest(d, prediction_command=f"{_COPY} {d / 'det.jsonl'} {{output}}",
+                         predictions={"22:100": "det.jsonl"}),
+        "--output-dir", str(d / "out"),
+    ],
 }
 
 
@@ -807,7 +840,10 @@ def _run_twice(d, first: dict, second: dict) -> int:
     codes = []
     for change in (first, second):
         doc.update(change.get("doc", {}))
-        doc["items"][0].update(change.get("item", {}))
+        item = doc["items"][0]
+        item.update(change.get("item", {}))
+        if "prediction_command" in item:  # an item has one prediction source
+            item.pop("predictions", None)
         manifest.write_text(json.dumps(doc))
         codes.append(main(["run", str(manifest), "--output-dir", str(d / "out")]))
     assert codes[0] == 0
@@ -873,15 +909,33 @@ def test_report_takes_output_dir_from_config(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "tables" / "rd_curves.csv").is_file()
 
 
-def test_report_quotes_bd_labels_with_commas():
+def test_report_quotes_bd_labels_with_commas(tmp_path):
     # a document's labels are scale<N> and pareto, so the writer is fed directly
     row = {"anchor": "pareto", "test": "a,b", "bd_rate_percent": -1.5,
            "bd_quality": 0.25, "error": None}
     failed = dict(row, bd_rate_percent=None, bd_quality=None, error="NoOverlap: a, b;\nc")
-    rows = list(csv.reader(io.StringIO(_bd_csv([row, failed]), newline="")))
+    write_csv(tmp_path / "bd.csv", list(row), [list(r.values()) for r in (row, failed)])
+    with open(tmp_path / "bd.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
     assert [len(r) for r in rows] == [5, 5, 5]
     assert rows[1] == ["pareto", "a,b", "-1.5", "0.25", ""]
     assert rows[2] == ["pareto", "a,b", "", "", "NoOverlap: a, b;\nc"]
+
+
+def test_every_csv_line_ends_in_a_line_feed(tmp_path, capsys):
+    assert main(_run(tmp_path)) == 0
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main(["report", str(out / "report.json"), "--output-dir", str(again)]) == 0
+    curves = _curves(tmp_path)
+    assert main(["pareto", curves, "--out", str(tmp_path / "front.csv")]) == 0
+    assert main(["bdrate", curves, curves, "--out", str(tmp_path / "bd.csv")]) == 0
+    assert main([*_eval_det(tmp_path), "--csv", str(tmp_path / "ap.csv")]) == 0
+    written = [*sorted(out.glob("*.csv")), *sorted(again.glob("*.csv")),
+               tmp_path / "front.csv", tmp_path / "bd.csv", tmp_path / "ap.csv"]
+    assert len(written) == 9
+    for path in written:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path
 
 
 def test_report_bd_csv_holds_the_documents_errors_as_they_are(tmp_path):

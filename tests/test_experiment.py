@@ -308,6 +308,30 @@ def test_tracking_item_without_ground_truth_counts_its_predictions_as_false_posi
     assert row["quality"] == 0.0  # 1 - (FN 0 + FP 1 + IDSW 0) / GT 1
 
 
+def test_tracking_bitrate_beyond_float_range_fails_at_rate_with_partial_results(
+    tmp_path, capsys
+):
+    # fps is finite, but 3072 bits x 1e308 fps is not
+    box = {"frame": 0, "track_id": 1, "class_id": 0, "bbox": [2.0, 2.0, 10.0, 10.0],
+           "score": 1.0}
+    write_yuv420(flat_image(16, 16), tmp_path / "a.yuv")
+    write_jsonl([box], tmp_path / "a.jsonl")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "task": "TRACKING", "scales": [100], "codec": {"kind": "NULL", "qp_list": [22]},
+        "items": [{"id": "a", "path": "a.yuv", "width": 16, "height": 16, "fps": 1e308,
+                   "ground_truth": "a.jsonl", "predictions": {"22:100": "a.jsonl"}}],
+    }))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rate failed for item='a' qp=22 scale=100: "
+        "bitrate is not finite: 3072 bits at 1e+308 fps\n"
+    )
+    partial = json.loads((out / "partial_results.json").read_text())
+    assert partial["failure"]["stage"] == "rate" and partial["records"] == []
+
+
 def test_ground_truth_files_are_read_only_inputs(blob_manifest, tmp_path):
     # boxes are never rescaled: the GT files must come out of a full run
     # byte-identical
@@ -507,9 +531,13 @@ def test_manifest_unknown_scale_rejected_at_load(tmp_path, blob_manifest):
     lambda doc: doc.update(iou_thresholds=[1.5]),
     lambda doc: doc.update(iou_thresholds=[0.0]),
     lambda doc: doc.update(task="TRACKING", iou_thresholds=[0.5, 0.75]),
+    lambda doc: doc["items"][0].update(fps=True),
+    lambda doc: doc["items"][0].update(fps=float("inf")),
+    lambda doc: doc.update(iou_thresholds=[True]),
 ], ids=["no-iou-thresholds", "width-zero", "fps-nan", "command-not-a-string",
         "template-not-a-string", "duplicate-scales", "duplicate-qps",
-        "iou-above-1", "iou-zero", "tracking-two-thresholds"])
+        "iou-above-1", "iou-zero", "tracking-two-thresholds", "fps-bool", "fps-infinite",
+        "iou-bool"])
 def test_manifest_bad_field_rejected_at_load(tmp_path, blob_manifest, change):
     path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
     doc = json.loads(path.read_text())
@@ -547,6 +575,23 @@ def test_bad_command_template_fails_at_load_before_any_codec_call(
     monkeypatch.setattr(experiment, "run_codec", lambda *a, **k: calls.append(a))
     with pytest.raises(InputError, match=f"^{re.escape(f'{path}: manifest: {message}')}$"):
         run_experiment(load_manifest(path), work_dir=tmp_path / "work")
+    assert calls == []
+
+
+def test_item_with_both_prediction_sources_exits_2_before_any_codec_call(
+    tmp_path, blob_manifest, monkeypatch, capsys
+):
+    path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
+    doc = json.loads(path.read_text())
+    doc["items"][0]["prediction_command"] = "det {input} {output}"
+    path.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(experiment, "run_codec", lambda *a, **k: calls.append(a))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: manifest: InputError: item 'img_a': "
+        "give prediction_command or predictions, not both\n"
+    )
     assert calls == []
 
 

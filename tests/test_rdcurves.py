@@ -41,6 +41,8 @@ def test_bitrate_values():
     assert bitrate(65000, 65, 50) == pytest.approx(50000.0)
     with pytest.raises(InputError, match="frame_count must be > 0"):
         bitrate(1000, 0, 30)
+    with pytest.raises(InputError, match="bitrate is not finite: 8 bits at 1e\\+308 fps"):
+        bitrate(8, 1, 1e308)
 
 
 # --- curve construction ---
@@ -242,14 +244,14 @@ def test_bd_no_overlap():
         bd_metrics(a, b)
 
 
-def test_bd_rejects_non_monotone_quality():
+def test_bd_compares_each_curves_pareto_front():
     zigzag = build_curve(
         [RDPoint(0.1, 0.5), RDPoint(0.2, 0.4), RDPoint(0.3, 0.6), RDPoint(0.4, 0.7)],
         "z",
     )
     ok = _curve_from_arrays([0.1, 0.2, 0.3, 0.4], [0.1, 0.3, 0.5, 0.7], "ok")
-    with pytest.raises(DegenerateCurve):
-        bd_metrics(zigzag, ok)
+    assert bd_metrics(zigzag, ok) == bd_metrics(pareto_front([zigzag]), ok)
+    assert bd_metrics(ok, zigzag) == bd_metrics(ok, pareto_front([zigzag]))
 
 
 def test_bd_rejects_single_point():
