@@ -50,6 +50,8 @@ from .report import (
 )
 from .tensorio import (
     MALFORMED_OR_INVALID,
+    as_float64,
+    as_int64,
     load_detections,
     load_ground_truth,
     load_tracks,
@@ -60,15 +62,26 @@ from .tensorio import (
 )
 
 
-# the keys _resolve serves; a config file naming any other key exits 2
-_CONFIG_KEYS = (
-    "thresholds", "interpolation", "iou", "min-quality", "bits", "z-th", "layout",
-    "output-dir", "jobs",
-)
+def _thresholds(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(","))
 
 
-def _load_config(path) -> dict[str, str]:
-    """TOML-like key=value file of _CONFIG_KEYS; '#' starts a comment; lines end at "\n"."""
+# option -> (cast of its value, default): a flag, else a --config key, else the default
+_OPTIONS = {
+    "thresholds": (_thresholds, (0.5,)),
+    "interpolation": (str, "all_points"),
+    "iou": (float, 0.5),
+    "min-quality": (float, None),
+    "bits": (int, 8),
+    "z-th": (float, 1.5),
+    "layout": (str, "temporal"),
+    "output-dir": (str, "vcmbench-out"),
+    "jobs": (int, 1),
+}
+
+
+def _load_config(path) -> dict:
+    """key=value lines of _OPTIONS, cast as they load; "#" starts a comment, "\n" ends a line."""
     config = {}
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
@@ -79,26 +92,16 @@ def _load_config(path) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        config[key] = value
+        with parsing(f"{path}:{lineno}: {key}"):
+            config[key] = _OPTIONS[key][0](value)
     return config
 
 
-def _resolve(args, config, name, cast=str, default=None):
-    """Flag > config file > default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        with parsing(f"config {name}={config[name]!r}"):
-            return cast(config[name])
-    return default
-
-
-def _thresholds(text: str) -> tuple[float, ...]:
-    with parsing(f"thresholds {text!r}"):
-        return tuple(float(t) for t in text.split(","))
+def _add_option(parser, name: str, **kwargs) -> None:
+    """Declare --name with its _OPTIONS cast; main fills it when no flag is given."""
+    parser.add_argument(f"--{name}", type=_OPTIONS[name][0], default=None, **kwargs)
 
 
 def _write_json(path, doc) -> None:
@@ -109,17 +112,13 @@ def _print_json(obj) -> None:
     sys.stdout.write(report_to_json_bytes(obj).decode("utf-8"))
 
 
-def _cmd_eval_det(args, config) -> int:
+def _cmd_eval_det(args) -> int:
     dets = load_detections(args.detections)
     gts = load_ground_truth(args.ground_truth)
-    thresholds = _thresholds(
-        _resolve(args, config, "thresholds", str, "0.5")
-    )
-    interpolation = _resolve(args, config, "interpolation", str, "all_points")
-    result = mean_average_precision([dets], [gts], thresholds, interpolation)
+    result = mean_average_precision([dets], [gts], args.thresholds, args.interpolation)
     payload = {
         "mAP": result.map_value,
-        "thresholds": list(thresholds),
+        "thresholds": list(args.thresholds),
         "per_class_ap": {str(c): v for c, v in result.per_class_ap.items()},
         "counts_at_last_threshold": {
             str(c): {"tp": t[0], "fp": t[1], "fn": t[2]}
@@ -133,30 +132,36 @@ def _cmd_eval_det(args, config) -> int:
     return 0
 
 
-def _cmd_eval_track(args, config) -> int:
+def _cmd_eval_track(args) -> int:
     pred = load_tracks(args.predictions)
     gt = load_tracks(args.ground_truth)
-    iou_threshold = _resolve(args, config, "iou", float, 0.5)
-    r = mota([pred], [gt], iou_threshold)
+    r = mota([pred], [gt], args.iou)
     _print_json(
         {"MOTA": r.mota, "FN": r.fn, "FP": r.fp, "IDSW": r.idsw, "GT": r.gt}
     )
     return 0
 
 
-def _cmd_bdrate(args, config) -> int:
+def _by_scale(curves, path) -> dict:
+    """A file's curves keyed by scale; two curves at one scale cannot be paired."""
+    by_scale = {}
+    for c in curves:
+        if c.scale_percent in by_scale:
+            raise InputError(f"{path}: two curves at scale {c.scale_percent}")
+        by_scale[c.scale_percent] = c
+    return by_scale
+
+
+def _cmd_bdrate(args) -> int:
     anchors = read_curves_csv(args.anchor)
     tests = read_curves_csv(args.test)
     rows = []
     if len(anchors) == 1 and len(tests) == 1:
         pairs = [(anchors[0], tests[0])]
     else:
-        by_scale = {t.scale_percent: t for t in tests}
-        pairs = [
-            (a, by_scale[a.scale_percent])
-            for a in anchors
-            if a.scale_percent in by_scale
-        ]
+        by_scale = _by_scale(tests, args.test)
+        pairs = [(a, by_scale[s]) for s, a in _by_scale(anchors, args.anchor).items()
+                 if s in by_scale]
         if not pairs:
             raise InputError("no curves with matching scales between the two files")
     for anchor, test in pairs:
@@ -179,17 +184,15 @@ def _cmd_bdrate(args, config) -> int:
     return 0
 
 
-def _cmd_pareto(args, config) -> int:
+def _cmd_pareto(args) -> int:
     curves = []
     for path in args.curves:
         curves.extend(read_curves_csv(path))
     front = pareto_front(curves)
-    min_quality = _resolve(args, config, "min-quality", float)
-    if min_quality is not None:
-        front = apply_cutoff(front, float(min_quality))
-    out = args.out or "pareto.csv"
-    write_curves_csv([front], out)
-    sys.stdout.write(f"front: {len(front.points)} points -> {out}\n")
+    if args.min_quality is not None:
+        front = apply_cutoff(front, args.min_quality)
+    write_curves_csv([front], args.out)
+    sys.stdout.write(f"front: {len(front.points)} points -> {args.out}\n")
     if args.svg:
         Path(args.svg).write_bytes(render_svg(curves, front, title="Pareto front").encode())
     return 0
@@ -211,8 +214,14 @@ def _params_to_json(params: QuantParams) -> dict:
 
 
 def _params_from_json(doc, origin) -> QuantParams:
+    """The params of a sidecar; each number follows the JSON-lines number rule."""
     with parsing(f"{origin}: quantization params"):
-        return QuantParams(**{f.name: doc[f.name] for f in fields(QuantParams)})
+        return QuantParams(
+            mean=[as_float64(v) for v in doc["mean"]],
+            std=[as_float64(v) for v in doc["std"]],
+            **{k: as_float64(doc[k]) for k in ("z_min", "z_max", "z_th")},
+            bit_depth=as_int64(doc["bit_depth"]),
+        )
 
 
 def _report_error(tensor, ref_path, params: QuantParams) -> None:
@@ -229,20 +238,17 @@ def _report_error(tensor, ref_path, params: QuantParams) -> None:
     sys.stdout.write(f"max reconstruction error: {err!r}{bound}\n")
 
 
-def _cmd_feature(args, config) -> int:
+def _cmd_feature(args) -> int:
     """Forward ops quantize (and pack, and code) a tensor; inverse ops rebuild one."""
-    op = args.op
-    bits = int(_resolve(args, config, "bits", int, 8))
+    op, bits, layout = args.op, args.bits, args.layout
     if bits not in (2, 8):
         raise InputError(f"--bits must be 2 or 8: {bits}")
-    z_th = float(_resolve(args, config, "z-th", float, 1.5))
-    layout = _resolve(args, config, "layout", str, "temporal")
     if op in ("pack", "encode") and layout not in ("spatial", "temporal"):
         raise InputError(f"--layout must be spatial or temporal for {op}: {layout!r}")
 
     if op in ("quant", "pack", "encode"):
         tensor = read_feature_tensor(args.input)
-        z, params = normalize(tensor, z_th=z_th, bit_depth=bits)
+        z, params = normalize(tensor, z_th=args.z_th, bit_depth=bits)
         samples = quantize_8bit(z, params) if bits == 8 else quantize_2bit(z, params.z_th)
         if op == "quant":
             Path(args.output).write_bytes(samples.tobytes(order="C"))
@@ -300,7 +306,7 @@ def _cmd_feature(args, config) -> int:
                 frames=split_frames(raw, frame_shapes(layout, dims)),
                 layout=layout,
                 original_dims=dims,
-                channel_permutation=tuple(perm) if perm else None,
+                channel_permutation=tuple(map(as_int64, perm)) if perm else None,
                 quant=params,
             ))
     else:
@@ -319,14 +325,12 @@ def _cmd_feature(args, config) -> int:
     return 0
 
 
-def _cmd_run(args, config) -> int:
+def _cmd_run(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
-    out_dir = Path(_resolve(args, config, "output-dir", str, "vcmbench-out"))
-    jobs = int(_resolve(args, config, "jobs", int, 1))
-    work_dir = out_dir / "work"
+    out_dir = Path(args.output_dir)
     try:
-        result = run_experiment(manifest, work_dir=work_dir, jobs=jobs)
+        result = run_experiment(manifest, work_dir=out_dir / "work", jobs=args.jobs)
     except VcmError as e:
         partial = getattr(e, "partial_records", None)
         if partial is not None:  # an empty list still names the failure
@@ -355,12 +359,12 @@ def _cmd_run(args, config) -> int:
     return 0
 
 
-def _cmd_report(args, config) -> int:
+def _cmd_report(args) -> int:
     doc = read_json(args.report)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise InputError(f"unsupported report schema: {version}")
-    out_dir = Path(_resolve(args, config, "output-dir", str, "vcmbench-out"))
+    out_dir = Path(args.output_dir)
     with parsing(f"{args.report}: report document", errors=MALFORMED_OR_INVALID):
         write_report_files(doc, out_dir)
     sys.stdout.write(f"rendered report tables into {out_dir}\n")
@@ -374,21 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file", default=None)
-    parser.add_argument("--jobs", type=int, default=None, help="worker threads")
+    _add_option(parser, "jobs", help="worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval-det", help="mAP of detections vs ground truth")
     p.add_argument("detections")
     p.add_argument("ground_truth")
-    p.add_argument("--thresholds", default=None, help="comma-separated IoU thresholds")
-    p.add_argument("--interpolation", choices=("all_points", "101pt"), default=None)
+    _add_option(p, "thresholds", help="comma-separated IoU thresholds")
+    _add_option(p, "interpolation", choices=("all_points", "101pt"))
     p.add_argument("--csv", default=None, help="write per-class AP table here")
     p.set_defaults(func=_cmd_eval_det)
 
     p = sub.add_parser("eval-track", help="MOTA of tracks vs ground truth")
     p.add_argument("predictions")
     p.add_argument("ground_truth")
-    p.add_argument("--iou", type=float, default=None)
+    _add_option(p, "iou")
     p.set_defaults(func=_cmd_eval_track)
 
     p = sub.add_parser("bdrate", help="Bjontegaard deltas between two curve CSVs")
@@ -399,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pareto", help="non-dominated front of RD curves")
     p.add_argument("curves", nargs="+")
-    p.add_argument("--min-quality", type=float, default=None, dest="min_quality")
-    p.add_argument("--out", default=None, help="front CSV path (default pareto.csv)")
+    _add_option(p, "min-quality")
+    p.add_argument("--out", default="pareto.csv", help="front CSV path (default %(default)s)")
     p.add_argument("--svg", default=None, help="also render an SVG plot")
     p.set_defaults(func=_cmd_pareto)
 
@@ -410,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--bits", type=int, default=None, choices=(2, 8))
-    p.add_argument("--z-th", type=float, default=None, dest="z_th")
-    p.add_argument("--layout", choices=("spatial", "temporal"), default=None)
+    _add_option(p, "bits", choices=(2, 8))
+    _add_option(p, "z-th")
+    _add_option(p, "layout", choices=("spatial", "temporal"))
     p.add_argument("--reorder", action="store_true")
     p.add_argument("--params", default=None, help="quant params JSON sidecar")
     p.add_argument("--meta", default=None, help="packing metadata JSON sidecar")
@@ -422,23 +426,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an experiment manifest end to end")
     p.add_argument("manifest")
-    p.add_argument("--output-dir", default=None, dest="output_dir")
+    _add_option(p, "output-dir")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="re-render tables/plots from a report JSON")
     p.add_argument("report")
-    p.add_argument("--output-dir", default=None, dest="output_dir")
+    _add_option(p, "output-dir")
     p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        for name, (_, default) in _OPTIONS.items():
+            dest = name.replace("-", "_")
+            if dest in vars(args) and getattr(args, dest) is None:
+                setattr(args, dest, config.get(name, default))
+        return args.func(args)
     except (VcmError, OSError) as e:  # an OSError names a file the user gave
         sys.stderr.write(f"error: {e}\n")
         return getattr(e, "exit_code", 2)

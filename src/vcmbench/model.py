@@ -134,14 +134,6 @@ class FeatureTensor:
         return self.values.shape[0]
 
     @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-    @property
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape  # type: ignore[return-value]
 
@@ -288,6 +280,10 @@ class RDPoint:
     quality: float
 
     def __post_init__(self):
+        if isinstance(self.rate, bool) or isinstance(self.quality, bool):
+            raise InvariantViolation(
+                f"rate and quality must be numbers, not bools: {self.rate}, {self.quality}"
+            )
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise InvariantViolation(f"rate must be finite and > 0: {self.rate}")
         if not math.isfinite(self.quality):

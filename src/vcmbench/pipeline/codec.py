@@ -8,7 +8,7 @@ alone states the rules: a previous run's output is deleted first, stdout
 is discarded, stderr goes to a temporary file whose last 4 KiB go into
 the error, and a tool that cannot start, exits non-zero or writes no
 output raises ExternalToolError (exit 3).
-Two built-in test codecs keep the harness hermetic:
+Two built-in test codecs keep the harness hermetic; they take no templates:
 
   NULL       returns the input file itself as the decoded file, with
              no copy (callers only read it). The rate is computed from
@@ -68,6 +68,8 @@ class CodecSpec:
                 raise InvariantViolation("EXTERNAL codec needs encode and decode templates")
             for name, template in templates.items():
                 split_template(template, name)
+        elif any(t is not None for t in templates.values()):
+            raise InvariantViolation(f"a {self.kind} codec takes no templates")
         if not self.qp_list:
             raise InvariantViolation("qp list must be non-empty")
         object.__setattr__(self, "qp_list", tuple(as_int64(q) for q in self.qp_list))

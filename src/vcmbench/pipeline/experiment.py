@@ -177,11 +177,20 @@ class ExperimentResult:
     records: list[ItemRecord] = field(default_factory=list)
 
 
+def _known(doc: dict, keys: tuple[str, ...]) -> dict:
+    """doc, once it holds no key outside keys."""
+    unknown = sorted(doc.keys() - set(keys))
+    if unknown:
+        raise InputError(f"unknown key {unknown[0]!r}")
+    return doc
+
+
 def load_manifest(path) -> ExperimentManifest:
     """The manifest of a JSON file; relative paths in it are taken from its directory.
 
     A field that is malformed, or that the manifest's types refuse, raises
-    ParseError "{path}: manifest: <error class>: <message>".
+    ParseError "{path}: manifest: <error class>: <message>"; so does a key
+    of the manifest, its codec or an item that no field reads.
     """
     path = Path(path)
     doc = read_json(path)
@@ -193,7 +202,8 @@ def load_manifest(path) -> ExperimentManifest:
 
     # a field the types refuse names the manifest, as a malformed one does
     with parsing(f"{path}: manifest", errors=(*MALFORMED, InputError)):
-        codec_doc = doc["codec"]
+        _known(doc, ("task", "codec", "items", "scales", "iou_thresholds"))
+        codec_doc = _known(doc["codec"], ("kind", "encode_template", "decode_template", "qp_list"))
         codec = CodecSpec(
             kind=codec_doc["kind"],
             encode_template=codec_doc.get("encode_template"),
@@ -202,6 +212,8 @@ def load_manifest(path) -> ExperimentManifest:
         )
         items = []
         for it in doc["items"]:
+            _known(it, ("id", "path", "width", "height", "ground_truth", "frames", "fps",
+                        "predictions", "prediction_command"))
             preds = None
             if "predictions" in it:
                 preds = {}

@@ -12,11 +12,13 @@ manifest digest covers only the command text). Plots are standalone SVG
 with the numeric data embedded as structured comments so they diff
 cleanly.
 
-`pareto`, `bd_table`, the CSVs and the plot all derive from the
-document's own `rd_tables` rows, through one `_report_curves`;
-re-rendering a document whose `pareto` or `bd_table` is not the one those
-rows give is an error. BD rows compare each curve's own Pareto front, as
-`vcmbench bdrate` does, and every CSV goes through `rdcurves.write_csv`.
+`build_report` takes `pareto` and `bd_table` from the run's curves, which
+`rdcurves.scale_curves` builds from the same points as `rd_tables`. The
+CSVs and the plot derive from the document's own `rd_tables` rows, through
+one `_report_curves`; re-rendering a document whose `pareto` or
+`bd_table` is not the one those rows give is an error. BD rows compare
+each curve's own Pareto front, as `vcmbench bdrate` does, and every CSV
+goes through `rdcurves.write_csv`.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def build_report(manifest_path, manifest, result) -> dict:
     if manifest.codec.kind != "EXTERNAL":
         codec_info["note"] = "built-in test codec, not a standardized algorithm"
 
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": "vcmbench",
         "tool_version": __version__,
@@ -122,9 +124,8 @@ def build_report(manifest_path, manifest, result) -> dict:
         },
         "rd_tables": rd_tables,
         "pareto": _curve_rows(result.pareto),
+        "bd_table": _bd_rows(result.curves, result.pareto),
     }
-    report["bd_table"] = _bd_rows(*_report_curves(report))
-    return report
 
 
 def report_to_json_bytes(report: dict) -> bytes:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
-from vcmbench.cli import main
+from vcmbench.cli import _OPTIONS, build_parser, main
 from vcmbench.model import RDCurve, RDPoint
 from vcmbench.rdcurves import (
     bd_metrics,
@@ -187,6 +188,45 @@ def test_bdrate_no_overlap_exits_2(tmp_path, capsys):
     rc = main(["bdrate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
     assert rc == 2
     assert "overlap" in capsys.readouterr().err
+
+
+def _scaled_curves(path, *curves) -> str:
+    """One CSV of (label, scale, rate factor) curves on one quality ladder."""
+    ladder = [(0.1, 0.2), (0.2, 0.4), (0.4, 0.6), (0.8, 0.8)]
+    write_curves_csv([build_curve([RDPoint(f * r, q) for r, q in ladder], label, scale_percent=s)
+                      for label, s, f in curves], path)
+    return str(path)
+
+
+def test_bdrate_pairs_curves_by_scale_and_skips_unmatched_scales(tmp_path, capsys):
+    anchor = _scaled_curves(tmp_path / "a.csv", ("a100", 100, 1), ("a50", 50, 1), ("a25", 25, 1))
+    test = _scaled_curves(tmp_path / "t.csv", ("t50", 50, 0.8), ("t100", 100, 0.9),
+                          ("t75", 75, 0.5))
+    assert main(["bdrate", anchor, test]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["anchor"], r["test"], r["scale"]) for r in rows] == [
+        ("a100", "t100", 100), ("a50", "t50", 50)
+    ]
+    assert [r["bd_rate_percent"] for r in rows] == pytest.approx([-10.0, -20.0], abs=1e-6)
+
+
+def test_bdrate_with_no_matching_scale_exits_2(tmp_path, capsys):
+    anchor = _scaled_curves(tmp_path / "a.csv", ("a100", 100, 1), ("a50", 50, 1))
+    test = _scaled_curves(tmp_path / "t.csv", ("t75", 75, 1), ("t25", 25, 1))
+    assert main(["bdrate", anchor, test]) == 2
+    assert capsys.readouterr().err == (
+        "error: no curves with matching scales between the two files\n"
+    )
+
+
+@pytest.mark.parametrize("side", ["anchor", "test"])
+def test_bdrate_with_two_curves_at_one_scale_exits_2(side, tmp_path, capsys):
+    # paired by scale, one of the two curves would never be compared
+    one = _scaled_curves(tmp_path / "one.csv", ("a100", 100, 1), ("a50", 50, 1))
+    two = _scaled_curves(tmp_path / "two.csv", ("x", 100, 0.9), ("y", 100, 0.8))
+    argv = ["bdrate", one, two] if side == "test" else ["bdrate", two, one]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {two}: two curves at scale 100\n"
 
 
 def test_curve_csv_with_a_byte_order_mark(tmp_path, capsys):
@@ -707,6 +747,26 @@ BAD_INPUTS = {
     "run-item-fps-bool": lambda d: _run(d, fps=True),
     "run-item-fps-infinite": lambda d: _run(d, fps=float("inf")),
     "run-iou-thresholds-bool": lambda d: _run(d, iou_thresholds=[True]),
+    "report-rate-bool": lambda d: [
+        "report", _report_doc(d, rd_tables={"100": [{"qp": 22, "rate": True, "quality": 0.5}]},
+                              pareto=[{"rate": True, "quality": 0.5}]),
+        "--output-dir", str(d / "out"),
+    ],
+    "report-quality-bool": lambda d: [
+        "report", _report_doc(d, rd_tables={"100": [{"qp": 22, "rate": 1.0, "quality": True}]},
+                              pareto=[{"rate": 1.0, "quality": True}]),
+        "--output-dir", str(d / "out"),
+    ],
+    "dequant-params-number-is-a-bool": lambda d: _dequant(
+        d, json.dumps(dict(_PARAMS, z_min=False, z_th=True, bit_depth=8.0)).encode()
+    ),
+    "unpack-meta-permutation-holds-a-bool": lambda d: _unpack(d, json.dumps(dict(
+        _META, dims=[4, 1, 1], permutation=[True, False, 2, 3],
+        params=dict(_PARAMS, mean=[0.0] * 4, std=[1.0] * 4),
+    )).encode()),
+    "config-thresholds-not-numbers": lambda d: [
+        "--config", _file(d / "c.cfg", b"thresholds=0.5,x\n"), *_eval_track(d)
+    ],
     "run-item-with-both-prediction-sources": lambda d: [
         "run", _manifest(d, prediction_command=f"{_COPY} {d / 'det.jsonl'} {{output}}",
                          predictions={"22:100": "det.jsonl"}),
@@ -1191,6 +1251,14 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["thresholds"] == [0.5, 0.75]
+    # a flag beats the file
+    rc = main([
+        "--config", str(cfg),
+        "eval-det", str(tmp_path / "det.jsonl"), str(tmp_path / "gt.jsonl"),
+        "--thresholds", "0.6",
+    ])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["thresholds"] == [0.6]
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
@@ -1207,6 +1275,39 @@ def test_config_lines_break_only_at_newlines(tmp_path, capsys, char):
     cfg.write_text(f"thresholds=0.75  # strict{char}sweep\n", encoding="utf-8")
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["thresholds"] == [0.75]
+
+
+@pytest.mark.parametrize("command", ["eval-det", "eval-track", "report", "run"])
+def test_config_values_are_cast_when_the_file_loads(command, tmp_path, capsys):
+    # no command reads bits here, and the file still fails whole
+    cfg = _file(tmp_path / "c.cfg", b"jobs=2\nbits=x\n")
+    build = {"eval-det": _eval_det, "eval-track": _eval_track, "run": _run,
+             "report": lambda d: ["report", _report_doc(d)]}[command]
+    assert main(["--config", cfg, *build(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: bits: ValueError: invalid literal for int() with base 10: 'x'\n"
+    )
+
+
+# flags that a config file cannot set
+_FLAGS_WITHOUT_CONFIG = {"-h", "--help", "--version", "--config", "--csv", "--out", "--svg",
+                         "--reorder", "--params", "--meta", "--dims", "--ref"}
+
+
+def test_every_option_of_the_table_is_a_flag_that_main_fills():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [a for p in (parser, *sub.choices.values()) for a in p._actions if a.option_strings]
+    table = [a for a in flags if a.dest.replace("_", "-") in _OPTIONS]
+    # each table option is declared as --<name>, cast as a config value is, and left
+    # unset for main to fill from the file or the table's default
+    assert {a.dest.replace("_", "-") for a in table} == _OPTIONS.keys()
+    for a in table:
+        name = a.dest.replace("_", "-")
+        assert (a.option_strings, a.default, a.type) == ([f"--{name}"], None, _OPTIONS[name][0])
+    # any other flag is one a config file cannot set; a new one must join either list
+    others = {f for a in flags if a not in table for f in a.option_strings}
+    assert others == _FLAGS_WITHOUT_CONFIG
 
 
 def test_cli_import_loads_no_scipy():

@@ -534,10 +534,15 @@ def test_manifest_unknown_scale_rejected_at_load(tmp_path, blob_manifest):
     lambda doc: doc["items"][0].update(fps=True),
     lambda doc: doc["items"][0].update(fps=float("inf")),
     lambda doc: doc.update(iou_thresholds=[True]),
+    lambda doc: doc.update(iou_threshold=[0.7]),
+    lambda doc: doc["codec"].update(qps=[22]),
+    lambda doc: doc["items"][0].update(widht=8),
+    lambda doc: doc["codec"].update(encode_template="enc {input} {output}"),
 ], ids=["no-iou-thresholds", "width-zero", "fps-nan", "command-not-a-string",
         "template-not-a-string", "duplicate-scales", "duplicate-qps",
         "iou-above-1", "iou-zero", "tracking-two-thresholds", "fps-bool", "fps-infinite",
-        "iou-bool"])
+        "iou-bool", "manifest-key-unknown", "codec-key-unknown", "item-key-unknown",
+        "template-on-a-built-in-codec"])
 def test_manifest_bad_field_rejected_at_load(tmp_path, blob_manifest, change):
     path = blob_manifest(codec_kind="NULL", qp_list=(22,), predictions="files")
     doc = json.loads(path.read_text())
@@ -604,7 +609,11 @@ def test_item_with_both_prediction_sources_exits_2_before_any_codec_call(
      "InvariantViolation: manifest scales have duplicates: [100, 100]"),
     (lambda doc: doc.update(codec=dict(_EXTERNAL, decode_template=None)),
      "InvariantViolation: EXTERNAL codec needs encode and decode templates"),
-], ids=["duplicate-qps", "unknown-codec", "duplicate-scales", "external-without-decoder"])
+    (lambda doc: doc.update(iou_threshold=[0.7]), "InputError: unknown key 'iou_threshold'"),
+    (lambda doc: doc["codec"].update(decode_template="dec {input} {output}"),
+     "InvariantViolation: a NULL codec takes no templates"),
+], ids=["duplicate-qps", "unknown-codec", "duplicate-scales", "external-without-decoder",
+        "manifest-key-unknown", "template-on-a-built-in-codec"])
 def test_run_on_a_manifest_its_types_refuse_names_the_manifest(
     tmp_path, blob_manifest, capsys, change, message
 ):
