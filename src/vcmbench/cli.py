@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from .featurecodec import (
 )
 from .featurecodec.packing import split_frames
 from .featurecodec.stream import read_stream, write_stream
-from .metrics import mean_average_precision, mota
-from .model import PackedFrameSet, QuantParams, frame_shapes
-from .pipeline.experiment import load_manifest, run_experiment
+from .metrics import INTERPOLATIONS, check_iou_thresholds, mean_average_precision, mota
+from .model import BIT_DEPTHS, PackedFrameSet, QuantParams, check_z_th, frame_shapes
+from .pipeline.experiment import check_jobs, load_manifest, run_experiment
 from .rdcurves import (
     apply_cutoff,
     bd_metrics,
@@ -49,6 +50,7 @@ from .report import (
     SCHEMA_VERSION, build_report, render_svg, report_to_json_bytes, write_report_files,
 )
 from .tensorio import (
+    MALFORMED,
     MALFORMED_OR_INVALID,
     as_float64,
     as_int64,
@@ -66,22 +68,35 @@ def _thresholds(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(","))
 
 
-# option -> (cast of its value, default): a flag, else a --config key, else the default
+# option -> (cast of its text, default, domain: the allowed values, a check that raises
+# InputError, or None): a flag, else a --config key, else the default
 _OPTIONS = {
-    "thresholds": (_thresholds, (0.5,)),
-    "interpolation": (str, "all_points"),
-    "iou": (float, 0.5),
-    "min-quality": (float, None),
-    "bits": (int, 8),
-    "z-th": (float, 1.5),
-    "layout": (str, "temporal"),
-    "output-dir": (str, "vcmbench-out"),
-    "jobs": (int, 1),
+    "thresholds": (_thresholds, (0.5,), check_iou_thresholds),
+    "interpolation": (str, "all_points", INTERPOLATIONS),
+    "iou": (float, 0.5, lambda t: check_iou_thresholds((t,))),
+    "min-quality": (float, None, None),
+    "bits": (int, 8, BIT_DEPTHS),
+    "z-th": (float, 1.5, check_z_th),
+    "layout": (str, "temporal", ("spatial", "temporal")),
+    "output-dir": (str, "vcmbench-out", None),
+    "jobs": (int, 1, check_jobs),
 }
 
 
+def _value(name: str, text: str, origin: str):
+    """Option name's value in text, cast and checked against its domain; errors name origin."""
+    cast, _, domain = _OPTIONS[name]
+    with parsing(origin, errors=(*MALFORMED, InputError)):
+        value = cast(text)
+        if callable(domain):
+            domain(value)
+        elif domain is not None and value not in domain:
+            raise InputError(f"must be one of {domain}: {value!r}")
+    return value
+
+
 def _load_config(path) -> dict:
-    """key=value lines of _OPTIONS, cast as they load; "#" starts a comment, "\n" ends a line."""
+    """key=value lines of _OPTIONS, checked as they load; "#" starts a comment, "\n" ends a line."""
     config = {}
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
@@ -94,14 +109,16 @@ def _load_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        with parsing(f"{path}:{lineno}: {key}"):
-            config[key] = _OPTIONS[key][0](value)
+        config[key] = _value(key, value, f"{path}:{lineno}: {key}")
     return config
 
 
 def _add_option(parser, name: str, **kwargs) -> None:
-    """Declare --name with its _OPTIONS cast; main fills it when no flag is given."""
-    parser.add_argument(f"--{name}", type=_OPTIONS[name][0], default=None, **kwargs)
+    """Declare --name, read as a config value is; main fills it when no flag is given."""
+    # argparse passes _value's ParseError on to main, and lists the table's choices in --help
+    domain = _OPTIONS[name][2]
+    parser.add_argument(f"--{name}", type=partial(_value, name, origin=f"--{name}"), default=None,
+                        choices=domain if isinstance(domain, tuple) else None, **kwargs)
 
 
 def _write_json(path, doc) -> None:
@@ -241,11 +258,6 @@ def _report_error(tensor, ref_path, params: QuantParams) -> None:
 def _cmd_feature(args) -> int:
     """Forward ops quantize (and pack, and code) a tensor; inverse ops rebuild one."""
     op, bits, layout = args.op, args.bits, args.layout
-    if bits not in (2, 8):
-        raise InputError(f"--bits must be 2 or 8: {bits}")
-    if op in ("pack", "encode") and layout not in ("spatial", "temporal"):
-        raise InputError(f"--layout must be spatial or temporal for {op}: {layout!r}")
-
     if op in ("quant", "pack", "encode"):
         tensor = read_feature_tensor(args.input)
         z, params = normalize(tensor, z_th=args.z_th, bit_depth=bits)
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("detections")
     p.add_argument("ground_truth")
     _add_option(p, "thresholds", help="comma-separated IoU thresholds")
-    _add_option(p, "interpolation", choices=("all_points", "101pt"))
+    _add_option(p, "interpolation")
     p.add_argument("--csv", default=None, help="write per-class AP table here")
     p.set_defaults(func=_cmd_eval_det)
 
@@ -414,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("output")
-    _add_option(p, "bits", choices=(2, 8))
+    _add_option(p, "bits")
     _add_option(p, "z-th")
-    _add_option(p, "layout", choices=("spatial", "temporal"))
+    _add_option(p, "layout")
     p.add_argument("--reorder", action="store_true")
     p.add_argument("--params", default=None, help="quant params JSON sidecar")
     p.add_argument("--meta", default=None, help="packing metadata JSON sidecar")
@@ -438,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args.config) if args.config else {}
-        for name, (_, default) in _OPTIONS.items():
+        for name, (_, default, _) in _OPTIONS.items():
             dest = name.replace("-", "_")
             if dest in vars(args) and getattr(args, dest) is None:
                 setattr(args, dest, config.get(name, default))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InputError
-from ..model import FeatureTensor, QuantParams
+from ..model import FeatureTensor, QuantParams, check_z_th
 
 
 def normalize(
@@ -77,8 +77,7 @@ def dequantize_8bit(samples: np.ndarray, params: QuantParams) -> FeatureTensor:
 
 def quantize_2bit(z: FeatureTensor, z_th: float) -> np.ndarray:
     """Map normalized values to the 4-level alphabet {0, 1, 2, 3}."""
-    if not z_th > 0:
-        raise InputError(f"z_th must be > 0: {z_th}")
+    check_z_th(z_th)
     v = z.values
     codes = np.empty(v.shape, dtype=np.uint8)
     codes[v < -z_th] = 0

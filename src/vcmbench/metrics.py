@@ -33,6 +33,16 @@ import numpy as np
 from .errors import InputError
 from .model import BoxTable
 
+INTERPOLATIONS = ("all_points", "101pt")
+
+
+def check_iou_thresholds(thresholds) -> tuple[float, ...]:
+    """thresholds as a tuple, once it is non-empty and every threshold lies in (0, 1]."""
+    thresholds = tuple(thresholds)
+    if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
+        raise InputError(f"IoU thresholds must be one or more in (0, 1]: {list(thresholds)}")
+    return thresholds
+
 
 @dataclass(frozen=True)
 class APResult:
@@ -159,14 +169,9 @@ def mean_average_precision(
     mAP@[0.5:0.95]. The (TP, FP, FN) counts are taken at the last
     threshold with every detection included.
     """
-    if interpolation not in ("all_points", "101pt"):
-        raise InputError(f"interpolation must be all_points or 101pt: {interpolation!r}")
-    thresholds = tuple(thresholds)
-    if not thresholds:
-        raise InputError("thresholds must be non-empty")
-    for t in thresholds:
-        if not (0.0 < t <= 1.0):
-            raise InputError(f"threshold must be in (0,1]: {t}")
+    if interpolation not in INTERPOLATIONS:
+        raise InputError(f"interpolation must be one of {INTERPOLATIONS}: {interpolation!r}")
+    thresholds = check_iou_thresholds(thresholds)
     if len(dets) != len(gts):
         raise InputError(f"{len(dets)} detection tables for {len(gts)} ground-truth tables")
     if not sum(map(len, gts)):
@@ -213,8 +218,7 @@ def mota(
     matched ground-truth track whose assigned prediction track differs
     from its previous assignment counts one identity switch.
     """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise InputError(f"iou_threshold must be in (0,1]: {iou_threshold}")
+    check_iou_thresholds((iou_threshold,))
     if len(preds) != len(gts):
         raise InputError(f"{len(preds)} prediction tables for {len(gts)} ground-truth tables")
     if not sum(map(len, gts)):

@@ -138,6 +138,17 @@ class FeatureTensor:
         return self.values.shape  # type: ignore[return-value]
 
 
+BIT_DEPTHS = (2, 8)  # of a quantized feature sample
+
+
+def check_z_th(z_th) -> float:
+    """The 2-bit threshold at float32 precision, once it is finite there and > 0."""
+    with np.errstate(over="ignore"):  # a value past the float32 range casts to inf
+        if 0 < (z_th32 := float(np.float32(z_th))) < math.inf:
+            return z_th32
+    raise InvariantViolation(f"z_th must be finite at float32 precision and > 0: {z_th}")
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Per-channel normalization stats plus the global quantizer range.
@@ -163,20 +174,18 @@ class QuantParams:
             object.__setattr__(self, "std", std)
             object.__setattr__(self, "z_min", float(np.float32(self.z_min)))
             object.__setattr__(self, "z_max", float(np.float32(self.z_max)))
-            object.__setattr__(self, "z_th", float(np.float32(self.z_th)))
+        object.__setattr__(self, "z_th", check_z_th(self.z_th))
         if mean.ndim != 1 or std.shape != mean.shape:
             raise InvariantViolation("mean/std must be 1-D and the same length")
-        for name in ("mean", "std", "z_min", "z_max", "z_th"):
+        for name in ("mean", "std", "z_min", "z_max"):
             if not np.isfinite(getattr(self, name)).all():
                 raise InvariantViolation(f"{name} must be finite at float32 precision")
         if (std < 0).any():
             raise InvariantViolation("std must be >= 0 for every channel")
         if self.z_max < self.z_min:
             raise InvariantViolation(f"z_max < z_min: {self.z_max} < {self.z_min}")
-        if not self.z_th > 0:
-            raise InvariantViolation(f"z_th must be > 0: {self.z_th}")
-        if self.bit_depth not in (2, 8):
-            raise InvariantViolation(f"bit_depth must be 2 or 8: {self.bit_depth}")
+        if self.bit_depth not in BIT_DEPTHS:
+            raise InvariantViolation(f"bit_depth must be one of {BIT_DEPTHS}: {self.bit_depth}")
 
     @property
     def channels(self) -> int:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import InputError, StageError, VcmError
-from ..metrics import mean_average_precision, mota
+from ..metrics import check_iou_thresholds, mean_average_precision, mota
 from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
@@ -131,15 +131,11 @@ class ExperimentManifest:
             raise InputError("item ids must be unique")
         if not self.scales:
             raise InputError("manifest has no scales")
-        if not self.iou_thresholds:
-            raise InputError("manifest has no iou_thresholds")
         bad = [s for s in self.scales if s not in VALID_SCALES]
         if bad:
             raise InputError(f"manifest scales must be among {VALID_SCALES}: {bad}")
         check_unique_scales(self.scales)
-        bad = [t for t in self.iou_thresholds if not 0.0 < t <= 1.0]
-        if bad:
-            raise InputError(f"iou_thresholds must be in (0, 1]: {bad}")
+        check_iou_thresholds(self.iou_thresholds)
         if self.task == TASK_TRACKING and len(self.iou_thresholds) != 1:
             raise InputError("a TRACKING manifest takes exactly one iou_threshold")
         for item in self.items:
@@ -365,12 +361,17 @@ def _evaluate(manifest: ExperimentManifest, cell: list[ItemRecord], truths: list
     return mean_average_precision(preds, truths, manifest.iou_thresholds).map_value
 
 
+def check_jobs(jobs: int) -> None:
+    """Refuse a worker count below 1."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+
+
 def run_experiment(
     manifest: ExperimentManifest, work_dir, jobs: int = 1
 ) -> ExperimentResult:
     """Run every (item, scale) unit and aggregate RD curves per scale."""
-    if jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     # ground truth is parsed before any unit runs, so a bad file costs no codec call
     load_truth = load_tracks if manifest.task == TASK_TRACKING else load_ground_truth
     truths = [load_truth(item.ground_truth) for item in manifest.items]

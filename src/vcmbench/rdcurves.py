@@ -13,6 +13,11 @@ with fewer than four points fall back to piecewise-linear interpolation.
 Every caller's curves are compared by their own Pareto fronts, and every
 CSV table vcmbench writes goes through `write_csv`.
 
+The log is portable: log10 of each rate and 10 ** (mean log-rate gap) are
+taken in 40-digit `decimal` arithmetic and rounded to float64, so BD numbers
+are the same bits on every CPU and C library; every other step is IEEE
+arithmetic.
+
 The PCHIP is the monotone one of Fritsch & Carlson (SIAM J. Numer. Anal.
 17(2), 1980) with Fritsch & Butland's harmonic-mean slopes (SIAM J. Sci.
 Stat. Comput. 5(2), 1984).  It is scipy's PchipInterpolator arithmetic
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -129,12 +135,23 @@ def apply_cutoff(curve: RDCurve, min_quality: float) -> RDCurve:
     )
 
 
+# 40 significant digits, far past float64's 17; a context per call shares no flags
+def _log10(x: float) -> float:
+    """log10(x) in decimal arithmetic, rounded to float64: the same bits on every machine."""
+    return float(Context(prec=40).log10(Decimal(x)))
+
+
+def _exp10(x: float) -> float:
+    """10 ** x in decimal arithmetic, rounded to float64: the same bits on every machine."""
+    return float(Context(prec=40).power(10, Decimal(x)))
+
+
 def _check_curve_for_bd(curve: RDCurve) -> tuple[np.ndarray, np.ndarray]:
     if len(curve.points) < 2:
         raise DegenerateCurve(
             f"curve {curve.label!r} needs >= 2 points for BD metrics"
         )
-    log_rate = np.log10(curve.rates)
+    log_rate = np.array([_log10(r) for r in curve.rates.tolist()])
     if not np.all(np.diff(log_rate) > 0):  # x of both fits must strictly increase
         raise DegenerateCurve(
             f"curve {curve.label!r} has rates too close to tell apart in log10"
@@ -225,7 +242,9 @@ def bd_metrics(anchor: RDCurve, test: RDCurve) -> BdResult:
 
     # rate as a function of quality -> BD-rate
     mean_dlr = _mean_gap(_fit(q_a, lr_a), _fit(q_t, lr_t), q_lo, q_hi)
-    bd_rate = (10.0 ** mean_dlr - 1.0) * 100.0
+    bd_rate = (_exp10(mean_dlr) - 1.0) * 100.0
+    if not math.isfinite(bd_rate):
+        raise InputError(f"BD-rate is past float64: 10 ** {mean_dlr!r}")
     # quality as a function of log-rate -> BD-quality
     bd_quality = _mean_gap(_fit(lr_a, q_a), _fit(lr_t, q_t), r_lo, r_hi)
     return BdResult(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
-from vcmbench.cli import _OPTIONS, build_parser, main
+from vcmbench.cli import _OPTIONS, _value, build_parser, main
 from vcmbench.model import RDCurve, RDPoint
 from vcmbench.rdcurves import (
     bd_metrics,
@@ -694,6 +694,11 @@ BAD_INPUTS = {
         "run", _manifest(d, det={"class_id": None}), "--output-dir", str(d / "out")
     ],
     "bdrate-curve-csv-missing": lambda d: ["bdrate", str(d / "absent.csv"), _curves(d)],
+    # the test needs 10 ** 315 times the anchor's rate: past float64
+    "bdrate-rate-ratio-past-float64": lambda d: [
+        "bdrate", _file(d / "a.csv", b"rate,quality,label,scale\n5e-324,0.1,a,\n1e-322,0.9,a,\n"),
+        _file(d / "t.csv", b"rate,quality,label,scale\n1e-323,0.1,t,\n1e308,0.9,t,\n"),
+    ],
     "bdrate-curve-csv-not-utf8": lambda d: [
         "bdrate", _file(d / "bad.csv", b"rate,quality,label,scale\n0.1,0.2,\xff,\n"),
         _curves(d),
@@ -1289,6 +1294,48 @@ def test_config_values_are_cast_when_the_file_loads(command, tmp_path, capsys):
     )
 
 
+# a value outside each table option's domain: a range, or a tuple of choices
+_OUT_OF_DOMAIN = {"jobs": "0", "thresholds": "0,7", "iou": "-3", "bits": "3",
+                  "layout": "diagonal", "interpolation": "101PT", "z-th": "-1"}
+
+
+@pytest.mark.parametrize("command", ["pareto", "report"])
+@pytest.mark.parametrize("key", sorted(_OUT_OF_DOMAIN))
+def test_config_value_outside_its_domain_fails_when_the_file_loads(key, command, tmp_path,
+                                                                   capsys):
+    # neither command reads any of these keys
+    cfg = _file(tmp_path / "c.cfg", f"{key}={_OUT_OF_DOMAIN[key]}\n".encode())
+    argv = {"pareto": ["pareto", _curves(tmp_path), "--out", str(tmp_path / "p.csv")],
+            "report": ["report", _report_doc(tmp_path), "--output-dir", str(tmp_path / "out")],
+            }[command]
+    before = set(tmp_path.rglob("*"))
+    assert main(["--config", cfg, *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:1: {key}: ")
+    assert set(tmp_path.rglob("*")) == before
+
+
+def _encode(d) -> list[str]:
+    return ["feature", "encode", _tensor(d), str(d / "o.vcms")]
+
+
+# a command that takes each option as a flag
+_TAKER = {"jobs": lambda d: ["pareto", _curves(d), "--out", str(d / "p.csv")],
+          "thresholds": _eval_det, "interpolation": _eval_det, "iou": _eval_track,
+          "bits": _encode, "layout": _encode, "z-th": _encode}
+
+
+@pytest.mark.parametrize("key", sorted(_OUT_OF_DOMAIN))
+def test_flag_value_outside_its_domain_fails_as_its_config_value_does(key, tmp_path, capsys):
+    command = _TAKER[key](tmp_path)
+    before = set(tmp_path.rglob("*"))
+    flag = f"--{key}={_OUT_OF_DOMAIN[key]}"
+    # a subcommand's flag follows the subcommand
+    assert main([flag, *command] if key == "jobs" else [*command, flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{key}: ") and err.count("\n") == 1
+    assert set(tmp_path.rglob("*")) == before
+
+
 # flags that a config file cannot set
 _FLAGS_WITHOUT_CONFIG = {"-h", "--help", "--version", "--config", "--csv", "--out", "--svg",
                          "--reorder", "--params", "--meta", "--dims", "--ref"}
@@ -1299,12 +1346,17 @@ def test_every_option_of_the_table_is_a_flag_that_main_fills():
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = [a for p in (parser, *sub.choices.values()) for a in p._actions if a.option_strings]
     table = [a for a in flags if a.dest.replace("_", "-") in _OPTIONS]
-    # each table option is declared as --<name>, cast as a config value is, and left
-    # unset for main to fill from the file or the table's default
+    # each table option is declared as --<name>, read by _value as a config value is
+    # (the table's cast, then its domain), with the table's choices if its domain is a
+    # tuple of them, and left unset for main to fill from the file or the table's default
     assert {a.dest.replace("_", "-") for a in table} == _OPTIONS.keys()
     for a in table:
         name = a.dest.replace("_", "-")
-        assert (a.option_strings, a.default, a.type) == ([f"--{name}"], None, _OPTIONS[name][0])
+        domain = _OPTIONS[name][2]
+        assert (a.option_strings, a.default) == ([f"--{name}"], None)
+        assert (a.type.func, a.type.args, a.type.keywords) == (_value, (name,),
+                                                              {"origin": f"--{name}"})
+        assert a.choices is (domain if isinstance(domain, tuple) else None)
     # any other flag is one a config file cannot set; a new one must join either list
     others = {f for a in flags if a not in table for f in a.option_strings}
     assert others == _FLAGS_WITHOUT_CONFIG
