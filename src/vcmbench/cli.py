@@ -215,14 +215,6 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
-def _parse_dims(text: str) -> tuple[int, int, int]:
-    with parsing(f"--dims expects integers C,H,W: {text!r}"):
-        c, h, w = (int(p) for p in text.split(","))
-    if min(c, h, w) < 1:
-        raise InputError(f"--dims must be >= 1 each: {text!r}")
-    return c, h, w
-
-
 def _params_to_json(params: QuantParams) -> dict:
     # tolist() turns the float32 mean and std arrays into JSON-ready floats
     return {
@@ -256,22 +248,14 @@ def _report_error(tensor, ref_path, params: QuantParams) -> None:
 
 
 def _cmd_feature(args) -> int:
-    """Forward ops quantize (and pack, and code) a tensor; inverse ops rebuild one."""
-    op, bits, layout = args.op, args.bits, args.layout
-    if op in ("quant", "pack", "encode"):
+    """Forward ops quantize and pack (and code) a tensor; inverse ops rebuild one."""
+    op, bits = args.op, args.bits
+    if op in ("pack", "encode"):
         tensor = read_feature_tensor(args.input)
         z, params = normalize(tensor, z_th=args.z_th, bit_depth=bits)
         samples = quantize_8bit(z, params) if bits == 8 else quantize_2bit(z, params.z_th)
-        if op == "quant":
-            Path(args.output).write_bytes(samples.tobytes(order="C"))
-            params_path = args.params or (str(args.output) + ".params.json")
-            _write_json(params_path, _params_to_json(params))
-            sys.stdout.write(
-                f"quantized {tensor.dims} to {bits}-bit samples; params -> {params_path}\n"
-            )
-            return 0
         perm = reorder_channels(samples)[0] if args.reorder else None
-        pack = pack_spatial_tiled if layout == "spatial" else pack_temporal
+        pack = pack_spatial_tiled if args.layout == "spatial" else pack_temporal
         fs = pack(samples, permutation=perm, quant=params)
         if op == "encode":
             stream = entropy_encode(fs)
@@ -294,23 +278,13 @@ def _cmd_feature(args) -> int:
         )
         return 0
 
-    if op == "dequant":
-        if not args.params or not args.dims:
-            raise InputError("dequant needs --params and --dims")
-        params = _params_from_json(read_json(args.params), args.params)
-        c, h, w = _parse_dims(args.dims)
-        raw = np.frombuffer(Path(args.input).read_bytes(), dtype=np.uint8)
-        if raw.size != c * h * w:
-            raise InputError(
-                f"sample file holds {raw.size} bytes, dims need {c * h * w}"
-            )
-        samples = raw.reshape(c, h, w)
-    elif op == "unpack":
+    if op == "unpack":
         if not args.meta:
             raise InputError("unpack needs --meta from the pack step")
         meta = read_json(args.meta)
         raw = Path(args.input).read_bytes()
-        with parsing(f"{args.meta}: packing metadata"):
+        # a sidecar that does not describe the samples names itself, as a malformed one does
+        with parsing(f"{args.meta}: packing metadata", errors=MALFORMED_OR_INVALID):
             layout, dims = meta["layout"], tuple(meta["dims"])
             params = _params_from_json(meta["params"], args.meta)
             perm = meta["permutation"]
@@ -318,7 +292,7 @@ def _cmd_feature(args) -> int:
                 frames=split_frames(raw, frame_shapes(layout, dims)),
                 layout=layout,
                 original_dims=dims,
-                channel_permutation=tuple(map(as_int64, perm)) if perm else None,
+                channel_permutation=None if perm is None else tuple(map(as_int64, perm)),
                 quant=params,
             ))
     else:
@@ -421,18 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("feature", help="feature-map coding toolchain")
-    p.add_argument(
-        "op", choices=("quant", "dequant", "pack", "unpack", "encode", "decode")
-    )
+    p.add_argument("op", choices=("pack", "unpack", "encode", "decode"))
     p.add_argument("input")
     p.add_argument("output")
     _add_option(p, "bits")
     _add_option(p, "z-th")
     _add_option(p, "layout")
     p.add_argument("--reorder", action="store_true")
-    p.add_argument("--params", default=None, help="quant params JSON sidecar")
     p.add_argument("--meta", default=None, help="packing metadata JSON sidecar")
-    p.add_argument("--dims", default=None, help="C,H,W of raw sample files")
     p.add_argument("--ref", default=None, help="reference tensor for error report")
     p.set_defaults(func=_cmd_feature)
 

@@ -62,6 +62,7 @@ from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
     MALFORMED,
     as_float64,
+    as_id,
     as_int64,
     load_detections,
     load_ground_truth,
@@ -218,7 +219,7 @@ def load_manifest(path) -> ExperimentManifest:
                     preds[(as_int64(qp_s), as_int64(scale_s))] = resolve(p)
             items.append(
                 ExperimentItem(
-                    item_id=str(it["id"]),
+                    item_id=as_id(it["id"]),
                     path=resolve(it["path"]),
                     width=as_int64(it["width"]),
                     height=as_int64(it["height"]),

@@ -20,7 +20,9 @@ frame, track_id) must fit in int64; an integral float (2.0) or a numeric
 string ("2") reads as that integer, while true, false or a number with a
 fractional part (1.7) is a ParseError naming its line. Float fields
 (score, the bbox coordinates) take a number or a numeric string ("0.5");
-true or false is a ParseError naming its line.
+true or false is a ParseError naming its line. An image_id, like a
+manifest item's id, is a string as it is or an integer by the integer
+rule as its text (1.0 reads as "1"); else a ParseError naming its line.
 
 Each line is decoded by the json module's scanner; only a line the scan
 cannot take whole goes to json.loads, which returns its value or raises
@@ -130,6 +132,13 @@ def as_int64(v) -> int:
     return v
 
 
+def as_id(v) -> str:
+    """v as an id: a string as it is, an integer by the JSON-lines integer rule as its text."""
+    if not isinstance(v, (str, int, float)):  # a bool is an int, which as_int64 refuses
+        raise TypeError(f"expected a string or an integer id: {v!r}")
+    return v if isinstance(v, str) else str(as_int64(v))
+
+
 def as_float64(v) -> float:
     """v as a float64 by the JSON-lines number rule.
 
@@ -170,7 +179,7 @@ def _boxes(col) -> np.ndarray:
 # per field: the cast of one value; the value types that cast keeps as they
 # are; and the column of such values by one numpy call, equal in values and
 # dtype to the column of the cast values (a list of str: BoxTable casts it)
-_FIELDS = {"image_id": (str, {str}, list), "class_id": (as_int64, {int}, _ints),
+_FIELDS = {"image_id": (as_id, {str}, list), "class_id": (as_int64, {int}, _ints),
            "bbox": (_bbox, {list}, _boxes), "score": (as_float64, _NUMBER, _floats),
            "frame": (as_int64, {int}, _ints), "track_id": (as_int64, {int}, _ints)}
 

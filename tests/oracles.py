@@ -16,7 +16,7 @@ import numpy as np
 from vcmbench.errors import ParseError
 from vcmbench.metrics import APResult
 from vcmbench.model import BoxTable
-from vcmbench.tensorio import MALFORMED, _bbox, _cause, _table, as_float64, as_int64
+from vcmbench.tensorio import MALFORMED, _bbox, _cause, _table, as_float64, as_id, as_int64
 
 
 def iou_xyxy(a, b) -> float:
@@ -307,7 +307,7 @@ def resample_plane_gather(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarr
 # --- JSON-lines records: the reference for tensorio._load_records ---
 
 # the cast of each record field, applied in a kind's field order
-_CASTS = {"image_id": str, "class_id": as_int64, "bbox": _bbox, "score": as_float64,
+_CASTS = {"image_id": as_id, "class_id": as_int64, "bbox": _bbox, "score": as_float64,
           "frame": as_int64, "track_id": as_int64}
 
 

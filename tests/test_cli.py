@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -321,20 +322,19 @@ def test_feature_quant_dequant_error_bound(tmp_path, capsys):
     t = FeatureTensor(rng.normal(0, 2, (4, 8, 8)).astype(np.float32))
     write_feature_tensor(t, tmp_path / "t.vcmf")
     rc = main([
-        "feature", "quant", str(tmp_path / "t.vcmf"), str(tmp_path / "t.samp"),
-        "--bits", "8", "--params", str(tmp_path / "p.json"),
+        "feature", "pack", str(tmp_path / "t.vcmf"), str(tmp_path / "t.samp"),
+        "--bits", "8", "--meta", str(tmp_path / "m.json"),
     ])
     assert rc == 0
     rc = main([
-        "feature", "dequant", str(tmp_path / "t.samp"), str(tmp_path / "rec.vcmf"),
-        "--params", str(tmp_path / "p.json"), "--dims", "4,8,8",
-        "--ref", str(tmp_path / "t.vcmf"),
+        "feature", "unpack", str(tmp_path / "t.samp"), str(tmp_path / "rec.vcmf"),
+        "--meta", str(tmp_path / "m.json"), "--ref", str(tmp_path / "t.vcmf"),
     ])
     assert rc == 0
     out = capsys.readouterr().out
     line = [x for x in out.splitlines() if "max reconstruction error" in x][0]
     err = float(line.split(":")[1].split("(")[0].strip())
-    params = json.loads((tmp_path / "p.json").read_text())
+    params = json.loads((tmp_path / "m.json").read_text())["params"]
     step = (params["z_max"] - params["z_min"]) / 510
     worst = max(params["std"]) * step
     assert err <= worst + 1e-6
@@ -398,28 +398,6 @@ def test_feature_pack_unpack_roundtrip(tmp_path):
     assert np.abs(recs[0] - t.values).max() < 0.1
 
 
-@pytest.mark.parametrize("bits", ["2", "8"])
-def test_feature_unpack_ref_reports_the_error_as_dequant_does(tmp_path, capsys, bits):
-    # a temporal pack without reordering holds the quant sample bytes
-    t = FeatureTensor(np.random.default_rng(5).normal(0, 1, (4, 3, 5)).astype(np.float32))
-    ref = tmp_path / "t.vcmf"
-    write_feature_tensor(t, ref)
-    for op, out in (("quant", "t.samp"), ("pack", "t.pack")):
-        assert main(["feature", op, str(ref), str(tmp_path / out), "--bits", bits]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "t.samp").read_bytes() == (tmp_path / "t.pack").read_bytes()
-    lines = []
-    for op, src, sidecar in (("dequant", "t.samp", ["--params", "t.samp.params.json",
-                                                     "--dims", "4,3,5"]),
-                             ("unpack", "t.pack", ["--meta", "t.pack.meta.json"])):
-        sidecar[1] = str(tmp_path / sidecar[1])
-        argv = ["feature", op, str(tmp_path / src), str(tmp_path / f"{op}.vcmf"), *sidecar]
-        assert main([*argv, "--ref", str(ref)]) == 0
-        lines.append(capsys.readouterr().out)
-    assert lines[0].startswith("max reconstruction error: ")
-    assert lines[1] == lines[0]
-
-
 def test_feature_unpack_truncated_file_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(4)
     t = FeatureTensor(rng.normal(0, 1, (4, 3, 3)).astype(np.float32))
@@ -448,13 +426,6 @@ _NOT_JSON = b"{not json"
 _NOT_UTF8 = b'{"task": "\xff"}'
 _PARAMS = {"mean": [0.0], "std": [1.0], "z_min": -1.0, "z_max": 1.0, "z_th": 1.5,
            "bit_depth": 8}
-
-
-def _dequant(d, params: bytes, samples: bytes = bytes(4)) -> list[str]:
-    return [
-        "feature", "dequant", _file(d / "s.samp", samples), str(d / "rec.vcmf"),
-        "--params", _file(d / "p.json", params), "--dims", "1,2,2",
-    ]
 
 
 def _unpack(d, meta: bytes) -> list[str]:
@@ -585,10 +556,9 @@ BAD_INPUTS = {
     "report-not-json": lambda d: ["report", _file(d / "r.json", _NOT_JSON)],
     "report-missing": lambda d: ["report", str(d / "absent.json")],
     "report-without-rd-tables": _report_without_rd_tables,
-    "dequant-params-not-json": lambda d: _dequant(d, _NOT_JSON),
-    "dequant-params-not-utf8": lambda d: _dequant(d, _NOT_UTF8),
-    "dequant-params-without-z-min": lambda d: _dequant(
-        d, json.dumps({k: v for k, v in _PARAMS.items() if k != "z_min"}).encode()
+    "unpack-meta-params-not-utf8": lambda d: _unpack(d, b'{"params": "\xff"}'),
+    "unpack-meta-params-without-z-min": lambda d: _unpack(d, json.dumps(dict(
+        _META, params={k: v for k, v in _PARAMS.items() if k != "z_min"})).encode()
     ),
     "unpack-meta-not-json": lambda d: _unpack(d, _NOT_JSON),
     "unpack-meta-unknown-layout": lambda d: _unpack(
@@ -606,31 +576,25 @@ BAD_INPUTS = {
                                        "--output-dir", str(d / "out")],
     "run-manifest-not-utf8": lambda d: ["run", _file(d / "m.json", _NOT_UTF8),
                                         "--output-dir", str(d / "out")],
-    "dequant-samples-missing": lambda d: [
-        "feature", "dequant", str(d / "absent.samp"), str(d / "rec.vcmf"),
-        "--params", _file(d / "p.json", json.dumps(_PARAMS).encode()), "--dims", "1,2,2",
-    ],
-    "dequant-dims-not-integers": lambda d: (
-        _dequant(d, json.dumps(_PARAMS).encode())[:-1] + ["a,b,c"]
-    ),
-    # two negative dims multiply to a positive size; the = form keeps argparse
-    # from reading "-2,..." as a flag
-    "dequant-dims-negative": lambda d: (
-        _dequant(d, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-2,-3,1"]
-    ),
-    "dequant-dims-negative-one": lambda d: (
-        _dequant(d, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-1,6,1"]
-    ),
     "unpack-input-missing": lambda d: [
         "feature", "unpack", str(d / "absent.yuv"), str(d / "rec.vcmf"),
         "--meta", _file(d / "m.json", json.dumps(_META).encode()),
     ],
-    "quant-output-dir-missing": lambda d: [
-        "feature", "quant", _tensor(d), str(d / "nodir" / "s.samp")
-    ],
     "pack-output-dir-missing": lambda d: [
         "feature", "pack", _tensor(d), str(d / "nodir" / "p.bin")
     ],
+    # "quant" and "dequant" name the steps that pack and unpack run
+    "quant-output-dir-missing": lambda d: [
+        "feature", "pack", _tensor(d), str(Path(_file(d / "nodir", b"")) / "s.samp")
+    ],
+    "dequant-samples-missing": lambda d: [
+        "feature", "unpack", str(d), str(d / "rec.vcmf"),
+        "--meta", _file(d / "m.json", json.dumps(_META).encode()),
+    ],
+    # a params file pasted into the sidecar as text, not as an object
+    "dequant-params-not-json": lambda d: _unpack(
+        d, json.dumps(dict(_META, params=json.dumps(_PARAMS))).encode()
+    ),
     "encode-output-dir-missing": lambda d: [
         "feature", "encode", _tensor(d), str(d / "nodir" / "o.vcms")
     ],
@@ -762,9 +726,15 @@ BAD_INPUTS = {
                               pareto=[{"rate": 1.0, "quality": True}]),
         "--output-dir", str(d / "out"),
     ],
-    "dequant-params-number-is-a-bool": lambda d: _dequant(
-        d, json.dumps(dict(_PARAMS, z_min=False, z_th=True, bit_depth=8.0)).encode()
+    "unpack-meta-params-number-is-a-bool": lambda d: _unpack(d, json.dumps(dict(
+        _META, params=dict(_PARAMS, z_min=False, z_th=True, bit_depth=8.0))).encode()
     ),
+    "eval-det-image-id-bool": lambda d: _eval_det(d, image_id=True),
+    "eval-det-image-id-null": lambda d: _eval_det(d, image_id=None),
+    "eval-det-image-id-fractional": lambda d: _eval_det(d, image_id=1.5),
+    "eval-det-image-id-list": lambda d: _eval_det(d, image_id=[1]),
+    "run-item-id-bool": lambda d: _run(d, id=True),
+    "run-item-id-list": lambda d: _run(d, id=[1]),
     "unpack-meta-permutation-holds-a-bool": lambda d: _unpack(d, json.dumps(dict(
         _META, dims=[4, 1, 1], permutation=[True, False, 2, 3],
         params=dict(_PARAMS, mean=[0.0] * 4, std=[1.0] * 4),
@@ -794,6 +764,38 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     # nothing is written, except what `run` persists in its output directory
     written = set(tmp_path.rglob("*")) - before
     assert sorted(p for p in written if "out" not in p.relative_to(tmp_path).parts) == []
+
+
+@pytest.mark.parametrize("perm", [[], False, 0], ids=["empty", "false", "zero"])
+def test_unpack_reads_only_null_as_no_permutation(perm, tmp_path, capsys):
+    # none of these permutes the channels, so none may pass for null (no permutation)
+    argv = _unpack(tmp_path, json.dumps(dict(_META, permutation=perm)).encode())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'm.json'}: packing metadata: ")
+    assert not (tmp_path / "rec.vcmf").exists()
+
+
+@pytest.mark.parametrize("gt_id, det_id", [(1, 1.0), ("1", 1), ("img", "img")])
+def test_eval_det_matches_ids_by_the_integer_rule(gt_id, det_id, tmp_path, capsys):
+    # COCO-style files use integer ids; 1.0 reads as the integer 1, kept as "1"
+    box = {"image_id": gt_id, "class_id": 0, "bbox": [0, 0, 10, 10]}
+    write_jsonl([box], tmp_path / "gt.jsonl")
+    write_jsonl([dict(box, image_id=det_id, score=0.9)], tmp_path / "det.jsonl")
+    assert main(["eval-det", str(tmp_path / "det.jsonl"), str(tmp_path / "gt.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out)["mAP"] == 1.0
+
+
+def test_image_id_neither_string_nor_integer_names_its_line(tmp_path, capsys):
+    assert main(_eval_det(tmp_path, image_id=None)) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'det.jsonl'}:1: TypeError: "
+                                       "expected a string or an integer id: None\n")
+
+
+def test_run_reads_an_integral_item_id_as_its_integer(tmp_path):
+    assert main(_run(tmp_path, id=7.0)) == 0
+    inputs = json.loads((tmp_path / "out" / "report.json").read_text())["inputs"]
+    assert "item:7:source" in inputs
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit
@@ -828,13 +830,6 @@ def test_eval_det_refuses_a_box_whose_iou_cannot_be_computed(box, tmp_path, caps
     assert main(["eval-det", str(tmp_path / "det.jsonl"), str(tmp_path / "gt.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'det.jsonl'} record 0: box area must be in [")
-
-
-def test_dequant_negative_dims_name_the_flag(tmp_path, capsys):
-    # -1 x 6 x 1 fits no sample file, but the fault is the -1, not the size
-    argv = _dequant(tmp_path, json.dumps(_PARAMS).encode(), bytes(6))[:-2] + ["--dims=-1,6,1"]
-    assert main(argv) == 2
-    assert "error: --dims must be >= 1 each: '-1,6,1'" in capsys.readouterr().err
 
 
 def test_run_missing_external_binary_exits_3(tmp_path, blob_manifest, capsys):
@@ -1142,15 +1137,15 @@ def test_feature_quant_2bit_roundtrip(tmp_path, capsys):
     t = FeatureTensor(rng.normal(0, 2, (3, 6, 6)).astype(np.float32))
     write_feature_tensor(t, tmp_path / "t.vcmf")
     rc = main([
-        "feature", "quant", str(tmp_path / "t.vcmf"), str(tmp_path / "t.samp"),
-        "--bits", "2", "--params", str(tmp_path / "p.json"),
+        "feature", "pack", str(tmp_path / "t.vcmf"), str(tmp_path / "t.samp"),
+        "--bits", "2", "--meta", str(tmp_path / "m.json"),
     ])
     assert rc == 0
     raw = (tmp_path / "t.samp").read_bytes()
-    assert set(raw) <= {0, 1, 2, 3}
+    assert len(raw) == 3 * 6 * 6 and set(raw) <= {0, 1, 2, 3}
     rc = main([
-        "feature", "dequant", str(tmp_path / "t.samp"), str(tmp_path / "rec.vcmf"),
-        "--params", str(tmp_path / "p.json"), "--dims", "3,6,6",
+        "feature", "unpack", str(tmp_path / "t.samp"), str(tmp_path / "rec.vcmf"),
+        "--meta", str(tmp_path / "m.json"),
     ])
     assert rc == 0
     rec = read_feature_tensor(tmp_path / "rec.vcmf")
@@ -1338,7 +1333,7 @@ def test_flag_value_outside_its_domain_fails_as_its_config_value_does(key, tmp_p
 
 # flags that a config file cannot set
 _FLAGS_WITHOUT_CONFIG = {"-h", "--help", "--version", "--config", "--csv", "--out", "--svg",
-                         "--reorder", "--params", "--meta", "--dims", "--ref"}
+                         "--reorder", "--meta", "--ref"}
 
 
 def test_every_option_of_the_table_is_a_flag_that_main_fills():
@@ -1360,6 +1355,30 @@ def test_every_option_of_the_table_is_a_flag_that_main_fills():
     # any other flag is one a config file cannot set; a new one must join either list
     others = {f for a in flags if a not in table for f in a.option_strings}
     assert others == _FLAGS_WITHOUT_CONFIG
+
+
+def test_readme_commands_are_the_parsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (op,) = [a for a in sub.choices["feature"]._actions if a.dest == "op"]
+    global_flags = {f for a in parser._actions for f in a.option_strings}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    # the lines of README's code blocks that start with `vcmbench`
+    lines = [line for block in readme.split("```")[1::2] for line in block.splitlines()
+             if line.startswith("vcmbench")]
+    assert any(line.startswith("vcmbench feature {") for line in lines)
+    for line in lines:
+        # the subcommand is the first word outside [optional] parts: "vcmbench [--jobs N] run"
+        words = re.sub(r"\[[^\]]*\]", "", line).split()
+        assert words[1] in sub.choices, line
+        if words[1] == "feature" and words[2].startswith("{"):
+            assert words[2] == "{" + ",".join(op.choices) + "}", line
+        elif words[1] == "feature":
+            assert words[2] in op.choices, line
+        declared = global_flags | {f for a in sub.choices[words[1]]._actions
+                                   for f in a.option_strings}
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            assert flag in declared, line
 
 
 def test_cli_import_loads_no_scipy():

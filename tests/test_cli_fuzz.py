@@ -46,15 +46,6 @@ CASES = {
                    "--svg", f"{d}/p.svg"],
         ["a.csv", "b.csv"],
     ),
-    "feature-quant": (
-        lambda d: ["feature", "quant", f"{d}/t.vcmf", f"{d}/q.samp"],
-        ["t.vcmf"],
-    ),
-    "feature-dequant": (
-        lambda d: ["feature", "dequant", f"{d}/s.samp", f"{d}/o.vcmf",
-                   "--params", f"{d}/p.json", "--dims", "4,3,5", "--ref", f"{d}/t.vcmf"],
-        ["s.samp", "p.json", "t.vcmf"],
-    ),
     "feature-pack": (
         lambda d: ["feature", "pack", f"{d}/t.vcmf", f"{d}/o.bin", "--reorder"],
         ["t.vcmf"],
@@ -103,7 +94,6 @@ def _write_inputs(d: Path) -> None:
     write_feature_tensor(FeatureTensor(values), d / "t.vcmf")
     t = str(d / "t.vcmf")
     for argv in (
-        ["feature", "quant", t, f"{d}/s.samp", "--params", f"{d}/p.json"],
         ["feature", "pack", t, f"{d}/packed.bin", "--meta", f"{d}/meta.json"],
         ["feature", "encode", t, f"{d}/t.vcms"],
     ):

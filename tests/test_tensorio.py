@@ -326,7 +326,7 @@ FIELDS = {"det": ("image_id", "class_id", "bbox", "score"),
 # values of a type the column path casts one by one, and clean values out of a
 # BoxTable range (-1, ""): the reader and the reference must give one outcome
 ODD_VALUES = {
-    "image_id": [5, None, 1.5, ["a"], "", "cam\u2028a"],
+    "image_id": [5, 5.0, True, None, 1.5, ["a"], {"a": 1}, 2**63, "", "cam\u2028a"],
     "class_id": [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30, True, False, 2.0, 1.7, "3",
                  " 4 ", "1.5", "x", None, float("nan"), float("inf"), [1], -1],
     "bbox": [[1, 0, 1, 1], [-1, 0, 1, 1], [0, 0, float("inf"), 1], [0, 0, float("nan"), 1],
