@@ -33,10 +33,10 @@ from .featurecodec import (
     reorder_channels,
     unpack_frames,
 )
-from .featurecodec.packing import split_frames
+from .featurecodec.packing import frame_set
 from .featurecodec.stream import read_stream, write_stream
 from .metrics import INTERPOLATIONS, check_iou_thresholds, mean_average_precision, mota
-from .model import BIT_DEPTHS, PackedFrameSet, QuantParams, check_z_th, frame_shapes
+from .model import BIT_DEPTHS, QuantParams, check_z_th
 from .pipeline.experiment import check_jobs, load_manifest, run_experiment
 from .rdcurves import (
     apply_cutoff,
@@ -125,6 +125,17 @@ def _write_json(path, doc) -> None:
     Path(path).write_bytes(report_to_json_bytes(doc))
 
 
+def _write_all(*outputs) -> None:
+    """write(path) for each (path, write) in turn; if one fails, remove the files before it."""
+    for k, (path, write) in enumerate(outputs):
+        try:
+            write(path)
+        except Exception:
+            for done, _ in outputs[:k]:
+                Path(done).unlink(missing_ok=True)
+            raise
+
+
 def _print_json(obj) -> None:
     sys.stdout.write(report_to_json_bytes(obj).decode("utf-8"))
 
@@ -208,29 +219,20 @@ def _cmd_pareto(args) -> int:
     front = pareto_front(curves)
     if args.min_quality is not None:
         front = apply_cutoff(front, args.min_quality)
-    write_curves_csv([front], args.out)
-    sys.stdout.write(f"front: {len(front.points)} points -> {args.out}\n")
+    outputs = [(args.out, partial(write_curves_csv, [front]))]
     if args.svg:
-        Path(args.svg).write_bytes(render_svg(curves, front, title="Pareto front").encode())
+        svg = render_svg(curves, front, title="Pareto front").encode()
+        outputs.append((args.svg, lambda p: Path(p).write_bytes(svg)))
+    _write_all(*outputs)
+    sys.stdout.write(f"front: {len(front.points)} points -> {args.out}\n")
     return 0
 
 
-def _params_to_json(params: QuantParams) -> dict:
-    # tolist() turns the float32 mean and std arrays into JSON-ready floats
-    return {
-        f.name: np.asarray(getattr(params, f.name)).tolist() for f in fields(QuantParams)
-    }
-
-
-def _params_from_json(doc, origin) -> QuantParams:
-    """The params of a sidecar; each number follows the JSON-lines number rule."""
-    with parsing(f"{origin}: quantization params"):
-        return QuantParams(
-            mean=[as_float64(v) for v in doc["mean"]],
-            std=[as_float64(v) for v in doc["std"]],
-            **{k: as_float64(doc[k]) for k in ("z_min", "z_max", "z_th")},
-            bit_depth=as_int64(doc["bit_depth"]),
-        )
+def _listed(v, cast) -> tuple:
+    """A sidecar's JSON list, each entry read by cast; any other value is a TypeError."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list: {v!r}")
+    return tuple(map(cast, v))
 
 
 def _report_error(tensor, ref_path, params: QuantParams) -> None:
@@ -265,14 +267,20 @@ def _cmd_feature(args) -> int:
                 f"({stream.payload_bits / (fs.sample_count * 8):.4f} of packed size)\n"
             )
             return 0
-        Path(args.output).write_bytes(b"".join(f.tobytes(order="C") for f in fs.frames))
         meta_path = args.meta or (str(args.output) + ".meta.json")
-        _write_json(meta_path, {
+        meta = {
             "layout": fs.layout,
             "dims": list(fs.original_dims),
             "permutation": None if perm is None else list(perm),
-            "params": _params_to_json(params),
-        })
+            # tolist() turns the float32 mean and std arrays into JSON-ready floats
+            "params": {
+                f.name: np.asarray(getattr(params, f.name)).tolist() for f in fields(QuantParams)
+            },
+        }
+        _write_all(
+            (args.output, lambda p: Path(p).write_bytes(b"".join(f.tobytes() for f in fs.frames))),
+            (meta_path, partial(_write_json, doc=meta)),
+        )
         sys.stdout.write(
             f"packed {fs.layout}: {len(fs.frames)} frame(s), meta -> {meta_path}\n"
         )
@@ -283,17 +291,19 @@ def _cmd_feature(args) -> int:
             raise InputError("unpack needs --meta from the pack step")
         meta = read_json(args.meta)
         raw = Path(args.input).read_bytes()
-        # a sidecar that does not describe the samples names itself, as a malformed one does
+        # a sidecar that does not describe the samples names itself, as a malformed one does;
+        # its numbers follow the JSON-lines rules
         with parsing(f"{args.meta}: packing metadata", errors=MALFORMED_OR_INVALID):
-            layout, dims = meta["layout"], tuple(meta["dims"])
-            params = _params_from_json(meta["params"], args.meta)
-            perm = meta["permutation"]
-            samples = unpack_frames(PackedFrameSet(
-                frames=split_frames(raw, frame_shapes(layout, dims)),
-                layout=layout,
-                original_dims=dims,
-                channel_permutation=None if perm is None else tuple(map(as_int64, perm)),
-                quant=params,
+            doc, perm = meta["params"], meta["permutation"]
+            params = QuantParams(
+                mean=_listed(doc["mean"], as_float64),
+                std=_listed(doc["std"], as_float64),
+                **{k: as_float64(doc[k]) for k in ("z_min", "z_max", "z_th")},
+                bit_depth=as_int64(doc["bit_depth"]),
+            )
+            samples = unpack_frames(frame_set(
+                raw, meta["layout"], _listed(meta["dims"], as_int64),
+                None if perm is None else _listed(perm, as_int64), params, origin=args.input,
             ))
     else:
         stream = read_stream(args.input)

@@ -28,19 +28,9 @@ from ..model import (
     LAYOUT_TEMPORAL,
     PackedFrameSet,
     QuantParams,
+    as_samples,
     frame_shapes,
 )
-
-
-def _as_samples(samples) -> np.ndarray:
-    s = np.asarray(samples)
-    if s.ndim != 3:
-        raise InputError(f"samples must be 3-D (C,h,w), got shape {s.shape}")
-    if s.dtype != np.uint8:
-        if s.size and (s.min() < 0 or s.max() > 255):
-            raise InputError("samples must fit in 8 bits")
-        s = s.astype(np.uint8)
-    return s
 
 
 def _tile64(s: np.ndarray) -> np.ndarray:
@@ -84,14 +74,12 @@ def pack_spatial_tiled(
     samples, permutation=None, quant: QuantParams | None = None
 ) -> PackedFrameSet:
     """Interleave 64 channels into 8x8 tiles forming one 8h x 8w frame."""
-    s = _as_samples(samples)
-    c, h, w = s.shape
-    if c != 64:
-        raise InputError(f"spatial tiling requires 64 channels, got {c}")
-    perm, s = _permuted(s, permutation)
+    s = as_samples(samples)
+    frame_shapes(LAYOUT_SPATIAL_TILED, s.shape)
+    perm, ordered = _permuted(s, permutation)
     return PackedFrameSet(
-        frames=(_tile64(s),), layout=LAYOUT_SPATIAL_TILED,
-        original_dims=(c, h, w), channel_permutation=perm, quant=quant,
+        frames=(_tile64(ordered),), layout=LAYOUT_SPATIAL_TILED,
+        original_dims=s.shape, channel_permutation=perm, quant=quant,
     )
 
 
@@ -104,32 +92,25 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
     the left (width 8*w2); the right column of width 4*w2 stacks the
     coarser blocks top-to-bottom.
     """
-    arrays = [_as_samples(s) for s in samples_per_level]
+    arrays = [as_samples(s) for s in samples_per_level]
     if len(arrays) != 5:
         raise InputError(f"expected 5 levels (P2..P6), got {len(arrays)}")
-    c, h2, w2 = arrays[0].shape
-    blocks = _blocks(LAYOUT_MULTISCALE, h2, w2)
-    for k, (arr, (h, w, _, _)) in enumerate(zip(arrays, blocks)):
-        if arr.shape[0] != 64:
-            raise InputError(
-                f"tiled multiscale packing requires 64 channels, P{k + 2} has {arr.shape[0]}"
-            )
-        if min(h, w) < 1:
-            raise InputError(f"P{k + 2} dims fall below 1 px after halving")
-        if arr.shape[1:] != (h, w):
-            raise InputError(f"P{k + 2} dims {arr.shape[1:]} != expected ({h}, {w})")
-    frame = np.zeros(frame_shapes(LAYOUT_MULTISCALE, (c, h2, w2))[0], dtype=np.uint8)
-    for arr, (_, _, rows, cols) in zip(arrays, blocks):
+    frame = np.zeros(frame_shapes(LAYOUT_MULTISCALE, arrays[0].shape)[0], dtype=np.uint8)
+    blocks = _blocks(LAYOUT_MULTISCALE, *arrays[0].shape[1:])
+    for k, (arr, (h, w, rows, cols)) in enumerate(zip(arrays, blocks)):
+        if arr.shape != (64, h, w):
+            raise InputError(f"P{k + 2} shape {arr.shape} != expected (64, {h}, {w})")
         frame[rows, cols] = _tile64(arr)
     return PackedFrameSet(
         frames=(frame,), layout=LAYOUT_MULTISCALE,
-        original_dims=(c, h2, w2), quant=quant,
+        original_dims=arrays[0].shape, quant=quant,
     )
 
 
 def pack_temporal(samples, permutation=None, quant: QuantParams | None = None) -> PackedFrameSet:
     """One frame per channel; frame order follows the permutation if given."""
-    s = _as_samples(samples)
+    s = as_samples(samples)
+    frame_shapes(LAYOUT_TEMPORAL, s.shape)
     perm, ordered = _permuted(s, permutation)
     return PackedFrameSet(
         frames=tuple(ordered), layout=LAYOUT_TEMPORAL,
@@ -137,25 +118,26 @@ def pack_temporal(samples, permutation=None, quant: QuantParams | None = None) -
     )
 
 
-def split_frames(raw: bytes, shapes) -> tuple[np.ndarray, ...]:
-    """Cut concatenated row-major 8-bit frames into (h, w) arrays, in order.
+def frame_set(
+    raw: bytes, layout: str, dims, permutation=None, quant: QuantParams | None = None,
+    origin: str = "<bytes>",
+) -> PackedFrameSet:
+    """The frame set whose concatenated row-major 8-bit frames are raw.
 
-    Raises InputError unless the bytes hold exactly the given frames.
+    Raises InputError naming origin unless raw holds exactly the frames
+    frame_shapes(layout, dims) gives; PackedFrameSet checks the rest.
     """
-    sizes = [fh * fw for fh, fw in shapes]
-    if len(raw) != sum(sizes):
+    shapes = frame_shapes(layout, dims)
+    (fh, fw), n = shapes[0], len(shapes)  # every layout's frames share one shape
+    if len(raw) != n * fh * fw:
         raise InputError(
-            f"{len(raw)} bytes do not match {len(sizes)} frame(s) of "
-            f"{sum(sizes)} samples in total"
+            f"{origin}: {len(raw)} bytes do not match {n} frame(s) of "
+            f"{n * fh * fw} samples in total"
         )
-    frames = []
-    offset = 0
-    for (fh, fw), size in zip(shapes, sizes):
-        frames.append(
-            np.frombuffer(raw, dtype=np.uint8, count=size, offset=offset).reshape(fh, fw)
-        )
-        offset += size
-    return tuple(frames)
+    return PackedFrameSet(
+        frames=tuple(np.frombuffer(raw, dtype=np.uint8).reshape(n, fh, fw)),
+        layout=layout, original_dims=dims, channel_permutation=permutation, quant=quant,
+    )
 
 
 def unpack_frames(fs: PackedFrameSet) -> np.ndarray | list[np.ndarray]:

@@ -47,7 +47,7 @@ from ..model import (
     frame_shapes,
 )
 from .entropy import decode_bytes, encode_bytes
-from .packing import split_frames
+from .packing import frame_set
 
 STREAM_MAGIC = b"VCMS"
 STREAM_VERSION = 3
@@ -113,12 +113,7 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
     """Entropy-code a frame set into a self-describing stream."""
     if fs.quant is None:
         raise InputError("frame set carries no quant params; the stream needs them")
-    if fs.quant.channels != fs.original_dims[0]:
-        raise InputError(
-            f"quant params cover {fs.quant.channels} channels, "
-            f"frame set has {fs.original_dims[0]}"
-        )
-    samples = np.concatenate([np.asarray(f, dtype=np.uint8).ravel() for f in fs.frames])
+    samples = np.concatenate([f.ravel() for f in fs.frames])
     if fs.quant.bit_depth == 2:
         if samples.max() > 3:
             raise InputError("a 2-bit frame set holds a sample above 3")
@@ -137,20 +132,13 @@ def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
 
 def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
     """Decode a stream back to the exact frame set it was built from."""
-    shapes = frame_shapes(stream.layout, stream.dims)
-    n = sum(fh * fw for fh, fw in shapes)
+    n = sum(fh * fw for fh, fw in frame_shapes(stream.layout, stream.dims))
     two_bit = stream.quant.bit_depth == 2
     coded = decode_bytes(stream.payload, -(-n // 4) if two_bit else n)
     if zlib.crc32(coded) != stream.crc32:
         raise CorruptStream("decoded samples fail the checksum")
     raw = _unpack_2bit(coded, n) if two_bit else coded
-    return PackedFrameSet(
-        frames=split_frames(raw, shapes),
-        layout=stream.layout,
-        original_dims=stream.dims,
-        channel_permutation=stream.channel_permutation,
-        quant=stream.quant,
-    )
+    return frame_set(raw, stream.layout, stream.dims, stream.channel_permutation, stream.quant)
 
 
 def read_stream(path) -> CodedFeatureStream:

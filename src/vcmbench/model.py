@@ -225,6 +225,18 @@ def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
     return [(8 * h, 8 * w if layout == LAYOUT_SPATIAL_TILED else 12 * w)]
 
 
+def as_samples(a) -> np.ndarray:
+    """a as uint8 samples: an integer array with every value in 0..255."""
+    a = np.asarray(a)
+    if a.dtype == np.uint8:
+        return a
+    if not np.issubdtype(a.dtype, np.integer):
+        raise InvariantViolation(f"samples must be integers, got {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() > 255):
+        raise InvariantViolation(f"samples must be in 0..255, got {a.min()}..{a.max()}")
+    return a.astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class PackedFrameSet:
     """8-bit sample frames produced by one of the packing layouts.
@@ -232,7 +244,8 @@ class PackedFrameSet:
     original_dims are the (C,h,w) of the source sample array; for the
     MULTISCALE layout they are the dims of the finest level, from which
     the coarser levels follow by successive halving. The frames have
-    the shapes frame_shapes(layout, original_dims) gives.
+    the shapes frame_shapes(layout, original_dims) gives and hold
+    as_samples; quant params, if given, cover the C channels.
     """
 
     frames: tuple[np.ndarray, ...]
@@ -243,7 +256,7 @@ class PackedFrameSet:
 
     def __post_init__(self):
         shapes = frame_shapes(self.layout, self.original_dims)
-        frames = tuple(_freeze(np.asarray(f, dtype=np.uint8)) for f in self.frames)
+        frames = tuple(_freeze(as_samples(f)) for f in self.frames)
         if [f.shape for f in frames] != shapes:
             raise InvariantViolation(
                 f"{self.layout} dims {self.original_dims} need {len(shapes)} frame(s) "
@@ -255,6 +268,11 @@ class PackedFrameSet:
             if sorted(perm) != list(range(self.original_dims[0])):
                 raise InvariantViolation("channel_permutation must permute 0..C-1")
             object.__setattr__(self, "channel_permutation", perm)
+        if self.quant is not None and self.quant.channels != self.original_dims[0]:
+            raise InvariantViolation(
+                f"quant params cover {self.quant.channels} channels, "
+                f"frame set has {self.original_dims[0]}"
+            )
         if self.quant is not None and self.quant.bit_depth == 2:
             for f in frames:
                 if f.size and f.max() > 3:

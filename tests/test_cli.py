@@ -368,7 +368,7 @@ def test_feature_pack_wrong_channel_count_exits_2(tmp_path, capsys):
         "--layout", "spatial",
     ])
     assert rc == 2
-    assert "64 channels" in capsys.readouterr().err
+    assert "requires C = 64, got 8" in capsys.readouterr().err
 
 
 def test_feature_pack_unpack_roundtrip(tmp_path):
@@ -569,8 +569,9 @@ BAD_INPUTS = {
     ),
     "unpack-meta-multiscale": lambda d: [
         "feature", "unpack", _file(d / "p.yuv", bytes(128 * 192)), str(d / "rec.vcmf"),
-        "--meta", _file(d / "m.json", json.dumps(
-            dict(_META, layout="MULTISCALE", dims=[64, 16, 16])).encode()),
+        "--meta", _file(d / "m.json", json.dumps(dict(
+            _META, layout="MULTISCALE", dims=[64, 16, 16],
+            params=dict(_PARAMS, mean=[0.0] * 64, std=[1.0] * 64))).encode()),
     ],
     "run-manifest-missing": lambda d: ["run", str(d / "absent.json"),
                                        "--output-dir", str(d / "out")],
@@ -674,6 +675,19 @@ BAD_INPUTS = {
     "pareto-out-dir-missing": lambda d: [
         "pareto", _curves(d), "--out", str(d / "nodir" / "p.csv")
     ],
+    # a command with two outputs leaves neither when one cannot be written
+    "pareto-out-dir-missing-svg-given": lambda d: [
+        "pareto", _curves(d), "--out", str(d / "nodir" / "p.csv"), "--svg", str(d / "p.svg")
+    ],
+    "pareto-svg-dir-missing": lambda d: [
+        "pareto", _curves(d), "--out", str(d / "p.csv"), "--svg", str(d / "nodir" / "p.svg")
+    ],
+    "pack-output-dir-missing-meta-given": lambda d: [
+        "feature", "pack", _tensor(d), str(d / "nodir" / "p.bin"), "--meta", str(d / "m.json")
+    ],
+    "pack-meta-dir-missing": lambda d: [
+        "feature", "pack", _tensor(d), str(d / "p.bin"), "--meta", str(d / "nodir" / "m.json")
+    ],
     "report-output-dir-is-a-file": lambda d: [
         "report", _report_doc(d), "--output-dir", _file(d / "f", b"")
     ],
@@ -774,6 +788,58 @@ def test_unpack_reads_only_null_as_no_permutation(perm, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'm.json'}: packing metadata: ")
     assert not (tmp_path / "rec.vcmf").exists()
+
+
+def _pack_reordered(d) -> dict:
+    """`pack --reorder` of _tensor into d/q.yuv; returns its sidecar, permutation [0, 2, 3, 1]."""
+    assert main(["feature", "pack", _tensor(d), str(d / "q.yuv"), "--reorder",
+                 "--meta", str(d / "m.json")]) == 0
+    return json.loads((d / "m.json").read_text())
+
+
+def _unpack_reordered(d, meta) -> list[str]:
+    return ["feature", "unpack", str(d / "q.yuv"), str(d / "rec.vcmf"),
+            "--meta", _file(d / "m.json", json.dumps(meta).encode())]
+
+
+@pytest.mark.parametrize("key, value", [("dims", "435"), ("permutation", "0123")])
+def test_unpack_refuses_a_sidecar_list_given_as_a_string(key, value, tmp_path, capsys):
+    # "0123" read digit by digit would pass for the identity permutation
+    meta = _pack_reordered(tmp_path)
+    capsys.readouterr()
+    assert main(_unpack_reordered(tmp_path, dict(meta, **{key: value}))) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'm.json'}: packing metadata: "
+                                       f"TypeError: expected a list: {value!r}\n")
+    assert not (tmp_path / "rec.vcmf").exists()
+
+
+def test_unpack_reads_sidecar_list_entries_by_the_integer_rule(tmp_path):
+    meta = _pack_reordered(tmp_path)
+    assert meta["permutation"] == [0, 2, 3, 1]
+    assert main(_unpack_reordered(tmp_path, meta)) == 0
+    want = (tmp_path / "rec.vcmf").read_bytes()
+    odd = dict(meta, dims=[4.0, 3, 5], permutation=["0", "2", "3", "1"])
+    assert main(_unpack_reordered(tmp_path, odd)) == 0
+    assert (tmp_path / "rec.vcmf").read_bytes() == want
+
+
+def test_unpack_names_a_samples_file_of_the_wrong_size(tmp_path, capsys):
+    meta = _pack_reordered(tmp_path)
+    (tmp_path / "q.yuv").write_bytes(bytes(486))
+    capsys.readouterr()
+    assert main(_unpack_reordered(tmp_path, meta)) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'q.yuv'}: 486 bytes do not match "
+                                       "4 frame(s) of 60 samples in total\n")
+
+
+def test_unpack_names_the_sidecar_whose_params_miss_a_channel(tmp_path, capsys):
+    meta = _pack_reordered(tmp_path)
+    params = dict(meta["params"], mean=meta["params"]["mean"][:3], std=meta["params"]["std"][:3])
+    capsys.readouterr()
+    assert main(_unpack_reordered(tmp_path, dict(meta, params=params))) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'm.json'}: packing metadata: "
+                                       "InvariantViolation: quant params cover 3 channels, "
+                                       "frame set has 4\n")
 
 
 @pytest.mark.parametrize("gt_id, det_id", [(1, 1.0), ("1", 1), ("img", "img")])

@@ -4,6 +4,8 @@ The CLI contract holds for any input file: `main` returns 0, 2 or 3, and
 every non-zero exit prints one `error:` line instead of raising. `run`
 covers the TRUNCATE codec, which reads every frame, and `run-null` the
 NULL codec with prediction files, which only checks the source's size.
+A pack sidecar whose values are swapped for values of other JSON types
+is refused naming the sidecar, or unpacks what its values say.
 """
 
 import contextlib
@@ -161,3 +163,42 @@ def test_mutated_inputs_never_raise(case, valid_inputs, tmp_path_factory, pick, 
     assert rc in (0, 2, 3)
     if rc:
         assert err.getvalue().startswith("error: ")
+
+
+_SIDECAR_KEYS = [("layout",), ("dims",), ("permutation",), ("params",), *(
+    ("params", k) for k in ("mean", "std", "z_min", "z_max", "z_th", "bit_depth")
+)]
+_NUMBER_KEYS = {("params", k) for k in ("z_min", "z_max", "z_th")}
+
+
+def _unpacked(d: Path, meta: dict) -> tuple[int, str, bytes | None]:
+    """`feature unpack` of the packed samples with the sidecar meta: exit code, stderr, output."""
+    (d / "meta.json").write_text(json.dumps(meta))
+    (d / "o.vcmf").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(CASES["feature-unpack"][0](d))
+    return rc, err.getvalue(), (d / "o.vcmf").read_bytes() if rc == 0 else None
+
+
+def _replaced(meta: dict, key: tuple, value) -> dict:
+    meta = json.loads(json.dumps(meta))
+    (meta if len(key) == 1 else meta[key[0]])[key[-1]] = value
+    return meta
+
+
+@pytest.mark.parametrize("value", ["0123", True, 1.5, None, [], {}, [[0]]], ids=repr)
+@pytest.mark.parametrize("key", _SIDECAR_KEYS, ids=".".join)
+def test_sidecar_value_of_another_type(key, value, valid_inputs, tmp_path):
+    (tmp_path / "packed.bin").write_bytes((valid_inputs / "packed.bin").read_bytes())
+    meta = json.loads((valid_inputs / "meta.json").read_text())
+    assert meta["permutation"] is None  # so a null permutation leaves the output as it is
+    rc, err, out = _unpacked(tmp_path, _replaced(meta, key, value))
+    if rc:
+        assert rc == 2
+        assert err.startswith(f"error: {tmp_path / 'meta.json'}: ")
+        return
+    # a number where the sidecar takes one (a numeric string included) is a valid sidecar
+    if key in _NUMBER_KEYS and isinstance(value, (str, float)):
+        meta = _replaced(meta, key, float(value))
+    assert out == _unpacked(tmp_path, meta)[2]

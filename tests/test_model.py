@@ -88,6 +88,14 @@ def test_packed_frame_set_shape_rules():
             PackedFrameSet(frames=bad_frames, layout="MULTISCALE", original_dims=dims)
 
 
+@pytest.mark.parametrize("value", [300, -1, 2.7])
+def test_packed_frame_set_refuses_a_sample_outside_8_bits(value):
+    # a uint8 cast would store 300 as 44, -1 as 255 and 2.7 as 2
+    with pytest.raises(InvariantViolation, match="samples must be"):
+        PackedFrameSet(frames=(np.array([[value, 1]]),), layout="TEMPORAL",
+                       original_dims=(1, 1, 2))
+
+
 def test_frame_shapes_per_layout():
     assert frame_shapes("TEMPORAL", (3, 2, 5)) == [(2, 5)] * 3
     assert frame_shapes("SPATIAL_TILED", (64, 2, 5)) == [(16, 40)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import best_chain_bruteforce, greedy_chain_pairwise
-from vcmbench.errors import InputError
+from vcmbench.errors import InputError, InvariantViolation
 from vcmbench.featurecodec import (
     normalize,
     pack_multiscale,
@@ -31,7 +31,7 @@ def test_spatial_frame_dims():
 
 def test_spatial_rejects_wrong_channel_count():
     rng = np.random.default_rng(0)
-    with pytest.raises(InputError, match="spatial tiling requires 64 channels, got 32"):
+    with pytest.raises(InputError, match="SPATIAL_TILED requires C = 64, got 32"):
         pack_spatial_tiled(_samples(rng, 32, 2, 3))
 
 
@@ -88,6 +88,12 @@ def test_temporal_roundtrip_with_and_without_permutation():
     assert np.array_equal(unpack_frames(fs), s)
 
 
+@pytest.mark.parametrize("value", [300, -1, 2.7])
+def test_temporal_refuses_a_sample_outside_8_bits(value):
+    with pytest.raises(InvariantViolation, match="samples must be"):
+        pack_temporal(np.array([[[value, 1]]]))
+
+
 # --- multiscale packing ---
 
 def _pyramid(rng, c, h2, w2):
@@ -134,16 +140,16 @@ def test_multiscale_rejects_mismatched_samples():
     rng = np.random.default_rng(8)
     samples = _pyramid(rng, 64, 16, 16)
     samples[2] = samples[2][:, :1, :]
-    with pytest.raises(InputError, match=r"P4 dims \(1, 4\) != expected \(4, 4\)"):
+    with pytest.raises(InputError, match=r"P4 shape \(64, 1, 4\) != expected \(64, 4, 4\)"):
         pack_multiscale(samples)
 
 
 @pytest.mark.parametrize("h2, w2, change, message", [
     (16, 16, lambda levels: levels[:4], r"expected 5 levels \(P2..P6\), got 4"),
-    (16, 16, lambda levels: levels[:4] + [levels[4][:2]], "requires 64 channels, P6 has 2"),
+    (16, 16, lambda levels: levels[:4] + [levels[4][:2]], r"P6 shape \(2, 1, 1\) != expected \(64, 1, 1\)"),
     # 16x8 halves to 8x4, 4x2, 2x1 and then 1x0: P6 has no room
     (16, 8, lambda levels: levels[:4] + [np.zeros((64, 1, 1), np.uint8)],
-     "P6 dims fall below 1 px after halving"),
+     "MULTISCALE needs a finest level of at least 16 x 16 px, got 16 x 8"),
 ], ids=["four-levels", "p6-two-channels", "p6-below-1px"])
 def test_multiscale_rejects_bad_pyramid(h2, w2, change, message):
     levels = _pyramid(np.random.default_rng(10), 64, h2, w2)
