@@ -34,7 +34,6 @@ from .featurecodec import (
     unpack_frames,
 )
 from .featurecodec.packing import frame_set
-from .featurecodec.stream import read_stream, write_stream
 from .metrics import INTERPOLATIONS, check_iou_thresholds, mean_average_precision, mota
 from .model import BIT_DEPTHS, QuantParams, check_z_th
 from .pipeline.experiment import check_jobs, load_manifest, run_experiment
@@ -235,11 +234,8 @@ def _listed(v, cast) -> tuple:
     return tuple(map(cast, v))
 
 
-def _report_error(tensor, ref_path, params: QuantParams) -> None:
-    """Print the max reconstruction error against a reference tensor."""
-    ref = read_feature_tensor(ref_path)
-    if ref.dims != tensor.dims:
-        raise InputError(f"reference dims {ref.dims} differ from {tensor.dims}")
+def _report_error(tensor, ref, params: QuantParams) -> None:
+    """Print the max reconstruction error against a reference tensor of its dims."""
     err = float(np.abs(tensor.values.astype(np.float64) - ref.values).max())
     bound = ""
     if params.bit_depth == 8:
@@ -261,10 +257,10 @@ def _cmd_feature(args) -> int:
         fs = pack(samples, permutation=perm, quant=params)
         if op == "encode":
             stream = entropy_encode(fs)
-            write_stream(stream, args.output)
+            Path(args.output).write_bytes(stream)
             sys.stdout.write(
-                f"coded {stream.payload_bits} payload bits "
-                f"({stream.payload_bits / (fs.sample_count * 8):.4f} of packed size)\n"
+                f"coded {8 * len(stream)} bits "
+                f"({len(stream) / fs.sample_count:.4f} of packed size)\n"
             )
             return 0
         meta_path = args.meta or (str(args.output) + ".meta.json")
@@ -301,23 +297,27 @@ def _cmd_feature(args) -> int:
                 **{k: as_float64(doc[k]) for k in ("z_min", "z_max", "z_th")},
                 bit_depth=as_int64(doc["bit_depth"]),
             )
-            samples = unpack_frames(frame_set(
+            fs = frame_set(
                 raw, meta["layout"], _listed(meta["dims"], as_int64),
                 None if perm is None else _listed(perm, as_int64), params, origin=args.input,
-            ))
+            )
     else:
-        stream = read_stream(args.input)
-        params = stream.quant
-        samples = unpack_frames(entropy_decode(stream))
+        fs = entropy_decode(Path(args.input).read_bytes(), origin=args.input)
+        params = fs.quant
+    samples = unpack_frames(fs)
     if isinstance(samples, list):
         raise InputError("multiscale samples need per-level outputs; use the API")
     dequantize = dequantize_8bit if params.bit_depth == 8 else dequantize_2bit
     tensor = denormalize(dequantize(samples, params), params)
+    # the reference is read and checked first, so a bad one leaves no output behind
+    ref = read_feature_tensor(args.ref) if args.ref else None
+    if ref is not None and ref.dims != tensor.dims:
+        raise InputError(f"{args.ref}: reference dims {ref.dims} differ from {tensor.dims}")
     write_feature_tensor(tensor, args.output)
     if op == "decode":
         sys.stdout.write("checksum OK\n")
-    if args.ref:
-        _report_error(tensor, args.ref, params)
+    if ref is not None:
+        _report_error(tensor, ref, params)
     return 0
 
 

@@ -18,10 +18,9 @@ from .quantize import (
     quantize_8bit,
     raw_size_bits,
 )
-from .stream import CodedFeatureStream, entropy_decode, entropy_encode
+from .stream import entropy_decode, entropy_encode
 
 __all__ = [
-    "CodedFeatureStream",
     "decode_bytes",
     "denormalize",
     "dequantize_2bit",

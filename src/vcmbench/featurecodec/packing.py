@@ -29,6 +29,7 @@ from ..model import (
     PackedFrameSet,
     QuantParams,
     as_samples,
+    check_permutation,
     frame_shapes,
 )
 
@@ -44,12 +45,10 @@ def _untile64(frame: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def _permuted(s: np.ndarray, permutation):
-    """The validated permutation (or None) and s's channels in its order."""
+    """The checked permutation (or None) and s's channels in its order."""
     if permutation is None:
         return None, s
-    perm = tuple(int(p) for p in permutation)
-    if sorted(perm) != list(range(s.shape[0])):
-        raise InputError("permutation must permute 0..C-1")
+    perm = check_permutation(permutation, s.shape[0])
     return perm, s[list(perm)]
 
 

@@ -1,5 +1,8 @@
 """Coded-feature-stream container ("VCMS").
 
+A stream is its bytes: entropy_encode(fs) returns them, and
+entropy_decode(raw, origin) reads them back into the frame set, every
+error naming origin (a header value the model types refuse included).
 Little-endian layout:
 
     magic "VCMS" | version u32 | layout u8 | bit_depth u8 | C,h,w u32
@@ -13,11 +16,9 @@ packed four per byte: sample i sits in bits 2*(i % 4) of byte i // 4,
 and the unused bits of the last byte are zero. The payload is those
 coded bytes as one raw LZMA2 stream by entropy.encode_bytes; the decoder
 rebuilds the coder settings from the coded length the header implies.
-A payload whose length disagrees with payload_bits is rejected when the
-stream is read. crc32 covers the coded bytes (the padding bits
-included), so a corrupt payload is detected at decode time, and a
-2-bit stream whose padding bits are not zero is rejected. payload_bits
-is the figure rate accounting uses.
+The decoder rejects a payload whose length disagrees with payload_bits,
+coded bytes that fail crc32 (which covers the padding bits too), and a
+2-bit stream whose padding bits are not zero, each with CorruptStream.
 
 Version 3 packs 2-bit samples; its 8-bit payloads are those of version
 2. Streams of versions 1 (the earlier adaptive range coder) and 2 (one
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from ..model import (
     check_header_dims,
     frame_shapes,
 )
+from ..tensorio import MALFORMED_OR_INVALID, parsing
 from .entropy import decode_bytes, encode_bytes
 from .packing import frame_set
 
@@ -55,41 +55,6 @@ STREAM_VERSION = 3
 _LAYOUT_TAGS = {LAYOUT_SPATIAL_TILED: 0, LAYOUT_MULTISCALE: 1, LAYOUT_TEMPORAL: 2}
 _TAG_LAYOUTS = {v: k for k, v in _LAYOUT_TAGS.items()}
 _SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class CodedFeatureStream:
-    layout: str
-    dims: tuple[int, int, int]
-    quant: QuantParams
-    channel_permutation: tuple[int, ...] | None
-    crc32: int
-    payload: bytes
-
-    @property
-    def payload_bits(self) -> int:
-        return 8 * len(self.payload)
-
-    def to_bytes(self) -> bytes:
-        c, h, w = self.dims
-        q = self.quant
-        parts = [
-            STREAM_MAGIC,
-            struct.pack("<I", STREAM_VERSION),
-            struct.pack("<BB", _LAYOUT_TAGS[self.layout], q.bit_depth),
-            struct.pack("<3I", c, h, w),
-            np.asarray(q.mean, dtype="<f4").tobytes(),
-            np.asarray(q.std, dtype="<f4").tobytes(),
-            struct.pack("<3f", q.z_min, q.z_max, q.z_th),
-        ]
-        if self.channel_permutation is not None:
-            parts.append(struct.pack("<B", 1))
-            parts.append(struct.pack(f"<{c}H", *self.channel_permutation))
-        else:
-            parts.append(struct.pack("<B", 0))
-        parts.append(struct.pack("<QI", self.payload_bits, self.crc32))
-        parts.append(self.payload)
-        return b"".join(parts)
 
 
 def _pack_2bit(samples: np.ndarray) -> bytes:
@@ -109,48 +74,35 @@ def _unpack_2bit(coded: bytes, n: int) -> bytes:
     return samples[:n].tobytes()
 
 
-def entropy_encode(fs: PackedFrameSet) -> CodedFeatureStream:
-    """Entropy-code a frame set into a self-describing stream."""
-    if fs.quant is None:
+def entropy_encode(fs: PackedFrameSet) -> bytes:
+    """The self-describing VCMS stream of a frame set."""
+    q = fs.quant
+    if q is None:
         raise InputError("frame set carries no quant params; the stream needs them")
     samples = np.concatenate([f.ravel() for f in fs.frames])
-    if fs.quant.bit_depth == 2:
+    if q.bit_depth == 2:
         if samples.max() > 3:
             raise InputError("a 2-bit frame set holds a sample above 3")
         coded = _pack_2bit(samples)
     else:
         coded = samples.tobytes()
-    return CodedFeatureStream(
-        layout=fs.layout,
-        dims=fs.original_dims,
-        quant=fs.quant,
-        channel_permutation=fs.channel_permutation,
-        crc32=zlib.crc32(coded),
-        payload=encode_bytes(coded),
-    )
+    payload = encode_bytes(coded)
+    c, h, w = fs.original_dims
+    return b"".join([
+        STREAM_MAGIC,
+        struct.pack("<IBB3I", STREAM_VERSION, _LAYOUT_TAGS[fs.layout], q.bit_depth, c, h, w),
+        np.asarray(q.mean, dtype="<f4").tobytes(),
+        np.asarray(q.std, dtype="<f4").tobytes(),
+        struct.pack("<3fB", q.z_min, q.z_max, q.z_th, fs.channel_permutation is not None),
+        b"" if fs.channel_permutation is None else struct.pack(f"<{c}H", *fs.channel_permutation),
+        struct.pack("<QI", 8 * len(payload), zlib.crc32(coded)),
+        payload,
+    ])
 
 
-def entropy_decode(stream: CodedFeatureStream) -> PackedFrameSet:
-    """Decode a stream back to the exact frame set it was built from."""
-    n = sum(fh * fw for fh, fw in frame_shapes(stream.layout, stream.dims))
-    two_bit = stream.quant.bit_depth == 2
-    coded = decode_bytes(stream.payload, -(-n // 4) if two_bit else n)
-    if zlib.crc32(coded) != stream.crc32:
-        raise CorruptStream("decoded samples fail the checksum")
-    raw = _unpack_2bit(coded, n) if two_bit else coded
-    return frame_set(raw, stream.layout, stream.dims, stream.channel_permutation, stream.quant)
-
-
-def read_stream(path) -> CodedFeatureStream:
-    return stream_from_bytes(Path(path).read_bytes(), origin=str(path))
-
-
-def write_stream(stream: CodedFeatureStream, path) -> None:
-    Path(path).write_bytes(stream.to_bytes())
-
-
-def stream_from_bytes(raw: bytes, origin: str = "<bytes>") -> CodedFeatureStream:
-    if len(raw) < 4 or raw[:4] != STREAM_MAGIC:
+def entropy_decode(raw: bytes, origin: str = "<bytes>") -> PackedFrameSet:
+    """The exact frame set a VCMS stream was built from; every error names origin."""
+    if raw[:4] != STREAM_MAGIC:
         raise InputError(f"{origin}: not a coded-feature stream (bad magic)")
     off = 4
 
@@ -163,33 +115,33 @@ def stream_from_bytes(raw: bytes, origin: str = "<bytes>") -> CodedFeatureStream
         off += size
         return vals
 
-    (version,) = take("<I")
+    version, tag, bit_depth, c, h, w = take("<IBB3I")
     if version != STREAM_VERSION:
         raise InputError(f"{origin}: unsupported version {version}")
-    tag, bit_depth = take("<BB")
     if tag not in _TAG_LAYOUTS:
         raise InputError(f"{origin}: unknown layout tag {tag}")
-    c, h, w = take("<3I")
+    layout = _TAG_LAYOUTS[tag]
     check_header_dims(c, h, w, origin)
-    mean = np.array(take(f"<{c}f"), dtype=np.float32)
-    std = np.array(take(f"<{c}f"), dtype=np.float32)
-    z_min, z_max, z_th = take("<3f")
-    (perm_flag,) = take("<B")
-    perm = tuple(take(f"<{c}H")) if perm_flag else None
+    mean = take(f"<{c}f")
+    std = take(f"<{c}f")
+    *z_range, perm_flag = take("<3fB")
+    perm = take(f"<{c}H") if perm_flag else None
     payload_bits, crc = take("<QI")
     payload = raw[off:]
     if payload_bits != 8 * len(payload):
         raise CorruptStream(
             f"{origin}: payload holds {8 * len(payload)} bits, header claims {payload_bits}"
         )
-    quant = QuantParams(
-        mean=mean, std=std, z_min=z_min, z_max=z_max, z_th=z_th, bit_depth=bit_depth
-    )
-    return CodedFeatureStream(
-        layout=_TAG_LAYOUTS[tag],
-        dims=(c, h, w),
-        quant=quant,
-        channel_permutation=perm,
-        crc32=crc,
-        payload=payload,
-    )
+    # a header value the model types refuse names the stream, as a malformed one does
+    with parsing(origin, errors=MALFORMED_OR_INVALID):
+        quant = QuantParams(mean, std, *z_range, bit_depth)  # z_min, z_max, z_th
+        n = sum(fh * fw for fh, fw in frame_shapes(layout, (c, h, w)))
+        two_bit = bit_depth == 2
+        try:
+            coded = decode_bytes(payload, -(-n // 4) if two_bit else n)
+            if zlib.crc32(coded) != crc:
+                raise CorruptStream("decoded samples fail the checksum")
+            samples = _unpack_2bit(coded, n) if two_bit else coded
+        except CorruptStream as e:
+            raise CorruptStream(f"{origin}: {e}") from e
+        return frame_set(samples, layout, (c, h, w), perm, quant, origin)

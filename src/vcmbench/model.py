@@ -197,6 +197,19 @@ LAYOUT_MULTISCALE = "MULTISCALE"
 LAYOUT_TEMPORAL = "TEMPORAL"
 
 
+def _is_int(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_permutation(perm, c: int) -> tuple[int, ...]:
+    """perm as ints, once its entries are integers (not bools or floats) permuting 0..c-1."""
+    perm = tuple(perm)
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(c)):
+        raise InvariantViolation(f"permutation must be integers permuting 0..{c - 1}: {perm}")
+    return tuple(map(int, perm))
+
+
 def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
     """The (rows, columns) of each frame a layout packs (C, h, w) samples into.
 
@@ -206,10 +219,7 @@ def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
     down, keeps at least 1 px. Both tiled layouts need C = 64.
     """
     dims = tuple(dims)
-    if len(dims) != 3 or not all(
-        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
-        for d in dims
-    ):
+    if len(dims) != 3 or not all(_is_int(d) and d >= 1 for d in dims):
         raise InvariantViolation(f"dims must be three integers >= 1: {dims}")
     c, h, w = (int(d) for d in dims)
     if layout == LAYOUT_TEMPORAL:
@@ -264,9 +274,7 @@ class PackedFrameSet:
             )
         object.__setattr__(self, "frames", frames)
         if self.channel_permutation is not None:
-            perm = tuple(int(p) for p in self.channel_permutation)
-            if sorted(perm) != list(range(self.original_dims[0])):
-                raise InvariantViolation("channel_permutation must permute 0..C-1")
+            perm = check_permutation(self.channel_permutation, self.original_dims[0])
             object.__setattr__(self, "channel_permutation", perm)
         if self.quant is not None and self.quant.channels != self.original_dims[0]:
             raise InvariantViolation(
@@ -299,6 +307,12 @@ def check_scale_percent(scale_percent):
     return scale_percent
 
 
+def check_rate(rate) -> None:
+    """Refuse a rate that is not finite and > 0."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise InvariantViolation(f"rate must be finite and > 0: {rate}")
+
+
 @dataclass(frozen=True)
 class RDPoint:
     """One operating point: rate in BPP (images) or bits/s (video)."""
@@ -311,8 +325,7 @@ class RDPoint:
             raise InvariantViolation(
                 f"rate and quality must be numbers, not bools: {self.rate}, {self.quality}"
             )
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise InvariantViolation(f"rate must be finite and > 0: {self.rate}")
+        check_rate(self.rate)
         if not math.isfinite(self.quality):
             raise InvariantViolation(f"quality must be finite: {self.quality}")
 

@@ -43,7 +43,7 @@ Units are independent and run in a pool of `jobs` threads; records are
 reduced in a fixed order, so reports are byte-identical at any job
 count. After the first failure, units still queued are cancelled, and
 the error carries every record that completed; so does a failure to
-evaluate a (scale, qp) cell.
+rate or evaluate a (scale, qp) cell.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import InputError, StageError, VcmError
+from ..errors import InputError, InvariantViolation, StageError, VcmError
 from ..metrics import check_iou_thresholds, mean_average_precision, mota
-from ..model import VALID_SCALES, RDCurve, RDPoint, check_unique_scales
+from ..model import VALID_SCALES, RDCurve, RDPoint, check_rate, check_unique_scales
 from ..rdcurves import bitrate, bpp, pareto_front, scale_curves
 from ..tensorio import (
     MALFORMED,
@@ -417,6 +417,10 @@ def run_experiment(
                     records[(i, qp, scale)] for i in range(len(manifest.items))
                 ]
                 rate = sum(r.rate for r in cell) / len(cell)
+                try:  # each item's rate passes, but their mean may not (a sum past float64)
+                    check_rate(rate)
+                except InvariantViolation as e:
+                    raise StageError("rate", cell[0].item_id, qp, scale, e) from e
                 rd_points[(scale, qp)] = (rate, _evaluate(manifest, cell, truths))
     except StageError as e:
         # completed work survives so callers can persist partial results

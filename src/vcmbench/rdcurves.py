@@ -59,6 +59,8 @@ def bpp(bitstream_bits: int, source_width: int, source_height: int) -> float:
 
 def bitrate(total_bits: int, frame_count: int, fps: float) -> float:
     """Average bits per second of a coded sequence."""
+    if total_bits <= 0:
+        raise InputError(f"total_bits must be > 0: {total_bits}")
     if frame_count <= 0:
         raise InputError(f"frame_count must be > 0: {frame_count}")
     if fps <= 0:

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -448,6 +449,31 @@ def _version_1_stream(d) -> list[str]:
     return ["feature", "decode", _file(d / "v1.vcms", bytes(raw)), str(d / "o.vcmf")]
 
 
+def _vcmf(d, version=1, dtype=0) -> str:
+    """A 1x1x1 tensor file whose header holds version and dtype."""
+    return _file(d / "t.vcmf", b"VCMF" + struct.pack("<5I", version, dtype, 1, 1, 1) + bytes(4))
+
+
+def _with_ref_of_other_dims(d, op) -> list[str]:
+    """`feature decode|unpack` of _tensor's 4x3x5 samples into d/o.vcmf, --ref a 2x3x5 tensor."""
+    t = _tensor(d)
+    write_feature_tensor(FeatureTensor(np.zeros((2, 3, 5), dtype=np.float32)), d / "r.vcmf")
+    if op == "decode":
+        assert main(["feature", "encode", t, str(d / "t.vcms")]) == 0
+        argv = ["feature", "decode", str(d / "t.vcms"), str(d / "o.vcmf")]
+    else:
+        assert main(["feature", "pack", t, str(d / "p.bin"), "--meta", str(d / "m.json")]) == 0
+        argv = ["feature", "unpack", str(d / "p.bin"), str(d / "o.vcmf"),
+                "--meta", str(d / "m.json")]
+    return [*argv, "--ref", str(d / "r.vcmf")]
+
+
+def _bdrate_log_rates_disjoint(d) -> list[str]:
+    _write_curve_csv(d / "a.csv", [0.1, 0.2, 0.4], [0.2, 0.4, 0.6])
+    _write_curve_csv(d / "t.csv", [10, 20, 40], [0.2, 0.4, 0.6])
+    return ["bdrate", str(d / "a.csv"), str(d / "t.csv")]
+
+
 def _bdrate_out_dir_missing(d) -> list[str]:
     _write_curve_csv(d / "a.csv", [0.1, 0.2, 0.4], [0.2, 0.4, 0.6])
     return ["bdrate", str(d / "a.csv"), str(d / "a.csv"), "--out", str(d / "nodir" / "bd.csv")]
@@ -488,12 +514,13 @@ def _manifest(d, det=None, **item) -> str:
     return _file(d / "m.json", json.dumps(doc).encode())
 
 
-def _run(d, codec=None, scales=None, iou_thresholds=None, **item) -> list[str]:
-    """`run` on _manifest's document, its codec, scales or thresholds replaced when given."""
+def _run(d, codec=None, scales=None, iou_thresholds=None, items=None, **item) -> list[str]:
+    """`run` on _manifest's document, its codec, scales, thresholds or items replaced if given."""
     path = Path(_manifest(d, **item))
     doc = json.loads(path.read_text())
     doc.update({k: v for k, v in (("codec", codec), ("scales", scales),
-                                  ("iou_thresholds", iou_thresholds)) if v is not None})
+                                  ("iou_thresholds", iou_thresholds), ("items", items))
+                if v is not None})
     path.write_text(json.dumps(doc))
     return ["run", str(path), "--output-dir", str(d / "out")]
 
@@ -761,6 +788,35 @@ BAD_INPUTS = {
                          predictions={"22:100": "det.jsonl"}),
         "--output-dir", str(d / "out"),
     ],
+    "bdrate-curve-csv-header-only": lambda d: [
+        "bdrate", _file(d / "a.csv", b"rate,quality,label,scale\n"), _curves(d)
+    ],
+    "bdrate-log-rates-disjoint": _bdrate_log_rates_disjoint,
+    "report-schema-version-2": lambda d: ["report", _file(d / "r.json", b'{"schema_version": 2}')],
+    "unpack-without-meta": lambda d: [
+        "feature", "unpack", _file(d / "p.yuv", bytes(4)), str(d / "rec.vcmf")
+    ],
+    "encode-tensor-version-2": lambda d: ["feature", "encode", _vcmf(d, version=2), str(d / "o")],
+    "encode-tensor-dtype-1": lambda d: ["feature", "encode", _vcmf(d, dtype=1), str(d / "o")],
+    "run-manifest-items-empty": lambda d: _run(d, items=[]),
+    "run-manifest-scales-empty": lambda d: _run(d, scales=[]),
+    "decode-ref-of-other-dims": lambda d: _with_ref_of_other_dims(d, "decode"),
+    "unpack-ref-of-other-dims": lambda d: _with_ref_of_other_dims(d, "unpack"),
+}
+
+# the error a case must give, where reaching its branch is the case's point
+_BAD_INPUT_ERRORS = {
+    "bdrate-curve-csv-header-only": "a.csv: no curve rows",
+    "bdrate-log-rates-disjoint": "log-rate ranges do not overlap",
+    "report-schema-version-2": "unsupported report schema: 2",
+    "unpack-without-meta": "unpack needs --meta from the pack step",
+    "encode-tensor-version-2": "t.vcmf: unsupported version 2",
+    "encode-tensor-dtype-1": "t.vcmf: unsupported dtype code 1",
+    "run-manifest-items-empty": "manifest has no items",
+    "run-manifest-scales-empty": "manifest has no scales",
+    # the reference is checked before the output is written
+    "decode-ref-of-other-dims": "r.vcmf: reference dims (2, 3, 5) differ from (4, 3, 5)",
+    "unpack-ref-of-other-dims": "r.vcmf: reference dims (2, 3, 5) differ from (4, 3, 5)",
 }
 
 
@@ -775,6 +831,7 @@ def test_bad_input_files_exit_2(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert _BAD_INPUT_ERRORS.get(case, "") in err
     # nothing is written, except what `run` persists in its output directory
     written = set(tmp_path.rglob("*")) - before
     assert sorted(p for p in written if "out" not in p.relative_to(tmp_path).parts) == []

@@ -5,12 +5,15 @@ every non-zero exit prints one `error:` line instead of raising. `run`
 covers the TRUNCATE codec, which reads every frame, and `run-null` the
 NULL codec with prediction files, which only checks the source's size.
 A pack sidecar whose values are swapped for values of other JSON types
-is refused naming the sidecar, or unpacks what its values say.
+is refused naming the sidecar, or unpacks what its values say; a coded
+stream whose integer header fields are set to edge values is refused
+naming the stream, or decodes.
 """
 
 import contextlib
 import io
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +101,7 @@ def _write_inputs(d: Path) -> None:
     for argv in (
         ["feature", "pack", t, f"{d}/packed.bin", "--meta", f"{d}/meta.json"],
         ["feature", "encode", t, f"{d}/t.vcms"],
+        ["feature", "encode", t, f"{d}/p.vcms", "--reorder"],  # with a permutation
     ):
         assert main(argv) == 0
 
@@ -202,3 +206,31 @@ def test_sidecar_value_of_another_type(key, value, valid_inputs, tmp_path):
     if key in _NUMBER_KEYS and isinstance(value, (str, float)):
         meta = _replaced(meta, key, float(value))
     assert out == _unpacked(tmp_path, meta)[2]
+
+
+# the integer fields of p.vcms's header: name -> (offset, struct format), with C = 4
+_FLAG_AT = 22 + 8 * 4 + 12  # past magic, version, layout, bit_depth, dims, mean, std, z
+_STREAM_FIELDS = {
+    "layout": (8, "<B"), "bit_depth": (9, "<B"), "C": (10, "<I"), "h": (14, "<I"),
+    "w": (18, "<I"), "perm_flag": (_FLAG_AT, "<B"), "perm_entry": (_FLAG_AT + 1, "<H"),
+    "payload_bits": (_FLAG_AT + 1 + 2 * 4, "<Q"),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, (_, fmt) in _STREAM_FIELDS.items()
+    for value in (0, 1, 3, 255, 65535, 2**32 - 1) if value < 1 << 8 * struct.calcsize(fmt)
+])
+def test_stream_header_field_at_an_edge_value(field, value, valid_inputs, tmp_path):
+    offset, fmt = _STREAM_FIELDS[field]
+    raw = bytearray((valid_inputs / "p.vcms").read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    (tmp_path / "t.vcms").write_bytes(raw)
+    (tmp_path / "t.vcmf").write_bytes((valid_inputs / "t.vcmf").read_bytes())
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(CASES["feature-decode"][0](tmp_path))
+    if rc:
+        assert rc == 2
+        assert err.getvalue().startswith(f"error: {tmp_path / 't.vcms'}: ")
+        assert not (tmp_path / "o.vcmf").exists()

@@ -332,6 +332,48 @@ def test_tracking_bitrate_beyond_float_range_fails_at_rate_with_partial_results(
     assert partial["failure"]["stage"] == "rate" and partial["records"] == []
 
 
+def _tracking_run(d: Path, codec: dict, ids=("a",), fps=30.0) -> list[str]:
+    """`run` of one-frame 16x16 TRACKING items, each tracking its one box, at qp 22 and 100 %."""
+    box = {"frame": 0, "track_id": 1, "class_id": 0, "bbox": [2.0, 2.0, 10.0, 10.0],
+           "score": 1.0}
+    write_yuv420(flat_image(16, 16), d / "a.yuv")
+    write_jsonl([box], d / "a.jsonl")
+    items = [{"id": i, "path": "a.yuv", "width": 16, "height": 16, "fps": fps,
+              "ground_truth": "a.jsonl", "predictions": {"22:100": "a.jsonl"}} for i in ids]
+    (d / "m.json").write_text(json.dumps({
+        "task": "TRACKING", "scales": [100], "codec": dict(codec, qp_list=[22]), "items": items,
+    }))
+    return ["run", str(d / "m.json"), "--output-dir", str(d / "out")]
+
+
+def test_tracking_empty_bitstream_fails_at_rate_with_partial_results(tmp_path, capsys):
+    # an encoder may write no byte; bpp refuses 0 bits, and so does bitrate
+    # tool PATH N writes N zero bytes to PATH
+    write = "import sys; open(sys.argv[1], 'wb').write(bytes(int(sys.argv[2])))"
+    tool = f'{sys.executable} -c "{write}"'
+    argv = _tracking_run(tmp_path, {"kind": "EXTERNAL",
+                                    "encode_template": f"{tool} {{output}} 0",
+                                    "decode_template": f"{tool} {{output}} 384"})
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: rate failed for item='a' qp=22 scale=100: total_bits must be > 0: 0\n"
+    )
+    partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
+    assert partial["failure"]["stage"] == "rate" and partial["records"] == []
+
+
+def test_tracking_cell_rate_past_float64_fails_at_rate_with_partial_results(tmp_path, capsys):
+    # each item's 3072 bits x 5e304 fps is finite, but the two items' sum is not
+    argv = _tracking_run(tmp_path, {"kind": "NULL"}, ids=("a", "b"), fps=5e304)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: rate failed for item='a' qp=22 scale=100: rate must be finite and > 0: inf\n"
+    )
+    partial = json.loads((tmp_path / "out" / "partial_results.json").read_text())
+    assert partial["failure"]["stage"] == "rate"
+    assert [r["item"] for r in partial["records"]] == ["a", "b"]
+
+
 def test_ground_truth_files_are_read_only_inputs(blob_manifest, tmp_path):
     # boxes are never rescaled: the GT files must come out of a full run
     # byte-identical

@@ -11,6 +11,7 @@ from vcmbench.model import (
     QuantParams,
     RDCurve,
     RDPoint,
+    as_samples,
     frame_shapes,
 )
 
@@ -94,6 +95,27 @@ def test_packed_frame_set_refuses_a_sample_outside_8_bits(value):
     with pytest.raises(InvariantViolation, match="samples must be"):
         PackedFrameSet(frames=(np.array([[value, 1]]),), layout="TEMPORAL",
                        original_dims=(1, 1, 2))
+
+
+def test_as_samples_casts_integers_in_0_to_255_to_uint8():
+    a = as_samples(np.array([[0, 17, 255]], dtype=np.int64))
+    assert a.dtype == np.uint8
+    assert a.tolist() == [[0, 17, 255]]
+
+
+_THREE_FRAMES = (np.zeros((1, 1), dtype=np.uint8),) * 3
+
+
+@pytest.mark.parametrize("perm", [(0, 2.7, 1), (0, True, 2), (0, 1, 1), (0, 1)], ids=repr)
+def test_packed_frame_set_refuses_a_permutation_not_of_integers_permuting_0_to_c(perm):
+    with pytest.raises(InvariantViolation, match="permutation must be integers"):
+        PackedFrameSet(_THREE_FRAMES, "TEMPORAL", (3, 1, 1), channel_permutation=perm)
+
+
+def test_packed_frame_set_reads_numpy_integer_permutation_entries_as_ints():
+    fs = PackedFrameSet(_THREE_FRAMES, "TEMPORAL", (3, 1, 1), (np.int64(2), 0, np.uint8(1)))
+    assert fs.channel_permutation == (2, 0, 1)
+    assert all(type(p) is int for p in fs.channel_permutation)
 
 
 def test_frame_shapes_per_layout():

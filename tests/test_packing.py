@@ -88,6 +88,37 @@ def test_temporal_roundtrip_with_and_without_permutation():
     assert np.array_equal(unpack_frames(fs), s)
 
 
+# an int() of each entry would pack (0, 2.7, 1) as (0, 2, 1) and (0, True, 2) as (0, 1, 2)
+_NOT_INTEGERS = [(0, 2.7, 1), (0, True, 2), (0.0, 1.0, 2.0), (0, np.float64(1), 2)]
+
+
+@pytest.mark.parametrize("perm", _NOT_INTEGERS, ids=repr)
+def test_temporal_refuses_a_permutation_of_non_integers(perm):
+    with pytest.raises(InvariantViolation, match="permutation must be integers"):
+        pack_temporal(np.zeros((3, 2, 2), dtype=np.uint8), permutation=perm)
+
+
+@pytest.mark.parametrize("perm", _NOT_INTEGERS, ids=repr)
+def test_spatial_refuses_a_permutation_of_non_integers(perm):
+    samples = np.zeros((64, 2, 2), dtype=np.uint8)
+    with pytest.raises(InvariantViolation, match="permutation must be integers"):
+        pack_spatial_tiled(samples, permutation=(*perm, *range(3, 64)))
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 1), (0, 1), (1, 2, 3), (0, 1, 2, 3)], ids=repr)
+def test_packers_refuse_a_permutation_that_does_not_permute_the_channels(perm):
+    with pytest.raises(InvariantViolation, match=r"permuting 0\.\.2"):
+        pack_temporal(np.zeros((3, 2, 2), dtype=np.uint8), permutation=perm)
+
+
+def test_packers_take_numpy_integer_permutations():
+    s = _samples(np.random.default_rng(7), 3, 2, 2)
+    fs = pack_temporal(s, permutation=np.array([2, 0, 1], dtype=np.uint16))
+    assert fs.channel_permutation == (2, 0, 1)
+    assert all(type(p) is int for p in fs.channel_permutation)
+    assert np.array_equal(unpack_frames(fs), s)
+
+
 @pytest.mark.parametrize("value", [300, -1, 2.7])
 def test_temporal_refuses_a_sample_outside_8_bits(value):
     with pytest.raises(InvariantViolation, match="samples must be"):

@@ -45,6 +45,12 @@ def test_bitrate_values():
         bitrate(8, 1, 1e308)
 
 
+def test_bitrate_refuses_no_bits_as_bpp_does():
+    for rate in (bitrate, lambda bits, *_: bpp(bits, 16, 16)):
+        with pytest.raises(InputError, match="must be > 0: 0"):
+            rate(0, 1, 30.0)
+
+
 # --- curve construction ---
 
 def test_build_curve_sorts():

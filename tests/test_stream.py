@@ -1,5 +1,5 @@
+import struct
 import zlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +15,6 @@ from vcmbench.featurecodec import (
     quantize_2bit,
     quantize_8bit,
 )
-from vcmbench.featurecodec.stream import (
-    read_stream,
-    stream_from_bytes,
-    write_stream,
-)
 from vcmbench.model import FeatureTensor, PackedFrameSet, QuantParams
 
 
@@ -31,6 +26,13 @@ def _frameset(rng, layout="TEMPORAL", c=6, h=5, w=4, perm=False):
     if layout == "TEMPORAL":
         return pack_temporal(samples, permutation=permutation, quant=params)
     return pack_spatial_tiled(samples, permutation=permutation, quant=params)
+
+
+def _header_len(raw: bytes) -> int:
+    """The bytes of a stream before its payload; payload_bits and crc32 end them."""
+    (c,) = struct.unpack_from("<I", raw, 10)
+    flag_at = 22 + 8 * c + 12  # past magic, version, layout, bit_depth, dims, mean, std, z
+    return flag_at + 1 + (2 * c if raw[flag_at] else 0) + 12
 
 
 def test_stream_roundtrip_temporal():
@@ -59,70 +61,86 @@ def test_stream_roundtrip_spatial_with_permutation():
 def test_stream_file_roundtrip_bs_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     fs = _frameset(rng, perm=True)
-    stream = entropy_encode(fs)
     p = tmp_path / "s.vcms"
-    write_stream(stream, p)
+    p.write_bytes(entropy_encode(fs))
     raw = p.read_bytes()
     assert raw[:4] == b"VCMS"
-    again = read_stream(p)
-    assert again.to_bytes() == raw  # container serialization is stable
-    back = entropy_decode(again)
+    back = entropy_decode(raw, origin=str(p))
+    assert entropy_encode(back) == raw  # container serialization is stable
     assert all(np.array_equal(a, b) for a, b in zip(back.frames, fs.frames))
 
 
 def test_stream_payload_bits_accounting():
     rng = np.random.default_rng(3)
     fs = _frameset(rng)
-    stream = entropy_encode(fs)
-    assert stream.payload_bits == 8 * len(stream.payload)
-    assert stream.payload_bits > 0
+    raw = entropy_encode(fs)
+    header_len = _header_len(raw)
+    (payload_bits,) = struct.unpack_from("<Q", raw, header_len - 12)
+    assert payload_bits == 8 * (len(raw) - header_len)
+    assert payload_bits > 0
 
 
 def test_corrupt_payload_detected(tmp_path):
     rng = np.random.default_rng(4)
     fs = _frameset(rng, c=8, h=16, w=16)
-    stream = entropy_encode(fs)
-    raw = bytearray(stream.to_bytes())
-    header_len = len(raw) - len(stream.payload)
-    raw[header_len + len(stream.payload) // 2] ^= 0xFF  # flip a mid-payload byte
-    corrupted = stream_from_bytes(bytes(raw))
+    raw = bytearray(entropy_encode(fs))
+    header_len = _header_len(raw)
+    raw[(header_len + len(raw)) // 2] ^= 0xFF  # flip a mid-payload byte
     with pytest.raises(CorruptStream):
-        entropy_decode(corrupted)
+        entropy_decode(bytes(raw))
 
 
 def test_every_single_bit_payload_flip_detected():
     rng = np.random.default_rng(6)
-    stream = entropy_encode(_frameset(rng, c=4, h=6, w=6))
-    raw = stream.to_bytes()
-    header_len = len(raw) - len(stream.payload)
-    for pos in range(header_len, len(raw)):
+    raw = entropy_encode(_frameset(rng, c=4, h=6, w=6))
+    for pos in range(_header_len(raw), len(raw)):
         for bit in (0x01, 0x80):
             bad = bytearray(raw)
             bad[pos] ^= bit
             with pytest.raises(CorruptStream):
-                entropy_decode(stream_from_bytes(bytes(bad)))
+                entropy_decode(bytes(bad))
 
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_old_stream_version_unsupported(version):
     rng = np.random.default_rng(9)
-    raw = bytearray(entropy_encode(_frameset(rng)).to_bytes())
+    raw = bytearray(entropy_encode(_frameset(rng)))
     raw[4:8] = version.to_bytes(4, "little")
     with pytest.raises(InputError, match=f"unsupported version {version}"):
-        stream_from_bytes(bytes(raw))
+        entropy_decode(bytes(raw))
 
 
 def test_truncated_payload_detected():
     rng = np.random.default_rng(5)
     fs = _frameset(rng, c=8, h=16, w=16)
-    stream = entropy_encode(fs)
     with pytest.raises(CorruptStream):
-        stream_from_bytes(stream.to_bytes()[:-10])
+        entropy_decode(entropy_encode(fs)[:-10])
 
 
 def test_bad_magic_rejected():
     with pytest.raises(InputError, match=r"not a coded-feature stream \(bad magic\)"):
-        stream_from_bytes(b"XXXX" + bytes(64))
+        entropy_decode(b"XXXX" + bytes(64))
+
+
+def _corrupted(raw: bytes, where: str) -> bytes:
+    """raw (C = 6, with a permutation) with one fault at where."""
+    out = bytearray(raw)
+    perm_at = 22 + 8 * 6 + 12 + 1
+    if where == "permutation":  # the first entry repeats the second
+        out[perm_at:perm_at + 2] = out[perm_at + 2:perm_at + 4]
+    elif where == "payload":
+        out[-1] ^= 0x01
+    else:  # bit_depth 3, layout SPATIAL_TILED (C must be 64), C = 0
+        offset, value = {"bit_depth": (9, 3), "layout": (8, 0), "dims": (10, 0)}[where]
+        out[offset] = value
+    return bytes(out)
+
+
+@pytest.mark.parametrize("where", ["bit_depth", "layout", "dims", "permutation", "payload"])
+def test_every_decode_error_names_the_stream(where):
+    raw = entropy_encode(_frameset(np.random.default_rng(10), perm=True))
+    with pytest.raises(InputError, match=r"^t\.vcms: "):
+        entropy_decode(_corrupted(raw, where), origin="t.vcms")
 
 
 def test_encode_requires_quant_params():
@@ -138,11 +156,11 @@ def test_encode_requires_quant_params():
 def test_overflowing_dims_rejected_before_decode():
     rng = np.random.default_rng(7)
     fs = _frameset(rng)
-    raw = bytearray(entropy_encode(fs).to_bytes())
+    raw = bytearray(entropy_encode(fs))
     # dims live after magic+version+layout+bit_depth = 10 bytes
     raw[10:22] = (60000).to_bytes(4, "little") * 3
     with pytest.raises(InputError, match="216000000000000 elements exceeds limit 2147483648"):
-        stream_from_bytes(bytes(raw))
+        entropy_decode(bytes(raw))
 
 
 def test_header_fuzz_raises_only_harness_errors():
@@ -150,14 +168,14 @@ def test_header_fuzz_raises_only_harness_errors():
 
     rng = np.random.default_rng(8)
     fs = _frameset(rng)
-    blob = bytearray(entropy_encode(fs).to_bytes())
+    blob = bytearray(entropy_encode(fs))
     for _ in range(300):
         mutated = bytearray(blob)
         for _ in range(int(rng.integers(1, 4))):
             mutated[rng.integers(0, len(mutated))] = int(rng.integers(0, 256))
         cut = int(rng.integers(0, len(mutated) + 1)) if rng.random() < 0.3 else len(mutated)
         try:
-            entropy_decode(stream_from_bytes(bytes(mutated[:cut])))
+            entropy_decode(bytes(mutated[:cut]))
         except VcmError:
             pass  # any harness error is acceptable; crashes are not
 
@@ -180,31 +198,30 @@ def test_2bit_stream_roundtrip():
 @pytest.mark.parametrize("dims", [(1, 1, 5), (2, 3, 3), (5, 7, 9)])
 def test_2bit_roundtrip_with_partial_last_byte(dims):
     fs = _frameset_2bit(np.random.default_rng(12), *dims)
-    back = entropy_decode(stream_from_bytes(entropy_encode(fs).to_bytes()))
+    back = entropy_decode(entropy_encode(fs))
     assert all(np.array_equal(a, b) for a, b in zip(back.frames, fs.frames))
 
 
 def test_every_single_bit_flip_in_2bit_payload_detected():
-    stream = entropy_encode(_frameset_2bit(np.random.default_rng(11), 5, 7, 9))
-    raw = stream.to_bytes()
-    header_len = len(raw) - len(stream.payload)
-    for pos in range(header_len, len(raw)):
+    raw = entropy_encode(_frameset_2bit(np.random.default_rng(11), 5, 7, 9))
+    for pos in range(_header_len(raw), len(raw)):
         for bit in range(8):
             bad = bytearray(raw)
             bad[pos] ^= 1 << bit
             with pytest.raises(CorruptStream):
-                entropy_decode(stream_from_bytes(bytes(bad)))
+                entropy_decode(bytes(bad))
 
 
 def test_nonzero_2bit_padding_rejected():
     # 5 samples pack into 2 bytes; the second holds sample 4 in bits 0-1
     fs = _frameset_2bit(np.random.default_rng(13), 1, 1, 5)
-    stream = entropy_encode(fs)
+    raw = entropy_encode(fs)
     s = [int(v) for v in fs.frames[0].ravel()]
     coded = bytes([s[0] | s[1] << 2 | s[2] << 4 | s[3] << 6, s[4] | 1 << 2])  # padding 1
-    crafted = replace(stream, crc32=zlib.crc32(coded), payload=encode_bytes(coded))
+    payload = encode_bytes(coded)
+    head = raw[:_header_len(raw) - 12] + struct.pack("<QI", 8 * len(payload), zlib.crc32(coded))
     with pytest.raises(CorruptStream, match="padding"):
-        entropy_decode(stream_from_bytes(crafted.to_bytes()))
+        entropy_decode(head + payload)
 
 
 def test_encode_rejects_2bit_sample_above_3():
@@ -228,4 +245,5 @@ def test_2bit_payload_is_packed_four_per_byte():
     params = QuantParams(mean=np.zeros(c), std=np.ones(c), z_min=-1, z_max=1, bit_depth=2)
     fs = pack_temporal(rng.integers(0, 4, (c, h, w), dtype=np.uint8), quant=params)
     # uniform 2-bit samples are incompressible beyond their packed size
-    assert len(entropy_encode(fs).payload) <= -(-c * h * w // 4) + 64
+    raw = entropy_encode(fs)
+    assert len(raw) - _header_len(raw) <= -(-c * h * w // 4) + 64
