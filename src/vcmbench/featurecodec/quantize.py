@@ -79,11 +79,10 @@ def quantize_2bit(z: FeatureTensor, z_th: float) -> np.ndarray:
     """Map normalized values to the 4-level alphabet {0, 1, 2, 3}."""
     check_z_th(z_th)
     v = z.values
-    codes = np.empty(v.shape, dtype=np.uint8)
-    codes[v < -z_th] = 0
-    codes[(v >= -z_th) & (v < 0)] = 1
-    codes[(v >= 0) & (v < z_th)] = 2
-    codes[v >= z_th] = 3  # z == z_th joins the top level
+    # the code is the number of level bounds at or below v; z == z_th joins the top level
+    codes = (v >= -z_th).astype(np.uint8)
+    codes += v >= 0
+    codes += v >= z_th
     return codes
 
 

@@ -14,8 +14,21 @@ The coded bytes are the frame samples in frame order, row-major. At
 bit_depth 8 each sample is one byte. At bit_depth 2 the samples are
 packed four per byte: sample i sits in bits 2*(i % 4) of byte i // 4,
 and the unused bits of the last byte are zero. The payload is those
-coded bytes as one raw LZMA2 stream by entropy.encode_bytes; the decoder
-rebuilds the coder settings from the coded length the header implies.
+coded bytes as one raw LZMA2 stream by entropy.encode_bytes, whose
+window the frame geometry sets: twice the coded bytes from a sample back
+to its farthest neighbour in the tensor, so the two nearest neighbours
+in that direction stay reachable. In TEMPORAL that neighbour is the same
+position in the previous frame (the previous channel, which --reorder
+picks as the most similar one); in the tiled layouts it is the same
+channel one position up, eight frame rows back. A window this small
+keeps the encoder's match finder in cache. The price is that a run of
+samples repeated farther back is coded again, not matched: features
+whose channels come in groups of similar maps code several percent
+larger than with a 1 MiB window. The decoder rebuilds the coder settings
+from the coded length the header implies, with a dictionary at least
+as large as any encoder's window (entropy's n-rule), so every v3
+payload decodes, whatever window its encoder used (earlier encoders
+used up to 1 MiB).
 The decoder rejects a payload whose length disagrees with payload_bits,
 coded bytes that fail crc32 (which covers the padding bits too), and a
 2-bit stream whose padding bits are not zero, each with CorruptStream.
@@ -51,7 +64,6 @@ from .packing import frame_set
 
 STREAM_MAGIC = b"VCMS"
 STREAM_VERSION = 3
-
 _LAYOUT_TAGS = {LAYOUT_SPATIAL_TILED: 0, LAYOUT_MULTISCALE: 1, LAYOUT_TEMPORAL: 2}
 _TAG_LAYOUTS = {v: k for k, v in _LAYOUT_TAGS.items()}
 _SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
@@ -86,7 +98,9 @@ def entropy_encode(fs: PackedFrameSet) -> bytes:
         coded = _pack_2bit(samples)
     else:
         coded = samples.tobytes()
-    payload = encode_bytes(coded)
+    fh, fw = fs.frames[0].shape
+    reach = fh * fw if fs.layout == LAYOUT_TEMPORAL else 8 * fw  # samples, see the docstring
+    payload = encode_bytes(coded, 2 * -(-reach * q.bit_depth // 8))
     c, h, w = fs.original_dims
     return b"".join([
         STREAM_MAGIC,

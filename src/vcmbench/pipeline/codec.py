@@ -173,6 +173,8 @@ def run_codec(
         src = np.fromfile(input_path, dtype=np.uint8)
         drop = qp % 8
         decoded.write_bytes((src & ((0xFF << drop) & 0xFF)).tobytes())
+        # the default window: a plane's rate counts repeats up to 1 MiB back,
+        # across the frames of a multi-frame item
         bits = 8 * sum(
             len(encode_bytes(np.packbits((src >> k) & 1).tobytes()))
             for k in range(drop, 8)

@@ -12,8 +12,10 @@ Every VcmError subclass in errors.py carries data (defines __init__) or is
 listed in DATA_FREE_ERRORS with the reason it exists apart from its base.
 
 Every name that the benchmark's tracer (perfbench/tracing.py, BOUNDARIES)
-wraps where it is called still resolves, and experiment._process_item
-still takes the job's item, qp and scale where the tracer reads them.
+wraps where it is called still resolves, experiment._process_item still
+takes the job's item, qp and scale where the tracer reads them, and every
+call of the entropy coder passes its bytes first and positionally, where
+the tracer reads entropy.bytes_in.
 """
 
 import ast
@@ -134,3 +136,19 @@ def test_every_name_the_benchmark_traces_resolves(monkeypatch):
     # the tracer's job attributes are the item, qp and scale of args[1:4]
     params = list(inspect.signature(experiment._process_item).parameters)
     assert params[:4] == ["manifest", "item", "qp", "scale"]
+
+
+def test_every_entropy_call_passes_its_bytes_positionally():
+    # the tracer's entropy.bytes_in is len(args[0]) of encode_bytes and decode_bytes
+    calls = []
+    for path in (SRC / "featurecodec" / "stream.py", SRC / "pipeline" / "codec.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("encode_bytes", "decode_bytes")):
+                calls.append((path.name, node.func.id, node))
+    assert {(file, name) for file, name, _ in calls} == {
+        ("stream.py", "encode_bytes"), ("stream.py", "decode_bytes"), ("codec.py", "encode_bytes"),
+    }
+    by_keyword = [(file, name, node.lineno) for file, name, node in calls
+                  if not node.args or isinstance(node.args[0], ast.Starred)]
+    assert by_keyword == []

@@ -6,8 +6,8 @@ covers the TRUNCATE codec, which reads every frame, and `run-null` the
 NULL codec with prediction files, which only checks the source's size.
 A pack sidecar whose values are swapped for values of other JSON types
 is refused naming the sidecar, or unpacks what its values say; a coded
-stream whose integer header fields are set to edge values is refused
-naming the stream, or decodes.
+stream, or a tensor file, whose integer header fields are set to edge
+values is refused naming that file, or is read.
 """
 
 import contextlib
@@ -234,3 +234,28 @@ def test_stream_header_field_at_an_edge_value(field, value, valid_inputs, tmp_pa
         assert rc == 2
         assert err.getvalue().startswith(f"error: {tmp_path / 't.vcms'}: ")
         assert not (tmp_path / "o.vcmf").exists()
+
+
+_TENSOR_FIELDS = ("version", "dtype", "C", "h", "w")  # u32 each, after the 4 magic bytes
+# command -> the argv case that reads t.vcmf, and the file it writes
+_TENSOR_READERS = {
+    "encode": ("feature-encode", "o.vcms"), "decode-ref": ("feature-decode", "o.vcmf"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TENSOR_READERS))
+@pytest.mark.parametrize("value", [0, 1, 3, 255, 65535, 2**32 - 1])
+@pytest.mark.parametrize("field", _TENSOR_FIELDS)
+def test_tensor_header_field_at_an_edge_value(field, value, reader, valid_inputs, tmp_path):
+    case, output = _TENSOR_READERS[reader]
+    raw = bytearray((valid_inputs / "t.vcmf").read_bytes())
+    struct.pack_into("<I", raw, 4 + 4 * _TENSOR_FIELDS.index(field), value)
+    (tmp_path / "t.vcmf").write_bytes(raw)
+    (tmp_path / "t.vcms").write_bytes((valid_inputs / "t.vcms").read_bytes())
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(CASES[case][0](tmp_path))
+    if rc:
+        assert rc == 2
+        assert err.getvalue().startswith(f"error: {tmp_path / 't.vcmf'}: ")
+        assert not (tmp_path / output).exists()

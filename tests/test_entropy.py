@@ -27,27 +27,34 @@ def test_short_strings():
         assert roundtrip(data) == data
 
 
+# criterion 7 holds at the smallest window and at the largest
+_WINDOWS = (1 << 12, 1 << 20)
+
+
 def test_all_zero_frame_compresses_below_one_percent():
     data = bytes(10_000)
-    payload = encode_bytes(data)
-    assert len(payload) < 100  # 1% of raw
-    assert decode_bytes(payload, len(data)) == data
+    for window in _WINDOWS:
+        payload = encode_bytes(data, window)
+        assert len(payload) < 100  # 1% of raw
+        assert decode_bytes(payload, len(data)) == data
 
 
 def test_uniform_random_inflates_at_most_64_bytes():
     rng = np.random.default_rng(123)
     data = rng.integers(0, 256, 10_000, dtype=np.uint8).tobytes()
-    payload = encode_bytes(data)
-    assert len(payload) <= len(data) + 64
-    assert decode_bytes(payload, len(data)) == data
+    for window in _WINDOWS:
+        payload = encode_bytes(data, window)
+        assert len(payload) <= len(data) + 64
+        assert decode_bytes(payload, len(data)) == data
 
 
 def test_uniform_random_large_frame_overhead_stays_constant():
     rng = np.random.default_rng(7)
-    data = rng.integers(0, 256, 1 << 18, dtype=np.uint8).tobytes()
-    payload = encode_bytes(data)
-    assert len(payload) <= len(data) + 64
-    assert decode_bytes(payload, len(data)) == data
+    data = rng.integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+    for window in _WINDOWS:
+        payload = encode_bytes(data, window)
+        assert len(payload) <= len(data) + 64
+        assert decode_bytes(payload, len(data)) == data
 
 
 def test_skewed_histograms_compress():

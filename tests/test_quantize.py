@@ -95,6 +95,29 @@ def test_quantize_2bit_exact_threshold_maps_to_top():
     assert quantize_2bit(_tensor([[[-1.5]]]), 1.5).tolist() == [[[1]]]
 
 
+def _code_2bit(x: float, z_th: float) -> int:
+    """The 2-bit code of one value, by the module docstring's intervals."""
+    if x < -z_th:
+        return 0
+    if x < 0:
+        return 1
+    return 2 if x < z_th else 3
+
+
+@pytest.mark.parametrize("z_th", [1.5, float(np.float32(0.7))])
+def test_quantize_2bit_matches_a_per_value_reference_at_the_bounds(z_th):
+    bounds = np.array([-z_th, -0.0, 0.0, z_th], dtype=np.float32)
+    values = np.concatenate([
+        bounds,
+        np.nextafter(bounds, np.float32(-np.inf)),
+        np.nextafter(bounds, np.float32(np.inf)),
+        np.array([-1e30, -3 * z_th, -z_th / 2, z_th / 2, 3 * z_th, 1e30], dtype=np.float32),
+    ])
+    codes = quantize_2bit(_tensor(values.reshape(1, 1, -1)), z_th)
+    assert codes.dtype == np.uint8
+    assert codes.ravel().tolist() == [_code_2bit(float(x), z_th) for x in values]
+
+
 def test_quantize_2bit_alphabet():
     rng = np.random.default_rng(4)
     z = _tensor(rng.normal(0, 2, (4, 8, 8)))

@@ -1,3 +1,4 @@
+import lzma
 import struct
 import zlib
 
@@ -247,3 +248,87 @@ def test_2bit_payload_is_packed_four_per_byte():
     # uniform 2-bit samples are incompressible beyond their packed size
     raw = entropy_encode(fs)
     assert len(raw) - _header_len(raw) <= -(-c * h * w // 4) + 64
+
+
+def _payload_at(raw: bytes, dict_size: int) -> bytes:
+    """raw's coded bytes, decoded with an LZMA2 dictionary of dict_size; LZMAError past it."""
+    dec = lzma.LZMADecompressor(
+        format=lzma.FORMAT_RAW, filters=[{"id": lzma.FILTER_LZMA2, "dict_size": dict_size}]
+    )
+    coded = dec.decompress(raw[_header_len(raw):])
+    assert dec.eof and not dec.unused_data
+    return coded
+
+
+def _frameset_of(samples: np.ndarray, bit_depth: int = 8, layout: str = "TEMPORAL"):
+    c = samples.shape[0]
+    params = QuantParams(
+        mean=np.zeros(c), std=np.ones(c), z_min=-1, z_max=1, bit_depth=bit_depth
+    )
+    pack = pack_temporal if layout == "TEMPORAL" else pack_spatial_tiled
+    return pack(samples, quant=params)
+
+
+def _tiled(rng, high, shape, reps):
+    """Random samples of shape, repeated reps times along each axis."""
+    return np.tile(rng.integers(0, high, shape, dtype=np.uint8), reps)
+
+
+# name: (frame set, the dictionary its window rounds up to). The far-repeat
+# samples repeat beyond that window, where a wider encoder would match them.
+_FRAMESETS = {
+    # 4 KiB frames: window 8 KiB, repeats 16 KiB back
+    "8bit-far-repeats":
+        (lambda rng: _frameset_of(_tiled(rng, 256, (4, 64, 64), (4, 1, 1))), 1 << 13),
+    # 1 KiB coded frames: window 2 KiB (4 KiB dictionary), repeats 8 KiB back
+    "2bit-far-repeats":
+        (lambda rng: _frameset_of(_tiled(rng, 4, (8, 64, 64), (4, 1, 1)), bit_depth=2), 1 << 12),
+    # 512-byte frame rows: window 2 x 8 rows = 8 KiB, repeats 32 rows (16 KiB) back
+    "spatial-far-repeats": (
+        lambda rng: _frameset_of(_tiled(rng, 256, (64, 4, 64), (1, 8, 1)), layout="SPATIAL"),
+        1 << 13,
+    ),
+    "8bit-normal": (lambda rng: _frameset(rng, c=32, h=32, w=32, perm=True), 1 << 12),
+    "2bit-normal": (lambda rng: _frameset_2bit(rng, 32, 32, 32), 1 << 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRAMESETS))
+def test_every_payload_decodes_with_its_window(name):
+    # the encoder never matches farther back than its window
+    build, dict_size = _FRAMESETS[name]
+    raw = entropy_encode(build(np.random.default_rng(31)))
+    coded = _payload_at(raw, dict_size)
+    assert zlib.crc32(coded) == struct.unpack_from("<I", raw, _header_len(raw) - 4)[0]
+
+
+@pytest.mark.parametrize("layout", ["TEMPORAL", "SPATIAL"])
+def test_window_reaches_the_nearest_neighbour_past_4k(layout):
+    # TEMPORAL: 16 KiB frames, each channel written twice in a row; SPATIAL:
+    # 1 KiB frame rows, each row of a channel written twice, 8 frame rows apart
+    rng = np.random.default_rng(34)
+    if layout == "TEMPORAL":
+        samples = np.repeat(rng.integers(0, 256, (4, 128, 128), dtype=np.uint8), 2, axis=0)
+    else:
+        samples = np.repeat(rng.integers(0, 256, (64, 4, 128), dtype=np.uint8), 2, axis=1)
+    raw = entropy_encode(_frameset_of(samples, layout=layout))
+    # half the samples are copies; a fixed 4 KiB window would code them all
+    assert len(raw) - _header_len(raw) < 0.55 * samples.size
+
+
+def test_stream_with_matches_beyond_its_window_still_decodes():
+    # a v3 stream whose payload matches 80,000 bytes back: one random block of
+    # 8 frames twice, coded by encode_bytes's default window, as earlier
+    # encoders wrote every payload; these 10,000-byte frames get a 32 KiB one
+    block = np.random.default_rng(32).integers(0, 256, (8, 100, 100), dtype=np.uint8)
+    samples = np.concatenate([block, block])
+    fs = _frameset_of(samples)
+    raw = entropy_encode(fs)
+    coded = samples.tobytes()  # TEMPORAL, no permutation: the samples in channel order
+    payload = encode_bytes(coded)
+    head = raw[:_header_len(raw) - 12] + struct.pack("<QI", 8 * len(payload), zlib.crc32(coded))
+    far = head + payload
+    with pytest.raises(lzma.LZMAError):  # so the payload does match beyond the window
+        _payload_at(far, 1 << 15)
+    back = entropy_decode(far)
+    assert all(np.array_equal(a, b) for a, b in zip(back.frames, fs.frames))
