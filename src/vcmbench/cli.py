@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputError, VcmError
+from .errors import InputError, InvariantViolation, VcmError
 from .featurecodec import (
     denormalize,
     dequantize_2bit,
@@ -35,7 +35,7 @@ from .featurecodec import (
 )
 from .featurecodec.packing import frame_set
 from .metrics import INTERPOLATIONS, check_iou_thresholds, mean_average_precision, mota
-from .model import BIT_DEPTHS, QuantParams, check_z_th
+from .model import BIT_DEPTHS, FeatureTensor, QuantParams, check_z_th
 from .pipeline.experiment import check_jobs, load_manifest, run_experiment
 from .rdcurves import (
     apply_cutoff,
@@ -234,9 +234,8 @@ def _listed(v, cast) -> tuple:
     return tuple(map(cast, v))
 
 
-def _report_error(tensor, ref, params: QuantParams) -> None:
-    """Print the max reconstruction error against a reference tensor of its dims."""
-    err = float(np.abs(tensor.values.astype(np.float64) - ref.values).max())
+def _report_error(err: float, params: QuantParams) -> None:
+    """Print the max reconstruction error against the reference tensor."""
     bound = ""
     if params.bit_depth == 8:
         step = (params.z_max - params.z_min) / 510.0
@@ -245,8 +244,54 @@ def _report_error(tensor, ref, params: QuantParams) -> None:
     sys.stdout.write(f"max reconstruction error: {err!r}{bound}\n")
 
 
+# samples per block of the inverse chain: a block's float64 values (256 KiB) stay in cache
+_BLOCK_SAMPLES = 1 << 15
+
+
+def _code_table(channels: int, params: QuantParams) -> np.ndarray:
+    """Per channel, the float64 value dequantize and denormalize give each code: C x 2**bits."""
+    dequantize = dequantize_8bit if params.bit_depth == 8 else dequantize_2bit
+    codes = np.arange(1 << params.bit_depth, dtype=np.uint8)
+    z = dequantize(np.broadcast_to(codes, (channels, 1, codes.size)), params)
+    return denormalize(z, params).values.reshape(channels, codes.size)
+
+
+def _rebuild(samples, table: np.ndarray, ref, origin) -> tuple[FeatureTensor, float | None]:
+    """The float32 tensor of samples by table, and its max error against ref (None without one).
+
+    Each block of at most _BLOCK_SAMPLES samples gathers its float64 values
+    from the table, casts them into the output and takes its error against
+    ref. A value past float32's range is refused naming origin.
+    """
+    c, h, w = samples.shape
+    rows, cols = max(1, _BLOCK_SAMPLES // (h * w)), min(h * w, _BLOCK_SAMPLES)
+    codes = samples.reshape(c, h * w)
+    refs = None if ref is None else ref.values.reshape(c, h * w)
+    # a sample's value sits at its code past its channel's start in the flat table; every
+    # code has an entry, since a frame set refuses 2-bit samples above 3
+    values, starts = table.ravel(), np.arange(0, table.size, table.shape[1])[:, None]
+    out, err = np.empty((c, h * w), dtype=np.float32), None if ref is None else 0.0
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf, refused below
+        for k in range(0, c, rows):
+            for j in range(0, h * w, cols):
+                block = np.s_[k:k + rows, j:j + cols]
+                x = values[codes[block] + starts[k:k + rows]]
+                out[block] = x
+                if refs is not None:
+                    np.subtract(x, refs[block], out=x)
+                    err = max(err, float(np.abs(x, out=x).max()))
+    with parsing(origin, errors=(InvariantViolation,)):
+        return FeatureTensor(out.reshape(c, h, w)), err
+
+
 def _cmd_feature(args) -> int:
-    """Forward ops quantize and pack (and code) a tensor; inverse ops rebuild one."""
+    """Forward ops quantize and pack (and code) a tensor; inverse ops rebuild one.
+
+    The inverse chain runs dequantize and denormalize once, on each
+    channel's code table, and then gathers each sample's value from that
+    table one cache-sized block at a time: the output bytes and the --ref
+    error are those of both steps run over the whole tensor.
+    """
     op, bits = args.op, args.bits
     if op in ("pack", "encode"):
         tensor = read_feature_tensor(args.input)
@@ -307,17 +352,18 @@ def _cmd_feature(args) -> int:
     samples = unpack_frames(fs)
     if isinstance(samples, list):
         raise InputError("multiscale samples need per-level outputs; use the API")
-    dequantize = dequantize_8bit if params.bit_depth == 8 else dequantize_2bit
-    tensor = denormalize(dequantize(samples, params), params)
+    table = _code_table(samples.shape[0], params)
     # the reference is read and checked first, so a bad one leaves no output behind
     ref = read_feature_tensor(args.ref) if args.ref else None
-    if ref is not None and ref.dims != tensor.dims:
-        raise InputError(f"{args.ref}: reference dims {ref.dims} differ from {tensor.dims}")
+    if ref is not None and ref.dims != samples.shape:
+        raise InputError(f"{args.ref}: reference dims {ref.dims} differ from {samples.shape}")
+    # the sidecar's stats, or the stream's, are what can take a value past float32
+    tensor, err = _rebuild(samples, table, ref, args.meta if op == "unpack" else args.input)
     write_feature_tensor(tensor, args.output)
     if op == "decode":
         sys.stdout.write("checksum OK\n")
     if ref is not None:
-        _report_error(tensor, ref, params)
+        _report_error(err, params)
     return 0
 
 

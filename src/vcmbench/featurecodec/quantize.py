@@ -14,6 +14,14 @@ centers {+-z_th/2, +-3*z_th/2} for 2-bit codes.
 Normalization stats are stored at float32 precision: that is the
 precision of the coded-stream container, and rounding at the source
 keeps container roundtrips bit-exact.
+
+Reconstruction works on each sample alone: dequantize and denormalize
+apply IEEE +, -, * and / to it and to per-channel or global scalars, and
+each operation is correctly rounded. A sample's float64 value therefore
+depends only on its code and its channel, and running both on a table of
+a channel's codes (256 at 8 bits, 4 at 2) gives, bit for bit, the value
+of every sample of that code. The CLI rebuilds a tensor by gathering
+from such a table.
 """
 
 from __future__ import annotations

@@ -80,13 +80,18 @@ def parsing(origin, line=None, errors=MALFORMED):
 
 
 def write_feature_tensor(tensor: FeatureTensor, path) -> None:
-    """Write a tensor file; equal tensors always produce identical bytes."""
-    values = np.asarray(tensor.values, dtype=np.float32)
+    """Write a tensor file; equal tensors always produce identical bytes.
+
+    The header and the values go to the file one after the other, so a
+    float32 tensor is written without a copy.
+    """
+    values = np.ascontiguousarray(tensor.values, dtype="<f4")
     if not np.isfinite(values).all():
         raise InvariantViolation("tensor values must all be finite")
     c, h, w = values.shape
-    header = TENSOR_MAGIC + _HEADER.pack(TENSOR_VERSION, DTYPE_FLOAT32, c, h, w)
-    Path(path).write_bytes(header + values.astype("<f4", copy=False).tobytes(order="C"))
+    with open(path, "wb") as f:
+        f.write(TENSOR_MAGIC + _HEADER.pack(TENSOR_VERSION, DTYPE_FLOAT32, c, h, w))
+        f.write(values)
 
 
 def read_feature_tensor(path) -> FeatureTensor:
@@ -109,7 +114,8 @@ def read_feature_tensor(path) -> FeatureTensor:
     if len(raw) > expected:
         raise InputError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw, dtype="<f4", count=n, offset=4 + _HEADER.size)
-    return FeatureTensor(values.reshape(c, h, w))
+    with parsing(path, errors=(InvariantViolation,)):  # a NaN or infinite value
+        return FeatureTensor(values.reshape(c, h, w))
 
 
 def read_json(path):

@@ -14,6 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 from vcmbench.errors import ParseError
+from vcmbench.featurecodec import denormalize, dequantize_2bit, dequantize_8bit
 from vcmbench.metrics import APResult
 from vcmbench.model import BoxTable
 from vcmbench.tensorio import MALFORMED, _bbox, _cause, _table, as_float64, as_id, as_int64
@@ -329,3 +330,18 @@ def _load_lines(path, lines, fields) -> BoxTable:
             _rows_table(path, fields, rows)  # an earlier bad record wins
             raise ParseError(f"{path}:{lineno}: {_cause(e)}", line=lineno) from e
     return _rows_table(path, fields, rows)
+
+
+# --- feature reconstruction: the reference for the CLI's inverse chain ---
+
+
+def rebuild_two_step(samples, params, ref=None) -> tuple[np.ndarray, float | None]:
+    """dequantize then denormalize over the whole tensor, cast to float32; and the max error.
+
+    The error is taken on the float64 values, against the reference's
+    float32 values; None without a reference.
+    """
+    dequantize = dequantize_8bit if params.bit_depth == 8 else dequantize_2bit
+    x64 = denormalize(dequantize(samples, params), params).values
+    err = None if ref is None else float(np.abs(x64 - ref).max())
+    return x64.astype(np.float32), err

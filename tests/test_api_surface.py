@@ -15,17 +15,26 @@ Every name that the benchmark's tracer (perfbench/tracing.py, BOUNDARIES)
 wraps where it is called still resolves, experiment._process_item still
 takes the job's item, qp and scale where the tracer reads them, and every
 call of the entropy coder passes its bytes first and positionally, where
-the tracer reads entropy.bytes_in.
+the tracer reads entropy.bytes_in. The feature inverse chain still calls
+dequantize_8bit, dequantize_2bit and denormalize by the names vcmbench.cli
+binds, which the tracer wraps as quantize.inverse.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from vcmbench import cli
+from vcmbench.model import FeatureTensor
 from vcmbench.pipeline import experiment
+from vcmbench.tensorio import write_feature_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vcmbench"
@@ -152,3 +161,23 @@ def test_every_entropy_call_passes_its_bytes_positionally():
     by_keyword = [(file, name, node.lineno) for file, name, node in calls
                   if not node.args or isinstance(node.args[0], ast.Starred)]
     assert by_keyword == []
+
+
+def test_the_inverse_chain_calls_the_names_the_tracer_wraps(monkeypatch, tmp_path):
+    # the tracer's quantize.inverse span wraps these names in vcmbench.cli; a chain that
+    # stopped calling them there would leave that layer empty
+    calls = []
+    for name in ("dequantize_8bit", "dequantize_2bit", "denormalize"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    values = np.random.default_rng(0).normal(0, 1, (4, 3, 5)).astype(np.float32)
+    write_feature_tensor(FeatureTensor(values), tmp_path / "t.vcmf")
+    t, s, o = (str(tmp_path / name) for name in ("t.vcmf", "t.vcms", "o.vcmf"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for bits in ("8", "2"):
+            assert cli.main(["feature", "encode", t, s, "--bits", bits]) == 0
+            assert cli.main(["feature", "decode", s, o, "--ref", t]) == 0
+            assert cli.main(["feature", "pack", t, s, "--bits", bits, "--meta", f"{s}.json"]) == 0
+            assert cli.main(["feature", "unpack", s, o, "--meta", f"{s}.json"]) == 0
+    assert calls == ["dequantize_8bit", "denormalize"] * 2 + ["dequantize_2bit", "denormalize"] * 2

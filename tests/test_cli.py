@@ -14,8 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import Gt, det_records, flat_image, gt_records, write_jsonl
+from oracles import rebuild_two_step
+from vcmbench import cli
 from vcmbench.cli import _OPTIONS, _value, build_parser, main
-from vcmbench.model import RDCurve, RDPoint
+from vcmbench.featurecodec import (
+    entropy_encode, normalize, pack_temporal, quantize_2bit, quantize_8bit,
+)
+from vcmbench.model import QuantParams, RDCurve, RDPoint
 from vcmbench.rdcurves import (
     bd_metrics,
     build_curve,
@@ -897,6 +902,87 @@ def test_unpack_names_the_sidecar_whose_params_miss_a_channel(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {tmp_path / 'm.json'}: packing metadata: "
                                        "InvariantViolation: quant params cover 3 channels, "
                                        "frame set has 4\n")
+
+
+def _ramps(c, h, w) -> np.ndarray:
+    """Each channel a shuffled ramp at its own offset and scale, so that every 8-bit code
+    occurs; channel 1 is constant (std 0)."""
+    rng = np.random.default_rng(c * h * w)
+    ramp = np.linspace(-1.0, 1.0, h * w)
+    x = np.stack([rng.permutation(ramp) * rng.uniform(0.5, 4.0) + rng.uniform(-2.0, 2.0)
+                  for _ in range(c)])
+    x[1] = 0.75
+    return x.reshape(c, h, w).astype(np.float32)
+
+
+def _rebuilt_against_the_oracle(d, op, bits, flags, dims, capsys) -> None:
+    """`feature pack|encode` then `unpack|decode --ref` of _ramps(*dims): the output's values
+    and its error line are those of the two-step chain over the samples that encode codes."""
+    t = FeatureTensor(_ramps(*dims))
+    write_feature_tensor(t, d / "t.vcmf")
+    z, params = normalize(t, bit_depth=bits)
+    samples = quantize_8bit(z, params) if bits == 8 else quantize_2bit(z, params.z_th)
+    assert np.unique(samples).size == 1 << bits  # every code is in the table's gather
+    forward = "encode" if op == "decode" else "pack"
+    coded = [str(d / "c.bin")] + (["--meta", str(d / "m.json")] if op == "unpack" else [])
+    assert main(["feature", forward, str(d / "t.vcmf"), *coded, "--bits", str(bits),
+                 *flags]) == 0
+    capsys.readouterr()
+    assert main(["feature", op, *coded[:1], str(d / "o.vcmf"), *coded[1:],
+                 "--ref", str(d / "t.vcmf")]) == 0
+    want, err = rebuild_two_step(samples, params, t.values)
+    assert (d / "o.vcmf").read_bytes()[24:] == want.astype("<f4").tobytes()
+    line = capsys.readouterr().out.splitlines()[-1]
+    bound = line.removeprefix(f"max reconstruction error: {err!r}")
+    assert bound.startswith(" (per-channel bound ") if bits == 8 else bound == ""
+
+
+@pytest.mark.parametrize("block", [None, 700, 100], ids=["one-block", "channel-pairs", "split"])
+@pytest.mark.parametrize("flags", [["--layout", "temporal"], ["--layout", "temporal", "--reorder"],
+                                   ["--layout", "spatial"], ["--layout", "spatial", "--reorder"]],
+                         ids=["temporal", "temporal-reorder", "spatial", "spatial-reorder"])
+@pytest.mark.parametrize("bits", [8, 2])
+@pytest.mark.parametrize("op", ["unpack", "decode"])
+def test_rebuild_matches_the_two_step_chain(op, bits, flags, block, tmp_path, capsys, monkeypatch):
+    # 320 samples a channel: one block of every channel, blocks of two channels, and blocks
+    # of 100 samples, the last of each channel 20
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", block)
+    c = 64 if "spatial" in flags else 5
+    _rebuilt_against_the_oracle(tmp_path, op, bits, flags, (c, 16, 20), capsys)
+
+
+@pytest.mark.parametrize("bits", [8, 2])
+def test_rebuild_matches_the_two_step_chain_past_one_block(bits, tmp_path, capsys):
+    # 34571 samples a channel, more than one block holds
+    assert 181 * 191 > cli._BLOCK_SAMPLES
+    _rebuilt_against_the_oracle(tmp_path, "decode", bits, ["--reorder"], (3, 181, 191), capsys)
+
+
+# one channel whose code 255 rebuilds to 3e38 + 3e38, past float32's range
+_PAST_FLOAT32 = {"mean": [3e38], "std": [3e38], "z_min": -1.0, "z_max": 1.0, "z_th": 1.5,
+                 "bit_depth": 8}
+
+
+@pytest.mark.parametrize("op", ["decode", "unpack"])
+def test_reconstruction_past_float32_names_the_stats_it_came_from(op, tmp_path, capsys):
+    fs = pack_temporal(np.full((1, 2, 3), 255, dtype=np.uint8),
+                       quant=QuantParams(**_PAST_FLOAT32))
+    if op == "decode":
+        stats = _file(tmp_path / "t.vcms", entropy_encode(fs))
+        argv = ["feature", "decode", stats, str(tmp_path / "o.vcmf")]
+    else:
+        meta = {"layout": "TEMPORAL", "dims": [1, 2, 3], "permutation": None,
+                "params": _PAST_FLOAT32}
+        stats = _file(tmp_path / "m.json", json.dumps(meta).encode())
+        argv = ["feature", "unpack", _file(tmp_path / "p.bin", fs.frames[0].tobytes()),
+                str(tmp_path / "o.vcmf"), "--meta", stats]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {stats}: InvariantViolation: "
+                                       "tensor values must all be finite\n")
+    assert not (tmp_path / "o.vcmf").exists()
 
 
 @pytest.mark.parametrize("gt_id, det_id", [(1, 1.0), ("1", 1), ("img", "img")])

@@ -7,7 +7,8 @@ NULL codec with prediction files, which only checks the source's size.
 A pack sidecar whose values are swapped for values of other JSON types
 is refused naming the sidecar, or unpacks what its values say; a coded
 stream, or a tensor file, whose integer header fields are set to edge
-values is refused naming that file, or is read.
+values is refused naming that file, or is read; a tensor file holding a
+NaN or an infinite value is refused naming that file.
 """
 
 import contextlib
@@ -243,6 +244,14 @@ _TENSOR_READERS = {
 }
 
 
+def _run_case(case, d) -> tuple[int, str]:
+    """The exit code and stderr of an argv case run in d."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(CASES[case][0](d))
+    return rc, err.getvalue()
+
+
 @pytest.mark.parametrize("reader", sorted(_TENSOR_READERS))
 @pytest.mark.parametrize("value", [0, 1, 3, 255, 65535, 2**32 - 1])
 @pytest.mark.parametrize("field", _TENSOR_FIELDS)
@@ -252,10 +261,22 @@ def test_tensor_header_field_at_an_edge_value(field, value, reader, valid_inputs
     struct.pack_into("<I", raw, 4 + 4 * _TENSOR_FIELDS.index(field), value)
     (tmp_path / "t.vcmf").write_bytes(raw)
     (tmp_path / "t.vcms").write_bytes((valid_inputs / "t.vcms").read_bytes())
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(CASES[case][0](tmp_path))
+    rc, err = _run_case(case, tmp_path)
     if rc:
         assert rc == 2
-        assert err.getvalue().startswith(f"error: {tmp_path / 't.vcmf'}: ")
+        assert err.startswith(f"error: {tmp_path / 't.vcmf'}: ")
         assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("reader", sorted(_TENSOR_READERS))
+@pytest.mark.parametrize("at", [0, 30, 59], ids=["first", "middle", "last"])  # of 4 x 3 x 5
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_tensor_value_not_finite(value, at, reader, valid_inputs, tmp_path):
+    case, output = _TENSOR_READERS[reader]
+    raw = bytearray((valid_inputs / "t.vcmf").read_bytes())
+    struct.pack_into("<f", raw, 24 + 4 * at, value)  # past the magic and the five u32 fields
+    (tmp_path / "t.vcmf").write_bytes(raw)
+    (tmp_path / "t.vcms").write_bytes((valid_inputs / "t.vcms").read_bytes())
+    assert _run_case(case, tmp_path) == (
+        2, f"error: {tmp_path / 't.vcmf'}: InvariantViolation: tensor values must all be finite\n")
+    assert not (tmp_path / output).exists()
