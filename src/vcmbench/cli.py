@@ -10,6 +10,7 @@ included), 3 external-command failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from functools import partial
@@ -126,6 +127,11 @@ def _write_json(path, doc) -> None:
 
 def _write_all(*outputs) -> None:
     """write(path) for each (path, write) in turn; if one fails, remove the files before it."""
+    # a file named for two outputs would hold the last alone, so none is written
+    resolved = [os.path.realpath(path) for path, _ in outputs]
+    for k, (path, _) in enumerate(outputs):
+        if resolved[k] in resolved[:k]:
+            raise InputError(f"{path}: names two outputs")
     for k, (path, write) in enumerate(outputs):
         try:
             write(path)
@@ -305,7 +311,7 @@ def _cmd_feature(args) -> int:
             Path(args.output).write_bytes(stream)
             sys.stdout.write(
                 f"coded {8 * len(stream)} bits "
-                f"({len(stream) / fs.sample_count:.4f} of packed size)\n"
+                f"({len(stream) / fs.frames.size:.4f} of packed size)\n"
             )
             return 0
         meta_path = args.meta or (str(args.output) + ".meta.json")
@@ -319,7 +325,7 @@ def _cmd_feature(args) -> int:
             },
         }
         _write_all(
-            (args.output, lambda p: Path(p).write_bytes(b"".join(f.tobytes() for f in fs.frames))),
+            (args.output, lambda p: Path(p).write_bytes(fs.frames)),
             (meta_path, partial(_write_json, doc=meta)),
         )
         sys.stdout.write(

@@ -30,7 +30,7 @@ from ..model import (
     QuantParams,
     as_samples,
     check_permutation,
-    frame_shapes,
+    frame_shape,
 )
 
 
@@ -74,10 +74,10 @@ def pack_spatial_tiled(
 ) -> PackedFrameSet:
     """Interleave 64 channels into 8x8 tiles forming one 8h x 8w frame."""
     s = as_samples(samples)
-    frame_shapes(LAYOUT_SPATIAL_TILED, s.shape)
+    frame_shape(LAYOUT_SPATIAL_TILED, s.shape)
     perm, ordered = _permuted(s, permutation)
     return PackedFrameSet(
-        frames=(_tile64(ordered),), layout=LAYOUT_SPATIAL_TILED,
+        frames=_tile64(ordered)[None], layout=LAYOUT_SPATIAL_TILED,
         original_dims=s.shape, channel_permutation=perm, quant=quant,
     )
 
@@ -94,14 +94,14 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
     arrays = [as_samples(s) for s in samples_per_level]
     if len(arrays) != 5:
         raise InputError(f"expected 5 levels (P2..P6), got {len(arrays)}")
-    frame = np.zeros(frame_shapes(LAYOUT_MULTISCALE, arrays[0].shape)[0], dtype=np.uint8)
+    frames = np.zeros(frame_shape(LAYOUT_MULTISCALE, arrays[0].shape), dtype=np.uint8)
     blocks = _blocks(LAYOUT_MULTISCALE, *arrays[0].shape[1:])
     for k, (arr, (h, w, rows, cols)) in enumerate(zip(arrays, blocks)):
         if arr.shape != (64, h, w):
             raise InputError(f"P{k + 2} shape {arr.shape} != expected (64, {h}, {w})")
-        frame[rows, cols] = _tile64(arr)
+        frames[0, rows, cols] = _tile64(arr)
     return PackedFrameSet(
-        frames=(frame,), layout=LAYOUT_MULTISCALE,
+        frames=frames, layout=LAYOUT_MULTISCALE,
         original_dims=arrays[0].shape, quant=quant,
     )
 
@@ -109,32 +109,31 @@ def pack_multiscale(samples_per_level, quant: QuantParams | None = None) -> Pack
 def pack_temporal(samples, permutation=None, quant: QuantParams | None = None) -> PackedFrameSet:
     """One frame per channel; frame order follows the permutation if given."""
     s = as_samples(samples)
-    frame_shapes(LAYOUT_TEMPORAL, s.shape)
+    frame_shape(LAYOUT_TEMPORAL, s.shape)
     perm, ordered = _permuted(s, permutation)
     return PackedFrameSet(
-        frames=tuple(ordered), layout=LAYOUT_TEMPORAL,
+        frames=ordered, layout=LAYOUT_TEMPORAL,
         original_dims=s.shape, channel_permutation=perm, quant=quant,
     )
 
 
 def frame_set(
-    raw: bytes, layout: str, dims, permutation=None, quant: QuantParams | None = None,
-    origin: str = "<bytes>",
+    raw: bytes | np.ndarray, layout: str, dims, permutation=None,
+    quant: QuantParams | None = None, origin: str = "<bytes>",
 ) -> PackedFrameSet:
-    """The frame set whose concatenated row-major 8-bit frames are raw.
+    """The frame set whose row-major 8-bit frame array is raw.
 
     Raises InputError naming origin unless raw holds exactly the frames
-    frame_shapes(layout, dims) gives; PackedFrameSet checks the rest.
+    frame_shape(layout, dims) gives; PackedFrameSet checks the rest.
     """
-    shapes = frame_shapes(layout, dims)
-    (fh, fw), n = shapes[0], len(shapes)  # every layout's frames share one shape
+    n, fh, fw = frame_shape(layout, dims)
     if len(raw) != n * fh * fw:
         raise InputError(
             f"{origin}: {len(raw)} bytes do not match {n} frame(s) of "
             f"{n * fh * fw} samples in total"
         )
     return PackedFrameSet(
-        frames=tuple(np.frombuffer(raw, dtype=np.uint8).reshape(n, fh, fw)),
+        frames=np.frombuffer(raw, dtype=np.uint8).reshape(n, fh, fw),
         layout=layout, original_dims=dims, channel_permutation=permutation, quant=quant,
     )
 
@@ -149,10 +148,10 @@ def unpack_frames(fs: PackedFrameSet) -> np.ndarray | list[np.ndarray]:
     """
     _, h, w = fs.original_dims
     if fs.layout == LAYOUT_TEMPORAL:
-        out = [np.stack(fs.frames)]
+        out = [fs.frames]
     else:
         out = [
-            _untile64(fs.frames[0][rows, cols], hk, wk)
+            _untile64(fs.frames[0, rows, cols], hk, wk)
             for hk, wk, rows, cols in _blocks(fs.layout, h, w)
         ]
     if fs.channel_permutation is not None:

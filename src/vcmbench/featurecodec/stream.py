@@ -56,7 +56,7 @@ from ..model import (
     PackedFrameSet,
     QuantParams,
     check_header_dims,
-    frame_shapes,
+    frame_shape,
 )
 from ..tensorio import MALFORMED_OR_INVALID, parsing
 from .entropy import decode_bytes, encode_bytes
@@ -77,13 +77,13 @@ def _pack_2bit(samples: np.ndarray) -> bytes:
     return (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).tobytes()
 
 
-def _unpack_2bit(coded: bytes, n: int) -> bytes:
+def _unpack_2bit(coded: bytes, n: int) -> np.ndarray:
     """Invert _pack_2bit for n samples; CorruptStream on non-zero padding."""
     quads = np.frombuffer(coded, dtype=np.uint8)[:, None] >> _SHIFTS & 3
     samples = quads.ravel()
     if samples[n:].any():
         raise CorruptStream("non-zero padding bits after the last 2-bit sample")
-    return samples[:n].tobytes()
+    return samples[:n]
 
 
 def entropy_encode(fs: PackedFrameSet) -> bytes:
@@ -91,17 +91,15 @@ def entropy_encode(fs: PackedFrameSet) -> bytes:
     q = fs.quant
     if q is None:
         raise InputError("frame set carries no quant params; the stream needs them")
-    samples = np.concatenate([f.ravel() for f in fs.frames])
-    if q.bit_depth == 2:
-        if samples.max() > 3:
-            raise InputError("a 2-bit frame set holds a sample above 3")
-        coded = _pack_2bit(samples)
-    else:
-        coded = samples.tobytes()
-    fh, fw = fs.frames[0].shape
+    c, h, w = fs.original_dims
+    if fs.channel_permutation is not None and c > 1 << 16:  # its entries are u16
+        raise InputError(f"a stream holds a permutation of at most 65536 channels, not {c}")
+    if q.bit_depth == 2 and fs.frames.max() > 3:
+        raise InputError("a 2-bit frame set holds a sample above 3")
+    coded = _pack_2bit(fs.frames.ravel()) if q.bit_depth == 2 else fs.frames.tobytes()
+    _, fh, fw = fs.frames.shape
     reach = fh * fw if fs.layout == LAYOUT_TEMPORAL else 8 * fw  # samples, see the docstring
     payload = encode_bytes(coded, 2 * -(-reach * q.bit_depth // 8))
-    c, h, w = fs.original_dims
     return b"".join([
         STREAM_MAGIC,
         struct.pack("<IBB3I", STREAM_VERSION, _LAYOUT_TAGS[fs.layout], q.bit_depth, c, h, w),
@@ -149,7 +147,7 @@ def entropy_decode(raw: bytes, origin: str = "<bytes>") -> PackedFrameSet:
     # a header value the model types refuse names the stream, as a malformed one does
     with parsing(origin, errors=MALFORMED_OR_INVALID):
         quant = QuantParams(mean, std, *z_range, bit_depth)  # z_min, z_max, z_th
-        n = sum(fh * fw for fh, fw in frame_shapes(layout, (c, h, w)))
+        n = int(np.prod(frame_shape(layout, (c, h, w))))  # the checked dims keep it in int64
         two_bit = bit_depth == 2
         try:
             coded = decode_bytes(payload, -(-n // 4) if two_bit else n)

@@ -2,7 +2,8 @@
 
 All types are immutable after construction and validate their invariants
 eagerly, so a constructed value is always safe to share across threads.
-Array-valued fields are numpy arrays with the writeable flag cleared.
+Array-valued fields are numpy arrays with the writeable flag cleared: the
+caller's own array where it is C-contiguous and of the field's dtype.
 """
 
 from __future__ import annotations
@@ -210,8 +211,8 @@ def check_permutation(perm, c: int) -> tuple[int, ...]:
     return tuple(map(int, perm))
 
 
-def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
-    """The (rows, columns) of each frame a layout packs (C, h, w) samples into.
+def frame_shape(layout: str, dims) -> tuple[int, int, int]:
+    """The (n, rows, columns) of the n frames a layout packs (C, h, w) samples into.
 
     TEMPORAL makes C frames of h x w. SPATIAL_TILED makes one 8h x 8w
     frame. MULTISCALE makes one 8h x 12w frame, (h, w) being the finest
@@ -223,7 +224,7 @@ def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
         raise InvariantViolation(f"dims must be three integers >= 1: {dims}")
     c, h, w = (int(d) for d in dims)
     if layout == LAYOUT_TEMPORAL:
-        return [(h, w)] * c
+        return c, h, w
     if layout not in (LAYOUT_SPATIAL_TILED, LAYOUT_MULTISCALE):
         raise InvariantViolation(f"unknown layout {layout!r}")
     if c != 64:
@@ -232,12 +233,15 @@ def frame_shapes(layout: str, dims) -> list[tuple[int, int]]:
         raise InvariantViolation(
             f"MULTISCALE needs a finest level of at least 16 x 16 px, got {h} x {w}"
         )
-    return [(8 * h, 8 * w if layout == LAYOUT_SPATIAL_TILED else 12 * w)]
+    return 1, 8 * h, 8 * w if layout == LAYOUT_SPATIAL_TILED else 12 * w
 
 
 def as_samples(a) -> np.ndarray:
     """a as uint8 samples: an integer array with every value in 0..255."""
-    a = np.asarray(a)
+    try:
+        a = np.asarray(a)
+    except ValueError as e:  # a sequence of arrays of unequal shapes
+        raise InvariantViolation(f"samples must form one array: {e}") from None
     if a.dtype == np.uint8:
         return a
     if not np.issubdtype(a.dtype, np.integer):
@@ -253,26 +257,24 @@ class PackedFrameSet:
 
     original_dims are the (C,h,w) of the source sample array; for the
     MULTISCALE layout they are the dims of the finest level, from which
-    the coarser levels follow by successive halving. The frames have
-    the shapes frame_shapes(layout, original_dims) gives and hold
-    as_samples; quant params, if given, cover the C channels.
+    the coarser levels follow by successive halving. frames is one array
+    of as_samples, of the (n, fh, fw) shape frame_shape(layout,
+    original_dims) gives; quant params, if given, cover the C channels.
     """
 
-    frames: tuple[np.ndarray, ...]
+    frames: np.ndarray
     layout: str
     original_dims: tuple[int, int, int]
     channel_permutation: tuple[int, ...] | None = None
     quant: QuantParams | None = None
 
     def __post_init__(self):
-        shapes = frame_shapes(self.layout, self.original_dims)
-        frames = tuple(_freeze(as_samples(f)) for f in self.frames)
-        if [f.shape for f in frames] != shapes:
+        n, fh, fw = shape = frame_shape(self.layout, self.original_dims)
+        object.__setattr__(self, "frames", _freeze(as_samples(self.frames)))
+        if self.frames.shape != shape:
             raise InvariantViolation(
-                f"{self.layout} dims {self.original_dims} need {len(shapes)} frame(s) "
-                f"of {shapes[0][0]} x {shapes[0][1]}"
+                f"{self.layout} dims {self.original_dims} need {n} frame(s) of {fh} x {fw}"
             )
-        object.__setattr__(self, "frames", frames)
         if self.channel_permutation is not None:
             perm = check_permutation(self.channel_permutation, self.original_dims[0])
             object.__setattr__(self, "channel_permutation", perm)
@@ -281,14 +283,8 @@ class PackedFrameSet:
                 f"quant params cover {self.quant.channels} channels, "
                 f"frame set has {self.original_dims[0]}"
             )
-        if self.quant is not None and self.quant.bit_depth == 2:
-            for f in frames:
-                if f.size and f.max() > 3:
-                    raise InvariantViolation("bit_depth=2 samples must be in {0,1,2,3}")
-
-    @property
-    def sample_count(self) -> int:
-        return sum(f.size for f in self.frames)
+        if self.quant is not None and self.quant.bit_depth == 2 and self.frames.max() > 3:
+            raise InvariantViolation("bit_depth=2 samples must be in {0,1,2,3}")
 
 
 VALID_SCALES = (25, 50, 75, 100)

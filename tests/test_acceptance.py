@@ -145,7 +145,7 @@ def test_criterion_06_packing_bijectivity_1000_tensors():
         fs = pack_spatial_tiled(s)
         out = unpack_frames(fs)
         assert np.array_equal(out, s)
-        assert fs.sample_count == s.size
+        assert fs.frames.size == s.size
         count += 1
     for _ in range(400):  # temporal, with and without permutation
         c = int(rng.integers(1, 24))
@@ -154,7 +154,7 @@ def test_criterion_06_packing_bijectivity_1000_tensors():
         perm = tuple(rng.permutation(c)) if rng.random() < 0.5 else None
         fs = pack_temporal(s, permutation=perm)
         assert np.array_equal(unpack_frames(fs), s)
-        assert fs.sample_count == s.size
+        assert fs.frames.size == s.size
         count += 1
     for _ in range(200):  # multiscale pyramids
         h2 = int(rng.integers(16, 24))

@@ -720,6 +720,13 @@ BAD_INPUTS = {
     "pack-meta-dir-missing": lambda d: [
         "feature", "pack", _tensor(d), str(d / "p.bin"), "--meta", str(d / "nodir" / "m.json")
     ],
+    # two outputs at one path are refused before either is written
+    "pack-meta-is-the-output": lambda d: [
+        "feature", "pack", _tensor(d), str(d / "p.bin"), "--meta", str(d / "." / "p.bin")
+    ],
+    "pareto-svg-is-the-out": lambda d: [
+        "pareto", _curves(d), "--out", str(d / "f.csv"), "--svg", str(d / "f.csv")
+    ],
     "report-output-dir-is-a-file": lambda d: [
         "report", _report_doc(d), "--output-dir", _file(d / "f", b"")
     ],
@@ -822,6 +829,8 @@ _BAD_INPUT_ERRORS = {
     # the reference is checked before the output is written
     "decode-ref-of-other-dims": "r.vcmf: reference dims (2, 3, 5) differ from (4, 3, 5)",
     "unpack-ref-of-other-dims": "r.vcmf: reference dims (2, 3, 5) differ from (4, 3, 5)",
+    "pack-meta-is-the-output": "p.bin: names two outputs",
+    "pareto-svg-is-the-out": "f.csv: names two outputs",
 }
 
 

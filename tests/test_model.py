@@ -12,7 +12,7 @@ from vcmbench.model import (
     RDCurve,
     RDPoint,
     as_samples,
-    frame_shapes,
+    frame_shape,
 )
 
 
@@ -67,7 +67,7 @@ def test_quant_params_must_be_finite_at_float32(field, value):
 def test_packed_frame_set_shape_rules():
     frames = (np.zeros((16, 24), dtype=np.uint8),)
     fs = PackedFrameSet(frames=frames, layout="SPATIAL_TILED", original_dims=(64, 2, 3))
-    assert fs.sample_count == 16 * 24
+    assert fs.frames.size == 16 * 24
     with pytest.raises(InvariantViolation):
         PackedFrameSet(frames=frames, layout="SPATIAL_TILED", original_dims=(32, 2, 3))
     with pytest.raises(InvariantViolation):
@@ -119,9 +119,9 @@ def test_packed_frame_set_reads_numpy_integer_permutation_entries_as_ints():
 
 
 def test_frame_shapes_per_layout():
-    assert frame_shapes("TEMPORAL", (3, 2, 5)) == [(2, 5)] * 3
-    assert frame_shapes("SPATIAL_TILED", (64, 2, 5)) == [(16, 40)]
-    assert frame_shapes("MULTISCALE", (64, 16, 40)) == [(128, 480)]
+    assert frame_shape("TEMPORAL", (3, 2, 5)) == (3, 2, 5)
+    assert frame_shape("SPATIAL_TILED", (64, 2, 5)) == (1, 16, 40)
+    assert frame_shape("MULTISCALE", (64, 16, 40)) == (1, 128, 480)
     for layout, dims in [
         ("DIAGONAL", (1, 1, 1)),
         ("SPATIAL_TILED", (63, 1, 1)),
@@ -134,7 +134,7 @@ def test_frame_shapes_per_layout():
         ("TEMPORAL", (1, 2)),
     ]:
         with pytest.raises(InvariantViolation):
-            frame_shapes(layout, dims)
+            frame_shape(layout, dims)
 
 
 def test_packed_frame_set_2bit_alphabet():

@@ -13,7 +13,7 @@ from vcmbench.featurecodec import (
     reorder_channels,
     unpack_frames,
 )
-from vcmbench.model import FeatureTensor, frame_shapes
+from vcmbench.model import FeatureTensor, frame_shape
 
 
 def _samples(rng, c, h, w):
@@ -134,8 +134,8 @@ def _pyramid(rng, c, h2, w2):
 
 def test_multiscale_frame_dims_formula():
     # a 136x184 tiled finest block gives a 136-tall, 276-wide frame
-    assert frame_shapes("MULTISCALE", (64, 17, 23)) == [(136, 276)]
-    assert frame_shapes("MULTISCALE", (64, 16, 16)) == [(128, 192)]
+    assert frame_shape("MULTISCALE", (64, 17, 23)) == (1, 136, 276)
+    assert frame_shape("MULTISCALE", (64, 16, 16)) == (1, 128, 192)
 
 
 def test_multiscale_block_placement():
@@ -195,6 +195,31 @@ def test_multiscale_odd_dims_fit():
     out = unpack_frames(fs)
     for got, want in zip(out, samples):
         assert np.array_equal(got, want)
+
+
+# --- the frame array ---
+
+@pytest.mark.parametrize("layout", ["TEMPORAL", "SPATIAL_TILED", "MULTISCALE"])
+def test_frames_are_one_read_only_array_of_the_layouts_shape(layout):
+    rng = np.random.default_rng(9)
+    if layout == "MULTISCALE":
+        fs = pack_multiscale(_pyramid(rng, 64, 16, 16))
+    else:
+        pack = pack_temporal if layout == "TEMPORAL" else pack_spatial_tiled
+        fs = pack(_samples(rng, 64, 3, 5), permutation=tuple(rng.permutation(64)))
+    assert fs.frames.shape == frame_shape(layout, fs.original_dims)
+    assert fs.frames.dtype == np.uint8 and fs.frames.flags.c_contiguous
+    assert not fs.frames.flags.writeable
+
+
+def test_a_frame_set_cannot_be_changed_through_the_callers_array():
+    s = np.zeros((2, 3, 4), dtype=np.uint8)
+    fs = pack_temporal(s)
+    try:
+        s[0, 0, 0] = 5
+    except ValueError:
+        pass  # the frame set made s read-only
+    assert not fs.frames.any()
 
 
 # --- channel reordering ---

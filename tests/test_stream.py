@@ -235,9 +235,21 @@ def test_encode_rejects_2bit_sample_above_3():
     )
     # PackedFrameSet refuses such a sample when built, so swap the frames in
     # afterwards to reach the coder's own check, which must not drop high bits
-    object.__setattr__(fs, "frames", (np.array([[0, 1], [2, 4]], dtype=np.uint8),))
+    object.__setattr__(fs, "frames", np.array([[[0, 1], [2, 4]]], dtype=np.uint8))
     with pytest.raises(InputError, match="above 3"):
         entropy_encode(fs)
+
+
+@pytest.mark.parametrize("c", [1 << 16, (1 << 16) + 1])
+def test_encode_refuses_a_permutation_its_u16_entries_cannot_hold(c):
+    params = QuantParams(mean=np.zeros(c), std=np.ones(c), z_min=-1, z_max=1)
+    perm = tuple(reversed(range(c)))
+    fs = pack_temporal(np.zeros((c, 1, 1), dtype=np.uint8), permutation=perm, quant=params)
+    if c == 1 << 16:  # entries up to 65535 fit
+        assert entropy_decode(entropy_encode(fs)).channel_permutation == perm
+    else:
+        with pytest.raises(InputError, match="permutation of at most 65536 channels, not 65537"):
+            entropy_encode(fs)
 
 
 def test_2bit_payload_is_packed_four_per_byte():
